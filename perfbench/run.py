@@ -9,8 +9,8 @@ its unit. The last stdout line is one JSON object:
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload grid-infer --seed 42 --seconds 30 --trace 0
-    python3 perfbench/run.py --workload grid-infer --seed 42 --seconds 30 --trace 1
+    python3 perfbench/run.py --workload grid-train --seed 42 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload grid-train --seed 42 --seconds 50 --trace 1
     python3 perfbench/run.py --selftest
     python3 perfbench/run.py --compare old.json new.json
 
@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -42,23 +43,27 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 REFERENCES = BENCH / "references.json"
 CHILD_TIMEOUT_S = 150.0
+POOL_BASE_SEED = 42
 SEED_STRIDE = 1000003
 
-# Each workload is one scenario with fixed parameters; the workload seed
-# is passed as the scenario's `seed` param. `smoke` is the tiny scale
-# the self-test runs.
+# Each workload is one scenario with fixed parameters. A run makes whole
+# passes over a pool of `pool` scenario seeds, every one with a
+# committed reference digest (see pass_order). `smoke` is the tiny scale
+# the self-test runs; its pool is the single seed POOL_BASE_SEED.
 WORKLOADS = {
     "grid-train": {
         "scenario": "grid-training-transient",
         "params": {"policy": "nn", "episodes": "500",
                    "bers": "0.001,0.003,0.005,0.01",
                    "injection-episodes": "0,166,333,499", "repeats": "1"},
+        "pool": 5,
         "smoke": {"policy": "nn", "episodes": "40", "bers": "0.005,0.01",
                   "injection-episodes": "0,20", "repeats": "1"},
     },
     "drone-faults": {
         "scenario": "drone-fault-locations",
         "params": {"world": "indoor-long", "repeats": "30"},
+        "pool": 16,
         "smoke": {"world": "indoor-long", "bers": "0,0.001", "repeats": "2",
                   "imitation-episodes": "1", "ddqn-episodes": "1",
                   "env-max-steps": "40"},
@@ -123,7 +128,7 @@ PER_LAYER = [
     ("campaign.overhead_us_per_trial", "us", "lower"),
     ("scenario.bind_ms", "ms", "lower"),
     ("scenario.export_ms", "ms", "lower"),
-    ("cost.pred_over_meas", "ratio", "higher"),
+    ("cost.abs_log_pred_err", "ln", "lower"),
     ("obs.trace_overhead_frac", "frac", "lower"),
     ("obs.span_coverage_frac", "frac", "higher"),
 ]
@@ -139,7 +144,8 @@ class BenchError(Exception):
 # ---- environment, build, code identity ------------------------------------
 
 def clean_env(extra=None):
-    """The inherited environment minus every FTNAV_* knob, plus `extra`.
+    """The inherited environment minus every FTNAV_* knob, plus `extra`
+    (only the traced runs' FTNAV_TRACE_DIR).
 
     A stray FTNAV_SIMD / FTNAV_TRIAL_BATCH / FTNAV_TRACE_DIR /
     FTNAV_REPEATS must not change the measured program, and tracing must
@@ -279,39 +285,18 @@ def scenario_run(binary, workload, params, out_dir, threads, extra_env=None):
 
 # ---- correctness -----------------------------------------------------------
 
-class DigestJudge:
-    """Decides whether an output digest is right.
-
-    With a committed reference for (workload, canonical params) the
-    digest must equal it. Without one, every run of those params must
-    agree: the first digest seen for (workload, params, code) in this
-    checkout is kept in the build directory and later runs — the
-    repeated first iteration of the same invocation, or any later
-    invocation — must match it."""
-
-    def __init__(self, workload_name, code):
-        self.key_prefix = f"{workload_name}|"
-        self.code = code
-        self.references = json.loads(REFERENCES.read_text()).get(
-            workload_name, {})
-        self.seen_path = build_dir() / "seen_digests.json"
-        self.seen = {}
-        if self.seen_path.exists():
-            try:
-                self.seen = json.loads(self.seen_path.read_text())
-            except ValueError:
-                self.seen = {}
-
-    def judge(self, params_canonical, digest):
-        if params_canonical in self.references:
-            return digest == self.references[params_canonical]
-        key = f"{self.key_prefix}{params_canonical}|{self.code}"
-        if key in self.seen:
-            return digest == self.seen[key]
-        self.seen[key] = digest
-        self.seen_path.parent.mkdir(parents=True, exist_ok=True)
-        self.seen_path.write_text(json.dumps(self.seen, indent=1))
-        return True
+def digest_error(workload_name, params_canonical, digest):
+    """None when `digest` equals the committed reference for the
+    workload's canonical params, else why it is wrong. Every pool seed
+    has a reference, so a missing one is an error too: no run is judged
+    only against itself."""
+    references = json.loads(REFERENCES.read_text()).get(workload_name, {})
+    expected = references.get(params_canonical)
+    if expected is None:
+        return f"no committed reference for {params_canonical}"
+    if digest != expected:
+        return f"output digest differs from the reference: {params_canonical}"
+    return None
 
 
 # ---- trace analysis --------------------------------------------------------
@@ -448,9 +433,11 @@ def layer_metrics(plain, traced, run_spans, probe_spans, probe, threads):
                                - by_name["scenario.export"]["start"]) * 1e3
 
     # The cost model predicts single-thread seconds: compare against
-    # set-up plus the summed shard busy time.
+    # set-up plus the summed shard busy time. |ln(predicted/measured)|
+    # is 0 for a perfect model and grows with error in either direction.
     measured = traced["values"]["setup_s"] + busy
-    m["cost.pred_over_meas"] = traced["record"]["cost_total_s"] / measured
+    m["cost.abs_log_pred_err"] = abs(math.log(
+        traced["record"]["cost_total_s"] / measured))
     m["obs.trace_overhead_frac"] = (traced["values"]["wall_s"]
                                     / plain["values"]["wall_s"] - 1.0)
 
@@ -463,18 +450,27 @@ def layer_metrics(plain, traced, run_spans, probe_spans, probe, threads):
 
 # ---- workload runs ---------------------------------------------------------
 
-def scenario_seed(seed, iteration):
-    """The scenario seed of a run's iteration-th scenario run: seed +
-    iteration * SEED_STRIDE. A run's median thus covers several
-    independent campaigns of the workload, and the same --seed always
-    yields the same sequence of inputs."""
-    return seed + iteration * SEED_STRIDE
+def pool_seed(index):
+    """The index-th seed of a workload's seed pool."""
+    return POOL_BASE_SEED + index * SEED_STRIDE
 
 
-def workload_params(name, seed, smoke, iteration=0):
+def pass_order(name, seed, smoke):
+    """The scenario seeds of one pass over the workload's pool, in the
+    order --seed shuffles them to. Every pass of every run covers the
+    same campaigns, so a run's median is not at the mercy of which
+    campaigns it happened to draw, and every input has a committed
+    reference digest."""
+    pool = 1 if smoke else WORKLOADS[name]["pool"]
+    order = [pool_seed(index) for index in range(pool)]
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def workload_params(name, scenario_seed, smoke):
     workload = WORKLOADS[name]
     params = dict(workload["smoke"] if smoke else workload["params"])
-    params["seed"] = str(scenario_seed(seed, iteration))
+    params["seed"] = str(scenario_seed)
     return workload, params
 
 
@@ -489,30 +485,30 @@ def fingerprint_of(record, code, cleared):
     }, {"code": code, "env_cleared": cleared}
 
 
-def measure_untraced(binary, name, seed, seconds, smoke, work_dir,
-                     extra_env=None):
-    """Repeats fresh-process runs, each with the next scenario seed, for
-    about `seconds` (at least two); returns a result."""
+def measure_untraced(binary, name, seed, seconds, smoke, work_dir):
+    """Runs whole passes over the workload's seed pool, one fresh
+    process per scenario seed, while another pass fits in `seconds`
+    (at least one pass); returns a result."""
     threads = thread_count()
-    judge = DigestJudge(name, code_identity())
+    order = pass_order(name, seed, smoke)
     iterations = []
     started = time.monotonic()
+    passes = 0
     while True:
-        workload, params = workload_params(name, seed, smoke,
-                                           len(iterations))
-        it = scenario_run(binary, workload, params,
-                          work_dir / f"it{len(iterations)}", threads,
-                          extra_env)
-        if it["ok"]:
-            it["right"] = judge.judge(it["record"]["params"], it["digest"])
-        iterations.append(it)
-        if not it["ok"]:
-            break
+        for scenario_seed in order:
+            workload, params = workload_params(name, scenario_seed, smoke)
+            it = scenario_run(binary, workload, params,
+                              work_dir / f"it{len(iterations)}", threads)
+            if it["ok"]:
+                it["error"] = digest_error(name, it["record"]["params"],
+                                           it["digest"])
+                it["right"] = it["error"] is None
+            iterations.append(it)
+            if not it["ok"]:
+                break
+        passes += 1
         elapsed = time.monotonic() - started
-        typical = statistics.median(
-            i["values"]["wall_s"] for i in iterations if i["ok"])
-        if len(iterations) >= 2 and (
-                elapsed + 0.5 * typical >= seconds or elapsed > 120.0):
+        if not it["ok"] or elapsed + elapsed / passes > seconds:
             break
     good = [i for i in iterations if i["ok"]]
     right = [i for i in good if i["right"]]
@@ -530,15 +526,16 @@ def measure_untraced(binary, name, seed, seconds, smoke, work_dir,
         "metrics": metrics,
         "iterations": iterations,
         "record": good[0]["record"] if good else None,
-        "errors": [i["error"] for i in iterations if not i["ok"]],
+        "errors": [i["error"] for i in iterations if i["error"]],
     }
 
 
 def measure_traced(binary, name, seed, smoke, work_dir):
-    """Untraced run, traced run and layer probe; returns a result."""
-    workload, params = workload_params(name, seed, smoke)
+    """Untraced run, traced run and layer probe of the first scenario
+    seed of the run's pass order; returns a result."""
+    workload, params = workload_params(name, pass_order(name, seed, smoke)[0],
+                                       smoke)
     threads = thread_count()
-    judge = DigestJudge(name, code_identity())
     errors = []
     plain = scenario_run(binary, workload, params, work_dir / "plain",
                          threads)
@@ -561,9 +558,10 @@ def measure_traced(binary, name, seed, smoke, work_dir):
         failed += 1
     metrics = {}
     if failed == 0:
-        if not judge.judge(plain["record"]["params"], plain["digest"]):
-            errors.append("output digest differs from the reference or "
-                          "an earlier run of the same params")
+        wrong = digest_error(name, plain["record"]["params"],
+                             plain["digest"])
+        if wrong:
+            errors.append(wrong)
             failed += 1
         if traced["digest"] != plain["digest"]:
             errors.append("tracing changed the scenario's output bytes")
@@ -715,9 +713,8 @@ def selftest(binary, work_dir):
                 data = bytearray(stdout.read_bytes())
                 data[-2] ^= 0x01
                 stdout.write_bytes(bytes(data))
-                judge = DigestJudge(name, code_identity())
-                if judge.judge(it["record"]["params"], output_digest(
-                        it["out_dir"])):
+                if digest_error(name, it["record"]["params"],
+                                output_digest(it["out_dir"])) is None:
                     problems.append(f"{name}: digest check accepted a "
                                     "perturbed output")
     for problem in problems:
@@ -735,10 +732,6 @@ def main(argv):
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--simd", choices=("scalar", "avx2", "neon", "auto"),
-                        help="pin the kernel backend (FTNAV_SIMD) of the "
-                             "measured program; default: the program's "
-                             "auto choice")
     parser.add_argument("--record", help="also write a JSON record "
                         "(fingerprint, stamp, metrics) to this path")
     parser.add_argument("--selftest", action="store_true",
@@ -759,16 +752,12 @@ def main(argv):
         if not args.workload:
             parser.error("--workload is required")
         _, cleared = clean_env()
-        extra = {"FTNAV_SIMD": args.simd} if args.simd else None
         if args.trace:
-            if extra:
-                parser.error("--simd applies to --trace 0 runs only")
             result = measure_traced(binary, args.workload, args.seed, False,
                                     work_dir)
         else:
             result = measure_untraced(binary, args.workload, args.seed,
-                                      args.seconds, False, work_dir,
-                                      extra_env=extra)
+                                      args.seconds, False, work_dir)
     except BenchError as error:
         sys.stderr.write(f"perfbench: {error}\n")
         return 1
