@@ -1,10 +1,9 @@
-// Scalar kernel backend + runtime dispatch.
+// Scalar kernel backend, runtime dispatch, max-pool and transpose.
 //
-// The scalar loops replicate the Conv2D/Dense forward loops in
-// src/nn/layers.cpp operation for operation (same accumulation order,
-// same index arithmetic), so the kernelized engine is bit-identical to
-// the original layer-by-layer execution. This TU is compiled with
-// -ffp-contract=off (see CMakeLists.txt) so the chains stay mul+add.
+// The scalar loops fix the accumulation order that every backend
+// reproduces, for the float layers and the quantized engine alike. The
+// project is compiled with -ffp-contract=off (see CMakeLists.txt) so
+// the chains stay mul+add.
 
 #include "nn/kernels/kernels.h"
 
@@ -123,27 +122,39 @@ const KernelOps& active() {
 }
 
 void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
-               int window) {
+               int window, std::size_t* argmax) {
   const int out_h = in_h / window;
   const int out_w = in_w / window;
   std::size_t flat = 0;
   for (int c = 0; c < channels; ++c) {
     for (int oh = 0; oh < out_h; ++oh) {
       for (int ow = 0; ow < out_w; ++ow, ++flat) {
+        const std::size_t origin =
+            (static_cast<std::size_t>(c) * in_h + oh * window) * in_w +
+            ow * window;
         float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_index = origin;
         for (int kh = 0; kh < window; ++kh) {
           for (int kw = 0; kw < window; ++kw) {
-            const int ih = oh * window + kh;
-            const int iw = ow * window + kw;
-            const float v =
-                x[(static_cast<std::size_t>(c) * in_h + ih) * in_w + iw];
-            if (v > best) best = v;
+            const std::size_t i = origin + kh * in_w + kw;
+            if (x[i] > best) {
+              best = x[i];
+              best_index = i;
+            }
           }
         }
         y[flat] = best;
+        if (argmax != nullptr) argmax[flat] = best_index;
       }
     }
   }
+}
+
+void transpose(const float* w, float* wt, int rows, int cols) {
+  for (int r = 0; r < rows; ++r)
+    for (int c = 0; c < cols; ++c)
+      wt[static_cast<std::size_t>(c) * rows + r] =
+          w[static_cast<std::size_t>(r) * cols + c];
 }
 
 ScopedKernelBackend::ScopedKernelBackend(const KernelOps& ops)

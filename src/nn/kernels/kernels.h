@@ -1,5 +1,6 @@
 #pragma once
-// Runtime-dispatched compute kernels for the quantized inference engine.
+// Runtime-dispatched compute kernels: the only forward loops of the
+// float layers (src/nn/layers.cpp) and the quantized inference engine.
 //
 // The engine emulates fixed-point MACs in float: per output element it
 // runs one sequential accumulation chain (bias, then += w*x in a fixed
@@ -7,9 +8,9 @@
 // backends vectorize ACROSS independent output elements while keeping
 // every element's scalar chain intact, so each lane performs exactly
 // the operations the scalar backend performs for that element and the
-// results are bit-identical for every backend and lane width. Kernel
-// translation units are compiled with -ffp-contract=off so no backend
-// fuses the multiply-add chain into FMAs.
+// results are bit-identical for every backend and lane width. The
+// project is compiled with -ffp-contract=off so no backend fuses the
+// multiply-add chain into FMAs.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -50,7 +51,7 @@ struct KernelOps {
   /// (contiguous across output channels for a fixed tap, so SIMD
   /// lanes covering neighboring output channels load one vector per
   /// tap instead of gathering strided input columns). Built by the
-  /// caller alongside the dense cache.
+  /// caller with transpose().
   bool conv_wants_transposed;
   void (*conv2d)(const float* w, const float* wt, const float* bias,
                  const float* x, float* y, const ConvShape& s);
@@ -59,7 +60,7 @@ struct KernelOps {
   void (*relu)(float* x, std::size_t n);
 };
 
-/// The portable backend (bit-identical to the pre-kernel layer loops).
+/// The portable backend, whose chains every other backend reproduces.
 const KernelOps& scalar_ops() noexcept;
 
 /// The AVX2 backend, or nullptr when not compiled in (non-x86 build).
@@ -85,13 +86,18 @@ const KernelOps& resolve_backend(const std::string& choice);
 
 /// The process-wide backend: the ScopedKernelBackend override when one
 /// is active, otherwise the FTNAV_SIMD choice resolved once on first
-/// use. Engines capture this at construction.
+/// use. Engines capture this at construction, float layers per call.
 const KernelOps& active();
 
 /// Shared scalar max-pool (not dispatched: it only selects existing
-/// quantized values, so it is backend-invariant by construction).
+/// values, so it is backend-invariant by construction). A non-null
+/// `argmax` receives each output's flat CHW input index.
 void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
-               int window);
+               int window, std::size_t* argmax = nullptr);
+
+/// wt[c][r] = w[r][c] for a row-major rows x cols `w`: the `wt` copy
+/// that dense (rows = out_f) and conv2d (rows = out_c) read.
+void transpose(const float* w, float* wt, int rows, int cols);
 
 /// Test-only: pins the active backend for the lifetime of the scope so
 /// one process can construct engines on different backends and compare

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+
+#include "nn/kernels/kernels.h"
 
 namespace ftnav {
 
@@ -58,25 +59,21 @@ Tensor Conv2D::forward(const Tensor& input) {
   const Shape out_shape = output_shape(input.shape());
   cached_input_ = input;
   Tensor out(out_shape);
-  const std::size_t bias_base = params_.size() - out_channels_;
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    for (int oh = 0; oh < out_shape.height; ++oh) {
-      for (int ow = 0; ow < out_shape.width; ++ow) {
-        float acc = params_[bias_base + static_cast<std::size_t>(oc)];
-        const int ih0 = oh * stride_;
-        const int iw0 = ow * stride_;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          for (int kh = 0; kh < kernel_; ++kh) {
-            for (int kw = 0; kw < kernel_; ++kw) {
-              acc += params_[weight_index(oc, ic, kh, kw)] *
-                     input.get(ic, ih0 + kh, iw0 + kw);
-            }
-          }
-        }
-        out.ref(oc, oh, ow) = acc;
-      }
-    }
+  const kernels::KernelOps& ops = kernels::active();
+  const std::size_t weight_count = params_.size() - out_channels_;
+  if (ops.conv_wants_transposed) {
+    // Rebuilt per call: callers write params_ through parameters()
+    // between forwards, so a kept copy could go stale.
+    wt_scratch_.resize(weight_count);
+    kernels::transpose(params_.data(), wt_scratch_.data(), out_channels_,
+                       in_channels_ * kernel_ * kernel_);
   }
+  ops.conv2d(params_.data(),
+             ops.conv_wants_transposed ? wt_scratch_.data() : nullptr,
+             params_.data() + weight_count, input.data(), out.data(),
+             {in_channels_, input.shape().height, input.shape().width,
+              out_channels_, out_shape.height, out_shape.width, kernel_,
+              stride_});
   return out;
 }
 
@@ -84,6 +81,8 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("Conv2D::backward before forward");
   const Shape out_shape = grad_output.shape();
+  if (out_shape != output_shape(cached_input_.shape()))
+    throw std::invalid_argument("Conv2D::backward: gradient shape mismatch");
   Tensor grad_input(cached_input_.shape());
   const std::size_t bias_base = params_.size() - out_channels_;
   for (int oc = 0; oc < out_channels_; ++oc) {
@@ -134,15 +133,16 @@ Shape ReLU::output_shape(const Shape& in) const {
 
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
-  Tensor out(input.shape());
-  for (std::size_t i = 0; i < input.size(); ++i)
-    out[i] = input[i] > 0.0f ? input[i] : 0.0f;
+  Tensor out = input;
+  kernels::active().relu(out.data(), out.size());
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("ReLU::backward before forward");
+  if (grad_output.shape() != cached_input_.shape())
+    throw std::invalid_argument("ReLU::backward: gradient shape mismatch");
   Tensor grad_input(cached_input_.shape());
   for (std::size_t i = 0; i < grad_output.size(); ++i)
     grad_input[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
@@ -166,42 +166,20 @@ Shape MaxPool2D::output_shape(const Shape& in) const {
 }
 
 Tensor MaxPool2D::forward(const Tensor& input) {
-  const Shape out_shape = output_shape(input.shape());
-  cached_input_shape_ = input.shape();
-  Tensor out(out_shape);
-  argmax_.assign(out.size(), 0);
-  std::size_t flat = 0;
-  for (int c = 0; c < out_shape.channels; ++c) {
-    for (int oh = 0; oh < out_shape.height; ++oh) {
-      for (int ow = 0; ow < out_shape.width; ++ow, ++flat) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_index = 0;
-        for (int kh = 0; kh < window_; ++kh) {
-          for (int kw = 0; kw < window_; ++kw) {
-            const int ih = oh * window_ + kh;
-            const int iw = ow * window_ + kw;
-            const float v = input.get(c, ih, iw);
-            if (v > best) {
-              best = v;
-              best_index =
-                  (static_cast<std::size_t>(c) * cached_input_shape_.height +
-                   static_cast<std::size_t>(ih)) *
-                      cached_input_shape_.width +
-                  static_cast<std::size_t>(iw);
-            }
-          }
-        }
-        out.ref(c, oh, ow) = best;
-        argmax_[flat] = best_index;
-      }
-    }
-  }
+  const Shape in = input.shape();
+  Tensor out(output_shape(in));
+  cached_input_shape_ = in;
+  argmax_.resize(out.size());
+  kernels::maxpool2d(input.data(), out.data(), in.channels, in.height,
+                     in.width, window_, argmax_.data());
   return out;
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_output) {
   if (!cached_input_shape_.valid())
     throw std::logic_error("MaxPool2D::backward before forward");
+  if (grad_output.shape() != output_shape(cached_input_shape_))
+    throw std::invalid_argument("MaxPool2D::backward: gradient shape mismatch");
   Tensor grad_input(cached_input_shape_);
   for (std::size_t i = 0; i < grad_output.size(); ++i)
     grad_input[argmax_[i]] += grad_output[i];
@@ -263,20 +241,21 @@ Tensor Dense::forward(const Tensor& input) {
   (void)output_shape(input.shape());
   cached_input_ = input;
   Tensor out(Shape{out_features_, 1, 1});
-  const std::size_t bias_base = params_.size() - out_features_;
-  for (int o = 0; o < out_features_; ++o) {
-    float acc = params_[bias_base + static_cast<std::size_t>(o)];
-    const std::size_t row = static_cast<std::size_t>(o) * in_features_;
-    for (int i = 0; i < in_features_; ++i)
-      acc += params_[row + static_cast<std::size_t>(i)] * input[i];
-    out[static_cast<std::size_t>(o)] = acc;
-  }
+  const std::size_t weight_count = params_.size() - out_features_;
+  // Scalar on every backend: the SIMD kernels read transposed weights,
+  // and rebuilding them per call (weights change between forwards)
+  // costs more than it saves on single-input MLP training.
+  kernels::scalar_ops().dense(params_.data(), nullptr,
+                              params_.data() + weight_count, input.data(),
+                              out.data(), in_features_, out_features_);
   return out;
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("Dense::backward before forward");
+  if (grad_output.shape() != Shape{out_features_, 1, 1})
+    throw std::invalid_argument("Dense::backward: gradient shape mismatch");
   Tensor grad_input(cached_input_.shape());
   const std::size_t bias_base = params_.size() - out_features_;
   for (int o = 0; o < out_features_; ++o) {

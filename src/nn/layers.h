@@ -95,6 +95,7 @@ class Conv2D final : public Layer {
   std::vector<float> params_;  // weights then biases
   std::vector<float> grads_;
   Tensor cached_input_;
+  std::vector<float> wt_scratch_;  // forward's transposed weights
 };
 
 /// Rectified linear unit.

@@ -5,6 +5,8 @@
 // (round-tripped through encode/decode) including the saturation
 // edges, and the geometry sweeps deliberately cross both the 4-lane
 // (NEON) and 8-lane (AVX2) boundaries to exercise remainder handling.
+// The float layers call the same kernels, so one case also trains a
+// float network on each backend and compares the results bit for bit.
 // Each SIMD backend runs the same matrix through its own fixture and
 // GTEST_SKIPs on hosts that cannot execute it.
 
@@ -13,11 +15,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/injector.h"
+#include "envs/drone_world.h"
 #include "fixed/qvector.h"
+#include "nn/c3f2.h"
 #include "nn/kernels/kernels.h"
+#include "rl/dqn.h"
 #include "util/rng.h"
 
 namespace ftnav {
@@ -99,14 +106,9 @@ void run_conv_shape_matrix(const KernelOps& simd) {
     const auto w = quantized_randoms(fmt, wn, 100 + wn);
     const auto b = quantized_randoms(fmt, g.out_c, 200 + wn);
     const auto x = quantized_randoms(fmt, xn, 300 + xn);
-    // Transposed copy wt[ic][kh][kw][oc], built exactly as the engine
-    // builds it.
-    std::vector<float> wt(wn);
-    const int taps = g.in_c * g.kernel * g.kernel;
-    for (int oc = 0; oc < g.out_c; ++oc)
-      for (int t = 0; t < taps; ++t)
-        wt[static_cast<std::size_t>(t) * g.out_c + oc] =
-            w[static_cast<std::size_t>(oc) * taps + t];
+    std::vector<float> wt(wn);  // wt[ic][kh][kw][oc]
+    kernels::transpose(w.data(), wt.data(), g.out_c,
+                       g.in_c * g.kernel * g.kernel);
     std::vector<float> y_scalar(yn, -1.0f), y_simd(yn, -2.0f);
     kernels::scalar_ops().conv2d(w.data(), nullptr, b.data(), x.data(),
                                  y_scalar.data(), s);
@@ -124,12 +126,8 @@ void run_dense_width_matrix(const KernelOps& simd) {
       const auto w = quantized_randoms(fmt, wn, 400 + wn);
       const auto b = quantized_randoms(fmt, out_f, 500 + wn);
       const auto x = quantized_randoms(fmt, in_f, 600 + in_f);
-      // Transposed copy, built exactly as the engine builds it.
       std::vector<float> wt(wn);
-      for (int o = 0; o < out_f; ++o)
-        for (int i = 0; i < in_f; ++i)
-          wt[static_cast<std::size_t>(i) * out_f + o] =
-              w[static_cast<std::size_t>(o) * in_f + i];
+      kernels::transpose(w.data(), wt.data(), out_f, in_f);
       std::vector<float> y_scalar(out_f, -1.0f), y_simd(out_f, -2.0f);
       kernels::scalar_ops().dense(w.data(), nullptr, b.data(), x.data(),
                                   y_scalar.data(), in_f, out_f);
@@ -175,10 +173,7 @@ void run_faulted_dense(const KernelOps& simd) {
   std::vector<float> w(image.size());
   image.decode_into(w);
   std::vector<float> wt(w.size());
-  for (int o = 0; o < out_f; ++o)
-    for (int i = 0; i < in_f; ++i)
-      wt[static_cast<std::size_t>(i) * out_f + o] =
-          w[static_cast<std::size_t>(o) * in_f + i];
+  kernels::transpose(w.data(), wt.data(), out_f, in_f);
   const auto b = quantized_randoms(fmt, out_f, 9);
   const auto x = quantized_randoms(fmt, in_f, 10);
   std::vector<float> y_scalar(out_f), y_simd(out_f);
@@ -187,6 +182,53 @@ void run_faulted_dense(const KernelOps& simd) {
   simd.dense(w.data(), simd.dense_wants_transposed ? wt.data() : nullptr,
              b.data(), x.data(), y_simd.data(), in_f, out_f);
   expect_bit_identical(y_scalar, y_simd, "faulted dense");
+}
+
+/// Float layers on the active backend: C3F2 (fast preset) and the Grid
+/// World MLP (100 -> 48 -> 4) forward a fixed input, then one imitation
+/// episode trains the C3F2. Returns both outputs and the trained
+/// parameters.
+std::vector<float> float_forward_and_train() {
+  Rng rng(21);
+  const C3F2Config c3f2 = C3F2Config::preset(C3F2Preset::kFast);
+  Network drone = make_c3f2(c3f2, rng);
+  Network mlp;
+  mlp.add(std::make_unique<Dense>(100, 48, rng));
+  mlp.add(std::make_unique<ReLU>());
+  mlp.add(std::make_unique<Dense>(48, 4, rng));
+
+  Tensor image(c3f2.input_shape());
+  for (std::size_t i = 0; i < image.size(); ++i)
+    image[i] = static_cast<float>(rng.uniform());
+  Tensor state(std::size_t{100});
+  state[37] = 1.0f;  // one-hot Grid World state
+  std::vector<float> out;
+  const auto append = [&out](std::span<const float> values) {
+    out.insert(out.end(), values.begin(), values.end());
+  };
+  append(drone.forward(image).values());
+  append(mlp.forward(state).values());
+
+  const DroneWorld world = DroneWorld::indoor_long();
+  DroneEnvConfig env_config;
+  env_config.max_steps = 30;
+  DroneEnv env(world, env_config);
+  (void)pretrain_imitation(drone, env, 1, 0.02, 0.1, rng);
+  append(drone.snapshot_parameters());
+  return out;
+}
+
+void run_float_layers(const KernelOps& simd) {
+  std::vector<float> scalar, vectorized;
+  {
+    kernels::ScopedKernelBackend pin(kernels::scalar_ops());
+    scalar = float_forward_and_train();
+  }
+  {
+    kernels::ScopedKernelBackend pin(simd);
+    vectorized = float_forward_and_train();
+  }
+  expect_bit_identical(scalar, vectorized, "float layers");
 }
 
 // ---- AVX2 ----------------------------------------------------------------
@@ -218,6 +260,10 @@ TEST_F(Avx2BitIdentity, FaultedWeightImagesStayBitIdentical) {
   run_faulted_dense(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, FloatForwardAndTrainingStayBitIdentical) {
+  run_float_layers(*simd_);
+}
+
 // ---- NEON ----------------------------------------------------------------
 
 class NeonBitIdentity : public ::testing::Test {
@@ -245,6 +291,10 @@ TEST_F(NeonBitIdentity, ReluIncludingSignedZeroAndRemainder) {
 
 TEST_F(NeonBitIdentity, FaultedWeightImagesStayBitIdentical) {
   run_faulted_dense(*simd_);
+}
+
+TEST_F(NeonBitIdentity, FloatForwardAndTrainingStayBitIdentical) {
+  run_float_layers(*simd_);
 }
 
 // ---- Dispatch ------------------------------------------------------------
@@ -294,11 +344,13 @@ TEST(Kernels, MaxPoolSelectsFirstOfEqualMaxima) {
       -1.f, -1.f, -8.0f, -0.5f,
   };
   std::vector<float> y(4);
-  kernels::maxpool2d(x.data(), y.data(), 1, 4, 4, 2);
+  std::vector<std::size_t> argmax(4);
+  kernels::maxpool2d(x.data(), y.data(), 1, 4, 4, 2, argmax.data());
   EXPECT_EQ(y[0], 1.0f);
   EXPECT_EQ(y[1], 0.5f);
   EXPECT_EQ(y[2], -1.0f);
   EXPECT_EQ(y[3], -0.5f);
+  EXPECT_EQ(argmax, (std::vector<std::size_t>{0, 3, 8, 10}));
 }
 
 }  // namespace

@@ -136,6 +136,10 @@ TEST(Conv2D, GradientCheckParams) {
   Rng rng(6);
   Conv2D conv(2, 3, 3, 2, rng);
   check_param_gradient(conv, random_tensor(Shape{2, 7, 7}, rng));
+  // 9 output channels: wide enough for the SIMD backends' transposed-
+  // weight path, plus a remainder channel.
+  Conv2D wide(2, 9, 3, 2, rng);
+  check_param_gradient(wide, random_tensor(Shape{2, 7, 7}, rng));
 }
 
 TEST(Conv2D, ApplyGradientsMovesParamsAndClears) {
@@ -158,6 +162,13 @@ TEST(Conv2D, BackwardBeforeForwardThrows) {
   Conv2D conv(1, 1, 2, 1, rng);
   Tensor grad(Shape{1, 2, 2});
   EXPECT_THROW(conv.backward(grad), std::logic_error);
+}
+
+TEST(Conv2D, BackwardRejectsMismatchedGradShape) {
+  Rng rng(9);
+  Conv2D conv(1, 1, 2, 1, rng);
+  (void)conv.forward(random_tensor(Shape{1, 3, 3}, rng));  // out 1x2x2
+  EXPECT_THROW(conv.backward(Tensor(Shape{1, 3, 3})), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ ReLU
@@ -183,6 +194,12 @@ TEST(ReLU, GradientMasksNegativeInputs) {
   EXPECT_FLOAT_EQ(gin[2], 5.0f);
 }
 
+TEST(ReLU, BackwardRejectsMismatchedGradShape) {
+  ReLU relu;
+  (void)relu.forward(Tensor(Shape{1, 1, 3}, {-1.0f, 1.0f, 2.0f}));
+  EXPECT_THROW(relu.backward(Tensor(Shape{1, 1, 64})), std::invalid_argument);
+}
+
 // -------------------------------------------------------------- MaxPool
 
 TEST(MaxPool2D, SelectsWindowMaxima) {
@@ -205,6 +222,12 @@ TEST(MaxPool2D, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gin[1], 2.0f);
   EXPECT_FLOAT_EQ(gin[2], 0.0f);
   EXPECT_FLOAT_EQ(gin[3], 0.0f);
+}
+
+TEST(MaxPool2D, BackwardRejectsMismatchedGradShape) {
+  MaxPool2D pool(2);
+  (void)pool.forward(Tensor(Shape{1, 2, 2}, {1.0f, 9.0f, 3.0f, 4.0f}));
+  EXPECT_THROW(pool.backward(Tensor(Shape{1, 1, 4})), std::invalid_argument);
 }
 
 TEST(MaxPool2D, MasksFaultyNegativeSpikes) {
@@ -255,6 +278,13 @@ TEST(Dense, RejectsWrongInputSize) {
   Rng rng(14);
   Dense dense(4, 2, rng);
   EXPECT_THROW(dense.output_shape(Shape{5, 1, 1}), std::invalid_argument);
+}
+
+TEST(Dense, BackwardRejectsMismatchedGradShape) {
+  Rng rng(19);
+  Dense dense(4, 3, rng);
+  (void)dense.forward(random_tensor(Shape{4, 1, 1}, rng));
+  EXPECT_THROW(dense.backward(Tensor(std::size_t{1})), std::invalid_argument);
 }
 
 TEST(Dense, GradientCheckInput) {
