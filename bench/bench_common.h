@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -18,7 +17,6 @@
 #include "campaign/streaming.h"
 #include "dist/dist_coordinator.h"
 #include "dist/tcp_transport.h"
-#include "dist/work_queue.h"
 #include "nn/kernels/kernels.h"
 #include "obs/shard_timing.h"
 #include "scenario/scenario.h"
@@ -72,16 +70,17 @@ inline CampaignStreamConfig stream_for(const BenchConfig& config,
 }
 
 /// Resolves this bench process's distributed-campaign role from the
-/// FTNAV_WORKERS / FTNAV_QUEUE_DIR / FTNAV_WORKER_ID knobs; call once
+/// FTNAV_WORKERS / FTNAV_QUEUE_ADDR / FTNAV_WORKER_ID knobs; call once
 /// before running campaigns and copy the result into each campaign
 /// config's `dist` field.
 ///
-/// In the coordinator (FTNAV_WORKERS > 0) this call BLOCKS: it
-/// re-execs the bench binary (`argv0`) FTNAV_WORKERS times with
-/// FTNAV_WORKER_ID set — the workers inherit every other FTNAV_* knob
-/// from the environment — drains the shard queue, then returns the
-/// finalize-role config, under which the bench's campaigns merge the
-/// workers' partial checkpoints and complete without re-running
+/// In the coordinator (FTNAV_WORKERS > 0) this call BLOCKS: it hosts
+/// a campaign server in this process, re-execs the bench binary
+/// (`argv0`) FTNAV_WORKERS times with FTNAV_WORKER_ID and the
+/// server's address set — the workers inherit every other FTNAV_*
+/// knob from the environment — drains the shard queue, then returns
+/// the finalize-role config, under which the bench's campaigns merge
+/// the workers' partial checkpoints and complete without re-running
 /// trials. Worker processes get their worker-role config back
 /// immediately (and have json_dir cleared: the coordinator alone
 /// writes artifacts; benches should also skip printing tables when
@@ -94,51 +93,32 @@ inline DistConfig bench_dist(const char* argv0, BenchConfig& config) {
   dist.auth_token = config.auth_token;
   if (config.worker_id >= 0) {
     dist.worker_id = config.worker_id;
-    dist.queue_dir = config.queue_dir;
     dist.queue_addr = config.queue_addr;
     config.json_dir.clear();
     config.progress_every = 0;  // keep worker stdout quiet
     return dist;
   }
   if (config.workers <= 0) return dist;
-  if (!config.queue_addr.empty()) {
-    // TCP transport: host the work server in this process for the
-    // whole bench run (the finalize merges drain it at the end). It
-    // enforces the same session token the workers present.
-    static TcpWorkServer server(CampaignServerConfig{
-        config.queue_addr, std::string(), config.auth_token});
-    server.start();
-    config.queue_addr = server.address();  // resolve a port-0 bind
-  } else if (config.queue_dir.empty()) {
-    config.queue_dir = make_scratch_queue_dir("ftnav_bench_queue");
-    // Remove the scratch queue when the bench exits cleanly (partials
-    // and merged checkpoints inside it are campaign-sized).
-    struct ScratchCleanup {
-      std::string dir;
-      ~ScratchCleanup() {
-        std::error_code ignored;
-        std::filesystem::remove_all(dir, ignored);
-      }
-    };
-    static const ScratchCleanup cleanup{config.queue_dir};
-  }
+  // The server lives for the whole bench run (the finalize merges
+  // drain it at the end) and enforces the same session token the
+  // workers present. Loopback by default: without a token, anything
+  // that can reach the port can lease shards.
+  static TcpWorkServer server(CampaignServerConfig{
+      config.queue_addr.empty() ? "127.0.0.1:0" : config.queue_addr,
+      std::string(), config.auth_token});
+  server.start();
+  config.queue_addr = server.address();  // resolve a port-0 bind
   dist.workers = config.workers;
   dist.queue_addr = config.queue_addr;
-  dist.queue_dir = config.queue_addr.empty() ? config.queue_dir
-                                             : std::string();
   // To stderr: stdout must stay identical to a single-process run.
-  std::fprintf(stderr, "distributed: %d workers, queue=%s\n", dist.workers,
-               (dist.queue_addr.empty() ? dist.queue_dir : dist.queue_addr)
-                   .c_str());
+  std::fprintf(stderr, "distributed: %d workers, queue-addr=%s\n",
+               dist.workers, dist.queue_addr.c_str());
   const DistCoordinator coordinator(dist);
   coordinator.run([&](int worker) {
     DistCoordinator::Command command;
     command.argv = {argv0};
-    command.env = {"FTNAV_WORKER_ID=" + std::to_string(worker)};
-    if (dist.queue_addr.empty())
-      command.env.push_back("FTNAV_QUEUE_DIR=" + dist.queue_dir);
-    else
-      command.env.push_back("FTNAV_QUEUE_ADDR=" + dist.queue_addr);
+    command.env = {"FTNAV_WORKER_ID=" + std::to_string(worker),
+                   "FTNAV_QUEUE_ADDR=" + dist.queue_addr};
     return command;
   });
   return dist;

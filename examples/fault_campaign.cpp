@@ -24,16 +24,17 @@
 // long campaigns stream progress (--progress N), checkpoint to disk
 // (--checkpoint FILE), resume (--resume), stop gracefully
 // (--stop-after N, exit 3). --workers N runs the campaign distributed
-// (see src/dist/): the coordinator re-execs this binary N times in
-// worker mode, the workers partition the shard stream through a
-// shared work queue (a --queue-dir directory or an in-process TCP
-// work server at --queue-addr), and the coordinator merges their
-// partial checkpoints. Output -- stdout, --json, and the merged
-// checkpoint bytes -- is identical for every worker count, transport,
-// and batch size, and identical to a plain single-process run, even
-// when workers are killed mid-campaign. (Hidden worker-mode flags:
-// --worker-id K plus --queue-dir/--queue-addr, --tag for the queue
-// namespace, and the --worker-fail-after N crash-test hook.)
+// (see src/dist/): the coordinator hosts a campaign server in-process
+// (on --queue-addr, default 127.0.0.1:0), re-execs this binary N
+// times in worker mode, the workers lease the shard stream from that
+// server, and the coordinator merges their partial checkpoints.
+// Output -- stdout, --json, and the merged checkpoint bytes -- is
+// identical for every worker count and lease batch size, and
+// identical to a plain single-process run, even when workers are
+// killed mid-campaign. (Hidden worker-mode flags: --worker-id K plus
+// --queue-addr, --tag for the queue namespace, and the
+// --worker-fail-after N crash-test hook.) A campaign that must
+// outlive its coordinator runs on a `serve --journal` daemon instead.
 //
 // The campaign-service subcommands decouple the queue from the
 // coordinator process (src/dist/campaign_server.h):
@@ -74,10 +75,8 @@
 #include "dist/campaign_server.h"
 #include "dist/dist_campaign.h"
 #include "dist/dist_coordinator.h"
-#include "dist/shard_transport.h"
 #include "dist/status_doc.h"
 #include "dist/tcp_transport.h"
-#include "dist/work_queue.h"
 #include "obs/shard_timing.h"
 #include "obs/trace.h"
 #include "scenario/scenario.h"
@@ -157,9 +156,9 @@ constexpr FlagInfo kFlags[] = {
     {"--stop-after", "n", "graceful stop after n shards (exit 3)",
      kCmdRun, false},
     {"--workers", "n", "distributed worker processes", kLaunchCmds, false},
-    {"--queue-dir", "d", "shared work-queue directory", kCmdRun, false},
-    {"--queue-addr", "a", "TCP work server host:port (0 = free port)",
-     kCmdRun, false},
+    {"--queue-addr", "a",
+     "in-process campaign server bind (default 127.0.0.1:0)", kCmdRun,
+     false},
     {"--server", "a", "campaign server host:port (default: FTNAV_SERVER)",
      kCmdSubmit | kCmdStatus | kCmdAttach, false},
     {"--tag", "t", "campaign tag (default: scenario + params digest)",
@@ -171,10 +170,6 @@ constexpr FlagInfo kFlags[] = {
     {"--poll-period", "s", "idle poll backoff cap in seconds",
      kLaunchCmds, false},
     {"--lease-batch", "n", "shards leased per claim round-trip",
-     kLaunchCmds, false},
-    {"--sched-policy", "p",
-     "lease sizing: uniform | cost | feedback (default: "
-     "FTNAV_SCHED_POLICY or uniform)",
      kLaunchCmds, false},
     {"--json", "f", "write result artifacts as JSON", kLaunchCmds, false},
     {"--json", nullptr, "machine-readable status document (ftnav-status-v1)",
@@ -292,7 +287,6 @@ struct ParsedFlags {
   bool resume = false;
   int stop_after = 0;
   int workers = 0;
-  std::string queue_dir;
   std::string queue_addr;
   std::string server;
   std::string tag;
@@ -300,7 +294,6 @@ struct ParsedFlags {
   double lease_expiry = -1.0;  // < 0 = keep the DistConfig default
   double poll_period = 0.0;    // <= 0 = keep the DistConfig default
   int lease_batch = 0;         // <= 0 = keep the DistConfig default
-  std::string sched_policy;    // "" = FTNAV_SCHED_POLICY, then uniform
   std::string json_path;
   std::string bind;
   std::string journal;
@@ -381,8 +374,6 @@ ParsedFlags parse_flags(const CommandInfo& command, int argc, char** argv) {
     } else if (arg == "--workers") {
       flags.workers = std::atoi(value);
       if (flags.workers <= 0) usage_error(argv[0], &command);
-    } else if (arg == "--queue-dir") {
-      flags.queue_dir = value;
     } else if (arg == "--queue-addr") {
       flags.queue_addr = parse_addr_or_die(argv[0], &command, value);
     } else if (arg == "--server") {
@@ -402,8 +393,6 @@ ParsedFlags parse_flags(const CommandInfo& command, int argc, char** argv) {
       const long batch = parse_long_or_die(argv[0], &command, value);
       if (batch < 1 || batch > 1 << 20) usage_error(argv[0], &command);
       flags.lease_batch = static_cast<int>(batch);
-    } else if (arg == "--sched-policy") {
-      flags.sched_policy = value;
     } else if (arg == "--bind") {
       flags.bind = parse_addr_or_die(argv[0], &command, value);
     } else if (arg == "--journal") {
@@ -672,10 +661,8 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
       std::fprintf(stderr, "--resume requires --checkpoint\n");
       return 2;
     }
-    if (flags.worker_id >= 0 && flags.queue_dir.empty() &&
-        flags.queue_addr.empty()) {
-      std::fprintf(stderr,
-                   "--worker-id requires --queue-dir or --queue-addr\n");
+    if (flags.worker_id >= 0 && flags.queue_addr.empty()) {
+      std::fprintf(stderr, "--worker-id requires --queue-addr\n");
       return 2;
     }
     if (flags.workers > 0 && (flags.resume || flags.stop_after > 0)) {
@@ -759,34 +746,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
   // must be a declared harness knob or some scenario's parameter.
   warn_unknown_ftnav_vars(registry.known_param_env_names());
 
-  // Scheduling policy: --sched-policy > FTNAV_SCHED_POLICY > uniform.
-  // The per-shard prediction is recomputed by every process from the
-  // same registered estimator over the same canonical parameters, so
-  // coordinator and workers agree without shipping numbers through the
-  // queue. Policy only changes lease sizing, never artifact bytes.
-  DistConfig::SchedPolicy sched_policy = DistConfig::SchedPolicy::kUniform;
-  const std::string sched_policy_text =
-      !flags.sched_policy.empty()
-          ? flags.sched_policy
-          : env_string("FTNAV_SCHED_POLICY", "uniform");
-  try {
-    sched_policy = sched_policy_from_name(sched_policy_text);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
-    return 2;
-  }
-  double predicted_shard_seconds = 0.0;
-  if (sched_policy != DistConfig::SchedPolicy::kUniform && spec->cost) {
-    try {
-      predicted_shard_seconds = spec->cost(params).mean_shard_seconds(
-          cost::MachineProfile::from_env());
-    } catch (const std::exception& error) {
-      // A broken FTNAV_COST_PROFILE must not kill the campaign: fall
-      // back to batch-size-only lease sizing, but say so.
-      std::fprintf(stderr, "warning: cost profile ignored: %s\n",
-                   error.what());
-    }
-  }
   // Stamp shard-timing telemetry with this configuration's fingerprint
   // (shard_timings.json v2 records it for offline prediction joins).
   obs::set_shard_timing_fingerprint(
@@ -810,8 +769,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
     if (flags.poll_period > 0.0)
       dist.poll_period_seconds = flags.poll_period;
     if (flags.lease_batch >= 1) dist.lease_batch = flags.lease_batch;
-    dist.sched_policy = sched_policy;
-    dist.predicted_shard_seconds = predicted_shard_seconds;
   };
 
   // ---- worker mode: run leased shards into a partial checkpoint ----
@@ -819,7 +776,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
   // output and must not interleave with worker chatter).
   if (mode == LaunchMode::kRun && flags.worker_id >= 0) {
     context.dist.worker_id = flags.worker_id;
-    context.dist.queue_dir = flags.queue_dir;
     context.dist.queue_addr = flags.queue_addr;
     context.dist.auth_token = flags.auth_token;
     context.dist.queue_namespace = flags.tag;
@@ -887,19 +843,20 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
   }
 
   // ---- coordinator mode: spawn workers, drain the queue, merge ----
-  bool scratch_queue = false;
-  std::string queue_dir = flags.queue_dir;
   std::string queue_addr =
       mode == LaunchMode::kRun ? flags.queue_addr : flags.server;
-  // `run --queue-addr`: the coordinator hosts the work server
-  // in-process (kept alive through the finalize merge below); submit
-  // and attach talk to the standalone daemon instead.
+  // `run`: the coordinator hosts the campaign server in-process (kept
+  // alive through the finalize merge below), on loopback unless
+  // --queue-addr names the bind -- without a token, anything that can
+  // reach the port can lease shards. Submit and attach talk to the
+  // standalone daemon instead.
   std::unique_ptr<CampaignServer> server;
   if (flags.workers > 0) {
-    if (mode == LaunchMode::kRun && !queue_addr.empty()) {
+    if (mode == LaunchMode::kRun) {
       try {
         server = std::make_unique<CampaignServer>(CampaignServerConfig{
-            queue_addr, std::string(), flags.auth_token});
+            queue_addr.empty() ? "127.0.0.1:0" : queue_addr, std::string(),
+            flags.auth_token});
         server->start();
         queue_addr = server->address();  // resolve a port-0 bind
       } catch (const std::exception& error) {
@@ -908,18 +865,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
       }
       std::fprintf(stderr, "distributed: %d workers, queue-addr=%s\n",
                    flags.workers, queue_addr.c_str());
-    } else if (mode == LaunchMode::kRun && queue_addr.empty()) {
-      if (queue_dir.empty()) {
-        try {
-          queue_dir = make_scratch_queue_dir("fault_campaign_queue");
-          scratch_queue = true;
-        } catch (const std::exception& error) {
-          std::fprintf(stderr, "error: %s\n", error.what());
-          return 1;
-        }
-      }
-      std::fprintf(stderr, "distributed: %d workers, queue=%s\n",
-                   flags.workers, queue_dir.c_str());
     } else {
       std::fprintf(stderr,
                    "distributed: %d workers (ids %d..%d), server=%s\n",
@@ -927,7 +872,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
                    worker_id_base + flags.workers - 1, queue_addr.c_str());
     }
     context.dist.workers = flags.workers;
-    context.dist.queue_dir = queue_addr.empty() ? queue_dir : std::string();
     context.dist.queue_addr = queue_addr;
     context.dist.auth_token = flags.auth_token;
     context.dist.queue_namespace =
@@ -948,10 +892,7 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
     for (const ParamSpec& param : spec->params)
       add("--param", param.name + "=" + params.canonical_value(param.name));
     add("--threads", std::to_string(context.threads));
-    if (queue_addr.empty())
-      add("--queue-dir", queue_dir);
-    else
-      add("--queue-addr", queue_addr);
+    add("--queue-addr", queue_addr);
     if (!context.dist.queue_namespace.empty())
       add("--tag", context.dist.queue_namespace);
     if (flags.lease_expiry >= 0.0) {
@@ -966,8 +907,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
     }
     if (flags.lease_batch >= 1)
       add("--lease-batch", std::to_string(flags.lease_batch));
-    if (sched_policy != DistConfig::SchedPolicy::kUniform)
-      add("--sched-policy", std::string(sched_policy_name(sched_policy)));
     if (flags.worker_fail_after > 0)
       add("--worker-fail-after", std::to_string(flags.worker_fail_after));
     // The session token travels in the environment, never on the
@@ -1046,12 +985,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
       return 1;
     }
     out << result.to_json();
-  }
-  // A scratch queue (no --queue-dir given) has served its purpose once
-  // the merged result is out; kept on failure paths for post-mortems.
-  if (scratch_queue) {
-    std::error_code ignored;
-    std::filesystem::remove_all(queue_dir, ignored);
   }
   return 0;
 }

@@ -16,9 +16,6 @@
 //   * `fault_campaign describe --cost <name>` renders the estimate;
 //     with --json it emits a cost_report.json entry
 //     (schema "ftnav-cost-report-v1", validated by ci/validate_cost.py).
-//   * The distributed scheduler (DistConfig::sched_policy) sizes lease
-//     batches from mean_shard_seconds(); `feedback` then refines that
-//     prediction online from measured shard runtimes.
 //   * ci/perf_gate.py joins campaign labels against bench perf-section
 //     names for an informational predicted-vs-measured column, so
 //     labels reuse the perf section names where one exists.
@@ -91,8 +88,8 @@ struct CostEstimate {
   Work total_work() const noexcept;
   double setup_seconds(const MachineProfile& profile) const noexcept;
   double total_seconds(const MachineProfile& profile) const noexcept;
-  /// Trial-weighted mean predicted shard wall across campaigns; the
-  /// scheduler's one-number summary. 0 when there are no trials.
+  /// Trial-weighted mean predicted shard wall across campaigns (the
+  /// report's one-number summary). 0 when there are no trials.
   double mean_shard_seconds(const MachineProfile& profile) const noexcept;
   bool finite() const noexcept;
 };

@@ -12,9 +12,7 @@
 // Defaults are calibrated against recorded shard timings on the
 // reference container; override with FTNAV_COST_PROFILE=<path> naming
 // a flat JSON object ("ftnav-machine-profile-v1") with any subset of
-// the rate fields. The `feedback` scheduling policy refines the
-// resulting per-shard prediction online from measured shard runtimes,
-// so profile accuracy only has to be in the right decade.
+// the rate fields.
 
 #include <string>
 

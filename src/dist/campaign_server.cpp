@@ -495,8 +495,7 @@ struct CampaignServer::Impl {
     for (std::size_t shard : shards) {
       if (shard >= campaign.shard_count) continue;
       // Only the lease owner may release; an already-done shard (an
-      // earlier life's lease, recovered by reclaim) is simply skipped,
-      // mirroring the filesystem queue's failed rename.
+      // earlier life's lease, recovered by reclaim) is simply skipped.
       if (campaign.shard_state[shard] != worker_id) continue;
       campaign.shard_state[shard] = kShardDone;
       ++campaign.done_count;

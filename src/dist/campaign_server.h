@@ -30,7 +30,7 @@
 //             opcode on an unauthenticated connection is rejected with
 //             a distinct auth status byte BEFORE touching queue state.
 //             Clients surface that as TransportAuthError
-//             (shard_transport.h) — a diagnosed front-end exit, never
+//             (tcp_transport.h) — a diagnosed front-end exit, never
 //             a silent lease expiry.
 //
 //   tenancy   Queues are keyed by campaign label (dist_queue_label of

@@ -2,51 +2,43 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <set>
-#include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "dist/shard_transport.h"
+#include "dist/tcp_transport.h"
 #include "obs/log.h"
 #include "obs/shard_timing.h"
 #include "obs/trace.h"
 #include "util/binary_io.h"
 #include "util/clock.h"
-#include "util/perf.h"
 
 namespace ftnav {
 namespace {
 
-/// The lease protocol, written once against ShardTransport: claims are
-/// exclusive leases (optionally batched — extra leases park in a local
-/// granted set until the runner asks for those shards), commits
-/// publish the partial before releasing the lease, and next_wave polls
-/// the queue with bounded exponential backoff (reclaiming expired
-/// leases) until the campaign is globally complete.
+/// The lease protocol's worker side: claims are exclusive leases of
+/// a fixed `lease_batch` shards (extras park in a local granted set
+/// until the runner asks for those shards), commits publish the
+/// partial before releasing the lease, and next_wave polls the queue
+/// with bounded exponential backoff (reclaiming expired leases) until
+/// the campaign is globally complete.
 class TransportShardArbiter : public ShardArbiter {
  public:
-  TransportShardArbiter(ShardTransport& transport, const DistConfig& config)
+  TransportShardArbiter(TcpTransport& transport, const DistConfig& config)
       : transport_(transport),
         config_(config),
-        batch_(static_cast<std::size_t>(std::max(1, config.lease_batch))),
-        batch_cap_(std::max(
-            batch_, static_cast<std::size_t>(
-                        std::max(1, config.max_lease_batch)))) {}
+        batch_(static_cast<std::size_t>(std::max(1, config.lease_batch))) {}
 
   void begin(std::size_t shard_count,
              const std::vector<std::uint8_t>& restored) override {
-    shard_count_ = shard_count;
     transport_.populate(shard_count);
-    // A previous life of this worker may have died between saving a
-    // shard into its partial and releasing the lease; the restored
+    // A previous life of this worker may have died between publishing
+    // a shard in its partial and releasing the lease; the restored
     // bitmap is the durable truth, so finish the release now.
     std::vector<std::size_t> restored_shards;
     for (std::size_t shard = 0; shard < restored.size(); ++shard)
@@ -58,14 +50,11 @@ class TransportShardArbiter : public ShardArbiter {
   bool claim(std::size_t shard) override {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (granted_.erase(shard) > 0) {  // batched lease in hand
-        note_shard_started(shard);
-        return true;
-      }
+      if (granted_.erase(shard) > 0) return true;  // batched lease in hand
     }
     obs::TraceSpan span("lease_claim", "dist", "shard", shard);
     const std::vector<std::size_t> leased =
-        transport_.claim(shard, lease_batch(shard));
+        transport_.claim(shard, batch_).leased;
     bool won = false;
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t granted : leased) {
@@ -74,17 +63,15 @@ class TransportShardArbiter : public ShardArbiter {
       else
         granted_.insert(granted);  // surfaces again via claim or next_wave
     }
-    if (won) note_shard_started(shard);
     return won;
   }
 
   void committed(std::size_t shard) override {
     // One commit publication at a time: the partial a mark_done refers
     // to must already be published, and publications must reach the
-    // transport in bitmap order (see ShardTransport::publish_partial).
+    // server in bitmap order (see TcpTransport::publish_partial).
     std::lock_guard<std::mutex> lock(commit_mutex_);
     obs::TraceSpan span("lease_commit", "dist", "shard", shard);
-    note_shard_finished(shard);
     transport_.publish_partial();
     // Telemetry rides alongside the partial: ship this process's
     // shard-timing records (a full snapshot; the coordinator dedupes)
@@ -117,12 +104,8 @@ class TransportShardArbiter : public ShardArbiter {
       // expiry <= 0 disables expiry reclaim — matching the
       // coordinator — rather than forcing it.
       transport_.reclaim_expired(config_.lease_expiry_seconds);
-      // Waves only run once this worker's initial claim sweep is
-      // exhausted — the mop-up phase — so the cost policies ask for
-      // leases one at a time (hint = end of queue → fully decayed
-      // batch) to avoid hoarding reclaimed stragglers; uniform keeps
-      // its fixed batch.
-      ShardWave wave = transport_.wave(lease_batch(shard_count_));
+      const TcpQueueClient::ClaimReply wave =
+          transport_.claim(TcpQueueClient::kNoHint, batch_);
 
       std::vector<std::size_t> result;
       std::vector<std::size_t> already_done;
@@ -130,7 +113,7 @@ class TransportShardArbiter : public ShardArbiter {
         std::lock_guard<std::mutex> lock(mutex_);
         for (std::size_t shard : wave.leased) granted_.insert(shard);
         // A lease for a shard this process already holds durably (a
-        // transport state divergence after a crash) would never be
+        // queue state divergence after a crash) would never be
         // consumed by the runner — release it instead of re-offering
         // it forever. (Its payload is covered: done_by_self bits come
         // from published/restored partials only.)
@@ -147,9 +130,6 @@ class TransportShardArbiter : public ShardArbiter {
         result.assign(granted_.begin(), granted_.end());
       }
       if (!already_done.empty()) transport_.mark_done(already_done);
-      for (std::size_t shard : wave.candidates)
-        if (shard >= done_by_self.size() || done_by_self[shard] == 0)
-          result.push_back(shard);
       if (!result.empty()) return result;
       if (wave.campaign_done) return {};
       backoff.wait();
@@ -157,107 +137,16 @@ class TransportShardArbiter : public ShardArbiter {
   }
 
  private:
-  /// Shards to request in one lease, for a claim whose hint is shard
-  /// `hint` of the ascending claim stream. Uniform policy: the fixed
-  /// configured batch, byte-for-byte the classic behavior. Cost /
-  /// feedback: sized so one lease covers ~target_lease_seconds of
-  /// predicted work, then decayed guided-self-scheduling style — never
-  /// more than half the work past `hint` — so early leases amortize
-  /// claim round-trips while the queue tail is handed out shard by
-  /// shard and no worker strands a large last lease.
-  std::size_t lease_batch(std::size_t hint) {
-    if (config_.sched_policy == DistConfig::SchedPolicy::kUniform)
-      return batch_;
-    std::size_t sized = batch_;
-    const double predicted = predicted_shard_seconds();
-    if (predicted > 0.0 && config_.target_lease_seconds > 0.0) {
-      const double by_time = config_.target_lease_seconds / predicted;
-      sized = by_time <= 1.0
-                  ? 1
-                  : static_cast<std::size_t>(std::min(
-                        by_time, static_cast<double>(batch_cap_)));
-    }
-    const std::size_t remaining =
-        shard_count_ - std::min(hint, shard_count_);
-    const std::size_t decay = std::max<std::size_t>(1, remaining / 2);
-    return std::max<std::size_t>(
-        1, std::min({sized, decay, batch_cap_}));
-  }
-
-  /// Current per-shard prediction: the feedback policy prefers the
-  /// online estimate once a shard has been measured; otherwise the
-  /// cost model's prior rides in on the config. <= 0 means unknown.
-  double predicted_shard_seconds() {
-    if (config_.sched_policy == DistConfig::SchedPolicy::kFeedback) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (measured_shards_ > 0) return ewma_shard_seconds_;
-    }
-    return config_.predicted_shard_seconds;
-  }
-
-  /// Mark `shard` as started now (caller observed the claim succeed
-  /// and holds mutex_). Only the feedback policy pays for the
-  /// bookkeeping.
-  void note_shard_started(std::size_t shard) {
-    if (config_.sched_policy != DistConfig::SchedPolicy::kFeedback) return;
-    started_.insert_or_assign(shard, perf::now());
-  }
-
-  /// Fold the measured claim->commit wall of `shard` into the online
-  /// estimate. Works with telemetry off — the arbiter times the shard
-  /// itself rather than reading shard_timings records.
-  void note_shard_finished(std::size_t shard) {
-    if (config_.sched_policy != DistConfig::SchedPolicy::kFeedback) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto started = started_.find(shard);
-    if (started == started_.end()) return;
-    const double elapsed = perf::now() - started->second;
-    started_.erase(started);
-    if (!(std::isfinite(elapsed)) || elapsed < 0.0) return;
-    constexpr double kAlpha = 0.3;
-    ewma_shard_seconds_ =
-        measured_shards_ == 0
-            ? elapsed
-            : kAlpha * elapsed + (1.0 - kAlpha) * ewma_shard_seconds_;
-    ++measured_shards_;
-  }
-
-  ShardTransport& transport_;
+  TcpTransport& transport_;
   DistConfig config_;
-  std::size_t batch_;      ///< fixed uniform batch (config lease_batch)
-  std::size_t batch_cap_;  ///< upper bound for dynamically-sized leases
-  std::size_t shard_count_ = 0;
+  std::size_t batch_;  ///< shards per lease (config lease_batch)
   std::atomic<std::size_t> done_by_self_{0};
-  std::mutex mutex_;               // guards granted_ + feedback state
+  std::mutex mutex_;               // guards granted_
   std::set<std::size_t> granted_;  // leased but not yet run here
-  std::unordered_map<std::size_t, double> started_;  // shard -> claim time
-  double ewma_shard_seconds_ = 0.0;
-  std::size_t measured_shards_ = 0;
-  std::mutex commit_mutex_;          // serializes publish->done pairs
+  std::mutex commit_mutex_;        // serializes publish->done pairs
 };
 
 }  // namespace
-
-DistConfig::SchedPolicy sched_policy_from_name(std::string_view name) {
-  if (name == "uniform") return DistConfig::SchedPolicy::kUniform;
-  if (name == "cost") return DistConfig::SchedPolicy::kCost;
-  if (name == "feedback") return DistConfig::SchedPolicy::kFeedback;
-  throw std::invalid_argument("unknown scheduling policy '" +
-                              std::string(name) +
-                              "' (want uniform, cost, or feedback)");
-}
-
-std::string_view sched_policy_name(DistConfig::SchedPolicy policy) {
-  switch (policy) {
-    case DistConfig::SchedPolicy::kUniform:
-      return "uniform";
-    case DistConfig::SchedPolicy::kCost:
-      return "cost";
-    case DistConfig::SchedPolicy::kFeedback:
-      return "feedback";
-  }
-  return "uniform";
-}
 
 std::string dist_queue_label(std::string_view tag) {
   // Human-readable prefix (tag up to the config digest, slashes and
@@ -289,7 +178,7 @@ std::string dist_queue_label(const DistConfig& config,
 struct DistCampaign::Impl {
   DistConfig config;
   std::string queue_label;  // dist_queue_label(config, tag), for logs
-  std::unique_ptr<ShardTransport> transport;
+  std::unique_ptr<TcpTransport> transport;
   std::unique_ptr<TransportShardArbiter> arbiter;
 
   // Heartbeat thread (worker role): keeps the lease fresh even while a
@@ -326,16 +215,15 @@ DistCampaign::DistCampaign(const DistConfig& dist, std::string_view tag,
         std::min(impl_->config.heartbeat_period_seconds,
                  impl_->config.lease_expiry_seconds / 4.0);
   impl_->queue_label = dist_queue_label(impl_->config, tag);
-  impl_->transport = make_shard_transport(impl_->config, tag);
+  impl_->transport = std::make_unique<TcpTransport>(impl_->config, tag);
 
   if (role == DistConfig::Role::kWorker) {
     // Shard-timing records made by this process carry the worker id.
     obs::set_shard_timing_worker_id(impl_->config.worker_id);
     stream.checkpoint_path = impl_->transport->partial_path();
     // A respawned worker continues from the durable copy of its own
-    // partial (for the TCP transport that is the server's copy — the
-    // one reclaim decisions were made against, not whatever a crashed
-    // previous life left on local disk).
+    // partial: the server's copy, the one reclaim decisions were made
+    // against, not whatever a crashed previous life left on local disk.
     impl_->transport->restore_partial();
     stream.resume = true;
     stream.checkpoint_every_shards = 1;  // durable before lease release
@@ -375,7 +263,7 @@ DistCampaign::DistCampaign(const DistConfig& dist, std::string_view tag,
                         error.what());
           return;
         } catch (const std::exception& error) {
-          // Transport gone (e.g. the TCP server died). Stop beating
+          // Server gone (e.g. it died with its host). Stop beating
           // and let the campaign's own next transport call surface
           // the error on a catchable path — an exception escaping
           // this thread would std::terminate the worker.
@@ -391,8 +279,8 @@ DistCampaign::DistCampaign(const DistConfig& dist, std::string_view tag,
   }
 
   // Finalize: merge the workers' partials into the final checkpoint
-  // (the caller's checkpoint_path when set, a transport-local file
-  // otherwise) and resume it — zero trials when the queue drained.
+  // (the caller's checkpoint_path when set, a process-local scratch
+  // file otherwise) and resume it — zero trials when the queue drained.
   if (stream.checkpoint_path.empty())
     stream.checkpoint_path = impl_->transport->merged_checkpoint_path();
   stream.resume = true;

@@ -7,13 +7,13 @@
 //
 //   off        — the default; campaigns run in-process exactly as
 //                before (DistCampaign is a no-op);
-//   worker     — one of N processes sharing a queue directory. The
-//                worker claims shards from the WorkQueue (atomic
-//                rename leases), runs only those, and persists them
-//                into its own partial CampaignCheckpoint after every
-//                shard. It exits the campaign only once every shard is
-//                globally done, picking up work reclaimed from dead
-//                workers along the way;
+//   worker     — one of N processes sharing a campaign server. The
+//                worker leases shards from the server's queue, runs
+//                only those, and publishes them in its own partial
+//                CampaignCheckpoint after every shard. It exits the
+//                campaign only once every shard is globally done,
+//                picking up work reclaimed from dead workers along the
+//                way;
 //   finalize   — the coordinator after the queue drained. The
 //                campaign merges the workers' partial checkpoints
 //                (disjoint-bitmap union, byte-identical to a
@@ -28,11 +28,10 @@
 // single-process run for any worker count, thread count, and worker
 // kill schedule.
 //
-// The lease protocol itself is written once, against the
-// ShardTransport interface (shard_transport.h): `queue_dir` selects
-// the shared-directory FsTransport, `queue_addr` the TCP work-server
-// TcpTransport — same roles, same byte-identical results, for any
-// transport and any `lease_batch`.
+// The lease protocol's client side is TcpTransport (tcp_transport.h),
+// talking to the campaign server at `queue_addr`; every lease is a
+// fixed batch of `lease_batch` shards, and results are byte-identical
+// for any value.
 
 #include <memory>
 #include <string>
@@ -48,21 +47,18 @@ namespace ftnav {
 /// it in; drivers pass it to a DistCampaign next to each streamed
 /// campaign call.
 struct DistConfig {
-  /// Worker processes the coordinator spawned (front-end side). On the
-  /// driver side any value >= 1 together with a queue_dir means "the
-  /// queue has been drained; merge and finalize".
+  /// Worker processes the coordinator spawned (front-end side). In the
+  /// experiment code any value >= 1 together with a queue_addr means
+  /// "the queue has been drained; merge and finalize".
   int workers = 0;
   /// This process's worker id (0-based); < 0 in the coordinator.
   int worker_id = -1;
-  /// Directory shared by the coordinator and every worker (filesystem
-  /// transport). Ignored when `queue_addr` is set.
-  std::string queue_dir;
-  /// "host:port" of a TCP work server (tcp_transport.h). Non-empty
-  /// selects the TCP transport: workers need no shared filesystem,
-  /// only a route to the server. Front-ends fill it from
-  /// `--queue-addr` / FTNAV_QUEUE_ADDR; the coordinator spawns an
-  /// in-process server for single-host runs, or points here at a
-  /// standalone campaign_server daemon (`fault_campaign serve`).
+  /// "host:port" of the campaign server holding the shard queues
+  /// (tcp_transport.h); empty turns distribution off. Workers need
+  /// only a route to it. The `run` coordinator hosts the server
+  /// in-process (on `--queue-addr`, default 127.0.0.1:0) and the
+  /// bench harness likewise (FTNAV_QUEUE_ADDR); submit/attach point
+  /// here at a standalone daemon (`fault_campaign serve`).
   std::string queue_addr;
   /// Session token for an auth-enabled campaign server; presented in
   /// the hello handshake of every connection (--auth-token /
@@ -72,9 +68,8 @@ struct DistConfig {
   /// labels derive from "<namespace>/<stream tag>" instead of the
   /// bare stream tag, so two submissions of the same scenario
   /// configuration under different campaign tags use disjoint shard
-  /// queues on one shared campaign server. Empty preserves the
-  /// classic labels (`run` campaigns, byte-compatible with existing
-  /// queue directories).
+  /// queues on one shared campaign server. Empty keeps the bare
+  /// stream-tag labels (`run` campaigns).
   std::string queue_namespace;
   /// First worker id of this coordinator's spawn range: worker slot k
   /// runs with id `worker_id_base + k`. The submit/attach front-ends
@@ -85,17 +80,17 @@ struct DistConfig {
   int worker_id_base = 0;
 
   /// Shards leased per claim round-trip (worker-pull batching). The
-  /// default 1 claims shard-by-shard exactly as before; larger values
-  /// amortize the per-claim cost (a rename pair, or a TCP round-trip)
-  /// across several short shards. Any value yields byte-identical
-  /// merged results — batching only changes which worker runs what.
+  /// default 1 claims shard-by-shard; larger values amortize the
+  /// per-claim round-trip across several short shards. Any value
+  /// yields byte-identical merged results — batching only changes
+  /// which worker runs what.
   int lease_batch = 1;
 
   /// A lease whose worker heartbeat is older than this is considered
   /// abandoned and may be reclaimed; <= 0 disables expiry-based
   /// reclaim everywhere (dead workers are then recovered only by the
   /// coordinator's waitpid path). Expiry-based reclaim assumes the
-  /// worker is truly dead — see work_queue.h for the caveat. The
+  /// worker is truly dead — see tcp_transport.h for the caveat. The
   /// coordinator additionally reclaims immediately on waitpid.
   double lease_expiry_seconds = 60.0;
   /// Clamped to lease_expiry_seconds / 4 so a live worker always
@@ -124,58 +119,23 @@ struct DistConfig {
   /// 0 disables.
   int worker_stop_after_shards = 0;
 
-  /// Lease-sizing policy for the shard queue (see sched_policy):
-  ///   uniform  — fixed `lease_batch` per claim, the classic behavior;
-  ///   cost     — batches sized so one lease covers roughly
-  ///              `target_lease_seconds` of predicted work
-  ///              (predicted_shard_seconds from the cost model), and
-  ///              decayed guided-self-scheduling style near the end of
-  ///              the queue so stragglers never hold a large tail;
-  ///   feedback — `cost`, with the per-shard prediction refined online
-  ///              from this worker's measured claim→commit times.
-  /// Scheduling only changes which worker runs what and when — merged
-  /// stdout/JSON/checkpoint bytes are identical across policies (CI-
-  /// enforced), only wall-clock differs.
-  enum class SchedPolicy { kUniform, kCost, kFeedback };
-  SchedPolicy sched_policy = SchedPolicy::kUniform;
-  /// Predicted single-thread seconds for one shard of this campaign
-  /// (cost-model mean_shard_seconds). <= 0 means "unknown": the cost
-  /// and feedback policies then start from uniform-sized leases (the
-  /// feedback policy still adapts once measurements arrive).
-  double predicted_shard_seconds = 0.0;
-  /// Lease duration the cost/feedback policies aim for per claim.
-  double target_lease_seconds = 1.0;
-  /// Upper bound on a dynamically-sized lease batch; also the batch
-  /// cap the uniform policy inherits from `lease_batch`.
-  int max_lease_batch = 64;
-
   enum class Role { kOff, kWorker, kFinalize };
   Role role() const noexcept {
-    if (queue_dir.empty() && queue_addr.empty()) return Role::kOff;
+    if (queue_addr.empty()) return Role::kOff;
     if (worker_id >= 0) return Role::kWorker;
     if (workers >= 1) return Role::kFinalize;
     return Role::kOff;
   }
-
-  /// True when the TCP work-server transport is selected.
-  bool uses_tcp() const noexcept { return !queue_addr.empty(); }
 };
 
-/// Queue subdirectory name for a campaign stream tag: a filesystem-
-/// safe prefix plus an FNV-1a digest of the full tag, so distinct
-/// campaigns in one driver run (baseline vs mitigated arms, transient
-/// vs permanent grids) get distinct queues deterministically in every
-/// process.
+/// Queue label for a campaign stream tag: a filename-safe prefix plus
+/// an FNV-1a digest of the full tag, so distinct campaigns in one
+/// scenario run (baseline vs mitigated arms, transient vs permanent
+/// grids) get distinct queues deterministically in every process.
 std::string dist_queue_label(std::string_view tag);
 
-/// "uniform" | "cost" | "feedback" <-> DistConfig::SchedPolicy; the
-/// names the --sched-policy flag and FTNAV_SCHED_POLICY accept.
-/// Parsing an unknown name throws std::invalid_argument.
-DistConfig::SchedPolicy sched_policy_from_name(std::string_view name);
-std::string_view sched_policy_name(DistConfig::SchedPolicy policy);
-
 /// dist_queue_label under `config.queue_namespace` (see DistConfig):
-/// the label every transport actually uses for a stream tag.
+/// the label the campaign server actually keys a stream tag's queue by.
 std::string dist_queue_label(const DistConfig& config,
                              std::string_view tag);
 
@@ -189,11 +149,10 @@ std::string dist_queue_label(const DistConfig& config,
 /// Worker role: redirects the checkpoint to the worker's partial file
 /// (checkpoint_every_shards = 1 so every committed shard is durable
 /// before its lease is released), restores and resumes it, installs a
-/// ShardTransport-backed arbiter (filesystem queue or TCP work server,
-/// per the DistConfig endpoint), and runs a heartbeat thread for the
-/// scope's lifetime. Finalize role: collects the partial checkpoints
-/// to merge and resumes the merged file. Off: leaves `stream`
-/// untouched.
+/// TcpTransport-backed arbiter leasing from the campaign server, and
+/// runs a heartbeat thread for the scope's lifetime. Finalize role:
+/// collects the partial checkpoints to merge and resumes the merged
+/// file. Off: leaves `stream` untouched.
 class DistCampaign {
  public:
   DistCampaign(const DistConfig& dist, std::string_view tag,

@@ -2,13 +2,12 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "dist/shard_transport.h"
+#include "dist/tcp_transport.h"
 #include "obs/log.h"
 #include "util/clock.h"
 
@@ -103,17 +102,26 @@ pid_t spawn(const DistCoordinator::Command& command) {
   return pid;
 }
 
+/// Recovers leases owned by `worker_id` (any owner when -1) whose
+/// heartbeat is older than `expiry_seconds` (<= 0 forces, for the
+/// waitpid path where the owner is known dead), across every campaign
+/// on the server. Few connect retries: the server is expected up (it
+/// outlives the loop calling this); if it is gone, fail fast so the
+/// coordinator reports the real error instead of stalling.
+void reclaim_leases(const DistConfig& config, int worker_id,
+                    double expiry_seconds) {
+  TcpQueueClient(config.queue_addr, /*connect_attempts=*/4, config.auth_token)
+      .reclaim(worker_id, expiry_seconds);
+}
+
 }  // namespace
 
 void DistCoordinator::run(
     const std::function<Command(int)>& command_for) const {
   if (config_.workers < 1)
     throw std::runtime_error("DistCoordinator: workers must be >= 1");
-  if (config_.queue_dir.empty() && config_.queue_addr.empty())
-    throw std::runtime_error(
-        "DistCoordinator: queue_dir or queue_addr must be set");
-  if (!config_.uses_tcp())
-    std::filesystem::create_directories(config_.queue_dir);
+  if (config_.queue_addr.empty())
+    throw std::runtime_error("DistCoordinator: queue_addr must be set");
 
   struct WorkerSlot {
     pid_t pid = -1;
@@ -167,7 +175,7 @@ void DistCoordinator::run(
                     config_.worker_id_base + id,
                     static_cast<long>(slot.pid),
                     static_cast<unsigned>(status));
-      reclaim_transport_leases(config_, config_.worker_id_base + id, 0.0);
+      reclaim_leases(config_, config_.worker_id_base + id, 0.0);
       if (slot.respawns >= config_.max_respawns) {
         kill_all();
         throw std::runtime_error(
@@ -181,11 +189,11 @@ void DistCoordinator::run(
     if (all_finished) break;
 
     // Cover workers the coordinator cannot waitpid (other hosts
-    // sharing the queue endpoint): reclaim on heartbeat expiry.
+    // leasing from the same server): reclaim on heartbeat expiry.
     if (config_.lease_expiry_seconds > 0.0 &&
         timeutil::steady_seconds_since(last_expiry_scan) >
             config_.lease_expiry_seconds) {
-      reclaim_transport_leases(config_, -1, config_.lease_expiry_seconds);
+      reclaim_leases(config_, -1, config_.lease_expiry_seconds);
       last_expiry_scan = std::chrono::steady_clock::now();
     }
     // Exponential backoff up to poll_period_seconds: a worker exit

@@ -3,17 +3,17 @@
 // processes (fork/exec of the same binary in worker mode), babysit
 // them, and recover their work when they die.
 //
-// The coordinator owns no campaign state — the queue endpoint (a
-// shared directory or a TCP work server, per DistConfig) is the only
-// shared medium. Its whole job is process lifecycle:
+// The coordinator owns no campaign state — the campaign server at
+// DistConfig::queue_addr is the only shared medium. Its whole job is
+// process lifecycle:
 //
 //   - spawn worker k with the command the front-end builds (typically
-//     the coordinator's own argv plus `--worker-id k --queue-dir D`,
+//     the coordinator's own argv plus `--worker-id k --queue-addr A`,
 //     or the same binary with FTNAV_WORKER_ID in the environment);
 //   - on a worker's non-zero exit (crash, kill, _exit), immediately
-//     reclaim its leases across every campaign of the endpoint
+//     reclaim its leases across every campaign on the server
 //     (committed shards move to done, the rest back to todo — see
-//     shard_transport.h) and respawn it under the same worker id, so
+//     tcp_transport.h) and respawn it under the same worker id, so
 //     the replacement resumes the dead worker's partial checkpoint;
 //   - periodically reclaim leases whose heartbeat expired, covering
 //     workers on other hosts the coordinator cannot waitpid;

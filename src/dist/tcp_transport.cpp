@@ -301,7 +301,7 @@ std::vector<TcpQueueClient::Partial> TcpQueueClient::drain_partials(
   std::istringstream in(impl_->rpc(out.str()));
   const std::uint64_t count = io::read_u64(in);
   std::vector<Partial> partials;
-  partials.reserve(static_cast<std::size_t>(count));
+  partials.reserve(io::reservable(in, count, 16));
   for (std::uint64_t i = 0; i < count; ++i) {
     Partial partial;
     partial.worker_id = decode_worker(io::read_u64(in));
@@ -390,7 +390,7 @@ std::vector<std::string> TcpQueueClient::drain_timings(
   std::istringstream in(impl_->rpc(out.str()));
   const std::uint64_t count = io::read_u64(in);
   std::vector<std::string> blobs;
-  blobs.reserve(static_cast<std::size_t>(count));
+  blobs.reserve(io::reservable(in, count, 8));
   for (std::uint64_t i = 0; i < count; ++i)
     blobs.push_back(io::read_string(in));
   return blobs;
@@ -456,9 +456,9 @@ void TcpTransport::populate(std::size_t shard_count) {
   client_.populate(label_, shard_count);
 }
 
-std::vector<std::size_t> TcpTransport::claim(std::size_t hint,
-                                             std::size_t max_batch) {
-  return client_.claim(label_, worker_id_, hint, max_batch).leased;
+TcpQueueClient::ClaimReply TcpTransport::claim(std::size_t hint,
+                                               std::size_t max_batch) {
+  return client_.claim(label_, worker_id_, hint, max_batch);
 }
 
 void TcpTransport::mark_done(const std::vector<std::size_t>& shards) {
@@ -494,16 +494,6 @@ void TcpTransport::heartbeat() { client_.heartbeat(worker_id_); }
 
 void TcpTransport::reclaim_expired(double expiry_seconds) {
   if (expiry_seconds > 0.0) client_.reclaim(-1, expiry_seconds);
-}
-
-ShardWave TcpTransport::wave(std::size_t max_batch) {
-  // A wave over TCP is a batched claim: the reply's shards are leases.
-  const TcpQueueClient::ClaimReply reply =
-      client_.claim(label_, worker_id_, TcpQueueClient::kNoHint, max_batch);
-  ShardWave wave;
-  wave.leased = reply.leased;
-  wave.campaign_done = reply.campaign_done;
-  return wave;
 }
 
 std::vector<std::string> TcpTransport::collect_partials() {

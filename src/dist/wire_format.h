@@ -81,7 +81,7 @@ inline void write_shards(std::ostream& out,
 inline std::vector<std::size_t> read_shards(std::istream& in) {
   const std::uint64_t count = io::read_u64(in);
   std::vector<std::size_t> shards;
-  shards.reserve(static_cast<std::size_t>(count));
+  shards.reserve(io::reservable(in, count, 8));
   for (std::uint64_t i = 0; i < count; ++i)
     shards.push_back(static_cast<std::size_t>(io::read_u64(in)));
   return shards;
@@ -94,10 +94,7 @@ inline void write_bitmap(std::ostream& out,
 }
 
 inline std::vector<std::uint8_t> read_bitmap(std::istream& in) {
-  const std::uint64_t count = io::read_u64(in);
-  std::vector<std::uint8_t> bits(static_cast<std::size_t>(count));
-  if (count > 0) io::read_bytes(in, bits.data(), bits.size());
-  return bits;
+  return io::read_vector<std::uint8_t>(in);
 }
 
 inline std::string ok_reply(const std::string& body = std::string()) {

@@ -88,7 +88,7 @@ void write_snapshot(std::ostream& out, const MetricsSnapshot& snapshot) {
 MetricsSnapshot read_snapshot(std::istream& in) {
   MetricsSnapshot snapshot;
   const std::uint64_t counter_count = io::read_u64(in);
-  snapshot.counters.reserve(static_cast<std::size_t>(counter_count));
+  snapshot.counters.reserve(io::reservable(in, counter_count, 16));
   for (std::uint64_t i = 0; i < counter_count; ++i) {
     CounterSnapshot counter;
     counter.name = io::read_string(in);
@@ -96,7 +96,7 @@ MetricsSnapshot read_snapshot(std::istream& in) {
     snapshot.counters.push_back(std::move(counter));
   }
   const std::uint64_t histogram_count = io::read_u64(in);
-  snapshot.histograms.reserve(static_cast<std::size_t>(histogram_count));
+  snapshot.histograms.reserve(io::reservable(in, histogram_count, 32));
   for (std::uint64_t i = 0; i < histogram_count; ++i) {
     HistogramSnapshot histogram;
     histogram.name = io::read_string(in);

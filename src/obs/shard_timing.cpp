@@ -144,7 +144,7 @@ std::vector<ShardTiming> decode_shard_timings(const std::string& bytes) {
   std::istringstream in(bytes);
   const std::uint64_t count = io::read_u64(in);
   std::vector<ShardTiming> records;
-  records.reserve(static_cast<std::size_t>(count));
+  records.reserve(io::reservable(in, count, 64));
   for (std::uint64_t i = 0; i < count; ++i) {
     ShardTiming record;
     record.tag = io::read_string(in);

@@ -1,12 +1,12 @@
 #pragma once
-// Measured per-shard runtimes — the validation feed for the ROADMAP's
-// analytic cost model / cost-aware scheduling item.
+// Measured per-shard runtimes — the validation feed for the analytic
+// cost model (src/cost/).
 //
 // Every committed campaign shard records {tag, shard_id, worker_id,
 // wall_seconds, trials, threads, backend, fingerprint} into a
 // process-global sink (the util/perf idiom: one mutexed append per
 // shard, never per trial). Distributed workers ship their records to
-// the coordinator alongside partials (ShardTransport::publish_timings
+// the coordinator alongside partials (TcpTransport::publish_timings
 // / collect_timings); the coordinator merges, dedupes by (tag, shard),
 // and — when tracing is enabled — writes
 // `<FTNAV_TRACE_DIR>/shard_timings.json`:
@@ -80,7 +80,7 @@ std::vector<ShardTiming> snapshot_shard_timings(
 /// Test hook: empties the sink.
 void clear_shard_timings();
 
-/// Wire codec for shipping records over ShardTransport.
+/// Wire codec for shipping records to the campaign server.
 std::string encode_shard_timings(const std::vector<ShardTiming>& records);
 std::vector<ShardTiming> decode_shard_timings(const std::string& bytes);
 

@@ -94,9 +94,8 @@ struct ScenarioSpec {
   std::function<std::unique_ptr<Scenario>(const ParamSet&)> factory;
   /// Optional analytic cost estimator (src/cost/): maps the same
   /// applied ParamSet to per-campaign, per-shard work estimates.
-  /// Consumed by `describe --cost`, cost_report.json, and the
-  /// cost-aware scheduling policies; null means "no model" (the
-  /// scheduler then falls back to uniform lease sizing).
+  /// Consumed by `describe --cost` and cost_report.json; null means
+  /// "no model".
   std::function<cost::CostEstimate(const ParamSet&)> cost;
 
   /// Fresh ParamSet over this scenario's schema, defaults applied.

@@ -1,5 +1,6 @@
 #include "util/binary_io.h"
 
+#include <algorithm>
 #include <array>
 #include <istream>
 #include <ostream>
@@ -69,10 +70,19 @@ void write_string(std::ostream& out, const std::string& value) {
   if (!value.empty()) write_bytes(out, value.data(), value.size());
 }
 
+std::size_t reservable(std::istream& in, std::uint64_t count,
+                       std::size_t min_bytes) {
+  const std::streamsize avail =
+      in.rdbuf() != nullptr ? in.rdbuf()->in_avail() : 0;
+  if (avail <= 0) return 0;
+  return static_cast<std::size_t>(std::min<std::uint64_t>(
+      count, static_cast<std::uint64_t>(avail) /
+                 std::max<std::size_t>(1, min_bytes)));
+}
+
 std::string read_string(std::istream& in) {
-  const std::uint64_t size = read_u64(in);
-  std::string value(static_cast<std::size_t>(size), '\0');
-  if (size > 0) read_bytes(in, value.data(), value.size());
+  std::string value;
+  read_chunked(in, read_u64(in), value);
   return value;
 }
 

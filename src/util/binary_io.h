@@ -24,11 +24,39 @@ void write_u64(std::ostream& out, std::uint64_t value);
 void write_f64(std::ostream& out, double value);
 void write_bytes(std::ostream& out, const void* data, std::size_t size);
 
-/// Readers throw std::runtime_error on truncated or failed streams.
+/// Readers throw std::runtime_error on truncated or failed streams —
+/// including a length prefix that promises more than the stream holds:
+/// length-prefixed readers grow their buffer one kReadChunkBytes chunk
+/// at a time as bytes arrive, so a lying length fails as a truncated
+/// read instead of allocating what it claims.
 std::uint32_t read_u32(std::istream& in);
 std::uint64_t read_u64(std::istream& in);
 double read_f64(std::istream& in);
 void read_bytes(std::istream& in, void* data, std::size_t size);
+
+inline constexpr std::size_t kReadChunkBytes = std::size_t{1} << 16;
+
+/// Capacity worth reserving before reading `count` elements of at
+/// least `min_bytes` encoded bytes each: never more than the bytes the
+/// stream still holds can encode, so a lying count cannot allocate.
+/// The container grows past it as elements actually arrive.
+std::size_t reservable(std::istream& in, std::uint64_t count,
+                       std::size_t min_bytes);
+
+/// Reads `count` raw elements into `out` (a std::string or vector of
+/// trivially copyable elements), growing it one chunk at a time.
+template <typename Container>
+void read_chunked(std::istream& in, std::uint64_t count, Container& out) {
+  using T = typename Container::value_type;
+  constexpr std::uint64_t chunk =
+      sizeof(T) < kReadChunkBytes ? kReadChunkBytes / sizeof(T) : 1;
+  while (out.size() < count) {
+    const std::size_t done = out.size();
+    out.resize(done + static_cast<std::size_t>(
+                          count - done < chunk ? count - done : chunk));
+    read_bytes(in, out.data() + done, (out.size() - done) * sizeof(T));
+  }
+}
 
 /// Length-prefixed string (u64 count + raw bytes).
 void write_string(std::ostream& out, const std::string& value);
@@ -50,9 +78,8 @@ template <typename T>
 std::vector<T> read_vector(std::istream& in) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "read_vector requires a trivially copyable element");
-  const std::uint64_t count = read_u64(in);
-  std::vector<T> values(static_cast<std::size_t>(count));
-  if (count > 0) read_bytes(in, values.data(), values.size() * sizeof(T));
+  std::vector<T> values;
+  read_chunked(in, read_u64(in), values);
   return values;
 }
 

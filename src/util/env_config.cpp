@@ -35,7 +35,6 @@ BenchConfig bench_config_from_env() {
   config.resume = env_int("FTNAV_RESUME", 0) != 0;
   config.json_dir = env_string("FTNAV_JSON_DIR", "");
   config.workers = static_cast<int>(env_int("FTNAV_WORKERS", 0));
-  config.queue_dir = env_string("FTNAV_QUEUE_DIR", "");
   config.queue_addr = env_string("FTNAV_QUEUE_ADDR", "");
   config.lease_batch = static_cast<int>(env_int("FTNAV_LEASE_BATCH", 0));
   config.worker_id = static_cast<int>(env_int("FTNAV_WORKER_ID", -1));
@@ -83,11 +82,8 @@ const std::vector<EnvKnob>& declared_env_knobs() {
       {"FTNAV_RESUME", "resume from existing checkpoints"},
       {"FTNAV_JSON_DIR", "JSON table artifact directory"},
       {"FTNAV_WORKERS", "distributed worker processes"},
-      {"FTNAV_QUEUE_DIR", "shared work-queue directory"},
-      {"FTNAV_QUEUE_ADDR", "TCP work-server host:port"},
+      {"FTNAV_QUEUE_ADDR", "campaign-server host:port for FTNAV_WORKERS"},
       {"FTNAV_LEASE_BATCH", "shards leased per claim round-trip"},
-      {"FTNAV_SCHED_POLICY",
-       "lease sizing policy: uniform|cost|feedback (results identical)"},
       {"FTNAV_COST_PROFILE",
        "machine-profile JSON for the analytic cost model"},
       {"FTNAV_WORKER_ID", "set by the coordinator in worker processes"},

@@ -14,27 +14,19 @@
 //   FTNAV_JSON_DIR        also write each table as JSON into this
 //                         directory (CI uploads these as artifacts)
 //   FTNAV_WORKERS         distributed campaign worker processes; the
-//                         bench re-execs itself that many times in
-//                         worker mode and merges their partial
-//                         checkpoints (results identical to a
-//                         single-process run; see src/dist/). Honored
-//                         by benches that call bench_dist() — see
-//                         bench/bench_common.h — and ignored elsewhere
-//   FTNAV_QUEUE_DIR       work-queue directory for FTNAV_WORKERS
-//                         (default: a fresh temp directory)
-//   FTNAV_QUEUE_ADDR      host:port of the TCP work-server transport
-//                         instead of a shared queue directory; the
-//                         coordinator spawns the server in-process
-//                         (port 0 picks a free port)
+//                         bench hosts a campaign server in-process,
+//                         re-execs itself that many times in worker
+//                         mode and merges their partial checkpoints
+//                         (results identical to a single-process run;
+//                         see src/dist/). Honored by benches that call
+//                         bench_dist() — see bench/bench_common.h —
+//                         and ignored elsewhere
+//   FTNAV_QUEUE_ADDR      host:port the FTNAV_WORKERS coordinator binds
+//                         its campaign server to (default 127.0.0.1:0:
+//                         loopback, port 0 picks a free port); workers
+//                         receive the resolved address here
 //   FTNAV_LEASE_BATCH     shards leased per claim round-trip (>= 1;
 //                         results identical for every value)
-//   FTNAV_SCHED_POLICY    lease sizing policy: uniform (default,
-//                         fixed batch) | cost (batches sized from the
-//                         scenario's analytic per-shard prediction) |
-//                         feedback (cost, refined online from measured
-//                         shard wall clock). Artifact bytes identical
-//                         for every policy; only wall clock changes.
-//                         fault_campaign --sched-policy overrides
 //   FTNAV_COST_PROFILE    path to a machine-profile JSON
 //                         (ftnav-machine-profile-v1) calibrating the
 //                         analytic cost model's rates; empty = builtin
@@ -95,8 +87,7 @@ struct BenchConfig {
   bool resume = false;         // resume from existing checkpoints
   std::string json_dir;        // JSON table artifacts land here; "" = off
   int workers = 0;             // distributed worker processes; 0 = off
-  std::string queue_dir;       // shared work-queue directory
-  std::string queue_addr;      // TCP work-server host:port; "" = filesystem
+  std::string queue_addr;      // campaign-server host:port; "" = loopback
   int lease_batch = 0;         // shards per claim round-trip; 0 = default
   int worker_id = -1;          // >= 0 marks a spawned worker process
   std::string auth_token;      // campaign-server session token; "" = none

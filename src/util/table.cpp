@@ -235,8 +235,11 @@ void HeatmapGrid::save_state(std::ostream& out) const {
 
 void HeatmapGrid::restore_state(std::istream& in) {
   const auto read_labels = [&in] {
-    std::vector<std::string> labels(io::read_u64(in));
-    for (std::string& label : labels) label = io::read_string(in);
+    const std::uint64_t count = io::read_u64(in);
+    std::vector<std::string> labels;
+    labels.reserve(io::reservable(in, count, 8));
+    for (std::uint64_t i = 0; i < count; ++i)
+      labels.push_back(io::read_string(in));
     return labels;
   };
   const std::vector<std::string> rows_in = read_labels();

@@ -1,8 +1,8 @@
 // Tests for util/binary_io error paths: truncated and short reads,
-// zero-length payloads, and read-after-EOF must surface as
-// std::runtime_error instead of returning garbage — a corrupt or
-// half-written campaign checkpoint has to fail loudly, never resume
-// into wrong results.
+// zero-length payloads, read-after-EOF, and length prefixes that lie
+// must surface as std::runtime_error instead of returning garbage or
+// allocating what the lie claims — a corrupt or half-written campaign
+// checkpoint has to fail loudly, never resume into wrong results.
 
 #include <gtest/gtest.h>
 
@@ -104,6 +104,48 @@ TEST(BinaryIo, VectorLengthPrefixBeyondDataThrows) {
   io::write_u64(buffer, 1000);  // claims 1000 elements
   io::write_u32(buffer, 42);    // ... but only 4 bytes follow
   EXPECT_THROW(io::read_vector<std::uint64_t>(buffer), std::runtime_error);
+}
+
+/// A u64 length prefix of 2^40 followed by only 3 payload bytes.
+std::string lying_length_prefix() {
+  std::stringstream buffer;
+  io::write_u64(buffer, std::uint64_t{1} << 40);
+  return buffer.str() + "abc";
+}
+
+TEST(BinaryIo, LyingStringLengthThrowsTruncatedReadNotBadAlloc) {
+  // Length-prefixed readers grow with the bytes that actually arrive:
+  // a terabyte claim fails as a truncated read after one chunk, never
+  // as a terabyte allocation (std::bad_alloc / std::length_error).
+  std::istringstream in(lying_length_prefix());
+  EXPECT_THROW(io::read_string(in), std::runtime_error);
+}
+
+TEST(BinaryIo, LyingVectorLengthThrowsTruncatedReadNotBadAlloc) {
+  std::istringstream in(lying_length_prefix());
+  EXPECT_THROW(io::read_vector<double>(in), std::runtime_error);
+}
+
+TEST(BinaryIo, PayloadsSpanningManyChunksRoundTrip) {
+  std::string text(3 * io::kReadChunkBytes + 17, '\0');
+  for (std::size_t i = 0; i < text.size(); ++i)
+    text[i] = static_cast<char>(i * 131 % 251);
+  std::vector<double> values(io::kReadChunkBytes / 2 + 5);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = 0.5 * static_cast<double>(i);
+  std::stringstream buffer;
+  io::write_string(buffer, text);
+  io::write_vector(buffer, values);
+  EXPECT_EQ(io::read_string(buffer), text);
+  EXPECT_EQ(io::read_vector<double>(buffer), values);
+}
+
+TEST(BinaryIo, ReservableIsCappedByTheBytesLeft) {
+  std::istringstream in(std::string(64, 'x'));
+  EXPECT_EQ(io::reservable(in, std::uint64_t{1} << 40, 8), 8u);
+  EXPECT_EQ(io::reservable(in, 3, 8), 3u);
+  std::istringstream empty;
+  EXPECT_EQ(io::reservable(empty, 1000, 1), 0u);
 }
 
 TEST(BinaryIo, Fnv1aMatchesReferenceVectors) {

@@ -1,28 +1,20 @@
-// Tests for the analytic cost model (src/cost/) and cost-aware
-// scheduling (DistConfig::sched_policy): MAC/byte accounting against
-// hand-computed layer shapes, machine-profile JSON round-trips,
+// Tests for the analytic cost model (src/cost/): MAC/byte accounting
+// against hand-computed layer shapes, machine-profile JSON round-trips,
 // shard-partition mirroring, registry coverage (every scenario yields
-// a finite estimate), prediction-vs-measured tolerance against
-// recorded shard timings, and the standing invariant that scheduling
-// policy never changes artifact bytes — uniform, cost, and feedback
-// merge byte-identical checkpoints at 1 and 3 workers.
+// a finite estimate), and prediction-vs-measured tolerance against
+// recorded shard timings.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "campaign/campaign_runner.h"
-#include "campaign/streaming.h"
 #include "cost/cost_model.h"
 #include "cost/machine_profile.h"
-#include "dist/dist_campaign.h"
 #include "nn/c3f2.h"
 #include "nn/layers.h"
 #include "nn/network.h"
@@ -30,7 +22,6 @@
 #include "obs/trace.h"
 #include "scenario/builtin_scenarios.h"
 #include "scenario/scenario.h"
-#include "util/histogram.h"
 #include "util/rng.h"
 
 // Clang spells ASan detection __has_feature; GCC defines
@@ -61,13 +52,6 @@ struct ScratchDir {
     std::filesystem::remove_all(path, ignored);
   }
 };
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 // ---- MAC/byte accounting vs hand-computed layer shapes -------------------
 
@@ -298,103 +282,6 @@ TEST(CostPrediction, WithinToleranceOfMeasuredShardTimings) {
     !FTNAV_TEST_ASAN
   EXPECT_GT(predicted, measured / 10.0);
 #endif
-}
-
-// ---- scheduling policy ----------------------------------------------------
-
-TEST(SchedPolicy, NamesRoundTripAndUnknownNamesThrow) {
-  EXPECT_EQ(sched_policy_from_name("uniform"),
-            DistConfig::SchedPolicy::kUniform);
-  EXPECT_EQ(sched_policy_from_name("cost"), DistConfig::SchedPolicy::kCost);
-  EXPECT_EQ(sched_policy_from_name("feedback"),
-            DistConfig::SchedPolicy::kFeedback);
-  for (const auto policy :
-       {DistConfig::SchedPolicy::kUniform, DistConfig::SchedPolicy::kCost,
-        DistConfig::SchedPolicy::kFeedback})
-    EXPECT_EQ(sched_policy_from_name(sched_policy_name(policy)), policy);
-  EXPECT_THROW(sched_policy_from_name("fastest"), std::invalid_argument);
-  EXPECT_THROW(sched_policy_from_name(""), std::invalid_argument);
-}
-
-// The byte-identity invariant: scheduling policy re-partitions work
-// between workers but must never change merged artifact bytes. Same
-// in-process worker pattern as test_dist.cpp — a thread with its own
-// DistConfig over a shared queue directory is indistinguishable from a
-// worker process.
-
-constexpr std::size_t kTrials = 300;
-constexpr std::uint64_t kSeed = 123;
-constexpr const char* kTag = "test-cost-histogram";
-
-Histogram run_campaign(const CampaignStreamConfig& stream) {
-  const CampaignRunner runner(1);
-  return runner.map_reduce_streamed(
-      kTag, kTrials, kSeed, [] { return Histogram(0.0, 3.0, 12); },
-      [](Histogram& acc, std::size_t trial, Rng& rng) {
-        for (int draw = 0; draw < 3; ++draw)
-          acc.add(rng.uniform() + (trial % 3 == 0 ? rng.uniform() : 0.0));
-      },
-      [](Histogram& into, Histogram&& from) { into.merge(from); }, stream);
-}
-
-void run_worker(const std::string& queue_dir, int worker_id,
-                DistConfig::SchedPolicy policy) {
-  DistConfig config;
-  config.worker_id = worker_id;
-  config.queue_dir = queue_dir;
-  config.lease_expiry_seconds = 1.0;
-  config.poll_period_seconds = 0.01;
-  config.sched_policy = policy;
-  // A deliberately tiny prediction: cost sizing clamps to one shard
-  // per claim, maximizing the difference from uniform's fixed batch.
-  config.predicted_shard_seconds = 1e-4;
-  CampaignStreamConfig stream;
-  DistCampaign dist(config, kTag, stream);
-  (void)run_campaign(stream);
-}
-
-std::string run_policy_campaign(const std::string& root,
-                                DistConfig::SchedPolicy policy,
-                                int workers) {
-  const std::string queue_dir =
-      root + "/queue_" + std::string(sched_policy_name(policy)) +
-      std::to_string(workers);
-  std::vector<std::thread> threads;
-  for (int id = 1; id < workers; ++id)
-    threads.emplace_back(
-        [&, id] { run_worker(queue_dir, id, policy); });
-  run_worker(queue_dir, 0, policy);
-  for (std::thread& thread : threads) thread.join();
-
-  DistConfig finalize;
-  finalize.workers = workers;
-  finalize.queue_dir = queue_dir;
-  finalize.sched_policy = policy;
-  finalize.predicted_shard_seconds = 1e-4;
-  const std::string merged = queue_dir + "_merged.ckpt";
-  CampaignStreamConfig stream;
-  stream.checkpoint_path = merged;
-  DistCampaign dist(finalize, kTag, stream);
-  (void)run_campaign(stream);
-  return read_file(merged);
-}
-
-TEST(SchedPolicy, PoliciesAreByteIdenticalAcrossWorkerCounts) {
-  ScratchDir scratch("policy_identity");
-  const std::string reference_path = scratch.path + "/reference.ckpt";
-  CampaignStreamConfig reference_stream;
-  reference_stream.checkpoint_path = reference_path;
-  (void)run_campaign(reference_stream);
-  const std::string reference = read_file(reference_path);
-  ASSERT_FALSE(reference.empty());
-
-  for (const auto policy :
-       {DistConfig::SchedPolicy::kUniform, DistConfig::SchedPolicy::kCost,
-        DistConfig::SchedPolicy::kFeedback})
-    for (const int workers : {1, 3})
-      EXPECT_EQ(run_policy_campaign(scratch.path, policy, workers),
-                reference)
-          << sched_policy_name(policy) << " x " << workers << " workers";
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
-// Tests for the distributed campaign subsystem (src/dist/): WorkQueue
-// lease semantics, CampaignCheckpoint::merge, and the end-to-end
-// contract — N worker processes' partial checkpoints merge into a
-// checkpoint byte-identical to a single-process run, for any split and
-// any worker kill schedule. Workers are simulated in-process (the
-// queue only sees the filesystem, so a thread with its own DistConfig
-// is indistinguishable from a process); the real fork/exec path is
-// covered by DistCoordinatorTest and CI's distributed-determinism job.
+// Tests for the distributed campaign subsystem (src/dist/):
+// CampaignCheckpoint::merge, and the end-to-end contract — N worker
+// processes' partial checkpoints merge into a checkpoint byte-identical
+// to a single-process run, for any split and any worker kill schedule.
+// Workers are simulated in-process (the campaign server only sees RPCs,
+// so a thread with its own DistConfig is indistinguishable from a
+// process); the real fork/exec path is covered by DistCoordinatorTest
+// and CI's distributed-determinism job. Worker-count, lease-batch, and
+// kill-and-reclaim matrices live in test_transport.cpp.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,7 +23,6 @@
 #include "dist/dist_campaign.h"
 #include "dist/dist_coordinator.h"
 #include "dist/tcp_transport.h"
-#include "dist/work_queue.h"
 #include "util/histogram.h"
 
 namespace ftnav {
@@ -50,119 +49,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-// ---- WorkQueue -----------------------------------------------------------
-
-TEST(WorkQueueTest, PopulateIsIdempotentAndClaimsAreExclusive) {
-  ScratchDir scratch("queue_claims");
-  WorkQueue queue0(scratch.path, "campaign");
-  WorkQueue queue1(scratch.path, "campaign");
-  queue0.populate(8, 0);
-  queue1.populate(8, 1);  // second populate must be a no-op
-
-  EXPECT_EQ(queue0.claimable().size(), 8u);
-  const auto lease = queue0.try_claim(3, 0);
-  ASSERT_TRUE(lease.has_value());
-  EXPECT_EQ(lease->shard, 3u);
-  // The losing rename reports no lease — the shard runs exactly once.
-  EXPECT_FALSE(queue1.try_claim(3, 1).has_value());
-  EXPECT_EQ(queue1.claimable().size(), 7u);
-
-  EXPECT_TRUE(queue0.mark_done(*lease));
-  EXPECT_EQ(queue0.done_count(), 1u);
-  EXPECT_FALSE(queue0.mark_done(*lease));  // already released
-}
-
-TEST(WorkQueueTest, ReclaimConsultsTheDeadWorkersPartial) {
-  ScratchDir scratch("queue_reclaim");
-  WorkQueue queue(scratch.path, "campaign");
-  queue.populate(6, 0);
-
-  // Worker 0 dies holding two leases: shard 2 made it into its partial
-  // checkpoint (the claim->done crash window), shard 4 did not.
-  ASSERT_TRUE(queue.try_claim(2, 0).has_value());
-  ASSERT_TRUE(queue.try_claim(4, 0).has_value());
-  CampaignCheckpoint::Header header;
-  header.fingerprint = 77;
-  header.trial_count = 60;
-  header.shard_count = 6;
-  header.trials_done = 10;
-  CampaignCheckpoint::save(queue.partial_path(0), header,
-                           {0, 0, 1, 0, 0, 0}, "partial-state");
-
-  // No heartbeat was ever written, so any expiry treats worker 0 as
-  // dead; expiry <= 0 forces reclaim regardless.
-  EXPECT_EQ(queue.reclaim(0, 0.0), 2u);
-  EXPECT_EQ(queue.done_count(), 1u);  // shard 2 survived
-  const std::vector<std::size_t> claimable = queue.claimable();
-  EXPECT_EQ(claimable.size(), 5u);  // shard 4 went back to todo
-  EXPECT_NE(std::find(claimable.begin(), claimable.end(), 4u),
-            claimable.end());
-}
-
-TEST(WorkQueueTest, ExpiryReclaimTreatsMissingHeartbeatAsDead) {
-  ScratchDir scratch("queue_no_heartbeat");
-  WorkQueue queue(scratch.path, "campaign");
-  queue.populate(4, 0);
-  // Worker 5 claimed a shard but never wrote a heartbeat file at all
-  // (crashed before its first beat): its age is +infinity, so even a
-  // generous expiry must treat it as dead. With no partial checkpoint
-  // either, the lease lands in todo/ — never in done/.
-  ASSERT_TRUE(queue.try_claim(1, 5).has_value());
-  EXPECT_EQ(queue.reclaim(-1, 3600.0), 1u);
-  EXPECT_EQ(queue.done_count(), 0u);
-  const std::vector<std::size_t> claimable = queue.claimable();
-  EXPECT_EQ(claimable.size(), 4u);
-  EXPECT_NE(std::find(claimable.begin(), claimable.end(), 1u),
-            claimable.end());
-}
-
-TEST(WorkQueueTest, ReclaimWithCorruptPartialReturnsLeaseToTodo) {
-  ScratchDir scratch("queue_corrupt_partial");
-  WorkQueue queue(scratch.path, "campaign");
-  queue.populate(4, 0);
-  ASSERT_TRUE(queue.try_claim(2, 0).has_value());
-  // The dead worker's partial exists but is garbage (torn write,
-  // disk corruption): reclaim must treat it as "nothing committed"
-  // and re-run the shard, not trust it into done/.
-  {
-    std::ofstream out(queue.partial_path(0), std::ios::binary);
-    out << "this is not a campaign checkpoint";
-  }
-  EXPECT_EQ(queue.reclaim(0, 0.0), 1u);
-  EXPECT_EQ(queue.done_count(), 0u);
-  const std::vector<std::size_t> claimable = queue.claimable();
-  EXPECT_EQ(claimable.size(), 4u);
-  EXPECT_NE(std::find(claimable.begin(), claimable.end(), 2u),
-            claimable.end());
-}
-
-TEST(WorkQueueTest, FreshHeartbeatBlocksExpiryReclaim) {
-  ScratchDir scratch("queue_heartbeat");
-  WorkQueue queue(scratch.path, "campaign");
-  queue.populate(4, 0);
-  ASSERT_TRUE(queue.try_claim(1, 0).has_value());
-
-  WorkQueue::beat(scratch.path, 0);
-  EXPECT_LT(WorkQueue::heartbeat_age(scratch.path, 0), 30.0);
-  // Worker 0 is alive and beating: a 30-second expiry reclaims nothing.
-  EXPECT_EQ(queue.reclaim(-1, 30.0), 0u);
-  // The coordinator knows better (waitpid): forced reclaim proceeds.
-  EXPECT_EQ(queue.reclaim(-1, 0.0), 1u);
-}
-
-TEST(WorkQueueTest, ReclaimAcrossAllCampaignQueues) {
-  ScratchDir scratch("queue_all");
-  WorkQueue first(scratch.path, "grid-a");
-  WorkQueue second(scratch.path, "grid-b");
-  first.populate(4, 0);
-  second.populate(4, 0);
-  ASSERT_TRUE(first.try_claim(0, 0).has_value());
-  ASSERT_TRUE(second.try_claim(3, 0).has_value());
-  EXPECT_EQ(reclaim_queue_leases(scratch.path, 0, 0.0), 2u);
-  EXPECT_EQ(first.claimable().size(), 4u);
-  EXPECT_EQ(second.claimable().size(), 4u);
 }
 
 // ---- CampaignCheckpoint::merge ------------------------------------------
@@ -255,10 +141,10 @@ Histogram run_campaign(const CampaignStreamConfig& stream) {
 
 /// One simulated worker process: DistConfig in the worker role wired
 /// through DistCampaign, exactly as the experiment drivers do it.
-Histogram run_worker(const std::string& queue_dir, int worker_id) {
+Histogram run_worker(const std::string& queue_addr, int worker_id) {
   DistConfig config;
   config.worker_id = worker_id;
-  config.queue_dir = queue_dir;
+  config.queue_addr = queue_addr;
   config.lease_expiry_seconds = 1.0;  // heartbeat auto-clamps to 0.25
   config.poll_period_seconds = 0.01;
   CampaignStreamConfig stream;
@@ -267,11 +153,11 @@ Histogram run_worker(const std::string& queue_dir, int worker_id) {
 }
 
 /// Coordinator finalize: merge the partials into `merged_path`.
-Histogram run_finalize(const std::string& queue_dir,
+Histogram run_finalize(const std::string& queue_addr,
                        const std::string& merged_path, int workers) {
   DistConfig config;
   config.workers = workers;
-  config.queue_dir = queue_dir;
+  config.queue_addr = queue_addr;
   CampaignStreamConfig stream;
   stream.checkpoint_path = merged_path;
   DistCampaign dist(config, kTag, stream);
@@ -287,58 +173,7 @@ void expect_histograms_identical(const Histogram& a, const Histogram& b) {
   EXPECT_EQ(a.observed_max(), b.observed_max());
 }
 
-TEST(DistCampaignE2E, ConcurrentWorkersMergeByteIdenticalToSingleProcess) {
-  // Single-process reference checkpoint.
-  ScratchDir scratch("e2e_split");
-  const std::string reference_path = scratch.path + "/reference.ckpt";
-  CampaignStreamConfig reference_stream;
-  reference_stream.checkpoint_path = reference_path;
-  const Histogram reference = run_campaign(reference_stream);
-
-  // Two workers race for the same queue; the claim renames partition
-  // the 64 shards between them nondeterministically.
-  const std::string queue_dir = scratch.path + "/queue";
-  std::thread other([&] { (void)run_worker(queue_dir, 1); });
-  (void)run_worker(queue_dir, 0);
-  other.join();
-
-  const std::string merged_path = scratch.path + "/merged.ckpt";
-  const Histogram merged = run_finalize(queue_dir, merged_path, 2);
-  expect_histograms_identical(merged, reference);
-  EXPECT_EQ(read_file(merged_path), read_file(reference_path));
-}
-
-TEST(DistCampaignE2E, DeadWorkersShardsAreReclaimedByTheSurvivor) {
-  ScratchDir scratch("e2e_reclaim");
-  const std::string reference_path = scratch.path + "/reference.ckpt";
-  CampaignStreamConfig reference_stream;
-  reference_stream.checkpoint_path = reference_path;
-  const Histogram reference = run_campaign(reference_stream);
-
-  // Worker 0 "dies" after 5 shards: the interrupt fires inside the
-  // 5th commit, so that shard is in its partial checkpoint but its
-  // lease was never released — the exact claim->done crash window.
-  const std::string queue_dir = scratch.path + "/queue";
-  {
-    DistConfig config;
-    config.worker_id = 0;
-    config.queue_dir = queue_dir;
-    CampaignStreamConfig stream;
-    DistCampaign dist(config, kTag, stream);
-    stream.stop_after_shards = 5;  // simulated kill
-    EXPECT_THROW(run_campaign(stream), CampaignInterrupted);
-  }  // worker 0's heartbeat stops here
-
-  // Worker 1 finishes the campaign, reclaiming worker 0's stale lease
-  // (to done/ — the shard survived in the partial) once the heartbeat
-  // expires.
-  (void)run_worker(queue_dir, 1);
-
-  const std::string merged_path = scratch.path + "/merged.ckpt";
-  const Histogram merged = run_finalize(queue_dir, merged_path, 2);
-  expect_histograms_identical(merged, reference);
-  EXPECT_EQ(read_file(merged_path), read_file(reference_path));
-}
+#if !defined(_WIN32)
 
 TEST(DistCampaignE2E, RespawnedWorkerResumesItsOwnPartial) {
   ScratchDir scratch("e2e_respawn");
@@ -347,24 +182,31 @@ TEST(DistCampaignE2E, RespawnedWorkerResumesItsOwnPartial) {
   reference_stream.checkpoint_path = reference_path;
   const Histogram reference = run_campaign(reference_stream);
 
-  const std::string queue_dir = scratch.path + "/queue";
+  TcpWorkServer server("127.0.0.1:0");
+  server.start();
   {
     DistConfig config;
     config.worker_id = 0;
-    config.queue_dir = queue_dir;
+    config.queue_addr = server.address();
     CampaignStreamConfig stream;
     DistCampaign dist(config, kTag, stream);
-    stream.stop_after_shards = 7;
+    stream.stop_after_shards = 7;  // dies inside its 7th commit
     EXPECT_THROW(run_campaign(stream), CampaignInterrupted);
   }
 
-  // The respawned worker 0 restores its 7 completed shards from its
-  // partial, releases the stale lease of the crash-window shard, and
-  // runs only the remainder.
-  (void)run_worker(queue_dir, 0);
+  // The coordinator's waitpid path reclaims the dead life's lease
+  // before respawning it: the crash-window shard never reached the
+  // published partial, so it goes back to todo. (Unreclaimed, the
+  // respawn's fresh heartbeat under the same id would keep that lease
+  // from ever expiring.)
+  EXPECT_EQ(TcpQueueClient(server.address()).reclaim(0, 0.0), 1u);
+
+  // The respawned worker 0 restores the 6 shards of its published
+  // partial and runs only the remainder.
+  (void)run_worker(server.address(), 0);
 
   const std::string merged_path = scratch.path + "/merged.ckpt";
-  const Histogram merged = run_finalize(queue_dir, merged_path, 1);
+  const Histogram merged = run_finalize(server.address(), merged_path, 1);
   expect_histograms_identical(merged, reference);
   EXPECT_EQ(read_file(merged_path), read_file(reference_path));
 }
@@ -380,11 +222,12 @@ TEST(DistCampaignE2E, MapStreamedPartialsMergeByTrialRange) {
       "test-dist-map", 150, 77, trial_fn, CampaignStreamConfig{});
 
   ScratchDir scratch("e2e_map");
-  const std::string queue_dir = scratch.path + "/queue";
+  TcpWorkServer server("127.0.0.1:0");
+  server.start();
   const auto worker = [&](int worker_id) {
     DistConfig config;
     config.worker_id = worker_id;
-    config.queue_dir = queue_dir;
+    config.queue_addr = server.address();
     config.lease_expiry_seconds = 1.0;  // heartbeat auto-clamps to 0.25
     config.poll_period_seconds = 0.01;
     CampaignStreamConfig stream;
@@ -397,7 +240,7 @@ TEST(DistCampaignE2E, MapStreamedPartialsMergeByTrialRange) {
 
   DistConfig finalize;
   finalize.workers = 2;
-  finalize.queue_dir = queue_dir;
+  finalize.queue_addr = server.address();
   CampaignStreamConfig stream;
   stream.checkpoint_path = scratch.path + "/merged.ckpt";
   DistCampaign dist(finalize, "test-dist-map", stream);
@@ -407,8 +250,6 @@ TEST(DistCampaignE2E, MapStreamedPartialsMergeByTrialRange) {
 }
 
 // ---- campaign-server failover + multi-tenant queues ----------------------
-
-#if !defined(_WIN32)
 
 TEST(CampaignServerFailover, ServerKillAndRestartMergesByteIdentical) {
   // The tentpole contract: the campaign survives losing the SERVER
@@ -526,10 +367,11 @@ TEST(CampaignServerTenancy, ConcurrentTagsKeepDisjointQueues) {
 #if !defined(_WIN32)
 
 TEST(DistCoordinatorTest, ReturnsWhenAllWorkersExitCleanly) {
-  ScratchDir scratch("coord_ok");
+  TcpWorkServer server("127.0.0.1:0");
+  server.start();
   DistConfig config;
   config.workers = 2;
-  config.queue_dir = scratch.path;
+  config.queue_addr = server.address();
   config.poll_period_seconds = 0.01;
   const DistCoordinator coordinator(config);
   coordinator.run([](int) {
@@ -538,10 +380,12 @@ TEST(DistCoordinatorTest, ReturnsWhenAllWorkersExitCleanly) {
 }
 
 TEST(DistCoordinatorTest, RespawnsThenGivesUpOnPersistentFailure) {
-  ScratchDir scratch("coord_fail");
+  // Each death reclaims the worker's leases over RPC before respawning.
+  TcpWorkServer server("127.0.0.1:0");
+  server.start();
   DistConfig config;
   config.workers = 1;
-  config.queue_dir = scratch.path;
+  config.queue_addr = server.address();
   config.poll_period_seconds = 0.01;
   config.max_respawns = 1;
   const DistCoordinator coordinator(config);

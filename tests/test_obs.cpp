@@ -25,7 +25,6 @@
 #endif
 
 #include "dist/campaign_server.h"
-#include "dist/shard_transport.h"
 #include "dist/status_doc.h"
 #include "dist/tcp_transport.h"
 #include "obs/log.h"

@@ -1,10 +1,10 @@
-// Tests for the ShardTransport abstraction (src/dist/): the
-// filesystem and TCP transports must be interchangeable — for the
-// same campaign config, every combination of transport, worker count,
+// Tests for the lease protocol over the campaign server (src/dist/):
+// for the same campaign config, every combination of worker count,
 // lease batch size, and mid-campaign worker kill produces a merged
-// checkpoint byte-identical to a single-process run. Plus TCP work
-// server unit coverage: RPC semantics, batched claims, and surviving
-// clients that vanish mid-conversation.
+// checkpoint byte-identical to a single-process run. Plus work server
+// unit coverage: RPC semantics, batched claims, reclaim across
+// campaigns, and surviving clients that vanish mid-conversation or
+// send hostile frames.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,8 @@
 #include "campaign/campaign_runner.h"
 #include "campaign/streaming.h"
 #include "dist/dist_campaign.h"
-#include "dist/shard_transport.h"
 #include "dist/tcp_transport.h"
+#include "dist/wire_format.h"
 #include "util/clock.h"
 #include "util/histogram.h"
 
@@ -77,7 +77,9 @@ TEST(PollBackoff, TinyCapNeverYieldsZeroWaits) {
   EXPECT_GT(backoff.next_seconds(), 0.0);
 }
 
-// ---- the transport matrix: merged == single-process ----------------------
+#if !defined(_WIN32)
+
+// ---- the matrix: merged == single-process --------------------------------
 
 constexpr std::size_t kTrials = 300;
 constexpr std::uint64_t kSeed = 123;
@@ -144,31 +146,6 @@ void expect_matrix_cell_matches(const DistConfig& endpoint, int workers,
       << "workers=" << workers << " lease_batch=" << lease_batch;
 }
 
-TEST(TransportMatrix, FsWorkerCountsAndBatchesMergeByteIdentical) {
-  ScratchDir scratch("fs_matrix");
-  const std::string reference_path = scratch.path + "/reference.ckpt";
-  CampaignStreamConfig reference_stream;
-  reference_stream.checkpoint_path = reference_path;
-  (void)run_campaign(reference_stream);
-  const std::string reference_bytes = read_file(reference_path);
-
-  int cell = 0;
-  for (int workers : {1, 3}) {
-    for (int lease_batch : {1, 4}) {
-      DistConfig endpoint;
-      endpoint.queue_dir =
-          scratch.path + "/queue" + std::to_string(cell);
-      expect_matrix_cell_matches(
-          endpoint, workers, lease_batch,
-          scratch.path + "/merged" + std::to_string(cell) + ".ckpt",
-          reference_bytes);
-      ++cell;
-    }
-  }
-}
-
-#if !defined(_WIN32)
-
 TEST(TransportMatrix, TcpWorkerCountsAndBatchesMergeByteIdentical) {
   ScratchDir scratch("tcp_matrix");
   const std::string reference_path = scratch.path + "/reference.ckpt";
@@ -194,9 +171,7 @@ TEST(TransportMatrix, TcpWorkerCountsAndBatchesMergeByteIdentical) {
   }
 }
 
-#endif  // !defined(_WIN32)
-
-// ---- mid-campaign worker kill, both transports ---------------------------
+// ---- mid-campaign worker kill --------------------------------------------
 
 /// Worker 0 "dies" mid-campaign (CampaignInterrupted fires inside a
 /// commit, so its heartbeat stops with a lease still outstanding),
@@ -223,26 +198,6 @@ void expect_kill_and_recover_matches(const DistConfig& endpoint,
       << "lease_batch=" << lease_batch;
 }
 
-TEST(TransportMatrix, FsKilledWorkerIsRecoveredByteIdentical) {
-  ScratchDir scratch("fs_kill");
-  const std::string reference_path = scratch.path + "/reference.ckpt";
-  CampaignStreamConfig reference_stream;
-  reference_stream.checkpoint_path = reference_path;
-  (void)run_campaign(reference_stream);
-
-  for (int lease_batch : {1, 4}) {
-    DistConfig endpoint;
-    endpoint.queue_dir =
-        scratch.path + "/queue" + std::to_string(lease_batch);
-    expect_kill_and_recover_matches(
-        endpoint, lease_batch,
-        scratch.path + "/merged" + std::to_string(lease_batch) + ".ckpt",
-        read_file(reference_path));
-  }
-}
-
-#if !defined(_WIN32)
-
 TEST(TransportMatrix, TcpKilledWorkerIsRecoveredByteIdentical) {
   ScratchDir scratch("tcp_kill");
   const std::string reference_path = scratch.path + "/reference.ckpt";
@@ -263,6 +218,20 @@ TEST(TransportMatrix, TcpKilledWorkerIsRecoveredByteIdentical) {
 }
 
 // ---- TCP work server unit coverage ---------------------------------------
+
+/// A raw loopback connection for frames TcpQueueClient never sends;
+/// -1 when the connection fails.
+int connect_raw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (fd >= 0 && ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) == 1 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0)
+    return fd;
+  if (fd >= 0) ::close(fd);
+  return -1;
+}
 
 TEST(TcpWorkServerTest, LeaseLifecycleAndBatchedClaims) {
   TcpWorkServer server("127.0.0.1:0");
@@ -354,15 +323,8 @@ TEST(TcpWorkServerTest, SurvivesClientsVanishingMidClaim) {
   // A rawer death: a connection that sends half a frame header and
   // disconnects mid-request must not wedge or crash the poll loop.
   {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connect_raw(server.port());
     ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
-    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof addr),
-              0);
     const char half_frame[2] = {0x40, 0x00};  // promises 64 bytes...
     ASSERT_EQ(::send(fd, half_frame, sizeof half_frame, 0),
               static_cast<ssize_t>(sizeof half_frame));
@@ -488,21 +450,62 @@ TEST(CampaignServerTest, RegistrationIsIdempotentButConflictsAreErrors) {
   EXPECT_EQ(client.status().campaigns.size(), 2u);
 }
 
-TEST(TcpWorkServerTest, CoordinatorReclaimDispatchesOverTcp) {
+TEST(TcpWorkServerTest, ForcedReclaimRecoversLeasesInEveryCampaign) {
+  // The coordinator's waitpid path: a dead worker holds leases in two
+  // campaigns (a multi-grid scenario's baseline and mitigated arms),
+  // and one forced reclaim of that worker — the coordinator cannot
+  // know which campaigns the scenario runs — recovers both.
   TcpWorkServer server("127.0.0.1:0");
   server.start();
   TcpQueueClient client(server.address());
-  client.populate("camp", 2);
-  ASSERT_EQ(client.claim("camp", 4, TcpQueueClient::kNoHint, 2)
-                .leased.size(),
-            2u);
+  client.populate("grid-a", 4);
+  client.populate("grid-b", 4);
+  ASSERT_EQ(client.claim("grid-a", 4, 0, 1).leased.size(), 1u);
+  ASSERT_EQ(client.claim("grid-b", 4, 3, 1).leased.size(), 1u);
+  ASSERT_EQ(client.claim("grid-b", 5, 1, 1).leased.size(), 1u);  // alive
 
-  // The coordinator's waitpid path: forced reclaim of a known-dead
-  // worker through the transport-agnostic entry point.
-  DistConfig config;
-  config.queue_addr = server.address();
-  EXPECT_EQ(reclaim_transport_leases(config, 4, 0.0), 2u);
-  EXPECT_EQ(reclaim_transport_leases(config, 4, 0.0), 0u);
+  EXPECT_EQ(client.reclaim(4, 0.0), 2u);
+  EXPECT_EQ(client.reclaim(4, 0.0), 0u);
+  // Both shards are claimable again; worker 5's lease is untouched.
+  EXPECT_EQ(client.claim("grid-a", 6, TcpQueueClient::kNoHint, 4).leased,
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(client.claim("grid-b", 6, TcpQueueClient::kNoHint, 4).leased,
+            (std::vector<std::size_t>{0, 2, 3}));
+}
+
+TEST(CampaignServerTest, LyingHelloLengthGetsAnErrorNotAnAllocation) {
+  // A raw hello frame whose token claims 2^40 bytes but carries 3: the
+  // server reads the token before authenticating anyone, so the lie
+  // must fail as a truncated read (an error reply), never as a
+  // terabyte allocation — and the server must keep serving.
+  CampaignServer server(
+      CampaignServerConfig{"127.0.0.1:0", "", "secret-token"});
+  server.start();
+
+  const int fd = connect_raw(server.port());
+  ASSERT_GE(fd, 0);
+  std::ostringstream payload;
+  payload.put(static_cast<char>(wire::kOpHello));
+  io::write_u64(payload, std::uint64_t{1} << 40);
+  payload << "abc";
+  const std::string frame = wire::frame(payload.str());
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  char reply[5] = {};
+  std::size_t got = 0;
+  while (got < sizeof reply) {
+    const ssize_t n = ::recv(fd, reply + got, sizeof reply - got, 0);
+    ASSERT_GT(n, 0) << "server dropped the connection instead of replying";
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  // The status byte follows the u32 length prefix.
+  EXPECT_EQ(reply[4], static_cast<char>(wire::kStatusError));
+
+  TcpQueueClient next(server.address(), 4, "secret-token");
+  next.populate("camp", 2);
+  EXPECT_EQ(next.claim("camp", 0, TcpQueueClient::kNoHint, 2).leased.size(),
+            2u);
 }
 
 #endif  // !defined(_WIN32)
