@@ -57,9 +57,9 @@ int main() {
 
   // Part A's campaign reports its grid through the perf-section sink;
   // parts B and C are bracketed explicitly below.
-  PerfRecorder perf(config, "ablation_mitigations",
-                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
-                    "./build/bench/bench_ablation_mitigations");
+  PerfRecorder perf_record(config, "ablation_mitigations",
+                           "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
+                           "./build/bench/bench_ablation_mitigations");
 
   // ---- A: anomaly-detector margin sweep (registry scenario) -------------
   {
@@ -81,7 +81,7 @@ int main() {
                 "BER 1%% at 75%% of training) ---\n");
     Table table({"alpha", "success %"});
     const int repeats = config.resolve_repeats(10, 50);
-    const double alpha_started = PerfRecorder::now();
+    const double alpha_started = perf::now();
     for (double alpha : {0.0, 0.2, 0.4, 0.8, 1.0}) {
       int successes = 0;
       for (int repeat = 0; repeat < repeats; ++repeat) {
@@ -98,9 +98,9 @@ int main() {
       table.add_row({format_double(alpha, 1),
                      format_double(100.0 * successes / repeats, 0)});
     }
-    perf.record("ablation_alpha_sweep",
-                static_cast<std::size_t>(5) * repeats,
-                PerfRecorder::now() - alpha_started);
+    perf::add_section("ablation_alpha_sweep",
+                      static_cast<std::size_t>(5) * repeats,
+                      perf::now() - alpha_started);
     std::printf("%s\n", table.render().c_str());
     print_shape_note(
         "alpha = 0 reduces to the unmitigated baseline; larger boosts "
@@ -131,7 +131,7 @@ int main() {
     const int repeats = config.resolve_repeats(100, 1000);
     Table table({"BER", "unprotected", "anomaly det. (+0% bits)",
                  "SEC-DED ECC (+62% bits)", "TMR (+200% bits)"});
-    const double shootout_started = PerfRecorder::now();
+    const double shootout_started = perf::now();
     for (double ber : {0.002, 0.005, 0.01, 0.02, 0.05}) {
       int wins_plain = 0, wins_detector = 0, wins_ecc = 0, wins_tmr = 0;
       for (int repeat = 0; repeat < repeats; ++repeat) {
@@ -179,9 +179,9 @@ int main() {
            format_double(100.0 * wins_ecc / repeats, 0),
            format_double(100.0 * wins_tmr / repeats, 0)});
     }
-    perf.record("ablation_protection_shootout",
-                static_cast<std::size_t>(5) * repeats,
-                PerfRecorder::now() - shootout_started);
+    perf::add_section("ablation_protection_shootout",
+                      static_cast<std::size_t>(5) * repeats,
+                      perf::now() - shootout_started);
     std::printf("%s\n", table.render().c_str());
     print_shape_note(
         "ECC and TMR recover almost everything but cost 62% / 200% extra "

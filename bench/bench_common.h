@@ -18,7 +18,6 @@
 #include "dist/dist_coordinator.h"
 #include "dist/tcp_transport.h"
 #include "nn/kernels/kernels.h"
-#include "obs/shard_timing.h"
 #include "scenario/scenario.h"
 #include "util/env_config.h"
 #include "util/perf.h"
@@ -169,11 +168,6 @@ inline ScenarioResult run_scenario(
     std::fprintf(stderr, "error: %s\n", error.what());
     std::exit(2);
   }
-  // Stamp shard-timing records with the bound-parameter fingerprint so
-  // cost-model calibration can match timings to `describe --cost` rows
-  // (same stamp the fault_campaign CLI applies).
-  obs::set_shard_timing_fingerprint(
-      obs::param_fingerprint(spec->name, params.canonical()));
   ScenarioContext context;
   context.threads = config.threads;
   context.stream = stream_for(config, label);
@@ -225,13 +219,16 @@ class JsonArtifact {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
-/// Records wall-clock throughput per bench section and, when
-/// FTNAV_PERF_DIR is set, writes "<dir>/BENCH_<artifact>.json" on
-/// destruction — the perf-trajectory records `ci/perf_gate.py`
-/// compares against the committed `bench/baselines/`. Deliberately
-/// separate from FTNAV_JSON_DIR: result tables are byte-identical
-/// across backends/threads/workers and are diffed in CI, while perf
-/// records contain timings and never should be.
+/// Drains the perf-section sink (util/perf.h) on destruction and, when
+/// FTNAV_PERF_DIR is set, writes its sections to
+/// "<dir>/BENCH_<artifact>.json" — the perf-trajectory records
+/// `ci/perf_gate.py` compares against the committed `bench/baselines/`.
+/// Library campaigns report their trial grids to the sink themselves;
+/// a bench times any other section with perf::now() and reports it
+/// with perf::add_section. Deliberately separate from FTNAV_JSON_DIR:
+/// result tables are byte-identical across backends/threads/workers
+/// and are diffed in CI, while perf records contain timings and never
+/// should be.
 ///
 /// Nothing is printed to stdout (the backend name must not leak into
 /// output that equivalence legs diff); distributed workers never
@@ -253,23 +250,9 @@ class PerfRecorder {
   PerfRecorder(const PerfRecorder&) = delete;
   PerfRecorder& operator=(const PerfRecorder&) = delete;
 
-  bool enabled() const noexcept { return enabled_; }
-
-  /// Monotonic seconds; bracket a section with two calls.
-  static double now() { return perf::now(); }
-
-  void record(const std::string& name, std::size_t trials,
-              double wall_seconds) {
-    sections_.push_back({name, trials, wall_seconds});
-  }
-
   ~PerfRecorder() {
-    // Fold in phase timings library code reported through the
-    // perf-section sink (e.g. the campaign trial grid, which excludes
-    // the policy-training preamble shared by every backend).
-    for (const perf::Section& s : perf::drain_sections())
-      sections_.push_back({s.name, s.ops, s.seconds});
-    if (!enabled_ || sections_.empty()) return;
+    const std::vector<perf::Section> sections = perf::drain_sections();
+    if (!enabled_ || sections.empty()) return;
     std::ofstream out(dir_ + "/BENCH_" + artifact_ + ".json");
     if (!out) return;  // benches never fail on artifact export
     const std::string sha =
@@ -287,15 +270,13 @@ class PerfRecorder {
       out << " \"refresh_command\": " << json_quote(refresh_command_)
           << ",\n";
     out << " \"sections\": [";
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-      const Section& s = sections_[i];
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      const perf::Section& s = sections[i];
       const double tps =
-          s.wall_seconds > 0.0
-              ? static_cast<double>(s.trials) / s.wall_seconds
-              : 0.0;
+          s.seconds > 0.0 ? static_cast<double>(s.ops) / s.seconds : 0.0;
       out << (i ? ",\n  " : "\n  ") << "{\"name\": " << json_quote(s.name)
-          << ", \"trials\": " << s.trials << ", \"wall_seconds\": "
-          << format_double(s.wall_seconds, 6) << ", \"trials_per_sec\": "
+          << ", \"trials\": " << s.ops << ", \"wall_seconds\": "
+          << format_double(s.seconds, 6) << ", \"trials_per_sec\": "
           << format_double(tps, 3) << "}";
     }
     out << "\n ]\n}\n";
@@ -304,18 +285,11 @@ class PerfRecorder {
   }
 
  private:
-  struct Section {
-    std::string name;
-    std::size_t trials;
-    double wall_seconds;
-  };
-
   std::string artifact_;
   std::string refresh_command_;
   std::string dir_;
   int threads_;
   bool enabled_;
-  std::vector<Section> sections_;
 };
 
 /// BER axis of the Grid World training figures (0.1%..1.0%).

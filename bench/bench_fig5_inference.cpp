@@ -28,14 +28,14 @@ int main(int, char** argv) {
                                     0.006, 0.008, 0.010};
 
   JsonArtifact artifact(config, "fig5");
-  PerfRecorder perf(config, "fig5_inference");
+  PerfRecorder perf_record(config, "fig5_inference");
   for (const bool tabular : {true, false}) {
     const int repeats = config.resolve_repeats(tabular ? 200 : 60, 1000);
     if (!worker)
       std::printf("--- Fig. 5%c: %s-based inference (%d fault draws per "
                   "point) ---\n",
                   tabular ? 'a' : 'b', tabular ? "tabular" : "NN", repeats);
-    const double start = PerfRecorder::now();
+    const double start = perf::now();
     const ScenarioResult result = run_scenario(
         "grid-inference", tabular ? "fig5a" : "fig5b", config, dist,
         {{"policy", tabular ? "tabular" : "nn"},
@@ -47,9 +47,9 @@ int main(int, char** argv) {
     // 4 fault modes x |bers| cells, `repeats` rollout trials each
     // (training time is included: it is part of the campaign's wall
     // clock and identical across backends).
-    perf.record(tabular ? "fig5a_tabular" : "fig5b_nn",
-                4 * bers.size() * static_cast<std::size_t>(repeats),
-                PerfRecorder::now() - start);
+    perf::add_section(tabular ? "fig5a_tabular" : "fig5b_nn",
+                      4 * bers.size() * static_cast<std::size_t>(repeats),
+                      perf::now() - start);
     if (!worker) artifact.add(tabular ? "fig5a" : "fig5b", result);
   }
 

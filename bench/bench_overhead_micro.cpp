@@ -29,17 +29,16 @@ volatile double g_sink = 0.0;
 
 struct Micro {
   Table& table;
-  PerfRecorder& perf;
 
   template <typename Fn>
   void section(const char* name, std::size_t ops, Fn&& fn) {
-    const double start = PerfRecorder::now();
+    const double start = perf::now();
     fn();
-    const double seconds = PerfRecorder::now() - start;
+    const double seconds = perf::now() - start;
     table.add_row({name, std::to_string(ops),
                    format_double(seconds * 1e3, 2),
                    format_double(ops / (seconds > 0.0 ? seconds : 1e-12), 0)});
-    perf.record(name, ops, seconds);
+    perf::add_section(name, ops, seconds);
   }
 };
 
@@ -54,8 +53,8 @@ int main() {
 
   const std::size_t scale = config.full_scale ? 5 : 1;
   Table table({"section", "ops", "ms_total", "ops_per_sec"});
-  PerfRecorder perf(config, "overhead_micro");
-  Micro micro{table, perf};
+  PerfRecorder perf_record(config, "overhead_micro");
+  Micro micro{table};
 
   {
     const QFormat fmt = QFormat::q_1_4_11();

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate telemetry artifacts (stdlib only; see src/obs/).
 
-Three subcommands, one per artifact family:
+Two subcommands, one per artifact family:
 
   trace <dir>         every trace.*.json in <dir> is well-formed
                       Chrome trace-event JSON (the format Perfetto and
@@ -9,15 +9,12 @@ Three subcommands, one per artifact family:
                       B/E spans pair LIFO per (pid, tid) lane.
                       --min-files N requires at least N trace files
                       (a distributed run should leave one per process).
-
-  timings <file>      <file> is an ftnav-shard-timings-v2 document:
-                      numeric fields, no duplicate (tag, shard) pair.
-                      --require-complete additionally demands that each
-                      tag's shard ids are exactly 0..N-1 (a clean
-                      campaign covers every shard exactly once; chaos
-                      runs have journal-replayed shards with no timing
-                      record, so they validate without it).
-                      --expect-tag TAG requires TAG among the records.
+                      --expect-shards N requires the campaign's `shard`
+                      spans (category `campaign`, shard index in
+                      args.shard; the per-shard walls the benchmark
+                      reads) to cover ids 0..N-1 exactly once across
+                      all files: a clean run of one streamed campaign
+                      commits every shard once, in whichever process.
 
   status <file>       <file> is an ftnav-status-v1 document as printed
                       by `fault_campaign status --json` (the schema
@@ -28,6 +25,7 @@ wired into the distributed CI leg and ci/campaign_chaos.sh.
 """
 
 import argparse
+import collections
 import json
 import sys
 from pathlib import Path
@@ -92,6 +90,29 @@ def check_trace_file(path: Path) -> list:
     return problems
 
 
+def shard_span_ids(events: list) -> list:
+    """The args.shard of every campaign `shard` span among the events."""
+    return [event.get("args", {}).get("shard") for event in events
+            if event["ph"] == "B" and event["name"] == "shard"
+            and event.get("cat") == "campaign"]
+
+
+def check_shard_coverage(shards: list, count: int) -> list:
+    """Problems unless `shards` holds each id 0..count-1 exactly once."""
+    if any(not isinstance(shard, int) for shard in shards):
+        return ["a campaign shard span has no integer args.shard"]
+    seen = collections.Counter(shards)
+    missing = [shard for shard in range(count) if shard not in seen][:5]
+    repeated = sorted(shard for shard, n in seen.items() if n > 1)[:5]
+    unexpected = sorted(shard for shard in seen
+                        if not 0 <= shard < count)[:5]
+    if missing or repeated or unexpected:
+        return [f"shard spans do not cover 0..{count - 1} exactly once "
+                f"(missing {missing}, repeated {repeated}, "
+                f"unexpected {unexpected})"]
+    return []
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     directory = Path(args.dir)
     paths = sorted(directory.glob("trace.*.json"))
@@ -100,66 +121,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
                     f"need at least {args.min_files}")
     problems = []
     total_events = 0
+    shards = []
     for path in paths:
         problems.extend(check_trace_file(path))
         if not problems:
-            total_events += len(load_json(path)["traceEvents"])
+            events = load_json(path)["traceEvents"]
+            total_events += len(events)
+            shards.extend(shard_span_ids(events))
+    if not problems and args.expect_shards is not None:
+        problems.extend(check_shard_coverage(shards, args.expect_shards))
     if problems:
         for problem in problems:
             print(f"validate_telemetry: {problem}", file=sys.stderr)
         return 1
     print(f"validate_telemetry: {len(paths)} trace files OK "
-          f"({total_events} events)")
-    return 0
-
-
-# ---- timings --------------------------------------------------------------
-
-def cmd_timings(args: argparse.Namespace) -> int:
-    path = Path(args.file)
-    try:
-        doc = load_json(path)
-    except (OSError, ValueError) as error:
-        return fail(f"{path}: not valid JSON: {error}")
-    if doc.get("schema") != "ftnav-shard-timings-v2":
-        return fail(f"{path}: schema is {doc.get('schema')!r}, expected "
-                    "ftnav-shard-timings-v2")
-    records = doc.get("records")
-    if not isinstance(records, list):
-        return fail(f"{path}: records is not a list")
-    shards_by_tag = {}
-    for index, record in enumerate(records):
-        for key, kind in (("tag", str), ("shard", int), ("worker", int),
-                          ("wall_seconds", (int, float)), ("trials", int),
-                          ("threads", int), ("backend", str),
-                          ("fingerprint", str)):
-            if not isinstance(record.get(key), kind):
-                return fail(f"{path}: record #{index} field {key!r} is "
-                            f"{record.get(key)!r}")
-        if record["wall_seconds"] < 0:
-            return fail(f"{path}: record #{index} has negative wall_seconds")
-        if record["threads"] < 1:
-            return fail(f"{path}: record #{index} has threads < 1")
-        shards = shards_by_tag.setdefault(record["tag"], set())
-        if record["shard"] in shards:
-            return fail(f"{path}: tag {record['tag']!r} reports shard "
-                        f"{record['shard']} twice")
-        shards.add(record["shard"])
-    if args.expect_tag is not None and args.expect_tag not in shards_by_tag:
-        return fail(f"{path}: tag {args.expect_tag!r} absent "
-                    f"(tags: {sorted(shards_by_tag)})")
-    if args.require_complete:
-        for tag, shards in shards_by_tag.items():
-            expected = set(range(len(shards)))
-            if shards != expected:
-                missing = sorted(expected - shards)[:5]
-                extra = sorted(shards - expected)[:5]
-                return fail(f"{path}: tag {tag!r} does not cover shards "
-                            f"0..{len(shards) - 1} exactly once "
-                            f"(missing {missing}, unexpected {extra})")
-    total = sum(len(shards) for shards in shards_by_tag.values())
-    print(f"validate_telemetry: {path} OK ({total} shard timings across "
-          f"{len(shards_by_tag)} tags)")
+          f"({total_events} events, {len(shards)} shard spans)")
     return 0
 
 
@@ -234,16 +210,10 @@ def main() -> int:
     trace.add_argument("dir", help="FTNAV_TRACE_DIR of the run")
     trace.add_argument("--min-files", type=int, default=1,
                        help="minimum trace files expected (default 1)")
+    trace.add_argument("--expect-shards", type=int, default=None,
+                       metavar="N",
+                       help="shard spans must cover 0..N-1 exactly once")
     trace.set_defaults(handler=cmd_trace)
-
-    timings = commands.add_parser("timings",
-                                  help="validate a shard_timings.json")
-    timings.add_argument("file")
-    timings.add_argument("--require-complete", action="store_true",
-                         help="each tag must cover shards 0..N-1 exactly")
-    timings.add_argument("--expect-tag", default=None,
-                         help="require this campaign tag to be present")
-    timings.set_defaults(handler=cmd_timings)
 
     status = commands.add_parser("status",
                                  help="validate a status --json document")

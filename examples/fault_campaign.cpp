@@ -65,6 +65,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -77,7 +78,6 @@
 #include "dist/dist_coordinator.h"
 #include "dist/status_doc.h"
 #include "dist/tcp_transport.h"
-#include "obs/shard_timing.h"
 #include "obs/trace.h"
 #include "scenario/scenario.h"
 #include "util/binary_io.h"
@@ -259,6 +259,16 @@ long parse_long_or_die(const char* argv0, const CommandInfo* command,
   return value;
 }
 
+/// An integer flag: strict like parse_long_or_die, and it must fit an
+/// int no smaller than `min`.
+int parse_int_or_die(const char* argv0, const CommandInfo* command,
+                     const char* text, int min) {
+  const long value = parse_long_or_die(argv0, command, text);
+  if (value < min || value > std::numeric_limits<int>::max())
+    usage_error(argv0, command);
+  return static_cast<int>(value);
+}
+
 /// "host:port" with a numeric port in 0..65535 (0 lets the kernel
 /// pick); anything else is a usage error (exit 2), not a later
 /// runtime failure.
@@ -360,20 +370,18 @@ ParsedFlags parse_flags(const CommandInfo& command, int argc, char** argv) {
     } else if (arg == "--config") {
       flags.config_path = value;
     } else if (arg == "--threads") {
-      flags.threads = std::atoi(value);
+      // 0 means every core.
+      flags.threads = parse_int_or_die(argv[0], &command, value, 0);
     } else if (arg == "--progress") {
-      flags.progress_every = std::atoi(value);
-      if (flags.progress_every <= 0) usage_error(argv[0], &command);
+      flags.progress_every = parse_int_or_die(argv[0], &command, value, 1);
     } else if (arg == "--checkpoint") {
       flags.checkpoint = value;
     } else if (arg == "--resume") {
       flags.resume = true;
     } else if (arg == "--stop-after") {
-      flags.stop_after = std::atoi(value);
-      if (flags.stop_after <= 0) usage_error(argv[0], &command);
+      flags.stop_after = parse_int_or_die(argv[0], &command, value, 1);
     } else if (arg == "--workers") {
-      flags.workers = std::atoi(value);
-      if (flags.workers <= 0) usage_error(argv[0], &command);
+      flags.workers = parse_int_or_die(argv[0], &command, value, 1);
     } else if (arg == "--queue-addr") {
       flags.queue_addr = parse_addr_or_die(argv[0], &command, value);
     } else if (arg == "--server") {
@@ -390,9 +398,8 @@ ParsedFlags parse_flags(const CommandInfo& command, int argc, char** argv) {
       flags.poll_period = parse_double_or_die(argv[0], &command, value);
       if (flags.poll_period <= 0.0) usage_error(argv[0], &command);
     } else if (arg == "--lease-batch") {
-      const long batch = parse_long_or_die(argv[0], &command, value);
-      if (batch < 1 || batch > 1 << 20) usage_error(argv[0], &command);
-      flags.lease_batch = static_cast<int>(batch);
+      flags.lease_batch = parse_int_or_die(argv[0], &command, value, 1);
+      if (flags.lease_batch > 1 << 20) usage_error(argv[0], &command);
     } else if (arg == "--bind") {
       flags.bind = parse_addr_or_die(argv[0], &command, value);
     } else if (arg == "--journal") {
@@ -400,11 +407,9 @@ ParsedFlags parse_flags(const CommandInfo& command, int argc, char** argv) {
     } else if (arg == "--addr-file") {
       flags.addr_file = value;
     } else if (arg == "--worker-id") {
-      flags.worker_id = std::atoi(value);
-      if (flags.worker_id < 0) usage_error(argv[0], &command);
+      flags.worker_id = parse_int_or_die(argv[0], &command, value, 0);
     } else if (arg == "--worker-fail-after") {
-      flags.worker_fail_after = std::atoi(value);
-      if (flags.worker_fail_after <= 0) usage_error(argv[0], &command);
+      flags.worker_fail_after = parse_int_or_die(argv[0], &command, value, 1);
     } else {
       usage_error(argv[0], &command);  // table/handler mismatch
     }
@@ -745,11 +750,6 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
   // Diagnose typo'd FTNAV_* variables: everything set in this process
   // must be a declared harness knob or some scenario's parameter.
   warn_unknown_ftnav_vars(registry.known_param_env_names());
-
-  // Stamp shard-timing telemetry with this configuration's fingerprint
-  // (shard_timings.json v2 records it for offline prediction joins).
-  obs::set_shard_timing_fingerprint(
-      obs::param_fingerprint(spec->name, params.canonical()));
 
   ScenarioContext context;
   context.threads = flags.threads;

@@ -49,9 +49,7 @@
 
 #include "campaign/checkpoint.h"
 #include "campaign/streaming.h"
-#include "obs/shard_timing.h"
 #include "obs/trace.h"
-#include "util/perf.h"
 #include "util/rng.h"
 
 namespace ftnav {
@@ -520,14 +518,11 @@ class CampaignRunner {
         return;
       const CampaignShard& shard = shards[shard_index];
       obs::TraceSpan shard_span("shard", "campaign", "shard", shard_index);
-      const double shard_start = perf::now();
       Acc acc = make_partial();
       for (std::size_t trial = shard.begin; trial < shard.end; ++trial) {
         Rng rng = Rng::stream(seed, trial);
         accumulate(acc, shard, trial, rng);
       }
-      obs::record_shard_timing(tag, shard_index, perf::now() - shard_start,
-                               shard.size(), threads_);
       aggregator.commit_shard(shard_index, shard.size(), std::move(acc));
       if (stream.arbiter != nullptr) stream.arbiter->committed(shard_index);
     };

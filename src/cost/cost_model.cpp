@@ -98,14 +98,6 @@ double CampaignCost::seconds(const MachineProfile& profile) const noexcept {
          profile.trial_overhead_seconds * count;
 }
 
-double CampaignCost::shard_seconds(const MachineProfile& profile,
-                                   std::size_t index) const {
-  const auto shards = shard_trials(trials, shard_count());
-  const double size = static_cast<double>(shards.at(index).size());
-  return (per_trial.seconds(profile) + profile.trial_overhead_seconds) *
-         size;
-}
-
 double CampaignCost::mean_shard_seconds(
     const MachineProfile& profile) const noexcept {
   const std::size_t shards = shard_count();

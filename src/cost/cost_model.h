@@ -9,8 +9,8 @@
 // this codebase lives *between* campaigns (NN inference vs gridworld
 // training vs drone rollouts differ by orders of magnitude per trial),
 // not within one -- so a campaign is `trials` copies of one Work
-// vector, and per-shard predictions come from the exact same
-// shard partition the runner uses (stream_shard_count / shard_trials).
+// vector, and per-shard predictions divide it by the shard count of
+// the runner's own streaming partition (stream_shard_count).
 //
 // Consumers:
 //   * `fault_campaign describe --cost <name>` renders the estimate;
@@ -69,10 +69,6 @@ struct CampaignCost {
   /// The runner's fixed streaming partition for this trial count.
   std::size_t shard_count() const noexcept;
   double seconds(const MachineProfile& profile) const noexcept;
-  /// Predicted wall for shard `index` of shard_count() -- shard sizes
-  /// differ by at most one trial, mirroring shard_trials().
-  double shard_seconds(const MachineProfile& profile,
-                       std::size_t index) const;
   double mean_shard_seconds(const MachineProfile& profile) const noexcept;
 };
 

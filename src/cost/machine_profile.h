@@ -6,10 +6,10 @@
 // injector, gridworld env steps, drone env steps -- plus a fixed
 // per-trial overhead. A MachineProfile prices those primitives in
 // single-thread seconds: one shard always runs on one worker thread,
-// so predictions compare directly against the per-shard wall clock in
-// shard_timings.json.
+// so predictions compare directly against the per-shard wall clock of
+// a trace's `shard` spans (category `campaign`, arg `shard`).
 //
-// Defaults are calibrated against recorded shard timings on the
+// Defaults are calibrated against measured shard walls on the
 // reference container; override with FTNAV_COST_PROFILE=<path> naming
 // a flat JSON object ("ftnav-machine-profile-v1") with any subset of
 // the rate fields.
@@ -19,7 +19,7 @@
 namespace ftnav::cost {
 
 // The defaults below are *effective* single-thread rates, fit against
-// recorded shard_timings of the fig5 (grid inference, tabular + NN)
+// measured shard walls of the fig5 (grid inference, tabular + NN)
 // and fig7b (drone environments) campaigns on the reference container
 // (AVX2 kernels). They deliberately absorb the gap between the step
 // caps the estimators count and the shorter episodes campaigns

@@ -84,10 +84,6 @@ struct CampaignState {
   std::size_t done_count = 0;
   std::map<int, std::vector<std::uint8_t>> bitmaps;  // published partials
   std::map<int, std::string> blobs;
-  // Shard-timing snapshots, append-only in arrival order. Telemetry,
-  // not state: never journaled, lost on restart, and losing them can
-  // only lose observability (the coordinator dedupes overlap).
-  std::vector<std::string> timings;
 };
 
 /// Static metric/span names per opcode (trace events store pointers).
@@ -120,11 +116,6 @@ OpcodeNames opcode_names(int opcode) {
       return {"serve:alloc_workers", "rpc.alloc_workers",
               "rpc_latency.alloc_workers"};
     case kOpStats: return {"serve:stats", "rpc.stats", "rpc_latency.stats"};
-    case kOpTimings:
-      return {"serve:timings", "rpc.timings", "rpc_latency.timings"};
-    case kOpDrainTimings:
-      return {"serve:drain_timings", "rpc.drain_timings",
-              "rpc_latency.drain_timings"};
     default:
       return {"serve:unknown", "rpc.unknown", "rpc_latency.unknown"};
   }
@@ -721,35 +712,6 @@ struct CampaignServer::Impl {
     return ok_reply(body.str());
   }
 
-  std::string handle_timings(std::istream& in) {
-    const std::string label = io::read_string(in);
-    const int worker_id = decode_worker(io::read_u64(in));
-    std::string bytes = io::read_string(in);
-    beat(worker_id);
-    // Unknown label: accept and drop — timings are best-effort and
-    // must never create queue state populate didn't.
-    const auto found = campaigns.find(label);
-    if (found != campaigns.end()) {
-      found->second.timings.push_back(std::move(bytes));
-      metrics.counter("timings.snapshots").add();
-    }
-    return ok_reply();
-  }
-
-  std::string handle_drain_timings(std::istream& in) {
-    const std::string label = io::read_string(in);
-    std::ostringstream body;
-    const auto found = campaigns.find(label);
-    if (found == campaigns.end()) {
-      io::write_u64(body, 0);
-    } else {
-      io::write_u64(body, found->second.timings.size());
-      for (const std::string& blob : found->second.timings)
-        io::write_string(body, blob);
-    }
-    return ok_reply(body.str());
-  }
-
   std::string handle_request(Connection& conn, const std::string& payload) {
     try {
       std::istringstream in(payload);
@@ -784,8 +746,6 @@ struct CampaignServer::Impl {
           case kOpStatus: return handle_status(in);
           case kOpAllocWorkers: return handle_alloc_workers(in);
           case kOpStats: return handle_stats(in);
-          case kOpTimings: return handle_timings(in);
-          case kOpDrainTimings: return handle_drain_timings(in);
           default:
             return error_reply("unknown opcode " + std::to_string(opcode));
         }

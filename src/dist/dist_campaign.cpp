@@ -13,7 +13,6 @@
 
 #include "dist/tcp_transport.h"
 #include "obs/log.h"
-#include "obs/shard_timing.h"
 #include "obs/trace.h"
 #include "util/binary_io.h"
 #include "util/clock.h"
@@ -73,14 +72,6 @@ class TransportShardArbiter : public ShardArbiter {
     std::lock_guard<std::mutex> lock(commit_mutex_);
     obs::TraceSpan span("lease_commit", "dist", "shard", shard);
     transport_.publish_partial();
-    // Telemetry rides alongside the partial: ship this process's
-    // shard-timing records (a full snapshot; the coordinator dedupes)
-    // before the lease is released, so a commit that survives a crash
-    // has its timing on record too. Gated on tracing so telemetry-off
-    // runs make zero extra RPCs.
-    if (obs::trace() != nullptr)
-      transport_.publish_timings(
-          obs::encode_shard_timings(obs::snapshot_shard_timings()));
     const std::size_t total =
         done_by_self_.fetch_add(1, std::memory_order_relaxed) + 1;
     // Test hook: die in the publish->done crash window, after the
@@ -218,8 +209,6 @@ DistCampaign::DistCampaign(const DistConfig& dist, std::string_view tag,
   impl_->transport = std::make_unique<TcpTransport>(impl_->config, tag);
 
   if (role == DistConfig::Role::kWorker) {
-    // Shard-timing records made by this process carry the worker id.
-    obs::set_shard_timing_worker_id(impl_->config.worker_id);
     stream.checkpoint_path = impl_->transport->partial_path();
     // A respawned worker continues from the durable copy of its own
     // partial: the server's copy, the one reclaim decisions were made
@@ -286,17 +275,6 @@ DistCampaign::DistCampaign(const DistConfig& dist, std::string_view tag,
   stream.resume = true;
   stream.merge_partials = impl_->transport->collect_partials();
   stream.arbiter = nullptr;
-  // Absorb the workers' shard-timing uploads so flush_telemetry() can
-  // write one merged shard_timings.json. Gated on tracing, and a torn
-  // or stale blob only loses telemetry — never campaign state.
-  if (obs::trace() != nullptr) {
-    for (const std::string& blob : impl_->transport->collect_timings()) {
-      try {
-        obs::note_shard_timings(obs::decode_shard_timings(blob));
-      } catch (const std::exception&) {
-      }
-    }
-  }
 }
 
 DistCampaign::~DistCampaign() = default;

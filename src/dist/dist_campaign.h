@@ -152,7 +152,8 @@ std::string dist_queue_label(const DistConfig& config,
 /// TcpTransport-backed arbiter leasing from the campaign server, and
 /// runs a heartbeat thread for the scope's lifetime. Finalize role:
 /// collects the partial checkpoints to merge and resumes the merged
-/// file. Off: leaves `stream` untouched.
+/// file. Off: leaves `stream` untouched. Only results cross the wire;
+/// per-shard walls stay in each process's trace as `shard` spans.
 class DistCampaign {
  public:
   DistCampaign(const DistConfig& dist, std::string_view tag,

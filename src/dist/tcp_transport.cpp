@@ -62,11 +62,6 @@ void TcpQueueClient::register_campaign(const std::string&,
 CampaignServerStatus TcpQueueClient::status() { return {}; }
 int TcpQueueClient::alloc_worker_ids(int) { return -1; }
 obs::MetricsSnapshot TcpQueueClient::stats() { return {}; }
-void TcpQueueClient::publish_timings(const std::string&, int,
-                                     const std::string&) {}
-std::vector<std::string> TcpQueueClient::drain_timings(const std::string&) {
-  return {};
-}
 
 #else
 
@@ -91,8 +86,6 @@ const char* rpc_op_name(unsigned char opcode) {
     case kOpStatus: return "rpc:status";
     case kOpAllocWorkers: return "rpc:alloc_workers";
     case kOpStats: return "rpc:stats";
-    case kOpTimings: return "rpc:timings";
-    case kOpDrainTimings: return "rpc:drain_timings";
     default: return "rpc:unknown";
   }
 }
@@ -372,30 +365,6 @@ obs::MetricsSnapshot TcpQueueClient::stats() {
   return obs::read_snapshot(in);
 }
 
-void TcpQueueClient::publish_timings(const std::string& label, int worker_id,
-                                     const std::string& bytes) {
-  std::ostringstream out;
-  out.put(kOpTimings);
-  io::write_string(out, label);
-  io::write_u64(out, encode_worker(worker_id));
-  io::write_string(out, bytes);
-  impl_->rpc(out.str());
-}
-
-std::vector<std::string> TcpQueueClient::drain_timings(
-    const std::string& label) {
-  std::ostringstream out;
-  out.put(kOpDrainTimings);
-  io::write_string(out, label);
-  std::istringstream in(impl_->rpc(out.str()));
-  const std::uint64_t count = io::read_u64(in);
-  std::vector<std::string> blobs;
-  blobs.reserve(io::reservable(in, count, 8));
-  for (std::uint64_t i = 0; i < count; ++i)
-    blobs.push_back(io::read_string(in));
-  return blobs;
-}
-
 #endif  // !defined(_WIN32)
 
 // ---- TcpTransport --------------------------------------------------------
@@ -510,21 +479,6 @@ std::vector<std::string> TcpTransport::collect_partials() {
 
 std::string TcpTransport::merged_checkpoint_path() const {
   return scratch_dir_ + "/merged.ckpt";
-}
-
-void TcpTransport::publish_timings(const std::string& bytes) {
-  // Best-effort: a timing upload racing a dying connection must never
-  // take down the worker's commit path.
-  try {
-    client_.publish_timings(label_, worker_id_, bytes);
-  } catch (const TransportAuthError&) {
-    throw;  // auth failures keep their diagnosed exit path
-  } catch (const std::exception&) {
-  }
-}
-
-std::vector<std::string> TcpTransport::collect_timings() {
-  return client_.drain_timings(label_);
 }
 
 }  // namespace ftnav

@@ -26,6 +26,10 @@
 //   register   record a campaign submission under its tag
 //   status     registrations + per-queue progress
 //   alloc      reserve a fresh worker-id range (coordinator failover)
+//   stats      server metrics snapshot
+//
+// Telemetry never rides the protocol beyond `stats`: each process's
+// per-shard walls stay in its own trace file as `shard` spans.
 //
 // Invariants the protocol keeps (they are what makes the merged
 // checkpoint byte-identical to a single-process run for any worker
@@ -164,14 +168,6 @@ class TcpQueueClient {
   /// Server metrics snapshot (authenticated like every non-hello RPC).
   obs::MetricsSnapshot stats();
 
-  /// Appends one encoded shard-timing snapshot for `label` (best
-  /// effort, in-memory only server-side — see wire_format.h).
-  void publish_timings(const std::string& label, int worker_id,
-                       const std::string& bytes);
-
-  /// Every stored timing snapshot for `label`, in arrival order.
-  std::vector<std::string> drain_timings(const std::string& label);
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -180,10 +176,9 @@ class TcpQueueClient {
 /// One campaign's view of the shard queue, bound to this process's
 /// worker id: a TcpQueueClient scoped to the campaign label.
 /// Constructed per streamed campaign by DistCampaign; the finalize
-/// role uses only collect_partials() / collect_timings() /
-/// merged_checkpoint_path(). Partials live in a fresh process-local
-/// scratch directory (removed on destruction); the server's stored
-/// copies are the durable truth.
+/// role uses only collect_partials() / merged_checkpoint_path().
+/// Partials live in a fresh process-local scratch directory (removed
+/// on destruction); the server's stored copies are the durable truth.
 class TcpTransport {
  public:
   TcpTransport(const DistConfig& config, std::string_view tag);
@@ -243,18 +238,6 @@ class TcpTransport {
   /// Default location for the finalize-role merged checkpoint when
   /// the caller did not name one.
   std::string merged_checkpoint_path() const;
-
-  /// Best-effort telemetry side channel: ships this worker's encoded
-  /// shard-timing records (obs::encode_shard_timings) so the
-  /// coordinator can merge them into shard_timings.json. Uploads are
-  /// append-only snapshots — a worker respawned after a crash never
-  /// erases a previous life's records; the coordinator dedupes by
-  /// (tag, shard). Unlike partials this is NOT durable state: it is
-  /// not journaled, and losing an upload loses only telemetry.
-  void publish_timings(const std::string& bytes);
-
-  /// Finalize: every published timing snapshot, in arrival order.
-  std::vector<std::string> collect_timings();
 
  private:
   std::string label_;

@@ -37,13 +37,9 @@ enum Opcode : unsigned char {
   kOpRegister = 10,     // record a campaign submission under its tag
   kOpStatus = 11,        // registrations + per-queue progress
   kOpAllocWorkers = 12,  // reserve a fresh, never-reused worker-id range
-
-  // Telemetry (PR 8). Timings are best-effort observability: stored
-  // in memory only, never journaled, lost on server restart — losing
-  // them can never lose campaign state.
-  kOpStats = 13,         // server metrics snapshot (obs::MetricsSnapshot)
-  kOpTimings = 14,       // append one encoded shard-timing snapshot
-  kOpDrainTimings = 15   // fetch every stored timing snapshot for a queue
+  // Telemetry:
+  kOpStats = 13,  // server metrics snapshot (obs::MetricsSnapshot)
+  // 14, 15 unused: retired shard-timing uploads get "unknown opcode".
 };
 
 enum Status : unsigned char {

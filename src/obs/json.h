@@ -1,8 +1,7 @@
 #pragma once
 // Minimal JSON string escaping shared by the telemetry emitters
-// (trace files, shard_timings.json, status --json). Not a JSON
-// library — the emitters build their documents by hand so the output
-// stays byte-deterministic.
+// (trace files, status --json). Not a JSON library — the emitters
+// build their documents by hand so the output stays byte-deterministic.
 
 #include <cstdio>
 #include <string>

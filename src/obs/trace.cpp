@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "obs/json.h"
-#include "obs/shard_timing.h"
 
 #ifdef _WIN32
 #include <process.h>
@@ -179,7 +178,6 @@ void flush_telemetry() {
   TraceRecorder* recorder = g_recorder.load(std::memory_order_acquire);
   if (recorder == nullptr) return;
   recorder->flush();
-  maybe_write_shard_timings(recorder->dir());
 }
 
 }  // namespace ftnav::obs

@@ -59,8 +59,6 @@ class TraceRecorder {
   /// Events discarded because a thread buffer filled up.
   std::uint64_t dropped() const;
 
-  const std::string& dir() const { return dir_; }
-
  private:
   struct ThreadBuffer {
     std::vector<TraceEvent> events;
@@ -114,8 +112,8 @@ inline void trace_instant(const char* name, const char* cat,
 }
 
 /// Test hook: installs a fresh recorder writing into `dir` for the
-/// session's lifetime, then flushes it (and any pending shard
-/// timings — see shard_timing.h) and restores the previous recorder.
+/// session's lifetime, then flushes it and restores the previous
+/// recorder.
 class TraceSession {
  public:
   explicit TraceSession(const std::string& dir);
@@ -130,9 +128,9 @@ class TraceSession {
   TraceRecorder* previous_ = nullptr;
 };
 
-/// Flushes the active recorder (if any) and writes shard_timings.json
-/// when this process owns merged timings. Registered via atexit by the
-/// env-driven trace() initializer; TraceSession calls it on teardown.
+/// Flushes the active recorder (if any) to its trace file. Registered
+/// via atexit by the env-driven trace() initializer; TraceSession
+/// calls it on teardown.
 void flush_telemetry();
 
 }  // namespace ftnav::obs

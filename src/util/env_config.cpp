@@ -97,8 +97,7 @@ const std::vector<EnvKnob>& declared_env_knobs() {
        "(results identical)"},
       {"FTNAV_PERF_DIR", "write BENCH_*.json perf records here"},
       {"FTNAV_GIT_SHA", "git sha recorded in perf records"},
-      {"FTNAV_TRACE_DIR",
-       "dump Perfetto traces + shard_timings.json here (empty = off)"},
+      {"FTNAV_TRACE_DIR", "dump Perfetto traces here (empty = off)"},
       {"FTNAV_LOG", "stderr log level: error|warn|info|debug"},
   };
   return knobs;

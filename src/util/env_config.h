@@ -59,9 +59,8 @@
 //   FTNAV_GIT_SHA         git sha recorded in perf records when
 //                         GITHUB_SHA is unset
 //   FTNAV_TRACE_DIR       dump Chrome trace-event JSON
-//                         (trace.<pid>.json, Perfetto-loadable) and
-//                         the merged shard_timings.json into this
-//                         directory at exit; empty = tracing off
+//                         (trace.<pid>.json, Perfetto-loadable) into
+//                         this directory at exit; empty = tracing off
 //                         (zero-cost: a branch on a null recorder).
 //                         Never touches stdout, FTNAV_JSON_DIR, or
 //                         checkpoints — see src/obs/

@@ -1,15 +1,15 @@
 // Tests for the analytic cost model (src/cost/): MAC/byte accounting
 // against hand-computed layer shapes, machine-profile JSON round-trips,
 // shard-partition mirroring, registry coverage (every scenario yields
-// a finite estimate), and prediction-vs-measured tolerance against
-// recorded shard timings.
+// a finite estimate), and prediction-vs-measured tolerance against the
+// trial-grid perf section each scenario reports for its campaign.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign_runner.h"
@@ -18,10 +18,9 @@
 #include "nn/c3f2.h"
 #include "nn/layers.h"
 #include "nn/network.h"
-#include "obs/shard_timing.h"
-#include "obs/trace.h"
 #include "scenario/builtin_scenarios.h"
 #include "scenario/scenario.h"
+#include "util/perf.h"
 #include "util/rng.h"
 
 // Clang spells ASan detection __has_feature; GCC defines
@@ -37,21 +36,6 @@
 
 namespace ftnav {
 namespace {
-
-struct ScratchDir {
-  std::string path;
-  explicit ScratchDir(const std::string& name)
-      : path((std::filesystem::temp_directory_path() /
-              ("ftnav_cost_" + name))
-                 .string()) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-  }
-  ~ScratchDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(path, ignored);
-  }
-};
 
 // ---- MAC/byte accounting vs hand-computed layer shapes -------------------
 
@@ -178,17 +162,11 @@ TEST(CampaignCostMath, ShardPartitionMirrorsTheRunner) {
   EXPECT_EQ(campaign.shard_count(), stream_shard_count(400));
 
   const cost::MachineProfile profile;
-  // Summing the per-shard predictions reproduces the campaign total
-  // (the partition is exact, not an average).
-  double total = 0.0;
-  for (std::size_t shard = 0; shard < campaign.shard_count(); ++shard)
-    total += campaign.shard_seconds(profile, shard);
-  EXPECT_NEAR(total, campaign.seconds(profile),
-              1e-12 * campaign.seconds(profile));
-  // 400 = 64 shards of 6 or 7 trials: shard 0 is one of the longer
-  // ones, so its prediction must exceed the mean.
-  EXPECT_GT(campaign.shard_seconds(profile, 0),
-            campaign.mean_shard_seconds(profile));
+  // The mean shard prediction is the campaign total spread over the
+  // runner's partition.
+  EXPECT_DOUBLE_EQ(campaign.mean_shard_seconds(profile) *
+                       static_cast<double>(campaign.shard_count()),
+                   campaign.seconds(profile));
 }
 
 TEST(CampaignCostMath, PerfTrialCountOverridesReportedUnits) {
@@ -235,9 +213,26 @@ TEST(CostRegistry, ReportJsonCoversEveryScenario) {
               std::string::npos);
 }
 
-// ---- prediction vs measured shard timings --------------------------------
+// ---- prediction vs the measured trial section ---------------------------
 
-TEST(CostPrediction, WithinToleranceOfMeasuredShardTimings) {
+/// Runs `spec` at one thread and returns the perf section the run
+/// reported under `name` (util/perf.h: the same sink the benchmark
+/// reads setup_s and trials_per_s from). Fails the test when the run
+/// reported no such section.
+perf::Section measured_section(const ScenarioSpec& spec,
+                               const ParamSet& params,
+                               const std::string& name) {
+  (void)perf::drain_sections();  // drop earlier tests' reports
+  ScenarioContext context;
+  context.threads = 1;
+  (void)spec.factory(params)->run(context);
+  for (const perf::Section& section : perf::drain_sections())
+    if (section.name == name) return section;
+  ADD_FAILURE() << spec.name << " reported no perf section " << name;
+  return {};
+}
+
+TEST(CostPrediction, WithinToleranceOfMeasuredTrialSection) {
   ScenarioRegistry registry;
   register_builtin_scenarios(registry);
   const ScenarioSpec* spec = registry.find("grid-inference");
@@ -245,43 +240,55 @@ TEST(CostPrediction, WithinToleranceOfMeasuredShardTimings) {
   const ParamSet params = spec->make_params();
   const cost::CostEstimate estimate = spec->cost(params);
   ASSERT_EQ(estimate.campaigns.size(), 1u);
+  const cost::CampaignCost& campaign = estimate.campaigns[0];
 
-  ScratchDir scratch("prediction");
-  obs::clear_shard_timings();
-  {
-    obs::TraceSession session(scratch.path);  // arms shard recording
-    ScenarioContext context;
-    context.threads = 1;
-    context.stream.checkpoint_path = scratch.path + "/c.ckpt";
-    (void)spec->factory(params)->run(context);
-  }
-  const std::vector<obs::ShardTiming> records =
-      obs::snapshot_shard_timings();
-  obs::clear_shard_timings();
-  ASSERT_EQ(records.size(), estimate.campaigns[0].shard_count());
-
-  double measured = 0.0;
-  std::uint64_t trials = 0;
-  for (const obs::ShardTiming& record : records) {
-    measured += record.wall_seconds;
-    trials += record.trials;
-  }
-  EXPECT_EQ(trials, estimate.total_trials());
+  // Campaign labels name the scenario's perf section, counted in the
+  // same trial units.
+  const perf::Section section =
+      measured_section(*spec, params, campaign.label);
+  EXPECT_EQ(section.ops, campaign.perf_trial_count());
+  const double measured = section.seconds;
+  ASSERT_GT(measured, 0.0);
   // The calibrated default profile must land the campaign (setup
-  // excluded — it is not sharded) within an order of magnitude of the
-  // measured shard wall on any machine this suite runs on; the
-  // acceptance bar on the calibration host itself is 3x. The lower
-  // bound only holds for the optimized, unsanitized builds the
+  // excluded — the section times the trial grid only) within an order
+  // of magnitude of the measured wall on any machine this suite runs
+  // on; the acceptance bar on the calibration host itself is 3x. The
+  // lower bound only holds for the optimized, unsanitized builds the
   // profile prices: -O0 and sanitizer instrumentation inflate the
   // measured wall severalfold, which can only make the model
   // *under*predict, so there the upper bound alone is meaningful.
-  const double predicted =
-      estimate.campaigns[0].seconds(cost::MachineProfile{});
+  const double predicted = campaign.seconds(cost::MachineProfile{});
   EXPECT_LT(predicted, measured * 10.0);
 #if defined(NDEBUG) && !defined(__SANITIZE_ADDRESS__) && \
     !FTNAV_TEST_ASAN
   EXPECT_GT(predicted, measured / 10.0);
 #endif
+}
+
+TEST(CostPrediction, DroneSweepLabelNamesItsTrialSection) {
+  ScenarioRegistry registry;
+  register_builtin_scenarios(registry);
+  const ScenarioSpec* spec = registry.find("drone-fault-locations");
+  ASSERT_NE(spec, nullptr);
+  ParamSet params = spec->make_params();
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"bers", "0,0.001"},
+           {"repeats", "2"},
+           {"imitation-episodes", "1"},
+           {"ddqn-episodes", "1"},
+           {"env-max-steps", "40"}})
+    params.set(key, value, ParamSource::kCli);
+  const cost::CostEstimate estimate = spec->cost(params);
+  ASSERT_EQ(estimate.campaigns.size(), 1u);
+  const cost::CampaignCost& campaign = estimate.campaigns[0];
+
+  // The runner shards cells while the section counts cells x repeats:
+  // perf_trial_count() carries the conversion.
+  const perf::Section section =
+      measured_section(*spec, params, campaign.label);
+  EXPECT_EQ(section.ops, campaign.perf_trial_count());
+  EXPECT_EQ(section.ops, 4u * 2u * 2u);  // 4 fault sites x 2 BERs x 2
 }
 
 }  // namespace

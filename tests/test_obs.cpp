@@ -1,18 +1,20 @@
 // Tests for the telemetry layer (src/obs/): trace spans (Chrome
-// trace-event JSON, concurrent nesting, null-recorder fast path),
+// trace-event JSON, concurrent nesting, null-recorder fast path, one
+// `shard` span per campaign shard on the batch and streamed paths),
 // metrics (counters, latency histograms, snapshot codec and merge),
-// shard-timing records (codec, dedupe, shard_timings.json), the
-// status-document renderings, the authenticated stats RPC — and the
-// hard invariant that campaign stdout/JSON/checkpoint bytes are
+// the status-document renderings, the authenticated stats RPC — and
+// the hard invariant that campaign stdout/JSON/checkpoint bytes are
 // identical with telemetry on or off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,12 +26,12 @@
 #include <unistd.h>
 #endif
 
+#include "campaign/campaign_runner.h"
 #include "dist/campaign_server.h"
 #include "dist/status_doc.h"
 #include "dist/tcp_transport.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/shard_timing.h"
 #include "obs/trace.h"
 #include "scenario/builtin_scenarios.h"
 #include "scenario/param_set.h"
@@ -347,6 +349,78 @@ TEST(Trace, ConcurrentNestedSpansProduceBalancedChromeJson) {
   EXPECT_GE(with_args, static_cast<std::size_t>(kThreads * kSpansPerThread));
 }
 
+// ---- campaign shard spans -------------------------------------------------
+// The per-shard wall of a campaign is its `shard` span (category
+// `campaign`, shard index as the `shard` arg): the benchmark and the
+// distributed CI leg read nothing else.
+
+/// Shard ids of the `shard` spans in one trace file, in file order.
+/// Fails the test on a span that does not pair LIFO with its end
+/// event on its thread, or a `shard` span outside category `campaign`.
+std::vector<std::uint64_t> shard_span_ids(const std::string& path) {
+  const Json doc = parse_json_file(path);
+  std::map<double, std::vector<std::string>> stacks;  // per tid
+  std::vector<std::uint64_t> ids;
+  for (const Json& event : doc.at("traceEvents").items) {
+    const std::string& name = event.at("name").text;
+    const std::string& phase = event.at("ph").text;
+    std::vector<std::string>& stack = stacks[event.at("tid").number];
+    if (phase == "B") {
+      stack.push_back(name);
+      if (name != "shard") continue;
+      EXPECT_EQ(event.at("cat").text, "campaign");
+      ids.push_back(
+          static_cast<std::uint64_t>(event.at("args").at("shard").number));
+    } else if (phase == "E") {
+      if (stack.empty() || stack.back() != name) {
+        ADD_FAILURE() << "unpaired end of " << name;
+        continue;
+      }
+      stack.pop_back();
+    }
+  }
+  for (const auto& [tid, stack] : stacks)
+    EXPECT_TRUE(stack.empty()) << "unbalanced spans on tid " << tid;
+  return ids;
+}
+
+TEST(Trace, OneShardSpanPerShardOnBatchAndStreamedPaths) {
+  ScratchDir scratch("shard_spans");
+  constexpr std::size_t kTrials = 200;
+  const CampaignRunner runner(2);
+  using Tally = std::vector<std::uint64_t>;
+  const auto make_acc = [] { return Tally(1, 0); };
+  const auto accumulate = [](Tally& acc, std::size_t, Rng&) { ++acc[0]; };
+  const auto merge = [](Tally& into, Tally&& from) { into[0] += from[0]; };
+
+  // The batch path cuts 2 threads x 4 = 8 shards; the streamed path
+  // (a checkpoint turns it on) always cuts min(trials, 64).
+  for (const bool streamed : {false, true}) {
+    const std::string dir =
+        scratch.path + (streamed ? "/streamed" : "/batch");
+    {
+      obs::TraceSession session(dir);
+      Tally tally;
+      if (streamed) {
+        CampaignStreamConfig stream;
+        stream.checkpoint_path = dir + ".ckpt";
+        tally = runner.map_reduce_streamed("shard-spans", kTrials, 7,
+                                           make_acc, accumulate, merge,
+                                           stream);
+      } else {
+        tally = runner.map_reduce(kTrials, 7, make_acc, accumulate, merge);
+      }
+      EXPECT_EQ(tally[0], kTrials);
+    }
+    std::vector<std::uint64_t> ids = shard_span_ids(
+        dir + "/trace." + std::to_string(current_pid()) + ".json");
+    std::sort(ids.begin(), ids.end());
+    std::vector<std::uint64_t> expected(streamed ? 64 : 8);
+    std::iota(expected.begin(), expected.end(), std::uint64_t{0});
+    EXPECT_EQ(ids, expected) << (streamed ? "streamed" : "batch");
+  }
+}
+
 // ---- metrics --------------------------------------------------------------
 
 TEST(Metrics, CountersAccumulateAcrossThreads) {
@@ -422,73 +496,6 @@ TEST(Metrics, SnapshotCodecRoundTripsAndMergeSums) {
   ASSERT_EQ(merged.histograms.size(), 1u);
   EXPECT_EQ(merged.histograms[0].count, 3u);
   EXPECT_EQ(merged.histograms[0].buckets[3], 2u);
-}
-
-// ---- shard timings --------------------------------------------------------
-
-TEST(ShardTimings, CodecDedupeAndJsonArtifact) {
-  ScratchDir scratch("shard_timings");
-  obs::clear_shard_timings();
-  {
-    obs::TraceSession session(scratch.path);
-    obs::set_shard_timing_worker_id(3);
-    obs::set_shard_timing_fingerprint(
-        obs::param_fingerprint("grid-inference", "repeats=8 seed=42"));
-    obs::record_shard_timing("camp", 1, 0.25, 100, 2);
-    obs::record_shard_timing("camp", 0, 0.5, 120, 2);
-    obs::set_shard_timing_worker_id(-1);
-    // A reclaimed re-run reports shard 0 again; the original commit
-    // must win the dedupe.
-    obs::record_shard_timing("camp", 0, 9.0, 120, 4);
-
-    const std::vector<obs::ShardTiming> records =
-        obs::snapshot_shard_timings();
-    ASSERT_EQ(records.size(), 3u);
-    EXPECT_TRUE(obs::snapshot_shard_timings("absent").empty());
-    EXPECT_EQ(obs::snapshot_shard_timings("camp").size(), 3u);
-
-    const std::vector<obs::ShardTiming> decoded =
-        obs::decode_shard_timings(obs::encode_shard_timings(records));
-    ASSERT_EQ(decoded.size(), 3u);
-    EXPECT_EQ(decoded[0].tag, "camp");
-    EXPECT_EQ(decoded[0].shard_id, 1u);
-    EXPECT_EQ(decoded[0].worker_id, 3);
-    EXPECT_EQ(decoded[0].wall_seconds, 0.25);
-    EXPECT_EQ(decoded[0].trials, 100u);
-    EXPECT_EQ(decoded[0].threads, 2);
-    EXPECT_EQ(decoded[0].fingerprint,
-              obs::param_fingerprint("grid-inference", "repeats=8 seed=42"));
-    EXPECT_EQ(decoded[2].worker_id, -1);
-    EXPECT_EQ(decoded[2].threads, 4);
-
-    obs::write_shard_timings_json(scratch.path);
-  }
-  obs::clear_shard_timings();
-  obs::set_shard_timing_fingerprint("");
-
-  const Json doc = parse_json_file(scratch.path + "/shard_timings.json");
-  EXPECT_EQ(doc.at("schema").text, "ftnav-shard-timings-v2");
-  const Json& records = doc.at("records");
-  ASSERT_EQ(records.items.size(), 2u);  // duplicate shard 0 deduped
-  EXPECT_EQ(records.items[0].at("shard").number, 0.0);
-  EXPECT_EQ(records.items[0].at("worker").number, 3.0);  // first wins
-  EXPECT_EQ(records.items[0].at("wall_seconds").number, 0.5);
-  EXPECT_EQ(records.items[0].at("trials").number, 120.0);
-  EXPECT_EQ(records.items[0].at("threads").number, 2.0);
-  EXPECT_EQ(records.items[1].at("shard").number, 1.0);
-  for (const Json& record : records.items) {
-    EXPECT_EQ(record.at("tag").text, "camp");
-    EXPECT_FALSE(record.at("backend").text.empty());
-    EXPECT_EQ(record.at("fingerprint").text,
-              obs::param_fingerprint("grid-inference", "repeats=8 seed=42"));
-  }
-}
-
-TEST(ShardTimings, RecordingIsGatedOnTracing) {
-  obs::clear_shard_timings();
-  ASSERT_EQ(obs::trace(), nullptr);
-  obs::record_shard_timing("camp", 0, 1.0, 10, 1);
-  EXPECT_TRUE(obs::snapshot_shard_timings().empty());
 }
 
 // ---- status document ------------------------------------------------------
@@ -581,13 +588,6 @@ TEST(StatsRpc, AuthenticatedStatsReportServerCounters) {
       client.claim("q", 0, TcpQueueClient::kNoHint, 2);
   ASSERT_EQ(claim.leased.size(), 2u);
   client.done("q", 0, claim.leased);
-  client.publish_timings("q", 0,
-                         obs::encode_shard_timings(
-                             {{"q", claim.leased[0], 0, 0.5, 10, 1, "test",
-                               ""}}));
-  const std::vector<std::string> blobs = client.drain_timings("q");
-  ASSERT_EQ(blobs.size(), 1u);
-  EXPECT_EQ(obs::decode_shard_timings(blobs[0]).size(), 1u);
 
   const obs::MetricsSnapshot snapshot = client.stats();
   EXPECT_GE(snapshot.counter_value("connections.accepted"), 3u);
@@ -596,7 +596,6 @@ TEST(StatsRpc, AuthenticatedStatsReportServerCounters) {
   EXPECT_GE(snapshot.counter_value("rpc.claim"), 1u);
   EXPECT_GE(snapshot.counter_value("rpc.done"), 1u);
   EXPECT_GE(snapshot.counter_value("leases.granted"), 2u);
-  EXPECT_GE(snapshot.counter_value("timings.snapshots"), 1u);
   // Point-in-time queue depth: 2 of 4 shards done, none leased.
   EXPECT_EQ(snapshot.counter_value("queue.q.done"), 2u);
   EXPECT_EQ(snapshot.counter_value("queue.q.leased"), 0u);
@@ -635,7 +634,6 @@ ScenarioResult run_grid_inference(const std::string& checkpoint_path) {
 
 TEST(Telemetry, CampaignOutputsAreByteIdenticalWithTracingOn) {
   ScratchDir scratch("byte_identity");
-  obs::clear_shard_timings();
   ASSERT_EQ(obs::trace(), nullptr);
 
   const ScenarioResult off = run_grid_inference(scratch.path + "/off.ckpt");
@@ -661,16 +659,10 @@ TEST(Telemetry, CampaignOutputsAreByteIdenticalWithTracingOn) {
   EXPECT_EQ(read_file(scratch.path + "/on.ckpt"),
             read_file(scratch.path + "/off.ckpt"));
 
-  // Telemetry landed in the trace dir (and only there): spans plus the
-  // shard-timing records of every streamed shard.
+  // Telemetry landed in the trace dir (and only there).
   const Json trace = parse_json_file(
       trace_dir + "/trace." + std::to_string(current_pid()) + ".json");
   EXPECT_FALSE(trace.at("traceEvents").items.empty());
-  const Json timings = parse_json_file(trace_dir + "/shard_timings.json");
-  EXPECT_FALSE(timings.at("records").items.empty());
-  EXPECT_FALSE(
-      std::filesystem::exists(scratch.path + "/shard_timings.json"));
-  obs::clear_shard_timings();
 }
 
 }  // namespace

@@ -233,6 +233,17 @@ int connect_raw(int port) {
   return -1;
 }
 
+/// Reads exactly `size` bytes from a raw socket; false when the peer
+/// closes the connection first.
+bool recv_exact(int fd, char* out, std::size_t size) {
+  for (std::size_t got = 0; got < size;) {
+    const ssize_t n = ::recv(fd, out + got, size - got, 0);
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 TEST(TcpWorkServerTest, LeaseLifecycleAndBatchedClaims) {
   TcpWorkServer server("127.0.0.1:0");
   server.start();
@@ -503,6 +514,43 @@ TEST(CampaignServerTest, LyingHelloLengthGetsAnErrorNotAnAllocation) {
   EXPECT_EQ(reply[4], static_cast<char>(wire::kStatusError));
 
   TcpQueueClient next(server.address(), 4, "secret-token");
+  next.populate("camp", 2);
+  EXPECT_EQ(next.claim("camp", 0, TcpQueueClient::kNoHint, 2).leased.size(),
+            2u);
+}
+
+TEST(CampaignServerTest, RetiredTimingOpcodesGetAnUnknownOpcodeError) {
+  // Opcodes 14 and 15 carried shard-timing uploads in older builds. An
+  // older worker's upload must be refused by opcode, never read as
+  // another request, and the server must keep serving.
+  CampaignServer server(CampaignServerConfig{"127.0.0.1:0", "", ""});
+  server.start();
+  for (const int opcode : {14, 15}) {
+    const int fd = connect_raw(server.port());
+    ASSERT_GE(fd, 0);
+    std::ostringstream payload;
+    payload.put(static_cast<char>(opcode));
+    io::write_string(payload, "camp");
+    const std::string frame = wire::frame(payload.str());
+    ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+              static_cast<ssize_t>(frame.size()));
+    unsigned char header[4] = {};
+    ASSERT_TRUE(recv_exact(fd, reinterpret_cast<char*>(header), 4))
+        << "server dropped the connection instead of replying";
+    std::string reply(std::size_t{header[0]} | std::size_t{header[1]} << 8 |
+                          std::size_t{header[2]} << 16 |
+                          std::size_t{header[3]} << 24,
+                      '\0');
+    ASSERT_TRUE(recv_exact(fd, reply.data(), reply.size()));
+    ::close(fd);
+    ASSERT_FALSE(reply.empty());
+    EXPECT_EQ(reply[0], static_cast<char>(wire::kStatusError));
+    std::istringstream message(reply.substr(1));
+    EXPECT_EQ(io::read_string(message),
+              "unknown opcode " + std::to_string(opcode));
+  }
+
+  TcpQueueClient next(server.address());
   next.populate("camp", 2);
   EXPECT_EQ(next.claim("camp", 0, TcpQueueClient::kNoHint, 2).leased.size(),
             2u);
