@@ -66,7 +66,7 @@ int main() {
     std::printf("--- A. detector margin sweep (NN Grid World, "
                 "Transient-M weight faults @ BER 0.8%%) ---\n");
     run_scenario(
-        "ablation-detector-margin", "ablation-a", config, DistConfig{},
+        "ablation-detector-margin", config,
         {{"repeats", std::to_string(config.resolve_repeats(40, 300))},
          {"seed", std::to_string(config.seed)}});
     print_shape_note(
@@ -120,7 +120,8 @@ int main() {
     }
     // Deploy the policy in a wide 16-bit store: the 8-bit table's
     // values fill its whole format, leaving a range detector no
-    // headroom (see EXPERIMENTS.md); ECC/TMR are format-agnostic.
+    // headroom (see "Known deviations from the paper" in README.md);
+    // ECC/TMR are format-agnostic.
     QVector golden(QFormat::q_1_7_8(), agent.table().size());
     for (std::size_t i = 0; i < golden.size(); ++i)
       golden.set(i, agent.table().get(i));

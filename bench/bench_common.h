@@ -14,9 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/streaming.h"
-#include "dist/dist_coordinator.h"
-#include "dist/tcp_transport.h"
 #include "nn/kernels/kernels.h"
 #include "scenario/scenario.h"
 #include "util/env_config.h"
@@ -28,8 +25,7 @@ namespace ftnav::benchharness {
 inline void print_banner(const std::string& artifact,
                          const std::string& description,
                          const BenchConfig& config) {
-  // Typo'd FTNAV_* vars are diagnosed on stderr before any results
-  // (workers skip the banner, so the warning prints once per bench).
+  // Typo'd FTNAV_* vars are diagnosed on stderr before any results.
   warn_unknown_ftnav_vars(
       ScenarioRegistry::instance().known_param_env_names());
   std::printf("==============================================================\n");
@@ -42,124 +38,24 @@ inline void print_shape_note(const std::string& note) {
   std::printf("expected shape: %s\n\n", note.c_str());
 }
 
-/// Streaming knobs for one campaign inside a bench: a progress line
-/// every FTNAV_PROGRESS trials, and periodic checkpoints into
-/// FTNAV_CHECKPOINT_DIR (resumed when FTNAV_RESUME=1). `label` names
-/// the campaign in progress lines and checkpoint filenames, so every
-/// campaign in a bench needs its own label.
-inline CampaignStreamConfig stream_for(const BenchConfig& config,
-                                       const std::string& label) {
-  CampaignStreamConfig stream;
-  if (config.progress_every > 0) {
-    stream.progress_every_trials =
-        static_cast<std::size_t>(config.progress_every);
-    stream.on_progress = [label](const StreamProgress& progress) {
-      std::printf("  [%s] %zu/%zu trials (%.1f%%), %zu/%zu shards\n",
-                  label.c_str(), progress.trials_done,
-                  progress.trials_total, 100.0 * progress.fraction(),
-                  progress.shards_done, progress.shards_total);
-      std::fflush(stdout);
-    };
-  }
-  if (!config.checkpoint_dir.empty()) {
-    stream.checkpoint_path = config.checkpoint_dir + "/" + label + ".ckpt";
-    stream.resume = config.resume;
-  }
-  return stream;
-}
-
-/// Resolves this bench process's distributed-campaign role from the
-/// FTNAV_WORKERS / FTNAV_QUEUE_ADDR / FTNAV_WORKER_ID knobs; call once
-/// before running campaigns and copy the result into each campaign
-/// config's `dist` field.
-///
-/// In the coordinator (FTNAV_WORKERS > 0) this call BLOCKS: it hosts
-/// a campaign server in this process, re-execs the bench binary
-/// (`argv0`) FTNAV_WORKERS times with FTNAV_WORKER_ID and the
-/// server's address set — the workers inherit every other FTNAV_*
-/// knob from the environment — drains the shard queue, then returns
-/// the finalize-role config, under which the bench's campaigns merge
-/// the workers' partial checkpoints and complete without re-running
-/// trials. Worker processes get their worker-role config back
-/// immediately (and have json_dir cleared: the coordinator alone
-/// writes artifacts; benches should also skip printing tables when
-/// `config.is_dist_worker()`).
-inline DistConfig bench_dist(const char* argv0, BenchConfig& config) {
-  DistConfig dist;
-  if (config.lease_batch >= 1) dist.lease_batch = config.lease_batch;
-  // Session token for an auth-enabled campaign server (FTNAV_AUTH_TOKEN);
-  // worker processes inherit the variable from our environment.
-  dist.auth_token = config.auth_token;
-  if (config.worker_id >= 0) {
-    dist.worker_id = config.worker_id;
-    dist.queue_addr = config.queue_addr;
-    config.json_dir.clear();
-    config.progress_every = 0;  // keep worker stdout quiet
-    return dist;
-  }
-  if (config.workers <= 0) return dist;
-  // The server lives for the whole bench run (the finalize merges
-  // drain it at the end) and enforces the same session token the
-  // workers present. Loopback by default: without a token, anything
-  // that can reach the port can lease shards.
-  static TcpWorkServer server(CampaignServerConfig{
-      config.queue_addr.empty() ? "127.0.0.1:0" : config.queue_addr,
-      std::string(), config.auth_token});
-  server.start();
-  config.queue_addr = server.address();  // resolve a port-0 bind
-  dist.workers = config.workers;
-  dist.queue_addr = config.queue_addr;
-  // To stderr: stdout must stay identical to a single-process run.
-  std::fprintf(stderr, "distributed: %d workers, queue-addr=%s\n",
-               dist.workers, dist.queue_addr.c_str());
-  const DistCoordinator coordinator(dist);
-  coordinator.run([&](int worker) {
-    DistCoordinator::Command command;
-    command.argv = {argv0};
-    command.env = {"FTNAV_WORKER_ID=" + std::to_string(worker),
-                   "FTNAV_QUEUE_ADDR=" + dist.queue_addr};
-    return command;
-  });
-  return dist;
-}
-
-/// Runs registry scenario `name` under the bench harness: a bench is a
-/// scenario name plus parameter `overrides`, not bespoke wiring. The
-/// overrides apply at CLI precedence (they encode the bench's resolved
-/// FTNAV_REPEATS/FTNAV_SEED/FTNAV_FULL choices), on top of FTNAV_<PARAM>
-/// environment values, on top of the scenario's declared defaults.
-/// Streaming knobs come from stream_for(config, label) — pass each
-/// campaign in a bench its own label — and `dist` from bench_dist (or
-/// a default DistConfig for benches that do not shard). Prints the
-/// scenario report unless this process is a distributed worker;
-/// returns the result for artifact export.
+/// Runs registry scenario `name` under the bench harness and prints
+/// its report: a bench is a scenario name plus parameter `overrides`,
+/// not bespoke wiring. Parameters bind as `fault_campaign run` binds
+/// them: the scenario's declared defaults, then FTNAV_<PARAM>
+/// environment values, then `overrides` at CLI precedence (they encode
+/// the bench's resolved FTNAV_REPEATS/FTNAV_SEED/FTNAV_FULL choices).
+/// To shard, checkpoint, resume or watch progress on one scenario of a
+/// figure, run it with `fault_campaign run` instead (same bytes).
+/// Returns the result for artifact export.
 inline ScenarioResult run_scenario(
-    const std::string& name, const std::string& label,
-    const BenchConfig& config, const DistConfig& dist,
+    const std::string& name, const BenchConfig& config,
     const std::vector<std::pair<std::string, std::string>>& overrides) {
   const ScenarioSpec* spec = ScenarioRegistry::instance().find(name);
   if (spec == nullptr)
     throw std::runtime_error("unknown scenario: " + name);
   ParamSet params = spec->make_params();
   try {
-    for (const ParamSpec& param : spec->params) {
-      const std::string env = ParamSet::env_name(param.name);
-      // Harness knobs that share a name with a scenario parameter
-      // (FTNAV_REPEATS, FTNAV_SEED, ...) keep their harness semantics
-      // (0 = "use the bench default") — bench_config_from_env resolved
-      // them already and they arrive via `overrides`; applying them
-      // here as scenario values would reject e.g. FTNAV_REPEATS=0.
-      bool harness_knob = false;
-      for (const EnvKnob& knob : declared_env_knobs())
-        if (env == knob.name) {
-          harness_knob = true;
-          break;
-        }
-      if (harness_knob) continue;
-      const char* raw = std::getenv(env.c_str());
-      if (raw != nullptr && *raw != '\0')
-        params.set(param.name, raw, ParamSource::kEnv);
-    }
+    params.apply_env();
     for (const auto& [key, value] : overrides)
       params.set(key, value, ParamSource::kCli);
   } catch (const ParamError& error) {
@@ -170,13 +66,9 @@ inline ScenarioResult run_scenario(
   }
   ScenarioContext context;
   context.threads = config.threads;
-  context.stream = stream_for(config, label);
-  context.dist = dist;
   ScenarioResult result = spec->factory(params)->run(context);
-  if (!config.is_dist_worker()) {
-    std::printf("%s\n", result.text.c_str());
-    std::fflush(stdout);
-  }
+  std::printf("%s\n", result.text.c_str());
+  std::fflush(stdout);
   return result;
 }
 
@@ -231,8 +123,7 @@ class JsonArtifact {
 /// should be.
 ///
 /// Nothing is printed to stdout (the backend name must not leak into
-/// output that equivalence legs diff); distributed workers never
-/// write (the coordinator's end-to-end timing is the record).
+/// output that equivalence legs diff).
 class PerfRecorder {
  public:
   /// `refresh_command` is the exact baseline-refresh one-liner for this
@@ -244,15 +135,14 @@ class PerfRecorder {
       : artifact_(std::move(artifact)),
         refresh_command_(std::move(refresh_command)),
         dir_(env_string("FTNAV_PERF_DIR", "")),
-        threads_(config.threads),
-        enabled_(!dir_.empty() && !config.is_dist_worker()) {}
+        threads_(config.threads) {}
 
   PerfRecorder(const PerfRecorder&) = delete;
   PerfRecorder& operator=(const PerfRecorder&) = delete;
 
   ~PerfRecorder() {
     const std::vector<perf::Section> sections = perf::drain_sections();
-    if (!enabled_ || sections.empty()) return;
+    if (dir_.empty() || sections.empty()) return;
     std::ofstream out(dir_ + "/BENCH_" + artifact_ + ".json");
     if (!out) return;  // benches never fail on artifact export
     const std::string sha =
@@ -289,7 +179,6 @@ class PerfRecorder {
   std::string refresh_command_;
   std::string dir_;
   int threads_;
-  bool enabled_;
 };
 
 /// BER axis of the Grid World training figures (0.1%..1.0%).

@@ -25,7 +25,7 @@ int main() {
   artifact.add(
       "fig10a",
       run_scenario(
-          "grid-inference-mitigation", "fig10a", config, DistConfig{},
+          "grid-inference-mitigation", config,
           {{"train-episodes",
             std::to_string(config.full_scale ? 1500 : 1000)},
            {"repeats", std::to_string(config.resolve_repeats(60, 1000))},
@@ -37,7 +37,7 @@ int main() {
   artifact.add(
       "fig10b",
       run_scenario(
-          "drone-mitigation", "fig10b", config, DistConfig{},
+          "drone-mitigation", config,
           {{"bers", param_join(drone_bers(config.full_scale))},
            {"repeats", std::to_string(config.resolve_repeats(15, 100))},
            {"seed", std::to_string(config.seed)}}));

@@ -37,23 +37,20 @@ int main() {
                 "(BER, injection episode), %d repeats/cell ---\n",
                 tabular ? 'a' : 'c', policy, repeats);
     artifact.add(tabular ? "fig2a" : "fig2c",
-                 run_scenario("grid-training-transient",
-                              tabular ? "fig2a" : "fig2c", config,
-                              DistConfig{}, grid_overrides));
+                 run_scenario("grid-training-transient", config,
+                              grid_overrides));
 
     std::printf("--- Fig. 2%c (%s): permanent faults from episode 0, "
                 "success rate (%%) by BER ---\n",
                 tabular ? 'a' : 'c', policy);
     artifact.add(tabular ? "fig2a_perm" : "fig2c_perm",
-                 run_scenario("grid-training-permanent",
-                              tabular ? "fig2a-perm" : "fig2c-perm", config,
-                              DistConfig{}, grid_overrides));
+                 run_scenario("grid-training-permanent", config,
+                              grid_overrides));
 
     std::printf("--- Fig. 2%c (%s): trained value histogram & bit stats "
                 "---\n",
                 tabular ? 'b' : 'd', policy);
-    (void)run_scenario("grid-value-histogram", tabular ? "fig2b" : "fig2d",
-                       config, DistConfig{},
+    (void)run_scenario("grid-value-histogram", config,
                        {{"policy", policy},
                         {"episodes", std::to_string(episodes)},
                         {"seed", std::to_string(config.seed)}});

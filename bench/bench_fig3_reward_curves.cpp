@@ -21,9 +21,7 @@ int main() {
     std::printf("--- Fig. 3%c: %s-based approach (%d episodes) ---\n",
                 tabular ? 'a' : 'b', tabular ? "tabular" : "NN", episodes);
     artifact.add(tabular ? "fig3a" : "fig3b",
-                 run_scenario("grid-reward-curves",
-                              tabular ? "fig3a" : "fig3b", config,
-                              DistConfig{},
+                 run_scenario("grid-reward-curves", config,
                               {{"policy", tabular ? "tabular" : "nn"},
                                {"episodes", std::to_string(episodes)},
                                {"seed", std::to_string(config.seed)}}));

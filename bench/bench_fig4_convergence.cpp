@@ -35,8 +35,7 @@ int main() {
                 tabular ? 'a' : 'c', policy, fault_episode, repeats);
     artifact.add(
         tabular ? "fig4a" : "fig4c",
-        run_scenario("grid-convergence-transient",
-                     tabular ? "fig4a" : "fig4c", config, DistConfig{},
+        run_scenario("grid-convergence-transient", config,
                      {{"policy", policy},
                       {"bers", bers},
                       {"fault-episode", std::to_string(fault_episode)},
@@ -53,8 +52,7 @@ int main() {
                 tabular ? 'b' : 'd', policy, extra, early, late);
     artifact.add(
         tabular ? "fig4b" : "fig4d",
-        run_scenario("grid-convergence-permanent",
-                     tabular ? "fig4b" : "fig4d", config, DistConfig{},
+        run_scenario("grid-convergence-permanent", config,
                      {{"policy", policy},
                       {"bers", bers},
                       {"early-episode", std::to_string(early)},
@@ -70,7 +68,7 @@ int main() {
       "threshold (especially stuck-at-1 on the NN). Note: the paper's "
       "tabular learner converges slower than its NN; our exact-Bellman "
       "tabular learner on the deterministic grid converges (and heals) "
-      "faster, so the tabular-vs-NN ordering differs -- see "
-      "EXPERIMENTS.md");
+      "faster, so the tabular-vs-NN ordering differs -- see \"Known "
+      "deviations from the paper\" in README.md");
   return 0;
 }

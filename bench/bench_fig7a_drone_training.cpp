@@ -25,7 +25,7 @@ int main() {
   artifact.add(
       "fig7a",
       run_scenario(
-          "drone-training", "fig7a", config, DistConfig{},
+          "drone-training", config,
           {{"bers",
             param_join(std::vector<double>{1e-4, 1e-3, 1e-2, 1e-1})},
            {"injection-points",

@@ -23,7 +23,7 @@ int main() {
   artifact.add(
       "fig7b",
       run_scenario(
-          "drone-environments", "fig7b", config, DistConfig{},
+          "drone-environments", config,
           {{"bers", param_join(drone_bers(config.full_scale))},
            {"repeats", std::to_string(config.resolve_repeats(15, 100))},
            {"seed", std::to_string(config.seed)}}));

@@ -23,7 +23,7 @@ int main() {
   artifact.add(
       "fig7c",
       run_scenario(
-          "drone-fault-locations", "fig7c", config, DistConfig{},
+          "drone-fault-locations", config,
           {{"bers", param_join(drone_bers(config.full_scale))},
            {"repeats", std::to_string(config.resolve_repeats(15, 100))},
            {"seed", std::to_string(config.seed)}}));

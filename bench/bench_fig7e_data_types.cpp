@@ -24,7 +24,7 @@ int main() {
   artifact.add(
       "fig7e",
       run_scenario(
-          "drone-data-types", "fig7e", config, DistConfig{},
+          "drone-data-types", config,
           {{"bers", param_join(drone_bers(config.full_scale))},
            {"repeats", std::to_string(config.resolve_repeats(15, 100))},
            {"seed", std::to_string(config.seed)}}));

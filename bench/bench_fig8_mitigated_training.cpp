@@ -53,18 +53,15 @@ int main() {
                   mitigated ? "WITH mitigation" : "baseline");
       artifact.add(
           std::string(tabular ? "fig8a" : "fig8b") + "_" + arm,
-          run_scenario("grid-training-transient",
-                       std::string(tabular ? "fig8a" : "fig8b") + "-" + arm,
-                       config, DistConfig{}, overrides(mitigated)));
+          run_scenario("grid-training-transient", config,
+                       overrides(mitigated)));
 
       std::printf("--- permanent faults, %s (%s) ---\n",
                   mitigated ? "WITH mitigation" : "baseline", policy);
       artifact.add(
           std::string(tabular ? "fig8a" : "fig8b") + "_perm_" + arm,
-          run_scenario(
-              "grid-training-permanent",
-              std::string(tabular ? "fig8a" : "fig8b") + "-perm-" + arm,
-              config, DistConfig{}, overrides(mitigated)));
+          run_scenario("grid-training-permanent", config,
+                       overrides(mitigated)));
     }
   }
 
@@ -75,6 +72,6 @@ int main() {
       "gains rely on exploration-starved recovery; our exploring-starts "
       "training self-heals transients regardless of the rate, so the "
       "transient heatmaps show little mitigation delta here -- see "
-      "EXPERIMENTS.md");
+      "\"Known deviations from the paper\" in README.md");
   return 0;
 }

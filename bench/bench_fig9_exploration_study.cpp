@@ -25,9 +25,7 @@ int main() {
     std::printf("--- Fig. 9%c: %s-based approach (%d repeats) ---\n",
                 tabular ? 'a' : 'b', tabular ? "tabular" : "NN", repeats);
     artifact.add(tabular ? "fig9a" : "fig9b",
-                 run_scenario("grid-exploration-study",
-                              tabular ? "fig9a" : "fig9b", config,
-                              DistConfig{},
+                 run_scenario("grid-exploration-study", config,
                               {{"policy", tabular ? "tabular" : "nn"},
                                {"bers", bers},
                                {"episodes", std::to_string(episodes)},

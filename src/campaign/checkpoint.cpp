@@ -77,7 +77,7 @@ void CampaignCheckpoint::save(const std::string& path, const Header& header,
   obs::TraceSpan span("checkpoint_save", "checkpoint", "bytes",
                       payload.size());
 
-  // The directory may not exist yet (FTNAV_CHECKPOINT_DIR pointing at a
+  // The directory may not exist yet (--checkpoint pointing into a
   // fresh scratch path); create it instead of failing the first save.
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();

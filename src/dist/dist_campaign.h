@@ -43,9 +43,9 @@ namespace ftnav {
 
 /// Distribution knob carried by experiment driver configs, mirroring
 /// the `threads` and `stream` knobs. Default-constructed it does
-/// nothing. Front-ends (fault_campaign --workers, FTNAV_WORKERS) fill
-/// it in; drivers pass it to a DistCampaign next to each streamed
-/// campaign call.
+/// nothing. The fault_campaign front-end (run --workers, submit,
+/// attach) fills it in; drivers pass it to a DistCampaign next to each
+/// streamed campaign call.
 struct DistConfig {
   /// Worker processes the coordinator spawned (front-end side). In the
   /// experiment code any value >= 1 together with a queue_addr means
@@ -56,9 +56,9 @@ struct DistConfig {
   /// "host:port" of the campaign server holding the shard queues
   /// (tcp_transport.h); empty turns distribution off. Workers need
   /// only a route to it. The `run` coordinator hosts the server
-  /// in-process (on `--queue-addr`, default 127.0.0.1:0) and the
-  /// bench harness likewise (FTNAV_QUEUE_ADDR); submit/attach point
-  /// here at a standalone daemon (`fault_campaign serve`).
+  /// in-process (on `--queue-addr`, default 127.0.0.1:0);
+  /// submit/attach point here at a standalone daemon
+  /// (`fault_campaign serve`).
   std::string queue_addr;
   /// Session token for an auth-enabled campaign server; presented in
   /// the hello handshake of every connection (--auth-token /

@@ -7,9 +7,8 @@
 // DistConfig::queue_addr is the only shared medium. Its whole job is
 // process lifecycle:
 //
-//   - spawn worker k with the command the front-end builds (typically
-//     the coordinator's own argv plus `--worker-id k --queue-addr A`,
-//     or the same binary with FTNAV_WORKER_ID in the environment);
+//   - spawn worker k with the command the front-end builds (the
+//     coordinator's own argv plus `--worker-id k --queue-addr A`);
 //   - on a worker's non-zero exit (crash, kill, _exit), immediately
 //     reclaim its leases across every campaign on the server
 //     (committed shards move to done, the rest back to todo — see

@@ -51,11 +51,9 @@ struct DroneTrainingCampaignResult {
       : transient(std::move(rows), std::move(cols)) {}
 };
 
-/// Deprecated direct entry point: the scenario registry (src/scenario/,
-/// `fault_campaign run drone-training`) is the front door; this remains
-/// as a compile-compatible shim for downstream code.
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-training")]]
+/// Typed entry point of the `drone-training` scenario: campaigns run
+/// through the scenario registry (src/scenario/, `fault_campaign run
+/// drone-training`), which calls this and renders its result.
 DroneTrainingCampaignResult run_drone_training_campaign(
     const DroneWorld& world, const DroneTrainingCampaignConfig& config);
 
@@ -88,8 +86,6 @@ struct EnvironmentSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [environment][ber]
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-environments")]]
 EnvironmentSweepResult run_environment_sweep(
     const DroneInferenceCampaignConfig& config);
 
@@ -106,8 +102,6 @@ struct LocationSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [location][ber], enum order
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-fault-locations")]]
 LocationSweepResult run_location_sweep(
     const DroneWorld& world, const DroneInferenceCampaignConfig& config);
 
@@ -117,8 +111,6 @@ struct LayerSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [layer][ber]
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-layers")]]
 LayerSweepResult run_layer_sweep(const DroneWorld& world,
                                  const DroneInferenceCampaignConfig& config);
 
@@ -128,8 +120,6 @@ struct DataTypeSweepResult {
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [format][ber]
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-data-types")]]
 DataTypeSweepResult run_data_type_sweep(
     const DroneWorld& world, const DroneInferenceCampaignConfig& config);
 
@@ -140,8 +130,6 @@ struct DroneMitigationResult {
   std::vector<double> mitigated_msf;
   std::uint64_t detections = 0;
 };
-[[deprecated("use the scenario registry: fault_campaign run "
-             "drone-mitigation")]]
 DroneMitigationResult run_drone_mitigation_comparison(
     const DroneWorld& world, const DroneInferenceCampaignConfig& config);
 

@@ -1,9 +1,5 @@
 #include "experiments/grid_inference.h"
 
-// This file *implements* the deprecated direct entry points (the
-// scenario registry calls them); internal cross-calls are fine.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 #include <algorithm>
 #include <stdexcept>
 #include <vector>

@@ -68,11 +68,9 @@ struct InferenceCampaignResult {
   std::uint64_t detections = 0;
 };
 
-/// Deprecated direct entry point: the scenario registry
-/// (src/scenario/, `fault_campaign run grid-inference`) is the front
-/// door; this remains as a compile-compatible shim for downstream code.
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-inference")]]
+/// Typed entry point of the `grid-inference` scenario: campaigns run
+/// through the scenario registry (src/scenario/, `fault_campaign run
+/// grid-inference`), which calls this and renders its result.
 InferenceCampaignResult run_inference_campaign(
     const InferenceCampaignConfig& config);
 
@@ -84,8 +82,6 @@ struct MitigationComparison {
   std::vector<double> mitigated_success;
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-inference-mitigation")]]
 MitigationComparison run_inference_mitigation_comparison(
     const InferenceCampaignConfig& config);
 

@@ -98,11 +98,9 @@ struct TrainingHeatmapConfig {
 
 /// Success rate (%) per (BER, injection episode) cell under transient
 /// faults injected during training.
-/// Deprecated direct entry point: the scenario registry (src/scenario/,
-/// `fault_campaign run grid-training-transient`) is the front door;
-/// this remains as a compile-compatible shim for downstream code.
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-training-transient")]]
+/// Typed entry point of the `grid-training-transient` scenario:
+/// campaigns run through the scenario registry (src/scenario/,
+/// `fault_campaign run`), which calls this and renders its result.
 HeatmapGrid run_transient_training_heatmap(const TrainingHeatmapConfig& config);
 
 // ---- Fig. 2a / 2c (right block): permanent faults in training ----------
@@ -113,8 +111,6 @@ struct PermanentTrainingSweep {
   std::vector<double> stuck_at_1_success;  ///< %
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-training-permanent")]]
 PermanentTrainingSweep run_permanent_training_sweep(
     const TrainingHeatmapConfig& config);
 
@@ -152,8 +148,6 @@ struct TransientConvergenceResult {
   std::vector<double> failure_fraction;  ///< runs that never re-converged
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-convergence-transient")]]
 TransientConvergenceResult run_transient_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int fault_episode,
     int max_extra_episodes, int repeats, std::uint64_t seed,
@@ -170,8 +164,6 @@ struct PermanentConvergenceResult {
   std::vector<double> sa1_late;
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-convergence-permanent")]]
 PermanentConvergenceResult run_permanent_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int early_episode,
     int late_episode, int extra_episodes, int repeats, std::uint64_t seed,
@@ -187,8 +179,6 @@ struct ExplorationStudyRow {
   double mean_recovery_episodes = 0.0;  ///< transient only; -1 if n/a
 };
 
-[[deprecated("use the scenario registry: fault_campaign run "
-             "grid-exploration-study")]]
 std::vector<ExplorationStudyRow> run_exploration_study(
     GridPolicyKind kind, const std::vector<double>& bers, int episodes,
     int repeats, std::uint64_t seed, int threads = 0);

@@ -14,10 +14,6 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-// The registry is the front door; the experiment drivers it wraps are
-// deprecated for direct use but remain the implementation underneath.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 namespace ftnav {
 namespace {
 

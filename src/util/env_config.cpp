@@ -30,15 +30,7 @@ BenchConfig bench_config_from_env() {
   config.repeats = static_cast<int>(env_int("FTNAV_REPEATS", 0));
   config.full_scale = env_int("FTNAV_FULL", 0) != 0;
   config.threads = static_cast<int>(env_int("FTNAV_THREADS", 0));
-  config.progress_every = static_cast<int>(env_int("FTNAV_PROGRESS", 0));
-  config.checkpoint_dir = env_string("FTNAV_CHECKPOINT_DIR", "");
-  config.resume = env_int("FTNAV_RESUME", 0) != 0;
   config.json_dir = env_string("FTNAV_JSON_DIR", "");
-  config.workers = static_cast<int>(env_int("FTNAV_WORKERS", 0));
-  config.queue_addr = env_string("FTNAV_QUEUE_ADDR", "");
-  config.lease_batch = static_cast<int>(env_int("FTNAV_LEASE_BATCH", 0));
-  config.worker_id = static_cast<int>(env_int("FTNAV_WORKER_ID", -1));
-  config.auth_token = env_string("FTNAV_AUTH_TOKEN", "");
   return config;
 }
 
@@ -55,19 +47,9 @@ std::string describe(const BenchConfig& config) {
       << " scale=" << (config.full_scale ? "full(paper)" : "fast")
       << " threads=" << (config.threads > 0 ? std::to_string(config.threads)
                                             : std::string("auto"));
-  if (config.progress_every > 0)
-    out << " progress=" << config.progress_every;
-  if (!config.checkpoint_dir.empty())
-    out << " checkpoints=" << config.checkpoint_dir
-        << (config.resume ? " (resume)" : "");
   if (!config.json_dir.empty()) out << " json=" << config.json_dir;
-  // FTNAV_WORKERS is deliberately absent here: only benches that wire
-  // bench_dist() honor it, and those announce the distributed run on
-  // stderr themselves — the banner must never claim a distributed run
-  // a bench did not perform.
   out << "  [override with FTNAV_SEED / FTNAV_REPEATS / FTNAV_FULL=1 / "
-         "FTNAV_THREADS / FTNAV_PROGRESS / FTNAV_CHECKPOINT_DIR / "
-         "FTNAV_RESUME=1 / FTNAV_JSON_DIR / FTNAV_WORKERS]";
+         "FTNAV_THREADS / FTNAV_JSON_DIR]";
   return out.str();
 }
 
@@ -77,16 +59,9 @@ const std::vector<EnvKnob>& declared_env_knobs() {
       {"FTNAV_REPEATS", "override per-cell repeat count"},
       {"FTNAV_FULL", "run paper-scale sweeps"},
       {"FTNAV_THREADS", "campaign worker threads"},
-      {"FTNAV_PROGRESS", "streamed progress cadence in trials"},
-      {"FTNAV_CHECKPOINT_DIR", "campaign checkpoint directory"},
-      {"FTNAV_RESUME", "resume from existing checkpoints"},
       {"FTNAV_JSON_DIR", "JSON table artifact directory"},
-      {"FTNAV_WORKERS", "distributed worker processes"},
-      {"FTNAV_QUEUE_ADDR", "campaign-server host:port for FTNAV_WORKERS"},
-      {"FTNAV_LEASE_BATCH", "shards leased per claim round-trip"},
       {"FTNAV_COST_PROFILE",
        "machine-profile JSON for the analytic cost model"},
-      {"FTNAV_WORKER_ID", "set by the coordinator in worker processes"},
       {"FTNAV_AUTH_TOKEN", "campaign-server session token"},
       {"FTNAV_SERVER", "default campaign-server host:port for "
                        "submit/status/attach"},

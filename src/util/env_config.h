@@ -1,38 +1,21 @@
 #pragma once
-// Environment-variable experiment knobs shared by every bench binary.
+// Environment-variable knobs: the bench harness's (seed, repeats,
+// scale, threads, JSON export), read into BenchConfig, plus the
+// process-wide ones the library and the fault_campaign CLI read.
+// Sharding, checkpointing, resume and progress have no knobs here:
+// they are `fault_campaign run` flags.
 //
 //   FTNAV_REPEATS         override per-cell repeat count
 //   FTNAV_SEED            override the campaign seed
 //   FTNAV_FULL=1          run paper-scale sweeps (denser grids, more repeats)
 //   FTNAV_THREADS         campaign worker threads (0 = hardware_concurrency;
 //                         results are identical for every value)
-//   FTNAV_PROGRESS        emit streamed progress every N trials (0 = off)
-//   FTNAV_CHECKPOINT_DIR  periodically checkpoint campaigns into this
-//                         directory (must exist); empty = off
-//   FTNAV_RESUME=1        resume from the checkpoints in
-//                         FTNAV_CHECKPOINT_DIR instead of restarting
 //   FTNAV_JSON_DIR        also write each table as JSON into this
 //                         directory (CI uploads these as artifacts)
-//   FTNAV_WORKERS         distributed campaign worker processes; the
-//                         bench hosts a campaign server in-process,
-//                         re-execs itself that many times in worker
-//                         mode and merges their partial checkpoints
-//                         (results identical to a single-process run;
-//                         see src/dist/). Honored by benches that call
-//                         bench_dist() — see bench/bench_common.h —
-//                         and ignored elsewhere
-//   FTNAV_QUEUE_ADDR      host:port the FTNAV_WORKERS coordinator binds
-//                         its campaign server to (default 127.0.0.1:0:
-//                         loopback, port 0 picks a free port); workers
-//                         receive the resolved address here
-//   FTNAV_LEASE_BATCH     shards leased per claim round-trip (>= 1;
-//                         results identical for every value)
 //   FTNAV_COST_PROFILE    path to a machine-profile JSON
 //                         (ftnav-machine-profile-v1) calibrating the
 //                         analytic cost model's rates; empty = builtin
 //                         defaults. See src/cost/
-//   FTNAV_WORKER_ID       set by the coordinator in worker processes;
-//                         not meant to be set by hand
 //   FTNAV_AUTH_TOKEN      session token for an auth-enabled campaign
 //                         server (fault_campaign serve --auth-token);
 //                         presented in the hello handshake of every
@@ -81,25 +64,13 @@ struct BenchConfig {
   int repeats = 0;        // 0 means "use the bench's default"
   bool full_scale = false;
   int threads = 0;        // 0 means "hardware_concurrency"
-  int progress_every = 0; // streamed progress cadence in trials; 0 = off
-  std::string checkpoint_dir;  // campaign checkpoints land here; "" = off
-  bool resume = false;         // resume from existing checkpoints
-  std::string json_dir;        // JSON table artifacts land here; "" = off
-  int workers = 0;             // distributed worker processes; 0 = off
-  std::string queue_addr;      // campaign-server host:port; "" = loopback
-  int lease_batch = 0;         // shards per claim round-trip; 0 = default
-  int worker_id = -1;          // >= 0 marks a spawned worker process
-  std::string auth_token;      // campaign-server session token; "" = none
+  std::string json_dir;   // JSON table artifacts land here; "" = off
 
   /// Repeat count to use given the bench's fast-mode default.
   int resolve_repeats(int fast_default, int full_default) const;
-
-  /// True in a bench process the coordinator spawned in worker mode
-  /// (benches skip result printing there; the coordinator prints).
-  bool is_dist_worker() const { return worker_id >= 0; }
 };
 
-/// Reads the FTNAV_* knobs above from the environment.
+/// Reads the bench harness's FTNAV_* knobs from the environment.
 BenchConfig bench_config_from_env();
 
 /// String environment variable with fallback (unset -> fallback).

@@ -86,7 +86,8 @@ TEST(GridTraining, MitigationImprovesPermanentFaultTraining) {
   // controller reverts to high exploration with slowed decay, letting
   // the agent route around broken cells. (Transient faults in our
   // exploring-starts training regime self-heal regardless of the
-  // exploration rate -- see EXPERIMENTS.md.)
+  // exploration rate -- see "Known deviations from the paper" in
+  // README.md.)
   int baseline = 0, mitigated = 0;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     GridTrainSpec spec;
