@@ -338,8 +338,8 @@ InferenceCampaignResult run_inference_campaign(
         merge_accums, stream);
   } else {
     // --- NN path (through the quantized inference engine) --------------
-    // Snapshot the trained network once: MlpQAgent::network() commits
-    // the quantized buffer and must not run concurrently.
+    // The golden network every shard's engine is built from: the
+    // trained agent's float view of its quantized buffer.
     const Network golden_net = trained.mlp->network();
     const QFormat format = trained.mlp->weights().format();
     const Shape input_shape{trained.env.state_count(), 1, 1};

@@ -251,6 +251,22 @@ Tensor Dense::forward(const Tensor& input) {
   return out;
 }
 
+Tensor Dense::forward_one_hot(const Tensor& one_hot, std::size_t hot) {
+  (void)output_shape(one_hot.shape());
+  if (hot >= static_cast<std::size_t>(in_features_))
+    throw std::invalid_argument(
+        "Dense::forward_one_hot: hot index out of range");
+  cached_input_ = one_hot;
+  Tensor out(Shape{out_features_, 1, 1});
+  const float* bias = params_.data() + (params_.size() - out_features_);
+  // dense_scalar's chain acc = bias; acc += row[i] * x[i] adds +-0 for
+  // every cold input, which leaves a finite, non-(-0.0) sum unchanged.
+  for (int o = 0; o < out_features_; ++o)
+    out[static_cast<std::size_t>(o)] =
+        bias[o] + params_[static_cast<std::size_t>(o) * in_features_ + hot];
+  return out;
+}
+
 Tensor Dense::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("Dense::backward before forward");

@@ -151,6 +151,14 @@ class Dense final : public Layer {
   LayerKind kind() const noexcept override { return LayerKind::kDense; }
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& input) override;
+  /// forward() for a one-hot input (`one_hot[hot]` is 1, every other
+  /// element 0): out[o] = bias[o] + W[o][hot], one weight column
+  /// instead of the full mat-vec. The input is cached, so backward()
+  /// applies unchanged. Equals forward() bit for bit when every
+  /// parameter is finite and none is -0.0, which holds for values
+  /// decoded from a QFormat; the caller guarantees that and the
+  /// one-hot shape.
+  Tensor forward_one_hot(const Tensor& one_hot, std::size_t hot);
   Tensor backward(const Tensor& grad_output) override;
   std::span<float> parameters() override { return params_; }
   std::span<const float> parameters() const override { return params_; }

@@ -1,8 +1,28 @@
 #include "rl/mlp_q.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <stdexcept>
 
 namespace ftnav {
+namespace {
+
+/// The master update scans gradients in blocks of this many floats.
+/// Most blocks are all +0.0 (FC1's one-hot input grades one column);
+/// one OR over a block's bit patterns, which the fixed size lets the
+/// compiler vectorize, skips such a block.
+constexpr std::size_t kGradBlock = 16;
+
+bool all_positive_zero(const float* block) {
+  std::uint32_t bits = 0;
+  for (std::size_t k = 0; k < kGradBlock; ++k)
+    bits |= std::bit_cast<std::uint32_t>(block[k]);
+  return bits == 0;
+}
+
+}  // namespace
 
 MlpQAgent::MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng)
     : env_(&env), config_(config) {
@@ -10,15 +30,23 @@ MlpQAgent::MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng)
     throw std::invalid_argument("MlpQConfig: hidden_units must be positive");
   if (config.learning_rate <= 0.0)
     throw std::invalid_argument("MlpQConfig: bad learning rate");
-  net_.add(std::make_unique<Dense>(env.state_count(), config.hidden_units,
-                                   rng))
-      .set_label("FC1");
+  auto fc1 =
+      std::make_unique<Dense>(env.state_count(), config.hidden_units, rng);
+  fc1_ = fc1.get();
+  net_.add(std::move(fc1)).set_label("FC1");
   net_.add(std::make_unique<ReLU>());
   net_.add(std::make_unique<Dense>(config.hidden_units,
                                    GridWorld::action_count(), rng))
       .set_label("FC2");
+  std::size_t offset = 0;
+  for (const std::size_t index : net_.parametered_layers()) {
+    Layer& layer = net_.layer(index);
+    slices_.push_back({offset, layer.parameters(), layer.gradients(), {}});
+    offset += layer.parameters().size();
+  }
   master_ = net_.snapshot_parameters();
-  weights_ = QVector(config.format, std::span<const float>(master_));
+  weights_ = QVector(config.format, master_.size());
+  queue_all();
   commit();
 }
 
@@ -31,11 +59,25 @@ Tensor MlpQAgent::encode_state(int state) const {
 }
 
 void MlpQAgent::commit() {
-  weights_.encode_from(std::span<const float>(master_));
+  const QFormat& format = weights_.format();
+  const std::span<Word> words = weights_.words();
+  for (const ParamSlice& slice : slices_)
+    for (const std::size_t i : slice.queued)
+      words[slice.offset + i] = format.encode(master_[slice.offset + i]);
   stuck_.apply(weights_);
-  scratch_.resize(weights_.size());
-  weights_.decode_into(scratch_);
-  net_.restore_parameters(scratch_);
+  for (ParamSlice& slice : slices_) {
+    for (const std::size_t i : slice.queued)
+      slice.params[i] =
+          static_cast<float>(format.decode(words[slice.offset + i]));
+    slice.queued.clear();
+  }
+}
+
+void MlpQAgent::queue_all() {
+  for (ParamSlice& slice : slices_) {
+    slice.queued.resize(slice.params.size());
+    std::iota(slice.queued.begin(), slice.queued.end(), std::size_t{0});
+  }
 }
 
 int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
@@ -43,7 +85,7 @@ int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
   // Order matters for layer caches: compute the bootstrap target from
   // the next state FIRST, then run the forward pass for `state` so the
   // caches backward consumes belong to the graded input.
-  const Tensor q_probe = net_.forward(encode_state(state));
+  const Tensor q_probe = q_values(state);
   const int action =
       rng.bernoulli(epsilon)
           ? static_cast<int>(rng.below(GridWorld::action_count()))
@@ -53,35 +95,57 @@ int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
 
   double target = result.reward * config_.reward_scale;
   if (!result.done) {
-    const Tensor next_q = net_.forward(encode_state(result.next_state));
+    const Tensor next_q = q_values(result.next_state);
     target += config_.gamma * static_cast<double>(next_q.max_value());
   }
-  const Tensor q = net_.forward(encode_state(state));
+  const Tensor q = q_values(state);
   Tensor grad(static_cast<std::size_t>(GridWorld::action_count()));
   grad[static_cast<std::size_t>(action)] = static_cast<float>(
       static_cast<double>(q[static_cast<std::size_t>(action)]) - target);
   net_.backward(grad);
   // Straight-through update: gradients w.r.t. quantized weights are
   // applied to the float master, then re-quantized into the buffer.
-  grad_scratch_.resize(master_.size());
-  net_.copy_gradients_into(grad_scratch_);
-  for (std::size_t i = 0; i < master_.size(); ++i)
-    master_[i] -= static_cast<float>(config_.learning_rate) *
-                  grad_scratch_[i];
-  net_.zero_gradients();
+  update_masters();
   commit();
   return action;
 }
 
+void MlpQAgent::update_masters() {
+  // A +0.0 gradient (the cleared state) leaves m - lr * g equal to m
+  // bit for bit, so skipping it matches updating every word.
+  const auto lr = static_cast<float>(config_.learning_rate);
+  for (ParamSlice& slice : slices_) {
+    float* master = master_.data() + slice.offset;
+    const std::span<float> grads = slice.gradients;
+    for (std::size_t base = 0; base < grads.size(); base += kGradBlock) {
+      const std::size_t end = std::min(grads.size(), base + kGradBlock);
+      if (end - base == kGradBlock && all_positive_zero(&grads[base]))
+        continue;
+      for (std::size_t i = base; i < end; ++i) {
+        const float g = grads[i];
+        if (std::bit_cast<std::uint32_t>(g) == 0) continue;
+        const float updated = master[i] - lr * g;
+        if (std::bit_cast<std::uint32_t>(updated) !=
+            std::bit_cast<std::uint32_t>(master[i]))
+          slice.queued.push_back(i);
+        master[i] = updated;
+        grads[i] = 0.0f;
+      }
+    }
+  }
+}
+
 Tensor MlpQAgent::q_values(int state) {
-  return net_.forward(encode_state(state));
+  Tensor x = fc1_->forward_one_hot(encode_state(state),
+                                   static_cast<std::size_t>(state));
+  for (std::size_t i = 1; i < net_.layer_count(); ++i)
+    x = net_.layer(i).forward(x);
+  return x;
 }
 
 int MlpQAgent::greedy_action(int state) {
   return static_cast<int>(q_values(state).argmax());
 }
-
-const Network& MlpQAgent::network() { return net_; }
 
 double MlpQAgent::run_training_episode(double epsilon, Rng& rng) {
   int state = env_->source_state();
@@ -134,7 +198,13 @@ double MlpQAgent::evaluate_return() {
 
 void MlpQAgent::set_stuck(const StuckAtMask& mask) {
   stuck_ = mask;
+  queue_all();
   commit();
+}
+
+void MlpQAgent::clear_stuck() {
+  stuck_ = StuckAtMask();
+  queue_all();
 }
 
 void MlpQAgent::inject_transient(const FaultMap& map) {
@@ -144,16 +214,24 @@ void MlpQAgent::inject_transient(const FaultMap& map) {
   map.apply_once(weights_.words());
   stuck_.apply(weights_);
   // The upset corrupted the stored weights: propagate the faulty values
-  // into the float master so training continues from the damage (and
-  // can heal it), exactly like retraining on faulty silicon.
+  // into the float master and the network so training continues from
+  // the damage (and can heal it), exactly like retraining on faulty
+  // silicon. A hit word need not round-trip (a sign flip on zero
+  // stores 0x80, which decodes to 0 and encodes back to 0x00), so it
+  // is queued for the next commit to re-encode, as a full commit would.
   for (const FaultSite& site : map.sites()) {
-    if (site.word_index < weights_.size())
-      master_[site.word_index] =
-          static_cast<float>(weights_.get(site.word_index));
+    if (site.word_index >= weights_.size()) continue;
+    const auto value = static_cast<float>(weights_.get(site.word_index));
+    master_[site.word_index] = value;
+    for (ParamSlice& slice : slices_) {
+      if (site.word_index < slice.offset ||
+          site.word_index >= slice.offset + slice.params.size())
+        continue;
+      const std::size_t i = site.word_index - slice.offset;
+      slice.params[i] = value;
+      slice.queued.push_back(i);
+    }
   }
-  scratch_.resize(weights_.size());
-  weights_.decode_into(scratch_);
-  net_.restore_parameters(scratch_);
 }
 
 }  // namespace ftnav

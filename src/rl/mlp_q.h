@@ -13,6 +13,10 @@
 //   * stuck-at bits are re-enforced on the buffer after every write, so
 //     the learner can only route around them, never overwrite them.
 
+#include <cstddef>
+#include <span>
+#include <vector>
+
 #include "core/fault_model.h"
 #include "core/injector.h"
 #include "envs/gridworld.h"
@@ -44,6 +48,12 @@ class MlpQAgent {
   MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng);
   /// The agent keeps a pointer to the env; forbid binding a temporary.
   MlpQAgent(GridWorld&&, MlpQConfig, Rng&) = delete;
+  /// The agent keeps views into its network's layers. The layers are
+  /// heap-owned, so a move keeps the views valid; a copy would not.
+  MlpQAgent(const MlpQAgent&) = delete;
+  MlpQAgent& operator=(const MlpQAgent&) = delete;
+  MlpQAgent(MlpQAgent&&) = default;
+  MlpQAgent& operator=(MlpQAgent&&) = default;
 
   const GridWorld& env() const noexcept { return *env_; }
   const MlpQConfig& config() const noexcept { return config_; }
@@ -52,7 +62,9 @@ class MlpQAgent {
   Tensor encode_state(int state) const;
 
   /// Q-values for a state, computed from the (possibly faulty)
-  /// quantized weight buffer.
+  /// quantized weight buffer. FC1 runs as Dense::forward_one_hot: the
+  /// network only ever holds decoded words (finite, never -0.0), so
+  /// this equals network().forward(encode_state(state)) bit for bit.
   Tensor q_values(int state);
   int greedy_action(int state);
 
@@ -64,22 +76,44 @@ class MlpQAgent {
   double evaluate_return();
 
   // ---- fault hooks ---------------------------------------------------
+  /// Faults go through the hooks below. A word written directly into
+  /// weights() is only overwritten when that word is next committed
+  /// (set_stuck commits every word).
   QVector& weights() noexcept { return weights_; }
   const QVector& weights() const noexcept { return weights_; }
   void set_stuck(const StuckAtMask& mask);
   void inject_transient(const FaultMap& map);
-  void clear_stuck() { stuck_ = StuckAtMask(); }
+  /// Drops the stuck bits; the buffer sheds them at the next commit.
+  void clear_stuck();
 
   /// The float network view of the current (quantized, faulty) buffer;
   /// used to hand the trained policy to the inference engine.
-  const Network& network();
+  const Network& network() const noexcept { return net_; }
 
   std::size_t weight_count() const noexcept { return weights_.size(); }
 
  private:
-  /// Encodes master -> buffer, enforces stuck bits, decodes buffer into
-  /// the network (the network always sees accelerator truth).
+  /// One parametered layer's slice of the flat master/buffer order.
+  struct ParamSlice {
+    std::size_t offset = 0;           // first flat index of the slice
+    std::span<float> params;          // the layer's parameters
+    std::span<float> gradients;       // and its gradient accumulator
+    std::vector<std::size_t> queued;  // slice indices awaiting commit
+  };
+
+  /// Encodes the queued master words into the buffer, re-applies the
+  /// stuck bits, and decodes the queued words into their layers (the
+  /// network always sees accelerator truth). Invariant between
+  /// commits: every unqueued word equals stuck(encode(master)), so
+  /// re-applying the mask leaves it alone and a full re-encode would
+  /// change nothing.
   void commit();
+  /// Queues every word for the next commit.
+  void queue_all();
+  /// Applies each nonzero gradient to its float master (the same
+  /// m -= lr * g as a full SGD step), clears it, and queues the words
+  /// whose master bits changed.
+  void update_masters();
 
   /// One TD(0) step from `state`: act, learn, commit. Returns the
   /// action; fills the env result and reward.
@@ -89,11 +123,11 @@ class MlpQAgent {
   const GridWorld* env_;
   MlpQConfig config_;
   Network net_;
+  Dense* fc1_ = nullptr;  // net_'s first layer (one-hot input)
+  std::vector<ParamSlice> slices_;
   std::vector<float> master_;  // float master weights (SGD accumulator)
   QVector weights_;            // quantized accelerator buffer
   StuckAtMask stuck_;
-  std::vector<float> scratch_;
-  std::vector<float> grad_scratch_;
 };
 
 }  // namespace ftnav

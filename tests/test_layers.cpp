@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
+#include "fixed/qformat.h"
 #include "nn/layers.h"
 
 namespace ftnav {
@@ -297,6 +300,48 @@ TEST(Dense, GradientCheckParams) {
   Rng rng(16);
   Dense dense(5, 3, rng);
   check_param_gradient(dense, random_tensor(Shape{5, 1, 1}, rng));
+}
+
+TEST(Dense, OneHotForwardMatchesForwardOnDecodedWeights) {
+  // Parameters decoded from every word of the Grid World weight format
+  // (0x80, the sign-magnitude "-0", decodes to +0.0): forward_one_hot
+  // must equal the full mat-vec bit for bit, and leave the same cache
+  // for backward.
+  Rng rng(20);
+  Dense dense(20, 13, rng);  // 273 parameters
+  const QFormat fmt = QFormat::grid_world_weights();
+  // 37 is odd, so i * 37 mod 256 meets every 8-bit word as i runs
+  // over any 256 consecutive values.
+  const std::span<float> params = dense.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i)
+    params[i] = static_cast<float>(
+        fmt.decode(static_cast<Word>(i * 37 % (fmt.word_mask() + 1))));
+  Dense reference(dense);
+  Tensor grad_out(Shape{13, 1, 1});
+  for (std::size_t o = 0; o < grad_out.size(); ++o)
+    grad_out[o] = static_cast<float>(rng.normal(0.0, 1.0));
+  for (std::size_t k = 0; k < 20; ++k) {
+    Tensor e_k(Shape{20, 1, 1});
+    e_k[k] = 1.0f;
+    const Tensor fast = dense.forward_one_hot(e_k, k);
+    const Tensor full = reference.forward(e_k);
+    for (std::size_t o = 0; o < full.size(); ++o)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(fast[o]),
+                std::bit_cast<std::uint32_t>(full[o]))
+          << "hot " << k << ", output " << o;
+    const Tensor fast_in = dense.backward(grad_out);
+    const Tensor full_in = reference.backward(grad_out);
+    for (std::size_t i = 0; i < full_in.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(fast_in[i]),
+                std::bit_cast<std::uint32_t>(full_in[i]));
+  }
+  const auto fast_grads = dense.gradients();
+  const auto full_grads = reference.gradients();
+  for (std::size_t i = 0; i < full_grads.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(fast_grads[i]),
+              std::bit_cast<std::uint32_t>(full_grads[i]));
+  EXPECT_THROW(dense.forward_one_hot(Tensor(Shape{20, 1, 1}), 20),
+               std::invalid_argument);
 }
 
 TEST(Layers, CloneIsDeepForParams) {

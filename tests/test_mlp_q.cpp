@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "rl/mlp_q.h"
 
 namespace ftnav {
@@ -26,6 +30,13 @@ MlpQAgent train_agent(const GridWorld& world, int episodes,
     agent.run_training_episode(epsilon, rng);
   }
   return agent;
+}
+
+/// Bit patterns of floats, so comparisons tell -0.0 from +0.0.
+std::vector<std::uint32_t> bits_of(std::span<const float> values) {
+  std::vector<std::uint32_t> bits;
+  for (const float v : values) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
 }
 
 TEST(MlpQ, RejectsBadConfig) {
@@ -116,12 +127,82 @@ TEST(MlpQ, StuckBitsSurviveTrainingUpdates) {
 TEST(MlpQ, NetworkViewMatchesBuffer) {
   const GridWorld world = simple_world();
   MlpQAgent agent = train_agent(world, 60, 15);
-  const auto params = const_cast<MlpQAgent&>(agent).network()
-                          .snapshot_parameters();
+  const auto params = agent.network().snapshot_parameters();
   ASSERT_EQ(params.size(), agent.weights().size());
   for (std::size_t i = 0; i < params.size(); ++i)
     EXPECT_FLOAT_EQ(params[i],
                     static_cast<float>(agent.weights().get(i)));
+}
+
+TEST(MlpQ, FullRecommitChangesNothing) {
+  // A TD step re-encodes only the words it changed. After any episode a
+  // full re-encode (set_stuck with the current mask re-commits every
+  // word) must therefore leave the buffer and the network untouched --
+  // also after a sign flip on zero words, which stores 0x80: it decodes
+  // to 0 but re-encodes to 0x00, so only a queued re-commit repairs it;
+  // and after clear_stuck, whose stuck bits every word must shed.
+  const GridWorld world = simple_world();
+  Rng rng(23);
+  MlpQAgent agent(world, MlpQConfig{}, rng);
+  const QFormat fmt = agent.weights().format();
+  const auto sign_bit = static_cast<std::uint8_t>(fmt.sign_bit());
+  StuckAtMask mask;
+  constexpr int kEpisodes = 120;
+  for (int episode = 0; episode < kEpisodes; ++episode) {
+    if (episode == 30) {
+      std::vector<FaultSite> sites;
+      for (std::size_t i = 0; i < agent.weights().size(); ++i)
+        if (agent.weights().word(i) == 0)
+          sites.push_back(FaultSite{static_cast<std::uint32_t>(i), sign_bit});
+      ASSERT_FALSE(sites.empty());
+      agent.inject_transient(FaultMap(FaultType::kTransientFlip, sites));
+    }
+    if (episode == 60) {
+      Rng fault_rng(29);
+      mask = StuckAtMask::compile(
+          FaultMap::sample(FaultType::kStuckAt1, 0.01, agent.weights().size(),
+                           fmt.total_bits(), fault_rng));
+      agent.set_stuck(mask);
+    }
+    if (episode == 90) {
+      mask = StuckAtMask();
+      agent.clear_stuck();
+    }
+    agent.run_training_episode(
+        std::max(0.05, 1.0 - episode / (kEpisodes * 0.6)), rng);
+    const std::vector<Word> words(agent.weights().words().begin(),
+                                  agent.weights().words().end());
+    const auto params = bits_of(agent.network().snapshot_parameters());
+    agent.set_stuck(mask);
+    const std::vector<Word> recommitted(agent.weights().words().begin(),
+                                        agent.weights().words().end());
+    ASSERT_EQ(words, recommitted) << "episode " << episode;
+    ASSERT_EQ(params, bits_of(agent.network().snapshot_parameters()))
+        << "episode " << episode;
+  }
+}
+
+TEST(MlpQ, OneHotForwardMatchesGenericForward) {
+  // q_values runs FC1 as one weight column; the generic mat-vec over the
+  // same (faulty) network is the reference, compared bit for bit.
+  const GridWorld world = simple_world();
+  MlpQAgent agent = train_agent(world, 150, 31);
+  Rng fault_rng(37);
+  const QFormat fmt = agent.weights().format();
+  agent.set_stuck(StuckAtMask::compile(
+      FaultMap::sample(FaultType::kStuckAt1, 0.01, agent.weights().size(),
+                       fmt.total_bits(), fault_rng)));
+  // Injected last, so the flipped words are still in the buffer.
+  agent.inject_transient(
+      FaultMap::sample(FaultType::kTransientFlip, 0.05, agent.weights().size(),
+                       fmt.total_bits(), fault_rng));
+  Network reference(agent.network());
+  for (int s = 0; s < world.state_count(); ++s) {
+    const Tensor fast = agent.q_values(s);
+    const Tensor generic = reference.forward(agent.encode_state(s));
+    EXPECT_EQ(bits_of(fast.values()), bits_of(generic.values()))
+        << "state " << s;
+  }
 }
 
 TEST(MlpQ, GreedyActionIsArgmax) {
