@@ -71,13 +71,11 @@ std::string inference_stream_tag(const std::string& base,
 /// Shared shape of the Fig. 7c-e sweeps: a (row, BER) cell grid where
 /// each cell runs `config.repeats` rollouts on an engine acquired from
 /// the shard's resident cache — `engine_key(row)` names the slot (rows
-/// needing differently-configured engines get distinct keys),
-/// `engine_for(row)` builds it, and the FTNAV_TRIAL_BATCH policy says
-/// when to rebuild (0 = resident, 1 = legacy fresh engine per cell,
-/// k = every k cells). reset_faults()'s golden restore keeps every
-/// policy bit-identical. `arm(row, ber, engine, rng)` draws the cell's
-/// fault instance per repeat. Cells at BER <= 0 share one fixed
-/// baseline stream so every row reports identical fault-free rollouts.
+/// needing differently-configured engines get distinct keys) and
+/// `engine_for(row)` builds it on first use. `arm(row, ber, engine,
+/// rng)` draws the cell's fault instance per repeat. Cells at BER <= 0
+/// share one fixed baseline stream so every row reports identical
+/// fault-free rollouts.
 template <typename EngineFor, typename KeyFn, typename ArmFn>
 std::vector<std::vector<double>> sweep_msf_grid(
     const DroneInferenceCampaignConfig& config, std::uint64_t tag,
@@ -90,7 +88,6 @@ std::vector<std::vector<double>> sweep_msf_grid(
       "drone-sweep/" + std::to_string(tag), config, &world);
   CampaignStreamConfig stream = config.stream;
   DistCampaign dist(config.dist, stream_tag, stream);
-  const int trial_batch = resolve_trial_batch(config.trial_batch);
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map_streamed_scratch(
       stream_tag, row_count * ber_count, config.seed ^ tag,
@@ -98,8 +95,8 @@ std::vector<std::vector<double>> sweep_msf_grid(
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
         const std::size_t row = trial / ber_count;
         const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine = engines.acquire(
-            engine_key(row), trial_batch, [&] { return engine_for(row); });
+        QuantizedInferenceEngine& engine =
+            engines.acquire(engine_key(row), [&] { return engine_for(row); });
         Rng rng = ber <= 0.0 ? Rng(config.seed ^ 0xb05e) : trial_rng;
         return msf_with_faults(
             engine, world, env_config, config.repeats, rng,
@@ -295,7 +292,6 @@ EnvironmentSweepResult run_environment_sweep(
       inference_stream_tag("drone-env-sweep", config, nullptr);
   CampaignStreamConfig stream = config.stream;
   DistCampaign dist(config.dist, stream_tag, stream);
-  const int trial_batch = resolve_trial_batch(config.trial_batch);
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map_streamed_scratch(
       stream_tag, worlds.size() * ber_count, config.seed ^ 0x7b,
@@ -303,12 +299,11 @@ EnvironmentSweepResult run_environment_sweep(
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
         const std::size_t env = trial / ber_count;
         const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine =
-            engines.acquire(env, trial_batch, [&] {
-              return std::make_unique<QuantizedInferenceEngine>(
-                  bundles[env].network, QFormat::drone_weights(),
-                  bundles[env].c3f2.input_shape());
-            });
+        QuantizedInferenceEngine& engine = engines.acquire(env, [&] {
+          return std::make_unique<QuantizedInferenceEngine>(
+              bundles[env].network, QFormat::drone_weights(),
+              bundles[env].c3f2.input_shape());
+        });
         Rng rng = ber <= 0.0 ? Rng(config.seed ^ (0xb05e + env + 1))
                              : trial_rng;
         return msf_with_faults(
@@ -458,7 +453,6 @@ DroneMitigationResult run_drone_mitigation_comparison(
       inference_stream_tag("drone-mitigation", config, &world);
   CampaignStreamConfig stream = config.stream;
   DistCampaign dist(config.dist, stream_tag, stream);
-  const int trial_batch = resolve_trial_batch(config.trial_batch);
   const double trials_started = perf::now();
   const std::vector<Cell> cells = runner.map_streamed_scratch(
       stream_tag, 2 * ber_count, config.seed ^ 0x7f,
@@ -466,8 +460,8 @@ DroneMitigationResult run_drone_mitigation_comparison(
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
         const bool mitigated = trial >= ber_count;
         const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine = engines.acquire(
-            mitigated ? 1 : 0, trial_batch, [&] {
+        QuantizedInferenceEngine& engine =
+            engines.acquire(mitigated ? 1 : 0, [&] {
               auto built = std::make_unique<QuantizedInferenceEngine>(
                   bundle.network, QFormat::drone_weights(),
                   bundle.c3f2.input_shape());

@@ -67,12 +67,6 @@ struct DroneInferenceCampaignConfig {
   /// Campaign worker threads; <= 0 selects hardware_concurrency.
   /// Results are bit-identical for every value (see src/campaign/).
   int threads = 0;
-  /// Engine reuse policy for the trial grid: 0 = shard-resident
-  /// engines (fast default), 1 = legacy fresh engine per sweep cell,
-  /// k = rebuild every k cells, negative = defer to FTNAV_TRIAL_BATCH.
-  /// Bit-identical results for every value (reset_faults() restores
-  /// the golden word image; see nn/engine_slot.h).
-  int trial_batch = -1;
   /// Streaming progress + checkpoint/resume for the trial grid
   /// (policy training is not checkpointed and re-runs on resume).
   CampaignStreamConfig stream;

@@ -7,11 +7,9 @@
 #include "campaign/campaign_runner.h"
 #include "core/anomaly_detector.h"
 #include "core/injector.h"
-#include "nn/engine_slot.h"
 #include "nn/quantized_engine.h"
 #include "rl/mlp_q.h"
 #include "rl/tabular_q.h"
-#include "util/env_config.h"
 #include "util/perf.h"
 
 namespace ftnav {
@@ -172,10 +170,9 @@ bool nn_fault_trial(const GridWorld& env, QuantizedInferenceEngine& engine,
 struct InferenceAccum {
   std::vector<int> successes;
   std::vector<std::uint64_t> detections;
-  /// Runtime-only engine cache (NN path; see nn/engine_slot.h); never
-  /// merged or checkpointed — trial results are identical with or
-  /// without it.
-  std::unique_ptr<EngineSlot> engine_slot;
+  /// Runtime-only resident engine (NN path); never merged or
+  /// checkpointed — trial results are identical with or without it.
+  std::unique_ptr<QuantizedInferenceEngine> engine;
 
   explicit InferenceAccum(std::size_t cells)
       : successes(cells, 0), detections(cells, 0) {}
@@ -187,7 +184,7 @@ struct InferenceAccum {
   InferenceAccum& operator=(const InferenceAccum& other) {
     successes = other.successes;
     detections = other.detections;
-    engine_slot.reset();
+    engine.reset();
     return *this;
   }
   InferenceAccum(InferenceAccum&&) = default;
@@ -343,13 +340,9 @@ InferenceCampaignResult run_inference_campaign(
     const Network golden_net = trained.mlp->network();
     const QFormat format = trained.mlp->weights().format();
     const Shape input_shape{trained.env.state_count(), 1, 1};
-    // Engine reuse policy: 0 = one engine per shard (fast default),
-    // 1 = legacy fresh-engine-per-trial, k = rebuild every k trials.
-    // reset_faults() restores the golden word image bit-exactly, so
-    // every policy yields identical results (see BatchInvariance in
-    // tests/test_quantized_engine.cpp and the CI determinism leg).
-    const int trial_batch = resolve_trial_batch(config.trial_batch);
-
+    // One resident engine per shard: nn_fault_trial's reset_faults()
+    // restores the golden word image bit-exactly, so every trial sees
+    // a fresh engine's state (see nn/engine_slot.h).
     totals = runner.map_reduce_streamed(
         stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
         [&] { return InferenceAccum(cell_count); },
@@ -358,15 +351,13 @@ InferenceCampaignResult run_inference_campaign(
           const auto mode =
               static_cast<InferenceFaultMode>(cell / ber_count);
           const double ber = config.bers[cell % ber_count];
-          if (!acc.engine_slot) acc.engine_slot = std::make_unique<EngineSlot>();
-          QuantizedInferenceEngine& engine =
-              acc.engine_slot->acquire(trial_batch, [&] {
-                auto built = std::make_unique<QuantizedInferenceEngine>(
-                    golden_net, format, input_shape);
-                if (config.mitigated)
-                  built->enable_weight_protection(config.detector_margin);
-                return built;
-              });
+          if (!acc.engine) {
+            acc.engine = std::make_unique<QuantizedInferenceEngine>(
+                golden_net, format, input_shape);
+            if (config.mitigated)
+              acc.engine->enable_weight_protection(config.detector_margin);
+          }
+          QuantizedInferenceEngine& engine = *acc.engine;
           // The resident detector tallies across trials; the per-trial
           // count (identical to a fresh engine's) is the delta.
           const std::uint64_t detections_before =

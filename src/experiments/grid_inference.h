@@ -41,16 +41,6 @@ struct InferenceCampaignConfig {
   /// Campaign worker threads; <= 0 selects hardware_concurrency.
   /// Results are bit-identical for every value (see src/campaign/).
   int threads = 0;
-  /// NN trials per engine (re)build within a shard: each shard keeps a
-  /// resident QuantizedInferenceEngine and injects per-trial faults
-  /// into its weight image (golden-snapshot restore between trials)
-  /// instead of re-constructing the engine per trial. 0 keeps one
-  /// engine for the whole shard (the fast default), 1 reproduces the
-  /// legacy engine-per-trial behavior, k rebuilds every k trials.
-  /// A negative value (the default) reads FTNAV_TRIAL_BATCH (default
-  /// 0). Results are bit-identical for every value — deliberately NOT
-  /// part of the checkpoint fingerprint.
-  int trial_batch = -1;
   /// Streaming progress + checkpoint/resume for the trial grid
   /// (policy training is not checkpointed and re-runs on resume).
   CampaignStreamConfig stream;

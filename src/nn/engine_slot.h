@@ -1,39 +1,28 @@
 #pragma once
-// Shard-resident engine residency for batched fault trials.
+// Shard-resident engines for batched fault trials.
 //
-// Campaign trial loops historically built a fresh
-// QuantizedInferenceEngine per trial. PR 6 showed (on grid_inference)
-// that a shard-resident engine — faults armed via inject_* and undone
-// by reset_faults()'s golden-image word restore — yields the same bits
-// for a fraction of the cost, because construction (float re-encode of
-// every parameter, program compilation) is paid once per shard instead
-// of once per trial. This header factors that pattern out for every
-// campaign family:
-//
-//   * EngineSlot  -- one resident engine plus its reuse counter;
-//   * EngineCache -- slots keyed by row configuration, for sweeps
-//     whose rows need differently-configured engines (network,
-//     QFormat, detector/mitigation setup);
-//   * resolve_trial_batch -- the FTNAV_TRIAL_BATCH policy shared by
-//     all drivers: 0 = resident (default), 1 = legacy rebuild per
-//     trial, k = rebuild every k trials.
+// A campaign shard builds each QuantizedInferenceEngine it needs once
+// and reuses it for every trial it runs: faults are armed via
+// inject_* and undone by reset_faults()'s golden-image word restore,
+// so construction (float re-encode of every parameter, program
+// compilation) is paid once per shard instead of once per trial.
 //
 // Residency is bit-transparent by construction: reset_faults()
 // restores the golden weight words and clears every dynamic fault
 // knob, so trial N+1 on a resident engine starts from exactly the
-// state a fresh engine would have (see ResidentEngineBitIdentity in
-// tests/test_quantized_engine.cpp and the campaign-level batch
-// invariance tests). The one observable difference — a resident
-// detector's detections() counter accumulates across trials — is the
-// caller's to handle by reading per-trial deltas.
+// state a fresh engine would have (see
+// QuantizedEngine.PersistentEngineMatchesFreshEngine in
+// tests/test_quantized_engine.cpp; a leak between trials would also
+// move the whole-catalog digests in tests/test_golden_digests.cpp).
+// The one observable difference — a resident detector's detections()
+// counter accumulates across trials — is the caller's to handle by
+// reading per-trial deltas.
 //
-// Slots live in per-shard scratch (campaign accumulators or the
+// Caches live in per-shard scratch (campaign accumulators or the
 // runner's scratch channel), never in checkpointed state: they are
-// runtime-only caches, and merged campaign artifacts must stay
-// byte-identical with and without them.
+// runtime-only, and merged campaign artifacts never depend on them.
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -42,48 +31,28 @@
 
 namespace ftnav {
 
-/// Resolves a campaign's engine-reuse policy: a non-negative config
-/// value wins, otherwise the FTNAV_TRIAL_BATCH environment knob
-/// (default 0 = resident).
-int resolve_trial_batch(int config_value);
+/// Always 0, the resident-engine policy every campaign uses. Kept so
+/// callers that record the policy (perfbench's workload fingerprint)
+/// still compile.
+inline int resolve_trial_batch(int /*config_value*/) { return 0; }
 
-/// One shard-resident engine plus its reuse counter.
-struct EngineSlot {
-  std::unique_ptr<QuantizedInferenceEngine> engine;
-  std::uint64_t trials_used = 0;
-
-  /// Returns the resident engine, (re)building it via `build` (which
-  /// returns a unique_ptr) when the slot is empty or the reuse policy
-  /// says its batch is exhausted. Counts this acquisition.
-  template <typename BuildFn>
-  QuantizedInferenceEngine& acquire(int trial_batch, BuildFn&& build) {
-    if (!engine ||
-        (trial_batch > 0 &&
-         trials_used >= static_cast<std::uint64_t>(trial_batch))) {
-      engine = std::forward<BuildFn>(build)();
-      trials_used = 0;
-    }
-    ++trials_used;
-    return *engine;
-  }
-};
-
-/// Engine slots keyed by row configuration. Keys are the caller's
+/// Resident engines keyed by row configuration. Keys are the caller's
 /// notion of "rows that need distinct engines" (sweep row for a
 /// QFormat sweep, environment index, mitigated flag, ...) and are
 /// expected to be small and dense.
 class EngineCache {
  public:
-  /// acquire() for the slot at `key`; see EngineSlot::acquire.
+  /// The engine at `key`, built via `build` (which returns a
+  /// unique_ptr) on first use.
   template <typename BuildFn>
-  QuantizedInferenceEngine& acquire(std::size_t key, int trial_batch,
-                                    BuildFn&& build) {
-    if (key >= slots_.size()) slots_.resize(key + 1);
-    return slots_[key].acquire(trial_batch, std::forward<BuildFn>(build));
+  QuantizedInferenceEngine& acquire(std::size_t key, BuildFn&& build) {
+    if (key >= engines_.size()) engines_.resize(key + 1);
+    if (!engines_[key]) engines_[key] = std::forward<BuildFn>(build)();
+    return *engines_[key];
   }
 
  private:
-  std::vector<EngineSlot> slots_;
+  std::vector<std::unique_ptr<QuantizedInferenceEngine>> engines_;
 };
 
 }  // namespace ftnav

@@ -1,21 +1,31 @@
 #include "util/env_config.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 extern "C" char** environ;
 
 namespace ftnav {
 
-std::int64_t env_int(const char* name, std::int64_t fallback) {
+std::int64_t env_int(const char* name, std::int64_t fallback,
+                     std::int64_t min, std::int64_t max) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw) return fallback;
+  if (end == raw || *end != '\0' || errno == ERANGE || value < min ||
+      value > max)
+    throw std::invalid_argument(std::string(name) + "='" + raw +
+                                "' is not a whole integer in [" +
+                                std::to_string(min) + ", " +
+                                std::to_string(max) + "]");
   return value;
 }
 
@@ -25,11 +35,21 @@ std::string env_string(const char* name, const std::string& fallback) {
 }
 
 BenchConfig bench_config_from_env() {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   BenchConfig config;
-  config.seed = static_cast<std::uint64_t>(env_int("FTNAV_SEED", 42));
-  config.repeats = static_cast<int>(env_int("FTNAV_REPEATS", 0));
-  config.full_scale = env_int("FTNAV_FULL", 0) != 0;
-  config.threads = static_cast<int>(env_int("FTNAV_THREADS", 0));
+  try {
+    config.seed = static_cast<std::uint64_t>(env_int(
+        "FTNAV_SEED", 42, 0, std::numeric_limits<std::int64_t>::max()));
+    config.repeats =
+        static_cast<int>(env_int("FTNAV_REPEATS", 0, 1, kIntMax));
+    config.full_scale = env_int("FTNAV_FULL", 0, 0, 1) != 0;
+    config.threads =
+        static_cast<int>(env_int("FTNAV_THREADS", 0, 0, kIntMax));
+  } catch (const std::invalid_argument& error) {
+    // Exit before a banner could echo the value as valid.
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
+  }
   config.json_dir = env_string("FTNAV_JSON_DIR", "");
   return config;
 }
@@ -67,9 +87,6 @@ const std::vector<EnvKnob>& declared_env_knobs() {
                        "submit/status/attach"},
       {"FTNAV_SIMD",
        "kernel backend: scalar|avx2|neon|auto (results identical)"},
-      {"FTNAV_TRIAL_BATCH",
-       "NN trials per engine rebuild; 0 = one engine per shard "
-       "(results identical)"},
       {"FTNAV_PERF_DIR", "write BENCH_*.json perf records here"},
       {"FTNAV_GIT_SHA", "git sha recorded in perf records"},
       {"FTNAV_TRACE_DIR", "dump Perfetto traces here (empty = off)"},

@@ -10,6 +10,8 @@
 //   FTNAV_FULL=1          run paper-scale sweeps (denser grids, more repeats)
 //   FTNAV_THREADS         campaign worker threads (0 = hardware_concurrency;
 //                         results are identical for every value)
+//                         These four are whole integers; a bench given
+//                         anything else exits 2 before its banner
 //   FTNAV_JSON_DIR        also write each table as JSON into this
 //                         directory (CI uploads these as artifacts)
 //   FTNAV_COST_PROFILE    path to a machine-profile JSON
@@ -24,15 +26,11 @@
 //                         fault_campaign submit/status/attach
 //                         subcommands (their --server flag overrides)
 //   FTNAV_SIMD            kernel backend for quantized inference:
-//                         scalar | avx2 | auto (default). Results are
-//                         bit-identical across backends; avx2 on a
-//                         machine without AVX2 is a hard error. See
+//                         scalar | avx2 | neon | auto (default). Results
+//                         are bit-identical across backends; a backend
+//                         this machine cannot run (avx2 without AVX2,
+//                         neon off AArch64) is a hard error. See
 //                         src/nn/kernels/
-//   FTNAV_TRIAL_BATCH     NN inference trials per engine rebuild:
-//                         0 (default) keeps one resident engine per
-//                         campaign shard, 1 reproduces the legacy
-//                         engine-per-trial path, k rebuilds every k
-//                         trials. Results identical for every value
 //   FTNAV_PERF_DIR        write BENCH_<name>.json perf-trajectory
 //                         records (trials/sec, wall clock, backend,
 //                         git sha) into this directory; consumed by
@@ -70,14 +68,19 @@ struct BenchConfig {
   int resolve_repeats(int fast_default, int full_default) const;
 };
 
-/// Reads the bench harness's FTNAV_* knobs from the environment.
+/// Reads the bench harness's FTNAV_* knobs from the environment. A
+/// value that is not a whole integer in its knob's range prints
+/// "error: ..." naming the variable and exits 2.
 BenchConfig bench_config_from_env();
 
 /// String environment variable with fallback (unset -> fallback).
 std::string env_string(const char* name, const std::string& fallback);
 
-/// Integer environment variable with fallback (empty/invalid -> fallback).
-std::int64_t env_int(const char* name, std::int64_t fallback);
+/// Integer environment variable: unset or empty -> fallback; any other
+/// value must be a whole integer in [min, max], or this throws
+/// std::invalid_argument naming the variable.
+std::int64_t env_int(const char* name, std::int64_t fallback,
+                     std::int64_t min, std::int64_t max);
 
 /// Renders the config banner all benches print before results.
 std::string describe(const BenchConfig& config);

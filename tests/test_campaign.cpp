@@ -27,7 +27,7 @@ namespace {
 /// serial) and FTNAV_THREADS=4 (serial vs 4-way pool), so the env knob
 /// genuinely changes the schedule being compared against serial.
 int parallel_threads() {
-  const int threads = static_cast<int>(env_int("FTNAV_THREADS", 4));
+  const int threads = static_cast<int>(env_int("FTNAV_THREADS", 4, 0, 256));
   return threads > 0 ? threads : 4;
 }
 

@@ -3,12 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string>
-#include <vector>
-
 #include "experiments/drone_campaigns.h"
 
 namespace ftnav {
@@ -129,80 +123,6 @@ TEST(DroneCampaign, MitigationComparisonPopulatesBothArms) {
   // At BER 0 both arms fly; values are distances, not percentages.
   EXPECT_GT(result.baseline_msf[0], 0.0);
   EXPECT_GT(result.mitigated_msf[0], 0.0);
-}
-
-// ---- Residency bit-identity (the trial_batch contract) -------------------
-//
-// The sweep drivers cache engines inside each shard (nn/engine_slot.h):
-// trial_batch 0 keeps one resident engine per row configuration, 1
-// reproduces the legacy fresh-engine-per-cell driver, and k rebuilds
-// every k cells. reset_faults() restores the golden word image at the
-// top of every rollout, so no fault state may leak between trials:
-// results, detector counts, and checkpoint bytes must all be identical
-// for every setting.
-
-TEST(DroneCampaign, TrialBatchSettingsAreBitIdentical) {
-  const DroneWorld world = DroneWorld::indoor_long();
-  DroneInferenceCampaignConfig config = tiny_campaign();
-  config.trial_batch = 1;  // legacy: fresh engine per sweep cell
-  const LocationSweepResult legacy = run_location_sweep(world, config);
-  for (int trial_batch : {0, 7}) {
-    config.trial_batch = trial_batch;
-    const LocationSweepResult resident = run_location_sweep(world, config);
-    EXPECT_EQ(resident.msf, legacy.msf) << "trial_batch=" << trial_batch;
-  }
-}
-
-TEST(DroneCampaign, MitigationDetectionsSurviveResidency) {
-  // The mitigated arm reads the engine's detector counter as a
-  // per-rollout delta; a resident engine whose counter accumulates
-  // across trials must report the same counts as a fresh one.
-  const DroneWorld world = DroneWorld::indoor_long();
-  DroneInferenceCampaignConfig config = tiny_campaign();
-  config.trial_batch = 1;
-  const DroneMitigationResult legacy =
-      run_drone_mitigation_comparison(world, config);
-  for (int trial_batch : {0, 7}) {
-    config.trial_batch = trial_batch;
-    const DroneMitigationResult resident =
-        run_drone_mitigation_comparison(world, config);
-    EXPECT_EQ(resident.baseline_msf, legacy.baseline_msf)
-        << "trial_batch=" << trial_batch;
-    EXPECT_EQ(resident.mitigated_msf, legacy.mitigated_msf)
-        << "trial_batch=" << trial_batch;
-    EXPECT_EQ(resident.detections, legacy.detections)
-        << "trial_batch=" << trial_batch;
-  }
-}
-
-TEST(DroneCampaign, TrialBatchCheckpointBytesAreIdentical) {
-  // Engine residency lives in per-shard scratch, never in the merged
-  // accumulator, so the final checkpoint a streamed sweep leaves on
-  // disk must be byte-for-byte independent of trial_batch.
-  const DroneWorld world = DroneWorld::indoor_long();
-  std::vector<std::string> checkpoints;
-  for (int trial_batch : {1, 0, 7}) {
-    const std::string path =
-        (std::filesystem::temp_directory_path() /
-         ("ftnav_test_drone_batch_" + std::to_string(trial_batch) + ".ckpt"))
-            .string();
-    std::filesystem::remove(path);
-    DroneInferenceCampaignConfig config = tiny_campaign();
-    config.trial_batch = trial_batch;
-    config.stream.checkpoint_path = path;
-    const LocationSweepResult result = run_location_sweep(world, config);
-    ASSERT_EQ(result.msf.size(), 4u);
-    std::ifstream file(path, std::ios::binary);
-    ASSERT_TRUE(file) << "no checkpoint at " << path;
-    std::ostringstream bytes;
-    bytes << file.rdbuf();
-    checkpoints.push_back(bytes.str());
-    std::filesystem::remove(path);
-  }
-  ASSERT_EQ(checkpoints.size(), 3u);
-  EXPECT_FALSE(checkpoints[0].empty());
-  EXPECT_EQ(checkpoints[0], checkpoints[1]);
-  EXPECT_EQ(checkpoints[0], checkpoints[2]);
 }
 
 TEST(DroneTrainingCampaign, HeatmapAndPermanentRows) {

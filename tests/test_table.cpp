@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "util/env_config.h"
 #include "util/table.h"
 
@@ -124,17 +127,41 @@ TEST(EnvConfig, ReadsOverrides) {
   unsetenv("FTNAV_FULL");
 }
 
+TEST(EnvConfig, MalformedBenchKnobsExitTwo) {
+  // Partial or non-integer values used to parse as a prefix or fall
+  // back to the default ("4x" ran 4 threads, "true" the fast scale).
+  const struct {
+    const char* name;
+    const char* value;
+  } cases[] = {{"FTNAV_FULL", "true"},   {"FTNAV_THREADS", "4x"},
+               {"FTNAV_THREADS", "abc"}, {"FTNAV_THREADS", "-3"},
+               {"FTNAV_REPEATS", "3.5"}, {"FTNAV_REPEATS", "0"},
+               {"FTNAV_SEED", "42s"},    {"FTNAV_SEED", "-1"}};
+  for (const auto& c : cases) {
+    setenv(c.name, c.value, 1);
+    EXPECT_EXIT(bench_config_from_env(), ::testing::ExitedWithCode(2),
+                std::string("error: ") + c.name)
+        << c.name << "=" << c.value;
+    unsetenv(c.name);
+  }
+}
+
 TEST(EnvConfig, FullScaleDefaultRepeats) {
   BenchConfig config;
   config.full_scale = true;
   EXPECT_EQ(config.resolve_repeats(5, 100), 100);
 }
 
-TEST(EnvConfig, EnvIntIgnoresGarbage) {
-  setenv("FTNAV_TEST_INT", "abc", 1);
-  EXPECT_EQ(env_int("FTNAV_TEST_INT", 9), 9);
+TEST(EnvConfig, EnvIntRejectsGarbage) {
+  unsetenv("FTNAV_TEST_INT");
+  EXPECT_EQ(env_int("FTNAV_TEST_INT", 9, 0, 100), 9);
   setenv("FTNAV_TEST_INT", "17", 1);
-  EXPECT_EQ(env_int("FTNAV_TEST_INT", 9), 17);
+  EXPECT_EQ(env_int("FTNAV_TEST_INT", 9, 0, 100), 17);
+  for (const char* value : {"abc", "17x", "1.5", "101", "-1"}) {
+    setenv("FTNAV_TEST_INT", value, 1);
+    EXPECT_THROW(env_int("FTNAV_TEST_INT", 9, 0, 100), std::invalid_argument)
+        << value;
+  }
   unsetenv("FTNAV_TEST_INT");
 }
 
