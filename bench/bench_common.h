@@ -4,9 +4,11 @@
 // Every bench prints: a banner identifying the paper artifact it
 // regenerates, the resolved configuration (seed / repeats / scale), the
 // measured table(s), and a short "expected shape" note restating the
-// paper's qualitative claim the numbers should exhibit.
+// paper's qualitative claim the numbers should exhibit. With
+// FTNAV_JSON_DIR set, a bench also writes its tables as JSON. Benches
+// record no timings: perfbench/ measures whole scenario runs, and
+// ci/perf_gate.py gates on its records.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -14,10 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "nn/kernels/kernels.h"
 #include "scenario/scenario.h"
 #include "util/env_config.h"
-#include "util/perf.h"
 #include "util/table.h"
 
 namespace ftnav::benchharness {
@@ -95,90 +95,25 @@ class JsonArtifact {
 
   ~JsonArtifact() {
     if (dir_.empty() || entries_.empty()) return;
-    std::ofstream out(dir_ + "/" + artifact_ + ".json");
-    if (!out) return;  // benches never fail on artifact export
+    const std::string path = dir_ + "/" + artifact_ + ".json";
+    std::ofstream out(path);
     out << "{";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       out << (i ? ",\n " : "\n ") << json_quote(entries_[i].first) << ": "
           << entries_[i].second;
     }
     out << "\n}\n";
+    out.flush();
+    // The tables are already on stdout, so a failed open or write is
+    // reported but does not change the bench's exit status.
+    if (!out)
+      std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
   }
 
  private:
   std::string dir_;
   std::string artifact_;
   std::vector<std::pair<std::string, std::string>> entries_;
-};
-
-/// Drains the perf-section sink (util/perf.h) on destruction and, when
-/// FTNAV_PERF_DIR is set, writes its sections to
-/// "<dir>/BENCH_<artifact>.json" — the perf-trajectory records
-/// `ci/perf_gate.py` compares against the committed `bench/baselines/`.
-/// Library campaigns report their trial grids to the sink themselves;
-/// a bench times any other section with perf::now() and reports it
-/// with perf::add_section. Deliberately separate from FTNAV_JSON_DIR:
-/// result tables are byte-identical across backends/threads/workers
-/// and are diffed in CI, while perf records contain timings and never
-/// should be.
-///
-/// Nothing is printed to stdout (the backend name must not leak into
-/// output that equivalence legs diff).
-class PerfRecorder {
- public:
-  /// `refresh_command` is the exact baseline-refresh one-liner for this
-  /// bench (run from the repo root, Release build); it is embedded in
-  /// the record so ci/perf_gate.py can tell a contributor precisely how
-  /// to create a missing baseline.
-  PerfRecorder(const BenchConfig& config, std::string artifact,
-               std::string refresh_command = std::string())
-      : artifact_(std::move(artifact)),
-        refresh_command_(std::move(refresh_command)),
-        dir_(env_string("FTNAV_PERF_DIR", "")),
-        threads_(config.threads) {}
-
-  PerfRecorder(const PerfRecorder&) = delete;
-  PerfRecorder& operator=(const PerfRecorder&) = delete;
-
-  ~PerfRecorder() {
-    const std::vector<perf::Section> sections = perf::drain_sections();
-    if (dir_.empty() || sections.empty()) return;
-    std::ofstream out(dir_ + "/BENCH_" + artifact_ + ".json");
-    if (!out) return;  // benches never fail on artifact export
-    const std::string sha =
-        env_string("GITHUB_SHA", env_string("FTNAV_GIT_SHA", "unknown"));
-    const char* backend = "unknown";
-    try {
-      backend = kernels::active().name;
-    } catch (...) {  // invalid FTNAV_SIMD: the bench itself diagnoses it
-    }
-    out << "{\n \"artifact\": " << json_quote(artifact_) << ",\n"
-        << " \"git_sha\": " << json_quote(sha) << ",\n"
-        << " \"backend\": " << json_quote(backend) << ",\n"
-        << " \"threads\": " << threads_ << ",\n";
-    if (!refresh_command_.empty())
-      out << " \"refresh_command\": " << json_quote(refresh_command_)
-          << ",\n";
-    out << " \"sections\": [";
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      const perf::Section& s = sections[i];
-      const double tps =
-          s.seconds > 0.0 ? static_cast<double>(s.ops) / s.seconds : 0.0;
-      out << (i ? ",\n  " : "\n  ") << "{\"name\": " << json_quote(s.name)
-          << ", \"trials\": " << s.ops << ", \"wall_seconds\": "
-          << format_double(s.seconds, 6) << ", \"trials_per_sec\": "
-          << format_double(tps, 3) << "}";
-    }
-    out << "\n ]\n}\n";
-    std::fprintf(stderr, "perf: wrote %s/BENCH_%s.json\n", dir_.c_str(),
-                 artifact_.c_str());
-  }
-
- private:
-  std::string artifact_;
-  std::string refresh_command_;
-  std::string dir_;
-  int threads_;
 };
 
 /// BER axis of the Grid World training figures (0.1%..1.0%).

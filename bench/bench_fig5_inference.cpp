@@ -19,13 +19,11 @@ int main() {
                                     0.006, 0.008, 0.010};
 
   JsonArtifact artifact(config, "fig5");
-  PerfRecorder perf_record(config, "fig5_inference");
   for (const bool tabular : {true, false}) {
     const int repeats = config.resolve_repeats(tabular ? 200 : 60, 1000);
     std::printf("--- Fig. 5%c: %s-based inference (%d fault draws per "
                 "point) ---\n",
                 tabular ? 'a' : 'b', tabular ? "tabular" : "NN", repeats);
-    const double start = perf::now();
     const ScenarioResult result = run_scenario(
         "grid-inference", config,
         {{"policy", tabular ? "tabular" : "nn"},
@@ -34,12 +32,6 @@ int main() {
          {"bers", param_join(bers)},
          {"repeats", std::to_string(repeats)},
          {"seed", std::to_string(config.seed)}});
-    // 4 fault modes x |bers| cells, `repeats` rollout trials each
-    // (training time is included: it is part of the campaign's wall
-    // clock and identical across backends).
-    perf::add_section(tabular ? "fig5a_tabular" : "fig5b_nn",
-                      4 * bers.size() * static_cast<std::size_t>(repeats),
-                      perf::now() - start);
     artifact.add(tabular ? "fig5a" : "fig5b", result);
   }
 

@@ -16,11 +16,6 @@ int main() {
                "(m) after training",
                config);
 
-  // Drains the drone_training_trials section the campaign reports
-  // (fine-tune trial grids, excluding the policy-training preamble).
-  PerfRecorder perf(config, "fig7a",
-                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
-                    "./build/bench/bench_fig7a_drone_training");
   JsonArtifact artifact(config, "fig7a");
   artifact.add(
       "fig7a",

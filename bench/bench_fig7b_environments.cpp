@@ -14,11 +14,6 @@ int main() {
                "MSF vs BER under transient weight faults, per environment",
                config);
 
-  // Drains the drone_env_trials section the campaign reports (the
-  // rollout grid, excluding per-environment policy training).
-  PerfRecorder perf(config, "fig7b",
-                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
-                    "./build/bench/bench_fig7b_environments");
   JsonArtifact artifact(config, "fig7b");
   artifact.add(
       "fig7b",

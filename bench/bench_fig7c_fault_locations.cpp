@@ -14,11 +14,6 @@ int main() {
   print_banner("Figure 7c",
                "MSF vs BER by fault location (indoor-long)", config);
 
-  // Drains the drone_location_trials section the campaign reports (the
-  // rollout grid, excluding policy training).
-  PerfRecorder perf(config, "fig7c",
-                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
-                    "./build/bench/bench_fig7c_fault_locations");
   JsonArtifact artifact(config, "fig7c");
   artifact.add(
       "fig7c",

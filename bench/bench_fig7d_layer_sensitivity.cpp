@@ -14,11 +14,6 @@ int main() {
                "MSF vs BER by targeted layer (Conv1..FC2, indoor-long)",
                config);
 
-  // Drains the drone_layer_trials section the campaign reports (the
-  // rollout grid, excluding policy training).
-  PerfRecorder perf(config, "fig7d",
-                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
-                    "./build/bench/bench_fig7d_layer_sensitivity");
   JsonArtifact artifact(config, "fig7d");
   artifact.add(
       "fig7d",

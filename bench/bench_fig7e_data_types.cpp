@@ -15,11 +15,6 @@ int main() {
                "indoor-long)",
                config);
 
-  // Drains the drone_data_type_trials section the campaign reports
-  // (the rollout grid, excluding policy training).
-  PerfRecorder perf(config, "fig7e",
-                    "FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 "
-                    "./build/bench/bench_fig7e_data_types");
   JsonArtifact artifact(config, "fig7e");
   artifact.add(
       "fig7e",

@@ -1,223 +1,165 @@
 #!/usr/bin/env python3
-"""Perf-trajectory gate: fail CI when throughput regresses.
+"""Perf gate: run the campaign benchmark on a base checkout and on this
+one, and fail when an end-to-end metric got worse than BENCHMARK.json
+allows.
 
-Compares candidate BENCH_*.json perf records (written by the benches
-when FTNAV_PERF_DIR is set; see bench/bench_common.h PerfRecorder)
-against the committed baselines in bench/baselines/, section by
-section on trials_per_sec. A section slower than the baseline by more
-than --max-regression fails the gate; faster is always fine (runner
-classes vary, and the committed baselines intentionally come from
-modest hardware so only genuine slowdowns trip the gate).
+Usage, from the repository root, with the base commit checked out
+elsewhere (CI uses `git worktree add ../base <merge-base>`):
 
-Sections whose *baseline* wall clock is below --min-seconds are
-reported but never gate: timing noise on sub-100ms sections would
-otherwise dwarf any real regression.
+    python3 ci/perf_gate.py ../base
 
-Candidate records or sections with no committed baseline are reported
-(with the exact refresh one-liner each record embeds) so new benches
-cannot silently run ungated.
+For every workload in BENCHMARK.json the gate runs the benchmark's
+command with `--record` four times, in ABBA order (base, head, head,
+base), each run lasting run_seconds / 2. Each side thus gets the
+benchmark's run_seconds, and a machine that speeds up or slows down
+during the job drifts both sides alike. Each side's per-iteration
+values are pooled across its two records. The gate fails (exit 1) when
+a metric's pooled median on head is worse than on base by more than the
+metric's bound, or when a record is missing or not correct. Records
+whose workload fingerprints differ measured different work, and the
+gate exits 2. When perfbench/ or BENCHMARK.json differ between the
+checkouts, the change redefines the benchmark and sets a new baseline
+instead of being gated: the gate prints a notice and exits 0.
 
-Refresh the baselines after an intentional perf change (one line per
-bench, from the repo root, Release build):
-
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 FTNAV_REPEATS=600 \
-        ./build/bench/bench_fig5_inference
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 FTNAV_FULL=1 \
-        ./build/bench/bench_overhead_micro
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
-        ./build/bench/bench_fig7a_drone_training
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
-        ./build/bench/bench_fig7b_environments
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
-        ./build/bench/bench_fig7c_fault_locations
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
-        ./build/bench/bench_fig7d_layer_sensitivity
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
-        ./build/bench/bench_fig7e_data_types
-    FTNAV_PERF_DIR=bench/baselines FTNAV_THREADS=2 \
-        ./build/bench/bench_ablation_mitigations
-
-then commit the rewritten bench/baselines/BENCH_*.json.
+Records land in perf-records/<workload>-<run>-<side>.json. Each
+checkout builds perfbench in its own directory.
 """
 
-import argparse
+import hashlib
 import json
 import os
+import shutil
+import statistics
+import subprocess
 import sys
 from pathlib import Path
 
-
-def load_records(directory: Path) -> dict:
-    """{artifact name: parsed record} for every BENCH_*.json in directory."""
-    records = {}
-    for path in sorted(directory.glob("BENCH_*.json")):
-        with open(path, encoding="utf-8") as handle:
-            record = json.load(handle)
-        records[record.get("artifact", path.stem)] = record
-    return records
+ROOT = Path(__file__).resolve().parent.parent
+RECORDS = ROOT / "perf-records"
+ABBA = ("base", "head", "head", "base")
 
 
-def sections_by_name(record: dict) -> dict:
-    return {s["name"]: s for s in record.get("sections", [])}
+def benchmark_files(checkout: Path) -> dict:
+    """{relative path: bytes} of everything that defines the benchmark."""
+    files = {"BENCHMARK.json": (checkout / "BENCHMARK.json").read_bytes()}
+    for path in sorted((checkout / "perfbench").rglob("*")):
+        if path.is_file():
+            files[str(path.relative_to(checkout))] = path.read_bytes()
+    return files
 
 
-def load_cost_predictions(candidate_dir: Path) -> dict:
-    """{campaign label: predicted trials/sec} from an optional
-    cost_report.json next to the candidate records (written by
-    `fault_campaign describe --all --cost --json`; see src/cost/).
-    Campaign labels reuse perf-section names where one exists, so the
-    join is a plain name match. Absent or unreadable file = {} and the
-    predicted column is omitted. Informational only: predictions never
-    gate."""
-    path = candidate_dir / "cost_report.json"
-    if not path.is_file():
-        return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as error:
-        print(f"perf gate: ignoring unreadable {path}: {error}",
-              file=sys.stderr)
-        return {}
-    predictions = {}
-    for scenario in doc.get("scenarios", []):
-        for campaign in scenario.get("campaigns", []):
-            label = campaign.get("label")
-            predicted = campaign.get("predicted_trials_per_sec")
-            if isinstance(label, str) and isinstance(predicted, (int, float)):
-                predictions[label] = float(predicted)
-    return predictions
+def checkout_env(checkout: Path) -> dict:
+    """The environment for runs from `checkout`. perfbench builds under
+    CARGO_TARGET_DIR, else in the checkout; a shared CARGO_TARGET_DIR
+    gets one subdirectory per checkout path, so that no build directory
+    is ever configured for another checkout's sources."""
+    env = dict(os.environ)
+    if env.get("CARGO_TARGET_DIR"):
+        tag = hashlib.sha256(str(checkout).encode()).hexdigest()[:12]
+        env["CARGO_TARGET_DIR"] = str(
+            Path(env["CARGO_TARGET_DIR"]).resolve() / f"perf-gate-{tag}")
+    return env
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", default="bench/baselines",
-                        help="directory of committed baseline records")
-    parser.add_argument("--candidate", default="perf-json",
-                        help="directory of this run's records")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="fail when trials/sec drops by more than "
-                             "this fraction (default 0.25)")
-    parser.add_argument("--min-seconds", type=float, default=0.1,
-                        help="baseline sections shorter than this are "
-                             "informational only (default 0.1)")
-    args = parser.parse_args()
+def record_run(spec: dict, workload: str, run: int, side: str,
+               checkout: Path) -> dict | None:
+    """One benchmark run from `checkout`; its record, or None if the run
+    wrote none."""
+    path = RECORDS / f"{workload}-{run}-{side}.json"
+    cmd = spec["command"] + ["--workload", workload,
+                             "--seconds", str(spec["run_seconds"] / 2),
+                             "--record", str(path)]
+    print(f"perf gate: {workload} run {run} ({side}): {' '.join(cmd)}",
+          flush=True)
+    subprocess.run(cmd, cwd=checkout, env=checkout_env(checkout))
+    return json.loads(path.read_text()) if path.is_file() else None
 
-    baseline_dir = Path(args.baseline)
-    candidate_dir = Path(args.candidate)
-    if not baseline_dir.is_dir() or not any(baseline_dir.glob("BENCH_*.json")):
-        print(f"perf gate: no baselines under {baseline_dir} -- skipping "
-              "(commit bench/baselines/BENCH_*.json to arm the gate)")
+
+def pooled(records: list, metric: str) -> list:
+    """Per-iteration values of `metric` across `records`; a metric that
+    iterations do not carry (digest_match_frac) contributes each
+    record's value instead."""
+    values = []
+    for record in records:
+        values += [it[metric] for it in record["iterations"] if metric in it]
+    return values or [record["metrics"][metric]["value"] for record in records]
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1 or not Path(argv[0]).is_dir():
+        print("usage: perf_gate.py <base checkout>", file=sys.stderr)
+        return 2
+    base = Path(argv[0]).resolve()
+    if benchmark_files(base) != benchmark_files(ROOT):
+        print("::notice::perf gate skipped: perfbench/ or BENCHMARK.json "
+              "differ from the base, so this change sets a new baseline")
         return 0
-    if not candidate_dir.is_dir():
-        print(f"perf gate: candidate directory {candidate_dir} missing -- "
-              "the bench step did not produce perf records", file=sys.stderr)
-        return 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    shutil.rmtree(RECORDS, ignore_errors=True)
+    RECORDS.mkdir()
 
-    baselines = load_records(baseline_dir)
-    candidates = load_records(candidate_dir)
-    predictions = load_cost_predictions(candidate_dir)
-
-    rows = []
+    checkouts = {"base": base, "head": ROOT}
     failures = []
-    for artifact, base_record in sorted(baselines.items()):
-        cand_record = candidates.get(artifact)
-        if cand_record is None:
-            failures.append(f"{artifact}: no candidate record "
-                            f"(expected {candidate_dir}/BENCH_{artifact}.json)")
+    lines = ["| workload | metric | base median (n) | head median (n) "
+             "| change | bound | status |", "|---|---|---|---|---|---|---|"]
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = [(side, record_run(spec, workload, run, side, checkouts[side]))
+                for run, side in enumerate(ABBA)]
+        if any(record is None for _, record in runs):
+            failures.append(f"{workload}: a run wrote no record")
             continue
-        cand_sections = sections_by_name(cand_record)
-        for name, base in sections_by_name(base_record).items():
-            cand = cand_sections.get(name)
-            if cand is None:
-                failures.append(f"{artifact}/{name}: section missing from "
-                                "candidate record")
-                continue
-            base_tps = float(base["trials_per_sec"])
-            cand_tps = float(cand["trials_per_sec"])
-            ratio = cand_tps / base_tps if base_tps > 0 else float("inf")
-            gated = float(base["wall_seconds"]) >= args.min_seconds
+        fingerprints = [json.dumps(record["fingerprint"], sort_keys=True)
+                        for _, record in runs]
+        if len(set(fingerprints)) > 1:
+            print(f"perf gate: {workload}: the runs measured different work",
+                  file=sys.stderr)
+            for run, (side, _) in enumerate(runs):
+                print(f"  run {run} ({side}): {fingerprints[run]}",
+                      file=sys.stderr)
+            return 2
+        failures += [f"{workload} run {run} ({side}): record is not correct"
+                     for run, (side, record) in enumerate(runs)
+                     if not record["correct"]]
+        sides = {side: [record for s, record in runs if s == side]
+                 for side in checkouts}
+        for metric in spec["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            base_values = pooled(sides["base"], name)
+            head_values = pooled(sides["head"], name)
+            base_median = statistics.median(base_values)
+            head_median = statistics.median(head_values)
+            # Only digest_match_frac can be 0 on base, and no value is
+            # worse than 0 there.
+            change = ((head_median - base_median) / base_median
+                      if base_median else 0.0)
+            worse = change if metric["better"] == "lower" else -change
             status = "ok"
-            if not gated:
-                status = "info"
-            elif ratio < 1.0 - args.max_regression:
+            if worse > bound:
                 status = "FAIL"
                 failures.append(
-                    f"{artifact}/{name}: {cand_tps:.0f} trials/sec is "
-                    f"{(1.0 - ratio) * 100.0:.1f}% below the baseline "
-                    f"{base_tps:.0f} (allowed {args.max_regression * 100:.0f}%)")
-            rows.append((f"{artifact}/{name}", base_tps, cand_tps, ratio,
-                         predictions.get(name), status))
+                    f"{workload} {name}: {head_median:.6g} {metric['unit']} "
+                    f"is {worse:.1%} worse than base {base_median:.6g} "
+                    f"(bound {bound:.0%})")
+            lines.append(
+                f"| {workload} | {name} | {base_median:.6g} "
+                f"({len(base_values)}) | {head_median:.6g} "
+                f"({len(head_values)}) | {change:+.1%} | {bound:.0%} "
+                f"| {status} |")
 
-    # Candidate records/sections with no committed baseline: not a
-    # failure (the gate can't compare against nothing), but say exactly
-    # how to create one instead of staying silent.
-    unbaselined = []
-    for artifact, cand_record in sorted(candidates.items()):
-        base_record = baselines.get(artifact)
-        missing = (sections_by_name(cand_record).keys()
-                   if base_record is None
-                   else sections_by_name(cand_record).keys()
-                   - sections_by_name(base_record).keys())
-        if not missing:
-            continue
-        refresh = cand_record.get(
-            "refresh_command",
-            f"FTNAV_PERF_DIR=bench/baselines ./build/bench/<{artifact} bench>")
-        what = ("no baseline record" if base_record is None else
-                "section(s) " + ", ".join(sorted(missing)) +
-                " missing from baseline")
-        unbaselined.append(
-            f"{artifact}: {what} -- create it with:\n      {refresh}\n"
-            f"    then commit bench/baselines/BENCH_{artifact}.json")
-    if unbaselined:
-        print("\nperf gate: candidate records without baselines "
-              "(informational):")
-        for note in unbaselined:
-            print(f"  {note}")
-
-    # The predicted column (cost-model trials/sec with the measured/
-    # predicted ratio) only renders when a cost_report.json rode along
-    # with the candidate records; it is informational and never gates.
-    with_predictions = bool(predictions)
-    header = (f"| section | baseline trials/s | candidate trials/s "
-              f"| ratio |"
-              + (" predicted trials/s |" if with_predictions else "")
-              + " status |")
-    rule = "|---|---|---|---|" + ("---|" if with_predictions else "") + "---|"
-    lines = [header, rule]
-    for name, base_tps, cand_tps, ratio, predicted, status in rows:
-        predicted_cell = ""
-        if with_predictions:
-            if predicted is not None and predicted > 0:
-                predicted_cell = (f" {predicted:.0f} "
-                                  f"({cand_tps / predicted:.2f}x measured) |")
-            else:
-                predicted_cell = " - |"
-        lines.append(f"| {name} | {base_tps:.0f} | {cand_tps:.0f} "
-                     f"| {ratio:.2f}x |{predicted_cell} {status} |")
     table = "\n".join(lines)
     print(table)
-
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a", encoding="utf-8") as summary:
-            summary.write("## Perf trajectory\n\n" + table + "\n")
-            if failures:
-                summary.write("\n**Regressions:**\n")
-                for failure in failures:
-                    summary.write(f"- {failure}\n")
-
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a", encoding="utf-8") as out:
+            out.write("## Perf gate (base vs head, ABBA)\n\n" + table + "\n")
     if failures:
         print("\nperf gate FAILED:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
-        print("\nIf this slowdown is intentional, refresh the baselines "
-              "(see this script's docstring).", file=sys.stderr)
         return 1
     print("\nperf gate passed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -270,22 +270,15 @@ std::string cost_report_json(const std::vector<CostReportEntry>& entries,
     for (const CampaignCost& campaign : est.campaigns) {
       if (!first_campaign) out << ",";
       first_campaign = false;
-      const double seconds = campaign.seconds(profile);
       out << "\n       {\"label\": \"";
       json_escape_into(out, campaign.label);
       out << "\", \"trials\": " << campaign.trials
           << ", \"shards\": " << campaign.shard_count()
           << ", \"macs_per_trial\": " << g17(campaign.per_trial.macs)
           << ", \"bytes_per_trial\": " << g17(campaign.per_trial.bytes)
-          << ", \"predicted_seconds\": " << g17(seconds)
+          << ", \"predicted_seconds\": " << g17(campaign.seconds(profile))
           << ", \"mean_shard_seconds\": "
-          << g17(campaign.mean_shard_seconds(profile))
-          << ", \"predicted_trials_per_sec\": "
-          << g17(seconds > 0.0
-                     ? static_cast<double>(campaign.perf_trial_count()) /
-                           seconds
-                     : 0.0)
-          << "}";
+          << g17(campaign.mean_shard_seconds(profile)) << "}";
     }
     out << "\n     ]}";
   }

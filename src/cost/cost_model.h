@@ -16,8 +16,11 @@
 //   * `fault_campaign describe --cost <name>` renders the estimate;
 //     with --json it emits a cost_report.json entry
 //     (schema "ftnav-cost-report-v1", validated by ci/validate_cost.py).
-//   * ci/perf_gate.py joins campaign labels against bench perf-section
-//     names for an informational predicted-vs-measured column, so
+//   * perfbench/ counts a run's trials with perf_trial_count() and
+//     scores total_seconds() against the measured run
+//     (cost.abs_log_pred_err).
+//   * tests/test_cost.cpp joins each campaign label with the perf
+//     section (util/perf.h) its run reports under the same name, so
 //     labels reuse the perf section names where one exists.
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -45,12 +46,17 @@ BenchConfig bench_config_from_env() {
     config.full_scale = env_int("FTNAV_FULL", 0, 0, 1) != 0;
     config.threads =
         static_cast<int>(env_int("FTNAV_THREADS", 0, 0, kIntMax));
+    config.json_dir = env_string("FTNAV_JSON_DIR", "");
+    std::error_code ignored;
+    if (!config.json_dir.empty() &&
+        !std::filesystem::is_directory(config.json_dir, ignored))
+      throw std::invalid_argument("FTNAV_JSON_DIR='" + config.json_dir +
+                                  "' is not an existing directory");
   } catch (const std::invalid_argument& error) {
     // Exit before a banner could echo the value as valid.
     std::fprintf(stderr, "error: %s\n", error.what());
     std::exit(2);
   }
-  config.json_dir = env_string("FTNAV_JSON_DIR", "");
   return config;
 }
 
@@ -87,8 +93,6 @@ const std::vector<EnvKnob>& declared_env_knobs() {
                        "submit/status/attach"},
       {"FTNAV_SIMD",
        "kernel backend: scalar|avx2|neon|auto (results identical)"},
-      {"FTNAV_PERF_DIR", "write BENCH_*.json perf records here"},
-      {"FTNAV_GIT_SHA", "git sha recorded in perf records"},
       {"FTNAV_TRACE_DIR", "dump Perfetto traces here (empty = off)"},
       {"FTNAV_LOG", "stderr log level: error|warn|info|debug"},
   };

@@ -13,7 +13,9 @@
 //                         These four are whole integers; a bench given
 //                         anything else exits 2 before its banner
 //   FTNAV_JSON_DIR        also write each table as JSON into this
-//                         directory (CI uploads these as artifacts)
+//                         directory (CI uploads these as artifacts);
+//                         a bench given a path that is not an existing
+//                         directory exits 2 before its banner
 //   FTNAV_COST_PROFILE    path to a machine-profile JSON
 //                         (ftnav-machine-profile-v1) calibrating the
 //                         analytic cost model's rates; empty = builtin
@@ -31,14 +33,6 @@
 //                         this machine cannot run (avx2 without AVX2,
 //                         neon off AArch64) is a hard error. See
 //                         src/nn/kernels/
-//   FTNAV_PERF_DIR        write BENCH_<name>.json perf-trajectory
-//                         records (trials/sec, wall clock, backend,
-//                         git sha) into this directory; consumed by
-//                         ci/perf_gate.py. Deliberately separate from
-//                         FTNAV_JSON_DIR so timing never lands in
-//                         byte-compared result artifacts
-//   FTNAV_GIT_SHA         git sha recorded in perf records when
-//                         GITHUB_SHA is unset
 //   FTNAV_TRACE_DIR       dump Chrome trace-event JSON
 //                         (trace.<pid>.json, Perfetto-loadable) into
 //                         this directory at exit; empty = tracing off
@@ -69,7 +63,8 @@ struct BenchConfig {
 };
 
 /// Reads the bench harness's FTNAV_* knobs from the environment. A
-/// value that is not a whole integer in its knob's range prints
+/// value that is not a whole integer in its knob's range, or an
+/// FTNAV_JSON_DIR that is not an existing directory, prints
 /// "error: ..." naming the variable and exits 2.
 BenchConfig bench_config_from_env();
 

@@ -1,9 +1,9 @@
 #pragma once
 // Process-global perf-section sink: library code reports how long a
 // measured phase took (e.g. the fault-injection trial grid, excluding
-// policy training), and the bench harness's PerfRecorder drains the
-// sections into its BENCH_*.json record (see bench/bench_common.h and
-// ci/perf_gate.py).
+// policy training). Two readers drain it: perfbench/ derives a run's
+// setup_s and trials_per_s from the sections, and tests/test_cost.cpp
+// joins them with the cost model's campaign labels.
 //
 // Reporting is unconditional and costs one mutexed append per campaign
 // (not per trial); when nothing drains the sink the entries are simply

@@ -221,12 +221,14 @@ TEST(EnvDiagnosis, UnknownFtnavVarsAreFlagged) {
   ::unsetenv("FTNAV_THREADS");
   ::unsetenv("FTNAV_BERS");
   // Retired knobs are typos too: sharding, streaming and checkpointing
-  // are `fault_campaign run` flags, and every shard keeps resident
-  // engines (FTNAV_TRIAL_BATCH chose how often to rebuild them).
+  // are `fault_campaign run` flags, every shard keeps resident engines
+  // (FTNAV_TRIAL_BATCH chose how often to rebuild them), and benches
+  // write no perf records (FTNAV_PERF_DIR, FTNAV_GIT_SHA).
   for (const char* name :
        {"FTNAV_PROGRESS", "FTNAV_CHECKPOINT_DIR", "FTNAV_RESUME",
         "FTNAV_WORKERS", "FTNAV_QUEUE_ADDR", "FTNAV_LEASE_BATCH",
-        "FTNAV_WORKER_ID", "FTNAV_TRIAL_BATCH"}) {
+        "FTNAV_WORKER_ID", "FTNAV_TRIAL_BATCH", "FTNAV_PERF_DIR",
+        "FTNAV_GIT_SHA"}) {
     ::setenv(name, "1", 1);
     const auto retired = unknown_ftnav_vars(
         ScenarioRegistry::instance().known_param_env_names());

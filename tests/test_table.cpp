@@ -129,14 +129,16 @@ TEST(EnvConfig, ReadsOverrides) {
 
 TEST(EnvConfig, MalformedBenchKnobsExitTwo) {
   // Partial or non-integer values used to parse as a prefix or fall
-  // back to the default ("4x" ran 4 threads, "true" the fast scale).
+  // back to the default ("4x" ran 4 threads, "true" the fast scale),
+  // and a missing JSON directory silently dropped every artifact.
   const struct {
     const char* name;
     const char* value;
   } cases[] = {{"FTNAV_FULL", "true"},   {"FTNAV_THREADS", "4x"},
                {"FTNAV_THREADS", "abc"}, {"FTNAV_THREADS", "-3"},
                {"FTNAV_REPEATS", "3.5"}, {"FTNAV_REPEATS", "0"},
-               {"FTNAV_SEED", "42s"},    {"FTNAV_SEED", "-1"}};
+               {"FTNAV_SEED", "42s"},    {"FTNAV_SEED", "-1"},
+               {"FTNAV_JSON_DIR", "/nonexistent/dir"}};
   for (const auto& c : cases) {
     setenv(c.name, c.value, 1);
     EXPECT_EXIT(bench_config_from_env(), ::testing::ExitedWithCode(2),
