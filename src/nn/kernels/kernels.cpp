@@ -7,6 +7,7 @@
 
 #include "nn/kernels/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -58,15 +59,75 @@ void relu_scalar(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-constexpr KernelOps kScalarOps{"scalar", /*dense_wants_transposed=*/false,
-                               /*conv_wants_transposed=*/false, conv2d_scalar,
-                               dense_scalar, relu_scalar};
+/// The reference backward. Each gradient element's chain: gb[oc] and
+/// gw[oc][..] add one term per output position (oh, ow ascending);
+/// gx[ic][ih][iw] adds one term per (oc, oh, ow) ascending whose window
+/// covers it. A zero output gradient (+0 or -0) adds nothing: adding
+/// +-0 would turn a -0 sum into +0 and 0 * inf into NaN.
+void conv2d_backward_scalar(const float* w, const float* x, const float* gy,
+                            float* gw, float* gb, float* gx,
+                            float* /*scratch*/, const ConvShape& s) {
+  std::fill(gx, gx + static_cast<std::size_t>(s.in_c) * s.in_h * s.in_w,
+            0.0f);
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    for (int oh = 0; oh < s.out_h; ++oh) {
+      for (int ow = 0; ow < s.out_w; ++ow) {
+        const float g =
+            gy[(static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w + ow];
+        if (g == 0.0f) continue;
+        gb[oc] += g;
+        const int ih0 = oh * s.stride;
+        const int iw0 = ow * s.stride;
+        for (int ic = 0; ic < s.in_c; ++ic) {
+          for (int kh = 0; kh < s.kernel; ++kh) {
+            const std::size_t wrow =
+                ((static_cast<std::size_t>(oc) * s.in_c + ic) * s.kernel +
+                 kh) *
+                s.kernel;
+            const std::size_t xrow =
+                (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
+                    s.in_w +
+                iw0;
+            for (int kw = 0; kw < s.kernel; ++kw) {
+              gw[wrow + kw] += g * x[xrow + kw];
+              gx[xrow + kw] += g * w[wrow + kw];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+constexpr KernelOps kScalarOps{"scalar",
+                               /*dense_wants_transposed=*/false,
+                               /*conv_wants_transposed=*/false,
+                               conv2d_scalar,
+                               dense_scalar,
+                               relu_scalar,
+                               conv2d_backward_scalar};
 
 std::atomic<const KernelOps*> g_override{nullptr};
 
 }  // namespace
 
 const KernelOps& scalar_ops() noexcept { return kScalarOps; }
+
+std::size_t conv2d_backward_scratch(const ConvShape& s) noexcept {
+  // The AVX2 backward: x unrolled per output position (plus one vector
+  // of slack), then w permuted next to gx in HWC order, both with the
+  // input channels padded to a multiple of 8.
+  const std::size_t taps = static_cast<std::size_t>(s.in_c) * s.kernel *
+                           s.kernel;
+  const std::size_t unrolled =
+      static_cast<std::size_t>(s.out_h) * s.out_w * taps + 8;
+  const std::size_t padded = (static_cast<std::size_t>(s.in_c) + 7) / 8 * 8;
+  const std::size_t permuted =
+      (static_cast<std::size_t>(s.out_c) * s.kernel * s.kernel +
+       static_cast<std::size_t>(s.in_h) * s.in_w) *
+      padded;
+  return std::max(unrolled, permuted);
+}
 
 bool avx2_supported() noexcept {
   if (avx2_ops() == nullptr) return false;
@@ -151,10 +212,27 @@ void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
 }
 
 void transpose(const float* w, float* wt, int rows, int cols) {
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c)
-      wt[static_cast<std::size_t>(c) * rows + r] =
-          w[static_cast<std::size_t>(r) * cols + c];
+  // 8x8 tiles: a full tile's fixed-size loops unroll, and its reads and
+  // its strided writes each stay within eight cache lines.
+  constexpr std::size_t kTile = 8;
+  const auto R = static_cast<std::size_t>(rows);
+  const auto C = static_cast<std::size_t>(cols);
+  for (std::size_t r0 = 0; r0 < R; r0 += kTile) {
+    const std::size_t rn = std::min(kTile, R - r0);
+    for (std::size_t c0 = 0; c0 < C; c0 += kTile) {
+      const std::size_t cn = std::min(kTile, C - c0);
+      const float* src = w + r0 * C + c0;
+      float* dst = wt + c0 * R + r0;
+      if (rn == kTile && cn == kTile) {
+        for (std::size_t c = 0; c < kTile; ++c)
+          for (std::size_t r = 0; r < kTile; ++r)
+            dst[c * R + r] = src[r * C + c];
+      } else {
+        for (std::size_t c = 0; c < cn; ++c)
+          for (std::size_t r = 0; r < rn; ++r) dst[c * R + r] = src[r * C + c];
+      }
+    }
+  }
 }
 
 ScopedKernelBackend::ScopedKernelBackend(const KernelOps& ops)

@@ -1,6 +1,7 @@
 #pragma once
-// Runtime-dispatched compute kernels: the only forward loops of the
-// float layers (src/nn/layers.cpp) and the quantized inference engine.
+// Runtime-dispatched compute kernels: the forward loops of the float
+// layers (src/nn/layers.cpp) and the quantized inference engine, and
+// the float Conv2D backward.
 //
 // The engine emulates fixed-point MACs in float: per output element it
 // runs one sequential accumulation chain (bias, then += w*x in a fixed
@@ -9,8 +10,11 @@
 // every element's scalar chain intact, so each lane performs exactly
 // the operations the scalar backend performs for that element and the
 // results are bit-identical for every backend and lane width. The
-// project is compiled with -ffp-contract=off so no backend fuses the
-// multiply-add chain into FMAs.
+// backward keeps the same contract: every gradient element sees the
+// scalar backward's sequence of `+= g * v` updates, skipped exactly
+// where that loop skips a zero output gradient. The project is
+// compiled with -ffp-contract=off so no backend fuses the multiply-add
+// chain into FMAs.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -39,7 +43,13 @@ struct ConvShape {
 ///   dense:  w[o][i] (row-major), wt[i][o] (transposed copy, only
 ///           valid when dense_wants_transposed; pass nullptr
 ///           otherwise), bias[o];
-///   relu:   in place.
+///   relu:   in place;
+///   conv2d_backward: w and x as conv2d (x is the forward's input),
+///           gy[oc][oh][ow] the output gradient; adds into
+///           gw[oc][ic][kh][kw] and gb[oc], overwrites every element
+///           of gx (CHW, the input gradient), and may use `scratch`,
+///           conv2d_backward_scratch(s) floats whose contents on entry
+///           and exit are unspecified.
 /// Output regions must not alias inputs.
 struct KernelOps {
   const char* name;
@@ -58,7 +68,13 @@ struct KernelOps {
   void (*dense)(const float* w, const float* wt, const float* bias,
                 const float* x, float* y, int in_f, int out_f);
   void (*relu)(float* x, std::size_t n);
+  void (*conv2d_backward)(const float* w, const float* x, const float* gy,
+                          float* gw, float* gb, float* gx, float* scratch,
+                          const ConvShape& s);
 };
+
+/// Floats of scratch any backend's conv2d_backward may use for `s`.
+std::size_t conv2d_backward_scratch(const ConvShape& s) noexcept;
 
 /// The portable backend, whose chains every other backend reproduces.
 const KernelOps& scalar_ops() noexcept;
@@ -96,7 +112,8 @@ void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
                int window, std::size_t* argmax = nullptr);
 
 /// wt[c][r] = w[r][c] for a row-major rows x cols `w`: the `wt` copy
-/// that dense (rows = out_f) and conv2d (rows = out_c) read.
+/// that dense (rows = out_f) and conv2d (rows = out_c) read. A copy, so
+/// its loop order cannot change a value.
 void transpose(const float* w, float* wt, int rows, int cols);
 
 /// Test-only: pins the active backend for the lifetime of the scope so

@@ -8,8 +8,21 @@
 // this TU is compiled with -ffp-contract=off, and -mavx2 does not
 // enable FMA codegen). IEEE-754 single-precision mul/add are identical
 // scalar vs vector, so results are bit-identical to the scalar
-// backend; remainder elements (sizes not divisible by 8) run the
-// scalar chain directly.
+// backend. Conv's remainder elements (sizes not divisible by 8) run
+// the scalar chain directly; dense runs them in masked lanes.
+//
+// One chain per vector would leave the adder waiting on its own
+// latency, so the forwards keep several chains in flight: conv runs
+// kConvPositions output positions x kConvBlocks eight-channel blocks
+// per pass, dense kDenseBlocks eight-output blocks. Interleaving
+// independent chains changes no chain.
+//
+// The conv backward walks the nonzero output gradients one by one, in
+// the scalar loop's order (most are zero behind max-pool and ReLU), and
+// vectorizes each one's updates: across the kernel taps of a weight
+// gradient row (through x unrolled per output position) and across the
+// input channels of an input-gradient position (through HWC copies of
+// gx and w). Every gradient element keeps the scalar backward's chain.
 //
 // This TU is the only one compiled with -mavx2 (x86 builds only; see
 // CMakeLists.txt). On other architectures it compiles to a stub that
@@ -21,9 +34,78 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstdint>
+
 namespace ftnav::kernels {
 
 namespace {
+
+constexpr int kConvPositions = 4;
+constexpr int kConvBlocks = 2;
+constexpr int kDenseBlocks = 4;
+
+/// Mask selecting lanes [0, n) for n in 1..8.
+__m256i first_lanes(int n) {
+  static const std::int32_t kOnes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                         0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kOnes + 8 - n));
+}
+
+/// Output positions pos[0..P) x channels [oc, oc + 8B) of the channel
+/// path: P*B chains, each running the scalar tap order (ic, kh, kw).
+/// xbase[p] is input position pos[p]'s window origin in channel 0.
+template <int P, int B>
+void conv_tile(const float* wt, const float* bias, const float* const* xbase,
+               const int* pos, float* y, int oc, const ConvShape& s) {
+  __m256 acc[P][B];
+  for (int b = 0; b < B; ++b) {
+    const __m256 start = _mm256_loadu_ps(bias + oc + 8 * b);
+    for (int p = 0; p < P; ++p) acc[p][b] = start;
+  }
+  const std::size_t in_plane = static_cast<std::size_t>(s.in_h) * s.in_w;
+  const float* wp = wt + oc;
+  for (int ic = 0; ic < s.in_c; ++ic) {
+    for (int kh = 0; kh < s.kernel; ++kh) {
+      const std::size_t row =
+          ic * in_plane + static_cast<std::size_t>(kh) * s.in_w;
+      for (int kw = 0; kw < s.kernel; ++kw) {
+        __m256 wv[B];
+        for (int b = 0; b < B; ++b) wv[b] = _mm256_loadu_ps(wp + 8 * b);
+        for (int p = 0; p < P; ++p) {
+          const __m256 xv = _mm256_broadcast_ss(xbase[p] + row + kw);
+          for (int b = 0; b < B; ++b)
+            acc[p][b] = _mm256_add_ps(acc[p][b], _mm256_mul_ps(wv[b], xv));
+        }
+        wp += s.out_c;
+      }
+    }
+  }
+  const std::size_t plane = static_cast<std::size_t>(s.out_h) * s.out_w;
+  for (int p = 0; p < P; ++p) {
+    for (int b = 0; b < B; ++b) {
+      alignas(32) float lanes[8];
+      _mm256_store_ps(lanes, acc[p][b]);
+      float* ybase = y + static_cast<std::size_t>(oc + 8 * b) * plane + pos[p];
+      for (int j = 0; j < 8; ++j)
+        ybase[static_cast<std::size_t>(j) * plane] = lanes[j];
+    }
+  }
+}
+
+template <int B>
+void conv_tile_any(int positions, const float* wt, const float* bias,
+                   const float* const* xbase, const int* pos, float* y, int oc,
+                   const ConvShape& s) {
+  static_assert(kConvPositions == 4);
+  switch (positions) {
+    case 4: conv_tile<4, B>(wt, bias, xbase, pos, y, oc, s); break;
+    case 3: conv_tile<3, B>(wt, bias, xbase, pos, y, oc, s); break;
+    case 2: conv_tile<2, B>(wt, bias, xbase, pos, y, oc, s); break;
+    default: conv_tile<1, B>(wt, bias, xbase, pos, y, oc, s); break;
+  }
+}
 
 void conv2d_avx2(const float* w, const float* wt, const float* bias,
                  const float* x, float* y, const ConvShape& s) {
@@ -34,39 +116,31 @@ void conv2d_avx2(const float* w, const float* wt, const float* bias,
     // value, load 8 neighboring output-channel weights, vmulps +
     // vaddps. No gathers regardless of stride, and full lanes even
     // when the output feature map is tiny (late conv stages) -- the
-    // geometry where column vectorization runs mostly scalar.
-    const std::size_t plane = static_cast<std::size_t>(s.out_h) * s.out_w;
-    for (int oh = 0; oh < s.out_h; ++oh) {
-      for (int ow = 0; ow < s.out_w; ++ow) {
-        const int ih0 = oh * s.stride;
-        const int iw0 = ow * s.stride;
-        int oc = 0;
-        for (; oc + 8 <= s.out_c; oc += 8) {
-          __m256 acc = _mm256_loadu_ps(bias + oc);
-          const float* wp = wt + oc;
-          for (int ic = 0; ic < s.in_c; ++ic) {
-            for (int kh = 0; kh < s.kernel; ++kh) {
-              const float* xrow =
-                  x + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
-                          s.in_w +
-                  iw0;
-              for (int kw = 0; kw < s.kernel; ++kw) {
-                const __m256 wv = _mm256_loadu_ps(wp);
-                const __m256 xv = _mm256_broadcast_ss(xrow + kw);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, xv));
-                wp += s.out_c;
-              }
-            }
-          }
-          alignas(32) float lanes[8];
-          _mm256_store_ps(lanes, acc);
-          float* ybase = y + static_cast<std::size_t>(oc) * plane +
-                         static_cast<std::size_t>(oh) * s.out_w + ow;
-          for (int j = 0; j < 8; ++j)
-            ybase[static_cast<std::size_t>(j) * plane] = lanes[j];
-        }
-        // Remainder output channels: the scalar chain verbatim.
-        for (; oc < s.out_c; ++oc) {
+    // geometry where column vectorization runs mostly scalar. A pass
+    // takes up to kConvPositions consecutive positions of the
+    // flattened output plane, so a 2x2 map still fills one.
+    const int plane = s.out_h * s.out_w;
+    const int blocks = s.out_c / 8;
+    for (int p0 = 0; p0 < plane; p0 += kConvPositions) {
+      const int positions = std::min(kConvPositions, plane - p0);
+      int pos[kConvPositions];
+      const float* xbase[kConvPositions];
+      for (int p = 0; p < positions; ++p) {
+        pos[p] = p0 + p;
+        const int oh = pos[p] / s.out_w;
+        const int ow = pos[p] % s.out_w;
+        xbase[p] = x + static_cast<std::size_t>(oh * s.stride) * s.in_w +
+                   ow * s.stride;
+      }
+      int block = 0;
+      for (; block + kConvBlocks <= blocks; block += kConvBlocks)
+        conv_tile_any<kConvBlocks>(positions, wt, bias, xbase, pos, y,
+                                   8 * block, s);
+      for (; block < blocks; ++block)
+        conv_tile_any<1>(positions, wt, bias, xbase, pos, y, 8 * block, s);
+      // Remainder output channels: the scalar chain verbatim.
+      for (int p = 0; p < positions; ++p) {
+        for (int oc = 8 * blocks; oc < s.out_c; ++oc) {
           float acc = bias[oc];
           for (int ic = 0; ic < s.in_c; ++ic) {
             for (int kh = 0; kh < s.kernel; ++kh) {
@@ -76,15 +150,13 @@ void conv2d_avx2(const float* w, const float* wt, const float* bias,
                        kh) *
                           s.kernel;
               const float* xrow =
-                  x + (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
-                          s.in_w +
-                  iw0;
+                  xbase[p] +
+                  (static_cast<std::size_t>(ic) * s.in_h + kh) * s.in_w;
               for (int kw = 0; kw < s.kernel; ++kw)
                 acc += wrow[kw] * xrow[kw];
             }
           }
-          y[static_cast<std::size_t>(oc) * plane +
-            static_cast<std::size_t>(oh) * s.out_w + ow] = acc;
+          y[static_cast<std::size_t>(oc) * plane + pos[p]] = acc;
         }
       }
     }
@@ -149,26 +221,60 @@ void conv2d_avx2(const float* w, const float* wt, const float* bias,
   }
 }
 
-void dense_avx2(const float* w, const float* wt, const float* bias,
-                const float* x, float* y, int in_f, int out_f) {
-  // Lane j handles output o+j through the transposed weights
-  // wt[i][o] (contiguous across outputs for a fixed input).
-  int o = 0;
-  for (; o + 8 <= out_f; o += 8) {
-    __m256 acc = _mm256_loadu_ps(bias + o);
-    for (int i = 0; i < in_f; ++i) {
-      const __m256 xv = _mm256_broadcast_ss(x + i);
-      const __m256 wv =
-          _mm256_loadu_ps(wt + static_cast<std::size_t>(i) * out_f + o);
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(wv, xv));
-    }
-    _mm256_storeu_ps(y + o, acc);
+/// Outputs [o, o + 8B) through the transposed weights wt[i][o]
+/// (contiguous across outputs for a fixed input): B chains. With
+/// kPartial the last block keeps only the lanes set in `last`: its
+/// loads are masked, so it reads nothing past wt or bias, and its dead
+/// lanes are not stored.
+template <int B, bool kPartial>
+void dense_tile(const float* wt, const float* bias, const float* x, float* y,
+                int in_f, int out_f, int o, __m256i last) {
+  const auto load = [last](const float* p, int b) {
+    return kPartial && b == B - 1 ? _mm256_maskload_ps(p, last)
+                                  : _mm256_loadu_ps(p);
+  };
+  __m256 acc[B];
+  for (int b = 0; b < B; ++b) acc[b] = load(bias + o + 8 * b, b);
+  for (int i = 0; i < in_f; ++i) {
+    const __m256 xv = _mm256_broadcast_ss(x + i);
+    const float* row = wt + static_cast<std::size_t>(i) * out_f + o;
+    for (int b = 0; b < B; ++b)
+      acc[b] = _mm256_add_ps(acc[b], _mm256_mul_ps(load(row + 8 * b, b), xv));
   }
-  for (; o < out_f; ++o) {
-    float acc = bias[o];
-    const float* row = w + static_cast<std::size_t>(o) * in_f;
-    for (int i = 0; i < in_f; ++i) acc += row[i] * x[i];
-    y[o] = acc;
+  for (int b = 0; b < B; ++b) {
+    if (kPartial && b == B - 1)
+      _mm256_maskstore_ps(y + o + 8 * b, last, acc[b]);
+    else
+      _mm256_storeu_ps(y + o + 8 * b, acc[b]);
+  }
+}
+
+void dense_avx2(const float* /*w*/, const float* wt, const float* bias,
+                const float* x, float* y, int in_f, int out_f) {
+  // Lane j of block b handles output o+8b+j. A final partial block
+  // runs in masked lanes, so no output falls back to a scalar chain.
+  static_assert(kDenseBlocks == 4);
+  const int full = out_f / 8;
+  const __m256i last = first_lanes(std::max(1, out_f - 8 * full));
+  int block = 0;
+  for (; block + kDenseBlocks <= full; block += kDenseBlocks)
+    dense_tile<kDenseBlocks, false>(wt, bias, x, y, in_f, out_f, 8 * block,
+                                    last);
+  const int o = 8 * block;
+  if (out_f % 8 != 0) {
+    switch (full - block) {
+      case 3: dense_tile<4, true>(wt, bias, x, y, in_f, out_f, o, last); break;
+      case 2: dense_tile<3, true>(wt, bias, x, y, in_f, out_f, o, last); break;
+      case 1: dense_tile<2, true>(wt, bias, x, y, in_f, out_f, o, last); break;
+      default: dense_tile<1, true>(wt, bias, x, y, in_f, out_f, o, last); break;
+    }
+  } else {
+    switch (full - block) {
+      case 3: dense_tile<3, false>(wt, bias, x, y, in_f, out_f, o, last); break;
+      case 2: dense_tile<2, false>(wt, bias, x, y, in_f, out_f, o, last); break;
+      case 1: dense_tile<1, false>(wt, bias, x, y, in_f, out_f, o, last); break;
+      default: break;
+    }
   }
 }
 
@@ -183,9 +289,118 @@ void relu_avx2(float* x, std::size_t n) {
   for (; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-constexpr KernelOps kAvx2Ops{"avx2", /*dense_wants_transposed=*/true,
-                             /*conv_wants_transposed=*/true, conv2d_avx2,
-                             dense_avx2, relu_avx2};
+/// Weight and bias gradients. x is unrolled into xcol[pos][tap] (tap =
+/// (ic, kh, kw), the order of a gw row), so each nonzero output
+/// gradient is one contiguous update gw[oc][..] += g * xcol[pos][..]:
+/// lane j is tap t+j, and every gw element still adds its terms in
+/// position order.
+void conv_backward_params(const float* x, const float* gy, float* gw,
+                          float* gb, float* xcol, const ConvShape& s) {
+  const int taps = s.in_c * s.kernel * s.kernel;
+  const int plane = s.out_h * s.out_w;
+  const std::size_t in_plane = static_cast<std::size_t>(s.in_h) * s.in_w;
+  const __m256i row_lanes = first_lanes(std::min(8, s.kernel));
+  float* dst = xcol;
+  for (int pos = 0; pos < plane; ++pos) {
+    const float* xbase =
+        x + static_cast<std::size_t>(pos / s.out_w * s.stride) * s.in_w +
+        pos % s.out_w * s.stride;
+    for (int ic = 0; ic < s.in_c; ++ic) {
+      for (int kh = 0; kh < s.kernel; ++kh, dst += s.kernel) {
+        const float* src =
+            xbase + ic * in_plane + static_cast<std::size_t>(kh) * s.in_w;
+        if (s.kernel <= 8)  // lanes past the row are overwritten next
+          _mm256_storeu_ps(dst, _mm256_maskload_ps(src, row_lanes));
+        else
+          std::copy(src, src + s.kernel, dst);
+      }
+    }
+  }
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    float* row = gw + static_cast<std::size_t>(oc) * taps;
+    for (int pos = 0; pos < plane; ++pos) {
+      const float g = gy[static_cast<std::size_t>(oc) * plane + pos];
+      if (g == 0.0f) continue;
+      gb[oc] += g;
+      const __m256 gv = _mm256_set1_ps(g);
+      const float* col = xcol + static_cast<std::size_t>(pos) * taps;
+      int t = 0;
+      for (; t + 8 <= taps; t += 8) {
+        const __m256 term = _mm256_mul_ps(gv, _mm256_loadu_ps(col + t));
+        _mm256_storeu_ps(row + t,
+                         _mm256_add_ps(_mm256_loadu_ps(row + t), term));
+      }
+      for (; t < taps; ++t) row[t] += g * col[t];
+    }
+  }
+}
+
+/// Input gradient: lane j is input channel ic+j of one input position.
+/// gx accumulates in HWC order with each position's channels padded to
+/// `cs`, a multiple of 8, and w is permuted to [oc][kh][kw][cs] to
+/// match: a kernel row's taps are then one contiguous run of K*cs
+/// floats in both, and overlapping windows share whole 8-lane cells,
+/// which keeps store-to-load forwarding intact. Padding lanes are never
+/// copied out.
+void conv_backward_input(const float* w, const float* gy, float* gx,
+                         float* scratch, const ConvShape& s) {
+  const int cs = (s.in_c + 7) / 8 * 8;
+  const int kk = s.kernel * s.kernel;
+  const std::size_t run = static_cast<std::size_t>(s.kernel) * cs;
+  const std::size_t in_plane = static_cast<std::size_t>(s.in_h) * s.in_w;
+  const std::size_t permuted = static_cast<std::size_t>(s.out_c) * kk * cs;
+  float* wp = scratch;
+  float* hwc = scratch + permuted;
+  if (cs != s.in_c) std::fill(wp, wp + permuted, 0.0f);
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    const float* src = w + static_cast<std::size_t>(oc) * s.in_c * kk;
+    float* dst = wp + static_cast<std::size_t>(oc) * kk * cs;
+    for (int ic = 0; ic < s.in_c; ++ic)
+      for (int t = 0; t < kk; ++t)
+        dst[static_cast<std::size_t>(t) * cs + ic] = *src++;
+  }
+  std::fill(hwc, hwc + in_plane * cs, 0.0f);
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    for (int oh = 0; oh < s.out_h; ++oh) {
+      for (int ow = 0; ow < s.out_w; ++ow) {
+        const float g =
+            gy[(static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w + ow];
+        if (g == 0.0f) continue;
+        const __m256 gv = _mm256_set1_ps(g);
+        const float* src = wp + static_cast<std::size_t>(oc) * kk * cs;
+        for (int kh = 0; kh < s.kernel; ++kh, src += run) {
+          float* dst =
+              hwc + (static_cast<std::size_t>(oh * s.stride + kh) * s.in_w +
+                     ow * s.stride) *
+                        cs;
+          for (std::size_t i = 0; i < run; i += 8)
+            _mm256_storeu_ps(
+                dst + i,
+                _mm256_add_ps(_mm256_loadu_ps(dst + i),
+                              _mm256_mul_ps(gv, _mm256_loadu_ps(src + i))));
+        }
+      }
+    }
+  }
+  for (int ic = 0; ic < s.in_c; ++ic)
+    for (std::size_t p = 0; p < in_plane; ++p)
+      gx[ic * in_plane + p] = hwc[p * cs + ic];
+}
+
+void conv2d_backward_avx2(const float* w, const float* x, const float* gy,
+                          float* gw, float* gb, float* gx, float* scratch,
+                          const ConvShape& s) {
+  conv_backward_params(x, gy, gw, gb, scratch, s);
+  conv_backward_input(w, gy, gx, scratch, s);
+}
+
+constexpr KernelOps kAvx2Ops{"avx2",
+                             /*dense_wants_transposed=*/true,
+                             /*conv_wants_transposed=*/true,
+                             conv2d_avx2,
+                             dense_avx2,
+                             relu_avx2,
+                             conv2d_backward_avx2};
 
 }  // namespace
 

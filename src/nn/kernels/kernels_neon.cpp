@@ -8,7 +8,8 @@
 // compiler cannot re-fuse them into FMLA). IEEE-754 single-precision
 // mul/add are identical scalar vs vector, so results are bit-identical
 // to the scalar backend; remainder elements (sizes not divisible by 4)
-// run the scalar chain directly.
+// run the scalar chain directly. The conv backward is the scalar
+// backend's.
 //
 // ReLU deliberately avoids vmaxq_f32: ARM FMAX propagates NaN operands
 // where the scalar `v > 0 ? v : 0` (and x86 max_ps) returns 0, so the
@@ -190,13 +191,19 @@ void relu_neon(float* x, std::size_t n) {
   for (; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-constexpr KernelOps kNeonOps{"neon", /*dense_wants_transposed=*/true,
-                             /*conv_wants_transposed=*/true, conv2d_neon,
-                             dense_neon, relu_neon};
-
 }  // namespace
 
-const KernelOps* neon_ops() noexcept { return &kNeonOps; }
+const KernelOps* neon_ops() noexcept {
+  // The conv backward has no NEON loop: the scalar reference serves.
+  static const KernelOps kNeonOps{"neon",
+                                  /*dense_wants_transposed=*/true,
+                                  /*conv_wants_transposed=*/true,
+                                  conv2d_neon,
+                                  dense_neon,
+                                  relu_neon,
+                                  scalar_ops().conv2d_backward};
+  return &kNeonOps;
+}
 
 }  // namespace ftnav::kernels
 

@@ -40,12 +40,6 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
   // Biases start at zero (already value-initialized by resize).
 }
 
-std::size_t Conv2D::weight_index(int oc, int ic, int kh, int kw) const noexcept {
-  return ((static_cast<std::size_t>(oc) * in_channels_ + ic) * kernel_ + kh) *
-             kernel_ +
-         kw;
-}
-
 Shape Conv2D::output_shape(const Shape& in) const {
   if (in.channels != in_channels_)
     throw std::invalid_argument("Conv2D: channel mismatch");
@@ -83,29 +77,21 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   const Shape out_shape = grad_output.shape();
   if (out_shape != output_shape(cached_input_.shape()))
     throw std::invalid_argument("Conv2D::backward: gradient shape mismatch");
-  Tensor grad_input(cached_input_.shape());
-  const std::size_t bias_base = params_.size() - out_channels_;
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    for (int oh = 0; oh < out_shape.height; ++oh) {
-      for (int ow = 0; ow < out_shape.width; ++ow) {
-        const float g = grad_output.get(oc, oh, ow);
-        if (g == 0.0f) continue;
-        grads_[bias_base + static_cast<std::size_t>(oc)] += g;
-        const int ih0 = oh * stride_;
-        const int iw0 = ow * stride_;
-        for (int ic = 0; ic < in_channels_; ++ic) {
-          for (int kh = 0; kh < kernel_; ++kh) {
-            for (int kw = 0; kw < kernel_; ++kw) {
-              grads_[weight_index(oc, ic, kh, kw)] +=
-                  g * cached_input_.get(ic, ih0 + kh, iw0 + kw);
-              grad_input.ref(ic, ih0 + kh, iw0 + kw) +=
-                  g * params_[weight_index(oc, ic, kh, kw)];
-            }
-          }
-        }
-      }
-    }
-  }
+  const Shape in_shape = cached_input_.shape();
+  const kernels::ConvShape shape{in_channels_,    in_shape.height,
+                                 in_shape.width,  out_channels_,
+                                 out_shape.height, out_shape.width,
+                                 kernel_,         stride_};
+  // Dead between calls, so one buffer per thread serves every layer
+  // and every copy of one; it only grows, to the largest need.
+  thread_local std::vector<float> scratch;
+  scratch.resize(
+      std::max(scratch.size(), kernels::conv2d_backward_scratch(shape)));
+  Tensor grad_input(in_shape);
+  const std::size_t weight_count = params_.size() - out_channels_;
+  kernels::active().conv2d_backward(
+      params_.data(), cached_input_.data(), grad_output.data(), grads_.data(),
+      grads_.data() + weight_count, grad_input.data(), scratch.data(), shape);
   return grad_input;
 }
 

@@ -86,8 +86,6 @@ class Conv2D final : public Layer {
   int stride() const noexcept { return stride_; }
 
  private:
-  std::size_t weight_index(int oc, int ic, int kh, int kw) const noexcept;
-
   int in_channels_;
   int out_channels_;
   int kernel_;

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "util/binary_io.h"
+
 namespace ftnav {
 
 void save_parameters(std::ostream& out, const std::vector<float>& params) {
@@ -31,10 +33,14 @@ std::vector<float> load_parameters(std::istream& in) {
     throw std::runtime_error("load_parameters: unsupported version");
   if (count > (std::uint64_t{1} << 32))
     throw std::runtime_error("load_parameters: implausible size");
-  std::vector<float> params(static_cast<std::size_t>(count));
-  in.read(reinterpret_cast<char*>(params.data()),
-          static_cast<std::streamsize>(params.size() * sizeof(float)));
-  if (!in) throw std::runtime_error("load_parameters: truncated payload");
+  // Grows one chunk at a time as floats arrive, so a count the stream
+  // cannot back fails as a truncated payload instead of allocating it.
+  std::vector<float> params;
+  try {
+    io::read_chunked(in, count, params);
+  } catch (const std::runtime_error&) {
+    throw std::runtime_error("load_parameters: truncated payload");
+  }
   return params;
 }
 

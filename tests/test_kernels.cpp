@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -70,9 +71,26 @@ void expect_bit_identical(const std::vector<float>& scalar,
 // per-backend fixtures below run every matrix through both compiled-in
 // backends.
 
+struct ConvGeometry {
+  int in_c, out_c, kernel, stride, out_h, out_w;
+};
+
+ConvShape shape_of(const ConvGeometry& g) {
+  ConvShape s;
+  s.in_c = g.in_c;
+  s.out_c = g.out_c;
+  s.kernel = g.kernel;
+  s.stride = g.stride;
+  s.out_h = g.out_h;
+  s.out_w = g.out_w;
+  s.in_h = (g.out_h - 1) * g.stride + g.kernel;
+  s.in_w = (g.out_w - 1) * g.stride + g.kernel;
+  return s;
+}
+
 void run_conv_shape_matrix(const KernelOps& simd) {
   const QFormat fmt = QFormat::q_1_4_11();
-  const struct { int in_c, out_c, kernel, stride, out_h, out_w; } shapes[] = {
+  const ConvGeometry shapes[] = {
       {1, 1, 1, 1, 1, 1},    // degenerate
       {1, 2, 3, 1, 3, 3},    // out_w < 4: pure remainder for both widths
       {1, 2, 3, 1, 3, 7},    // out_w < 8: remainder for AVX2, 4+3 for NEON
@@ -86,17 +104,25 @@ void run_conv_shape_matrix(const KernelOps& simd) {
       {3, 12, 3, 2, 3, 3},   // strided channel path + 4-channel remainder
       {2, 19, 5, 1, 4, 5},   // channel vectors + odd channel remainder
       {1, 16, 1, 1, 6, 6},   // 1x1 kernel, pure channel vectorization
+      // C3F2 layers, fast preset (conv1, conv2, conv3) ...
+      {3, 16, 5, 2, 18, 18},
+      {16, 32, 3, 2, 4, 4},
+      {32, 32, 3, 1, 2, 2},
+      // ... and paper preset.
+      {3, 96, 7, 4, 25, 25},
+      {96, 64, 5, 1, 8, 8},
+      {64, 64, 3, 1, 6, 6},
   };
-  for (const auto& g : shapes) {
-    ConvShape s;
-    s.in_c = g.in_c;
-    s.out_c = g.out_c;
-    s.kernel = g.kernel;
-    s.stride = g.stride;
-    s.out_h = g.out_h;
-    s.out_w = g.out_w;
-    s.in_h = (g.out_h - 1) * g.stride + g.kernel;
-    s.in_w = (g.out_w - 1) * g.stride + g.kernel;
+  std::vector<ConvGeometry> cases(std::begin(shapes), std::end(shapes));
+  // Several channel blocks per pass plus a lone block (24, 40), over
+  // output widths 1..7 and two heights, so the last pass of
+  // consecutive output positions holds every count from 1 to 4.
+  for (const int out_c : {24, 32, 40})
+    for (const int out_h : {1, 3})
+      for (int out_w = 1; out_w <= 7; ++out_w)
+        cases.push_back({3, out_c, 3, 1 + out_w % 2, out_h, out_w});
+  for (const auto& g : cases) {
+    const ConvShape s = shape_of(g);
     const std::size_t wn = static_cast<std::size_t>(g.out_c) * g.in_c *
                            g.kernel * g.kernel;
     const std::size_t xn =
@@ -120,8 +146,8 @@ void run_conv_shape_matrix(const KernelOps& simd) {
 
 void run_dense_width_matrix(const KernelOps& simd) {
   const QFormat fmt(3, 4);  // coarse grid: saturating sums
-  for (const int in_f : {1, 5, 48}) {
-    for (const int out_f : {1, 3, 4, 7, 8, 9, 16, 25}) {
+  for (const int in_f : {1, 5, 48, 128}) {
+    for (const int out_f : {1, 3, 4, 7, 8, 9, 16, 25, 32, 33, 40, 128}) {
       const std::size_t wn = static_cast<std::size_t>(out_f) * in_f;
       const auto w = quantized_randoms(fmt, wn, 400 + wn);
       const auto b = quantized_randoms(fmt, out_f, 500 + wn);
@@ -182,6 +208,71 @@ void run_faulted_dense(const KernelOps& simd) {
   simd.dense(w.data(), simd.dense_wants_transposed ? wt.data() : nullptr,
              b.data(), x.data(), y_simd.data(), in_f, out_f);
   expect_bit_identical(y_scalar, y_simd, "faulted dense");
+}
+
+/// conv2d_backward, scalar against `simd`, bit for bit on gw, gb and
+/// gx. Gradients mix +0, -0 and one NaN into nonzero values; gw and gb
+/// start nonzero, with -0 entries that a zero gradient must not touch
+/// (-0 + +0 is +0). The last input element and output channel 0's
+/// first weight are +inf but read only by zero gradients, so a dropped
+/// skip turns gw or gx into NaN (0 * inf).
+void run_conv_backward_matrix(const KernelOps& simd) {
+  const QFormat fmt = QFormat::q_1_4_11();
+  for (const int in_c : {3, 8, 16})
+    for (const int out_c : {8, 12, 16, 32})
+      for (const int kernel : {1, 3, 5, 9})  // 9: rows wider than a vector
+        for (const int stride : {1, 2}) {
+          const ConvShape s = shape_of({in_c, out_c, kernel, stride, 3, 5});
+          SCOPED_TRACE(testing::Message()
+                       << "in_c " << in_c << " out_c " << out_c << " kernel "
+                       << kernel << " stride " << stride);
+          const std::size_t wn =
+              static_cast<std::size_t>(out_c) * in_c * kernel * kernel;
+          const std::size_t xn =
+              static_cast<std::size_t>(in_c) * s.in_h * s.in_w;
+          const std::size_t yn =
+              static_cast<std::size_t>(out_c) * s.out_h * s.out_w;
+          auto w = quantized_randoms(fmt, wn, 700 + wn);
+          w[0] = std::numeric_limits<float>::infinity();
+          auto x = quantized_randoms(fmt, xn, 800 + xn);
+          x.back() = std::numeric_limits<float>::infinity();
+          auto gy = quantized_randoms(fmt, yn, 900 + yn);
+          for (std::size_t i = 0; i < yn; i += 3) gy[i] = 0.0f;
+          for (std::size_t i = 1; i < yn; i += 5) gy[i] = -0.0f;
+          // Channel out_c / 2 at (oh, ow) = (1, 2): a window clear of
+          // gx[0] and of the last input element.
+          gy[(static_cast<std::size_t>(out_c / 2) * s.out_h + 1) * s.out_w +
+             2] = std::numeric_limits<float>::quiet_NaN();
+          // All of channel 0, and every output whose window covers the
+          // last input element.
+          for (int oc = 0; oc < out_c; ++oc)
+            for (int oh = 0; oh < s.out_h; ++oh)
+              for (int ow = 0; ow < s.out_w; ++ow)
+                if (oc == 0 || (oh * stride + kernel >= s.in_h &&
+                                ow * stride + kernel >= s.in_w))
+                  gy[(static_cast<std::size_t>(oc) * s.out_h + oh) *
+                         s.out_w +
+                     ow] = (oc + oh + ow) % 2 == 0 ? 0.0f : -0.0f;
+          auto params = quantized_randoms(fmt, wn + out_c, 1000 + wn);
+          for (std::size_t i = 2; i < params.size(); i += 7)
+            params[i] = -0.0f;
+          std::vector<float> scratch(kernels::conv2d_backward_scratch(s));
+          std::vector<float> grads_scalar = params, grads_simd = params;
+          std::vector<float> gx_scalar(xn, 1.0f), gx_simd(xn, 2.0f);
+          kernels::scalar_ops().conv2d_backward(
+              w.data(), x.data(), gy.data(), grads_scalar.data(),
+              grads_scalar.data() + wn, gx_scalar.data(), scratch.data(), s);
+          simd.conv2d_backward(w.data(), x.data(), gy.data(),
+                               grads_simd.data(), grads_simd.data() + wn,
+                               gx_simd.data(), scratch.data(), s);
+          expect_bit_identical(grads_scalar, grads_simd,
+                               "conv2d_backward gw/gb");
+          expect_bit_identical(gx_scalar, gx_simd, "conv2d_backward gx");
+          // The infs are live: what they feed would be NaN had a zero
+          // gradient been applied, and it is not.
+          EXPECT_FALSE(std::isnan(grads_scalar[wn - 1]));
+          EXPECT_FALSE(std::isnan(gx_scalar[0]));
+        }
 }
 
 /// Float layers on the active backend: C3F2 (fast preset) and the Grid
@@ -252,6 +343,10 @@ TEST_F(Avx2BitIdentity, DenseAcrossWidthsAndRemainderLanes) {
   run_dense_width_matrix(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, ConvBackwardAcrossShapesAndSpecialGradients) {
+  run_conv_backward_matrix(*simd_);
+}
+
 TEST_F(Avx2BitIdentity, ReluIncludingSignedZeroAndRemainder) {
   run_relu_matrix(*simd_);
 }
@@ -283,6 +378,10 @@ TEST_F(NeonBitIdentity, ConvAcrossShapesAndRemainderLanes) {
 
 TEST_F(NeonBitIdentity, DenseAcrossWidthsAndRemainderLanes) {
   run_dense_width_matrix(*simd_);
+}
+
+TEST_F(NeonBitIdentity, ConvBackwardAcrossShapesAndSpecialGradients) {
+  run_conv_backward_matrix(*simd_);
 }
 
 TEST_F(NeonBitIdentity, ReluIncludingSignedZeroAndRemainder) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -47,6 +48,19 @@ TEST(Serialize, RejectsTruncatedPayload) {
   std::string data = buffer.str();
   std::stringstream truncated(data.substr(0, data.size() - 4));
   EXPECT_THROW(load_parameters(truncated), std::runtime_error);
+}
+
+TEST(Serialize, LyingCountFailsWithoutAllocatingIt) {
+  // A 16-byte stream: a header claiming 2^32 floats (16 GiB), no
+  // payload.
+  std::stringstream buffer;
+  const std::uint32_t magic = kParameterFileMagic;
+  const std::uint32_t version = kParameterFileVersion;
+  const std::uint64_t count = std::uint64_t{1} << 32;
+  buffer.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+  buffer.write(reinterpret_cast<const char*>(&version), sizeof version);
+  buffer.write(reinterpret_cast<const char*>(&count), sizeof count);
+  EXPECT_THROW(load_parameters(buffer), std::runtime_error);
 }
 
 TEST(Serialize, RejectsTruncatedHeader) {
