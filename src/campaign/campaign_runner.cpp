@@ -1,20 +1,14 @@
 #include "campaign/campaign_runner.h"
 
+#include <stdexcept>
 #include <thread>
 
 #include "campaign/worker_pool.h"
-#include "obs/trace.h"
 
 namespace ftnav {
 namespace {
 
-/// Shards handed out per worker in batch mode: oversubscription smooths
-/// out heterogeneous trial costs (a high-BER training run can take many
-/// times longer than a fault-free rollout) without giving up the
-/// cache-friendliness of contiguous trial ranges.
-constexpr std::size_t kShardsPerWorker = 4;
-
-/// Streamed campaigns use a fixed partition so the completed-shard
+/// Every campaign uses one fixed partition, so the completed-shard
 /// bitmap in a checkpoint means the same thing for every thread count
 /// and machine. 64 shards keeps pools up to ~16 workers balanced while
 /// giving checkpoint/progress a useful granularity.
@@ -53,41 +47,33 @@ int resolve_threads(int threads) noexcept {
 CampaignRunner::CampaignRunner(int threads)
     : threads_(resolve_threads(threads)) {}
 
-std::size_t CampaignRunner::shard_budget() const noexcept {
-  return static_cast<std::size_t>(threads_) * kShardsPerWorker;
-}
-
-void CampaignRunner::run_shards(
-    std::size_t trial_count,
-    const std::function<void(const CampaignShard&)>& body) const {
-  const std::vector<CampaignShard> shards =
-      shard_trials(trial_count, shard_budget());
-  run_shards_prepartitioned(
-      shards, [&](std::size_t index) { body(shards[index]); });
-}
-
-void CampaignRunner::run_shards_prepartitioned(
-    const std::vector<CampaignShard>& shards,
-    const std::function<void(std::size_t)>& body) const {
-  if (shards.empty()) return;
-  // Batch (non-streamed) campaigns get their per-shard spans here; the
-  // streamed path spans inside run_one_shard instead, where the shard
-  // tag and lease outcome are in scope.
-  WorkerPool::instance().run(shards.size(), threads_,
-                             [&body](std::size_t index) {
-                               obs::TraceSpan span("shard", "campaign",
-                                                   "shard", index);
-                               body(index);
-                             });
-}
-
-void CampaignRunner::run_shards_prepartitioned_indices(
+void CampaignRunner::dispatch_shards(
     const std::vector<std::size_t>& indices,
     const std::function<void(std::size_t)>& body) const {
   if (indices.empty()) return;
   WorkerPool::instance().run(
       indices.size(), threads_,
       [&](std::size_t position) { body(indices[position]); });
+}
+
+void CampaignRunner::check_identity(const CampaignCheckpoint::Loaded& loaded,
+                                    std::uint64_t fingerprint,
+                                    std::size_t trial_count,
+                                    std::size_t shard_count,
+                                    const char* what,
+                                    const std::string& path) {
+  if (loaded.header.fingerprint != fingerprint)
+    throw std::runtime_error(
+        std::string(what) +
+        " was written by a different campaign configuration: " + path);
+  if (loaded.header.trial_count != trial_count ||
+      loaded.header.shard_count != shard_count)
+    throw std::runtime_error(
+        std::string(what) + " claims " +
+        std::to_string(loaded.header.trial_count) + " trials in " +
+        std::to_string(loaded.header.shard_count) +
+        " shards, but this campaign has " + std::to_string(trial_count) +
+        " in " + std::to_string(shard_count) + ": " + path);
 }
 
 void CampaignRunner::save_checkpoint(

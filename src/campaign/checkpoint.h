@@ -5,10 +5,10 @@
 // completed shards and (b) the merged accumulator state for exactly
 // those shards. A killed campaign restarted with resume enabled loads
 // the checkpoint, skips the completed shards, and finishes with
-// bit-identical final results — for any thread count, because the
-// shard partition of a streamed campaign is a pure function of the
-// trial count (see campaign_runner.h) and every accumulator merge in
-// the streamed path is order-invariant.
+// bit-identical final results — for any thread count, because every
+// campaign's shard partition is a pure function of the trial count
+// (see campaign_runner.h) and every accumulator merge is
+// order-invariant.
 //
 // File layout (fixed-width little-endian, see util/binary_io.h):
 //
@@ -19,6 +19,9 @@
 // The fingerprint hashes (tag, seed, trial_count, shard_count) so a
 // checkpoint is only ever resumed into the campaign configuration that
 // wrote it; a mismatch throws instead of silently corrupting results.
+// The runner also refuses a file whose header trial_count or
+// shard_count differs from the campaign's, since the bitmap is indexed
+// by the campaign's own shards.
 // Saves are atomic (write to "<path>.tmp", then rename), so a kill
 // mid-save leaves the previous checkpoint intact.
 

@@ -1,10 +1,9 @@
 #pragma once
 // Streaming partial results for long campaigns.
 //
-// A batch campaign is all-or-nothing: hours of fault injection produce
-// one table at the end, and a crash throws everything away. The
-// streaming layer makes long sweeps incrementally observable and
-// resumable:
+// Every campaign (campaign_runner.h) runs through this layer, so a
+// long sweep is incrementally observable and resumable instead of
+// all-or-nothing:
 //
 //   - StreamingAggregator merges per-shard accumulator partials as
 //     shards complete and invokes a progress callback with *consistent*
@@ -19,14 +18,12 @@
 //     which CI's kill-and-resume job and the unit tests use to
 //     interrupt at exact shard boundaries.
 //
-// Determinism contract: shards complete in scheduling order, so the
-// streamed path merges partials in *completion* order (and a resumed
-// run merges into a checkpoint holding an arbitrary subset of shards).
-// Streamed accumulators must therefore be order-invariant merges —
-// integer tallies, disjoint HeatmapGrid cells, Histogram bins, min/max
-// — which is exactly the partition-invariance the batch map_reduce
-// already required, strengthened from "ascending shard order" to "any
-// order". All campaign accumulators in src/experiments satisfy it.
+// Determinism contract: shards complete in scheduling order, so
+// partials merge in *completion* order (and a resumed run merges into
+// a checkpoint holding an arbitrary subset of shards). Accumulators
+// must therefore be order-invariant merges — integer tallies,
+// disjoint HeatmapGrid cells, Histogram bins, min/max. All campaign
+// accumulators in src/experiments satisfy it.
 
 #include <cstddef>
 #include <cstdint>
@@ -106,8 +103,9 @@ class ShardArbiter {
 };
 
 /// Streaming/checkpoint knobs carried by experiment config structs.
-/// Default-constructed, it streams nothing and checkpoints nothing —
-/// the campaign behaves like a plain batch run.
+/// Default-constructed, it reports no progress, checkpoints nothing
+/// and never stops early; the campaign runs the same partition and
+/// merge either way.
 struct CampaignStreamConfig {
   /// Invoked with consistent snapshots at shard boundaries, at least
   /// every `progress_every_trials` completed trials (and once at
@@ -143,12 +141,6 @@ struct CampaignStreamConfig {
   /// locally. Paths that do not exist (workers that claimed nothing)
   /// are skipped.
   std::vector<std::string> merge_partials;
-
-  bool streaming_enabled() const noexcept {
-    return (on_progress && progress_every_trials > 0) ||
-           !checkpoint_path.empty() || stop_after_shards > 0 ||
-           arbiter != nullptr || !merge_partials.empty();
-  }
 };
 
 /// Copy of `stream` whose checkpoint file is "<path>.<suffix>" — used
@@ -165,8 +157,8 @@ inline CampaignStreamConfig with_checkpoint_suffix(
 /// Serialization hooks for streamed accumulator state. The primary
 /// template forwards to `save_state(std::ostream&)` /
 /// `restore_state(std::istream&)` members (Histogram, HeatmapGrid,
-/// driver accumulators); vectors of trivially copyable tallies get a
-/// raw-bytes specialization below.
+/// driver accumulators); single arithmetic tallies and vectors of
+/// trivially copyable tallies get raw-bytes specializations below.
 template <typename Acc>
 struct CampaignStateCodec {
   static void save(std::ostream& out, const Acc& acc) {
@@ -176,6 +168,17 @@ struct CampaignStateCodec {
   /// member validate structure (binning, axis labels) against the
   /// current campaign configuration.
   static void load(std::istream& in, Acc& acc) { acc.restore_state(in); }
+};
+
+template <typename T>
+  requires std::is_arithmetic_v<T>
+struct CampaignStateCodec<T> {
+  static void save(std::ostream& out, const T& acc) {
+    io::write_bytes(out, &acc, sizeof acc);
+  }
+  static void load(std::istream& in, T& acc) {
+    io::read_bytes(in, &acc, sizeof acc);
+  }
 };
 
 template <typename T>

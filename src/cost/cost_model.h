@@ -10,7 +10,8 @@
 // training vs drone rollouts differ by orders of magnitude per trial),
 // not within one -- so a campaign is `trials` copies of one Work
 // vector, and per-shard predictions divide it by the shard count of
-// the runner's own streaming partition (stream_shard_count).
+// the runner's one fixed partition (stream_shard_count), which every
+// campaign run uses.
 //
 // Consumers:
 //   * `fault_campaign describe --cost <name>` renders the estimate;
@@ -69,7 +70,7 @@ struct CampaignCost {
     return perf_trials != 0 ? perf_trials : trials;
   }
 
-  /// The runner's fixed streaming partition for this trial count.
+  /// The runner's fixed partition for this trial count.
   std::size_t shard_count() const noexcept;
   double seconds(const MachineProfile& profile) const noexcept;
   double mean_shard_seconds(const MachineProfile& profile) const noexcept;

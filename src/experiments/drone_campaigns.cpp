@@ -89,7 +89,7 @@ std::vector<std::vector<double>> sweep_msf_grid(
   CampaignStreamConfig stream = config.stream;
   DistCampaign dist(config.dist, stream_tag, stream);
   const double trials_started = perf::now();
-  const std::vector<double> cells = runner.map_streamed_scratch(
+  const std::vector<double> cells = runner.map_streamed(
       stream_tag, row_count * ber_count, config.seed ^ tag,
       [] { return EngineCache(); },
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
@@ -293,7 +293,7 @@ EnvironmentSweepResult run_environment_sweep(
   CampaignStreamConfig stream = config.stream;
   DistCampaign dist(config.dist, stream_tag, stream);
   const double trials_started = perf::now();
-  const std::vector<double> cells = runner.map_streamed_scratch(
+  const std::vector<double> cells = runner.map_streamed(
       stream_tag, worlds.size() * ber_count, config.seed ^ 0x7b,
       [] { return EngineCache(); },
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
@@ -454,7 +454,7 @@ DroneMitigationResult run_drone_mitigation_comparison(
   CampaignStreamConfig stream = config.stream;
   DistCampaign dist(config.dist, stream_tag, stream);
   const double trials_started = perf::now();
-  const std::vector<Cell> cells = runner.map_streamed_scratch(
+  const std::vector<Cell> cells = runner.map_streamed(
       stream_tag, 2 * ber_count, config.seed ^ 0x7f,
       [] { return EngineCache(); },
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {

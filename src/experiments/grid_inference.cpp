@@ -1,6 +1,7 @@
 #include "experiments/grid_inference.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -165,30 +166,14 @@ bool nn_fault_trial(const GridWorld& env, QuantizedInferenceEngine& engine,
 
 /// Per-shard accumulator: success and detection tallies per
 /// (mode, BER) cell. Integer adds, so neither the shard partition nor
-/// the merge order affects the merged campaign totals (the streamed
-/// path merges in completion order).
+/// the merge order (completion order) affects the merged campaign
+/// totals.
 struct InferenceAccum {
   std::vector<int> successes;
   std::vector<std::uint64_t> detections;
-  /// Runtime-only resident engine (NN path); never merged or
-  /// checkpointed — trial results are identical with or without it.
-  std::unique_ptr<QuantizedInferenceEngine> engine;
 
   explicit InferenceAccum(std::size_t cells)
       : successes(cells, 0), detections(cells, 0) {}
-
-  // Copies transfer the tallies only — the engine cache is rebuilt
-  // lazily on first use (the runner copies the initial accumulator).
-  InferenceAccum(const InferenceAccum& other)
-      : successes(other.successes), detections(other.detections) {}
-  InferenceAccum& operator=(const InferenceAccum& other) {
-    successes = other.successes;
-    detections = other.detections;
-    engine.reset();
-    return *this;
-  }
-  InferenceAccum(InferenceAccum&&) = default;
-  InferenceAccum& operator=(InferenceAccum&&) = default;
 
   void merge(const InferenceAccum& other) {
     for (std::size_t i = 0; i < successes.size(); ++i) {
@@ -340,24 +325,28 @@ InferenceCampaignResult run_inference_campaign(
     const Network golden_net = trained.mlp->network();
     const QFormat format = trained.mlp->weights().format();
     const Shape input_shape{trained.env.state_count(), 1, 1};
-    // One resident engine per shard: nn_fault_trial's reset_faults()
-    // restores the golden word image bit-exactly, so every trial sees
-    // a fresh engine's state (see nn/engine_slot.h).
+    // One resident engine per shard, from the runner's scratch
+    // channel: nn_fault_trial's reset_faults() restores the golden
+    // word image bit-exactly, so every trial sees a fresh engine's
+    // state (see nn/engine_slot.h).
+    using ResidentEngine = std::unique_ptr<QuantizedInferenceEngine>;
     totals = runner.map_reduce_streamed(
         stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
         [&] { return InferenceAccum(cell_count); },
-        [&](InferenceAccum& acc, std::size_t trial, Rng& rng) {
+        [&] {
+          auto engine = std::make_unique<QuantizedInferenceEngine>(
+              golden_net, format, input_shape);
+          if (config.mitigated)
+            engine->enable_weight_protection(config.detector_margin);
+          return engine;
+        },
+        [&](InferenceAccum& acc, std::size_t trial, Rng& rng,
+            ResidentEngine& resident) {
           const std::size_t cell = trial / repeat_count;
           const auto mode =
               static_cast<InferenceFaultMode>(cell / ber_count);
           const double ber = config.bers[cell % ber_count];
-          if (!acc.engine) {
-            acc.engine = std::make_unique<QuantizedInferenceEngine>(
-                golden_net, format, input_shape);
-            if (config.mitigated)
-              acc.engine->enable_weight_protection(config.detector_margin);
-          }
-          QuantizedInferenceEngine& engine = *acc.engine;
+          QuantizedInferenceEngine& engine = *resident;
           // The resident detector tallies across trials; the per-trial
           // count (identical to a fresh engine's) is the delta.
           const std::uint64_t detections_before =

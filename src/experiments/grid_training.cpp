@@ -332,7 +332,8 @@ std::vector<RewardCurve> run_reward_curves(GridPolicyKind kind, int episodes,
 
 TransientConvergenceResult run_transient_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int fault_episode,
-    int max_extra_episodes, int repeats, std::uint64_t seed, int threads) {
+    int max_extra_episodes, int repeats, std::uint64_t seed, int threads,
+    const CampaignStreamConfig& stream_config, const DistConfig& dist_config) {
   TransientConvergenceResult result;
   result.bers = bers;
 
@@ -340,8 +341,18 @@ TransientConvergenceResult run_transient_convergence(
   // trial order so the floating-point means are thread-count-invariant.
   const auto repeat_count = static_cast<std::size_t>(repeats);
   const CampaignRunner runner(threads);
-  const std::vector<int> recoveries = runner.map(
-      bers.size() * repeat_count, seed ^ 0xc0ffee,
+  const std::string stream_tag =
+      "grid-convergence/transient/" + to_string(kind) + "#" +
+      ConfigDigest()
+          .add(fault_episode)
+          .add(max_extra_episodes)
+          .add(repeats)
+          .add(bers)
+          .hex();
+  CampaignStreamConfig stream = stream_config;
+  DistCampaign dist(dist_config, stream_tag, stream);
+  const std::vector<int> recoveries = runner.map_streamed(
+      stream_tag, bers.size() * repeat_count, seed ^ 0xc0ffee,
       [&](std::size_t trial, Rng& rng) {
         GridTrainSpec spec;
         spec.kind = kind;
@@ -351,7 +362,8 @@ TransientConvergenceResult run_transient_convergence(
         spec.track_reconvergence = true;
         spec.seed = rng();
         return run_grid_training(spec).reconverge_episodes;
-      });
+      },
+      stream);
   for (std::size_t b = 0; b < bers.size(); ++b) {
     RunningStats episodes_taken;
     int failures = 0;
@@ -374,7 +386,8 @@ TransientConvergenceResult run_transient_convergence(
 PermanentConvergenceResult run_permanent_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int early_episode,
     int late_episode, int extra_episodes, int repeats, std::uint64_t seed,
-    int threads) {
+    int threads, const CampaignStreamConfig& stream_config,
+    const DistConfig& dist_config) {
   PermanentConvergenceResult result;
   result.bers = bers;
 
@@ -382,8 +395,19 @@ PermanentConvergenceResult run_permanent_convergence(
   // (SA0 early, SA0 late, SA1 early, SA1 late).
   const auto repeat_count = static_cast<std::size_t>(repeats);
   const CampaignRunner runner(threads);
-  const std::vector<char> successes = runner.map(
-      bers.size() * 4 * repeat_count, seed ^ 0xdead,
+  const std::string stream_tag =
+      "grid-convergence/permanent/" + to_string(kind) + "#" +
+      ConfigDigest()
+          .add(early_episode)
+          .add(late_episode)
+          .add(extra_episodes)
+          .add(repeats)
+          .add(bers)
+          .hex();
+  CampaignStreamConfig stream = stream_config;
+  DistCampaign dist(dist_config, stream_tag, stream);
+  const std::vector<char> successes = runner.map_streamed(
+      stream_tag, bers.size() * 4 * repeat_count, seed ^ 0xdead,
       [&](std::size_t trial, Rng& rng) -> char {
         const std::size_t cell = trial / repeat_count;
         const std::size_t arm = cell % 4;
@@ -397,7 +421,8 @@ PermanentConvergenceResult run_permanent_convergence(
         spec.permanent_episode = inject_at;
         spec.seed = rng();
         return run_grid_training(spec).success ? 1 : 0;
-      });
+      },
+      stream);
   const auto cell_pct = [&](std::size_t b, std::size_t arm) {
     std::size_t wins = 0;
     const std::size_t base = (b * 4 + arm) * repeat_count;
@@ -416,7 +441,8 @@ PermanentConvergenceResult run_permanent_convergence(
 
 std::vector<ExplorationStudyRow> run_exploration_study(
     GridPolicyKind kind, const std::vector<double>& bers, int episodes,
-    int repeats, std::uint64_t seed, int threads) {
+    int repeats, std::uint64_t seed, int threads,
+    const CampaignStreamConfig& stream_config, const DistConfig& dist_config) {
   const std::vector<FaultType> types = {
       FaultType::kTransientFlip, FaultType::kStuckAt0, FaultType::kStuckAt1};
   const int transient_episode = static_cast<int>(0.6 * episodes);
@@ -429,8 +455,13 @@ std::vector<ExplorationStudyRow> run_exploration_study(
   };
   const auto repeat_count = static_cast<std::size_t>(repeats);
   const CampaignRunner runner(threads);
-  const std::vector<Telemetry> trials = runner.map(
-      types.size() * bers.size() * repeat_count, seed ^ 0xfeed,
+  const std::string stream_tag =
+      "grid-exploration/" + to_string(kind) + "#" +
+      ConfigDigest().add(episodes).add(repeats).add(bers).hex();
+  CampaignStreamConfig stream = stream_config;
+  DistCampaign dist(dist_config, stream_tag, stream);
+  const std::vector<Telemetry> trials = runner.map_streamed(
+      stream_tag, types.size() * bers.size() * repeat_count, seed ^ 0xfeed,
       [&](std::size_t trial, Rng& rng) {
         const std::size_t cell = trial / repeat_count;
         const FaultType type = types[cell / bers.size()];
@@ -457,7 +488,8 @@ std::vector<ExplorationStudyRow> run_exploration_study(
                                  ? run.reconverge_episodes
                                  : episodes - transient_episode;
         return telemetry;
-      });
+      },
+      stream);
 
   std::vector<ExplorationStudyRow> rows;
   for (std::size_t cell = 0; cell < types.size() * bers.size(); ++cell) {

@@ -148,10 +148,14 @@ struct TransientConvergenceResult {
   std::vector<double> failure_fraction;  ///< runs that never re-converged
 };
 
+/// `threads`, `stream` and `dist` are the campaign knobs of
+/// TrainingHeatmapConfig; the grid checkpoints to the stream's path
+/// itself. The same holds for the two drivers below.
 TransientConvergenceResult run_transient_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int fault_episode,
     int max_extra_episodes, int repeats, std::uint64_t seed,
-    int threads = 0);
+    int threads = 0, const CampaignStreamConfig& stream = {},
+    const DistConfig& dist = {});
 
 // ---- Fig. 4b / 4d: permanent faults + extra training --------------------
 
@@ -167,7 +171,8 @@ struct PermanentConvergenceResult {
 PermanentConvergenceResult run_permanent_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int early_episode,
     int late_episode, int extra_episodes, int repeats, std::uint64_t seed,
-    int threads = 0);
+    int threads = 0, const CampaignStreamConfig& stream = {},
+    const DistConfig& dist = {});
 
 // ---- Fig. 9: exploration adaptation telemetry ---------------------------
 
@@ -181,6 +186,7 @@ struct ExplorationStudyRow {
 
 std::vector<ExplorationStudyRow> run_exploration_study(
     GridPolicyKind kind, const std::vector<double>& bers, int episodes,
-    int repeats, std::uint64_t seed, int threads = 0);
+    int repeats, std::uint64_t seed, int threads = 0,
+    const CampaignStreamConfig& stream = {}, const DistConfig& dist = {});
 
 }  // namespace ftnav

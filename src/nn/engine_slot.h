@@ -1,5 +1,5 @@
 #pragma once
-// Shard-resident engines for batched fault trials.
+// Shard-resident engines for campaign fault trials.
 //
 // A campaign shard builds each QuantizedInferenceEngine it needs once
 // and reuses it for every trial it runs: faults are armed via
@@ -18,9 +18,10 @@
 // counter accumulates across trials — is the caller's to handle by
 // reading per-trial deltas.
 //
-// Caches live in per-shard scratch (campaign accumulators or the
-// runner's scratch channel), never in checkpointed state: they are
-// runtime-only, and merged campaign artifacts never depend on them.
+// Engines and caches live in the campaign runner's per-shard scratch
+// (campaign_runner.h), never in accumulators or checkpointed state:
+// they are runtime-only, and merged campaign artifacts never depend on
+// them.
 
 #include <cstddef>
 #include <memory>

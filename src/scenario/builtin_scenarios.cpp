@@ -390,7 +390,8 @@ ScenarioResult run_convergence_transient(const ParamSet& params,
       policy_of(params), bers, fault_episode,
       static_cast<int>(params.get_int("max-extra-episodes")),
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads);
+      static_cast<std::uint64_t>(params.get_int("seed")), context.threads,
+      context.stream, context.dist);
 
   std::ostringstream text;
   Table table({"BER", "total episodes to converge", "never-converged %"});
@@ -419,7 +420,8 @@ ScenarioResult run_convergence_permanent(const ParamSet& params,
   const PermanentConvergenceResult result = run_permanent_convergence(
       policy_of(params), bers, early, late, extra,
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads);
+      static_cast<std::uint64_t>(params.get_int("seed")), context.threads,
+      context.stream, context.dist);
 
   std::ostringstream text;
   Table table(
@@ -449,7 +451,8 @@ ScenarioResult run_exploration(const ParamSet& params,
       policy_of(params), params.get_double_list("bers"),
       static_cast<int>(params.get_int("episodes")),
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads);
+      static_cast<std::uint64_t>(params.get_int("seed")), context.threads,
+      context.stream, context.dist);
 
   std::ostringstream text;
   Table table({"fault", "BER", "peak exploration %", "episodes to steady",

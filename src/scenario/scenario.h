@@ -12,10 +12,12 @@
 // ScenarioContext carries the cross-cutting execution knobs every
 // campaign already understands — worker threads, streaming progress /
 // checkpoint-resume (CampaignStreamConfig), and multi-process sharding
-// (DistConfig) — so every scenario inherits the campaign, streaming,
-// and distributed machinery without scenario-specific wiring. A new
-// workload is one registration: declare params, build the campaign
-// config, run, render.
+// (DistConfig). A scenario that passes them to its driver's campaign
+// gets the streaming and distributed machinery without wiring of its
+// own; every built-in scenario does, except grid-reward-curves and
+// grid-value-histogram, which run no campaign. A new workload is one
+// registration: declare params, build the campaign config, run,
+// render.
 //
 // Front-ends on top of the registry:
 //   - `fault_campaign list | describe <name> | run <name> --param k=v`

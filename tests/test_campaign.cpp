@@ -82,19 +82,21 @@ TEST(CampaignRunner, MapIsThreadCountInvariant) {
     for (int draw = 0; draw < 100; ++draw) acc += rng.uniform();
     return acc;
   };
-  const std::vector<double> serial = CampaignRunner(1).map(97, 5, trial);
+  const std::vector<double> serial =
+      CampaignRunner(1).map_streamed("map", 97, 5, trial, {});
   const std::vector<double> parallel =
-      CampaignRunner(parallel_threads()).map(97, 5, trial);
+      CampaignRunner(parallel_threads()).map_streamed("map", 97, 5, trial, {});
   EXPECT_EQ(serial, parallel);  // bit-identical, not approximately equal
 }
 
 TEST(CampaignRunner, MapHandlesGridSmallerThanPool) {
   const CampaignRunner runner(8);
-  const std::vector<double> two =
-      runner.map(2, 11, [](std::size_t, Rng& rng) { return rng.uniform(); });
+  const auto draw = [](std::size_t, Rng& rng) { return rng.uniform(); };
+  const std::vector<double> two = runner.map_streamed("map", 2, 11, draw, {});
   ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[1], Rng::stream(11, 1).uniform());
   const std::vector<double> empty =
-      runner.map(0, 11, [](std::size_t, Rng& rng) { return rng.uniform(); });
+      runner.map_streamed("map", 0, 11, draw, {});
   EXPECT_TRUE(empty.empty());
 }
 
@@ -108,10 +110,10 @@ TEST(CampaignRunner, ForEachVisitsEveryTrialExactlyOnce) {
 
 TEST(CampaignRunner, MapReduceMergesHistogramShards) {
   const auto run_with = [](int threads) {
-    return CampaignRunner(threads).map_reduce(
-        500, 17, [] { return Histogram(0.0, 1.0, 10); },
+    return CampaignRunner(threads).map_reduce_streamed(
+        "histogram", 500, 17, [] { return Histogram(0.0, 1.0, 10); },
         [](Histogram& acc, std::size_t, Rng& rng) { acc.add(rng.uniform()); },
-        [](Histogram& into, Histogram&& from) { into.merge(from); });
+        [](Histogram& into, Histogram&& from) { into.merge(from); }, {});
   };
   const Histogram serial = run_with(1);
   const Histogram parallel = run_with(4);
@@ -121,6 +123,45 @@ TEST(CampaignRunner, MapReduceMergesHistogramShards) {
     EXPECT_EQ(serial.count_in_bin(bin), parallel.count_in_bin(bin));
   EXPECT_EQ(serial.observed_min(), parallel.observed_min());
   EXPECT_EQ(serial.observed_max(), parallel.observed_max());
+}
+
+TEST(CampaignRunner, ScratchIsBuiltOncePerShardAndNeverMovesResults) {
+  const auto trial = [](std::size_t index, Rng& rng) {
+    return static_cast<double>(index) + rng.uniform();
+  };
+  const CampaignRunner runner(parallel_threads());
+  const std::vector<double> plain =
+      runner.map_streamed("scratch", 200, 9, trial, {});
+  std::atomic<int> built{0};
+  const std::vector<double> with_scratch = runner.map_streamed(
+      "scratch", 200, 9,
+      [&built] {
+        ++built;
+        return std::vector<int>();
+      },
+      [&](std::size_t index, Rng& rng, std::vector<int>& uses) {
+        uses.push_back(1);
+        return trial(index, rng);
+      },
+      {});
+  EXPECT_EQ(with_scratch, plain);
+  EXPECT_EQ(built.load(), 64);  // min(200, 64) shards, whatever the threads
+
+  // map_reduce_streamed offers the same channel.
+  built = 0;
+  const int count = runner.map_reduce_streamed(
+      "scratch-reduce", 10, 9, [] { return 0; },
+      [&built] {
+        ++built;
+        return 0;
+      },
+      [](int& acc, std::size_t, Rng&, int& scratch) {
+        EXPECT_EQ(scratch++, 0);  // one trial per shard at this size
+        ++acc;
+      },
+      [](int& into, int&& from) { into += from; }, {});
+  EXPECT_EQ(count, 10);
+  EXPECT_EQ(built.load(), 10);
 }
 
 TEST(CampaignRunner, WorkerExceptionPropagatesToCaller) {
@@ -164,19 +205,20 @@ TEST(WorkerPoolTest, ReusesWorkersAcrossCampaignPhases) {
   // same parked workers instead of respawning threads per phase.
   WorkerPool& pool = WorkerPool::instance();
   const auto phase = [](std::uint64_t seed) {
-    return CampaignRunner(4).map(64, seed, [](std::size_t, Rng& rng) {
-      return rng.uniform();
-    });
+    return CampaignRunner(4).map_streamed(
+        "phase", 64, seed, [](std::size_t, Rng& rng) { return rng.uniform(); },
+        {});
   };
   (void)phase(1);  // pool is warm after the first phase
   const WorkerPool::Stats warm = pool.stats();
   (void)phase(2);
   (void)phase(3);
   const CampaignRunner runner(4);
-  (void)runner.map_reduce(
-      100, 4, [] { return 0; },
-      [](int& acc, std::size_t, Rng&) { ++acc; },
-      [](int& into, int&& from) { into += from; });
+  EXPECT_EQ(runner.map_reduce_streamed(
+                "count", 100, 4, [] { return 0; },
+                [](int& acc, std::size_t, Rng&) { ++acc; },
+                [](int& into, int&& from) { into += from; }, {}),
+            100);
   const WorkerPool::Stats after = pool.stats();
   EXPECT_EQ(after.workers_spawned, warm.workers_spawned);
   EXPECT_GE(after.regions_run, warm.regions_run + 3);
@@ -207,17 +249,18 @@ TEST(WorkerPoolTest, StealsTasksFromABlockedParticipant) {
 TEST(WorkerPoolTest, NestedCampaignRunsInlineWithoutDeadlock) {
   // A trial that itself runs a campaign must not re-enter the pool.
   const CampaignRunner outer(4);
-  const std::vector<double> totals =
-      outer.map(8, 5, [](std::size_t, Rng&) {
+  const std::vector<double> totals = outer.map_streamed(
+      "outer", 8, 5,
+      [](std::size_t, Rng&) {
         const CampaignRunner inner(4);
-        const std::vector<double> draws =
-            inner.map(16, 9, [](std::size_t, Rng& rng) {
-              return rng.uniform();
-            });
+        const std::vector<double> draws = inner.map_streamed(
+            "inner", 16, 9, [](std::size_t, Rng& rng) { return rng.uniform(); },
+            {});
         double total = 0.0;
         for (double draw : draws) total += draw;
         return total;
-      });
+      },
+      {});
   for (double total : totals) EXPECT_EQ(total, totals.front());
 }
 

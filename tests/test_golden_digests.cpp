@@ -15,6 +15,10 @@
 // A change that moves bytes on purpose: run this test, paste the
 // replacement table it prints over kGoldenPoints, and say in
 // CHANGES.md why the bytes moved.
+//
+// The same points also check that every scenario backed by the
+// campaign runner honors the execution context: asked to stop after
+// one shard, it must checkpoint and throw CampaignInterrupted.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +36,7 @@
 
 #include <unistd.h>
 
+#include "campaign/streaming.h"
 #include "nn/kernels/kernels.h"
 #include "scenario/scenario.h"
 #include "util/binary_io.h"
@@ -54,12 +59,12 @@ const GoldenPoint kGoldenPoints[] = {
     {"drone-layers", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 repeats=3 seed=5", 0x0de1c6748bb10211ULL},
     {"drone-mitigation", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0x365b1018bd9400efULL},
     {"drone-training", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 injection-points=0.5 fine-tune-episodes=1 eval-repeats=1 seed=5", 0x6e90ea0f4d4ce91eULL},
-    {"grid-convergence-permanent", "policy=tabular bers=0.005,0.01 early-episode=100 late-episode=300 extra-episodes=200 repeats=2 seed=3", 0x21a469eebde9a4aaULL},
-    {"grid-convergence-permanent", "policy=nn bers=0.001 early-episode=100 late-episode=300 extra-episodes=100 repeats=1 seed=3", 0x391dd4a312028f19ULL},
-    {"grid-convergence-transient", "policy=tabular bers=0.005,0.01 fault-episode=200 max-extra-episodes=300 repeats=2 seed=3", 0xe10f7e8fd9540631ULL},
-    {"grid-convergence-transient", "policy=nn bers=0.005 fault-episode=200 max-extra-episodes=300 repeats=2 seed=3", 0xd3394debfe297fafULL},
-    {"grid-exploration-study", "policy=tabular bers=0.005,0.01 episodes=300 repeats=2 seed=3", 0xb86105e7ceb95a3aULL},
-    {"grid-exploration-study", "policy=nn bers=0.005 episodes=300 repeats=1 seed=3", 0xc61f37e59f536ca9ULL},
+    {"grid-convergence-permanent", "policy=tabular bers=0.005,0.01 early-episode=100 late-episode=300 extra-episodes=200 repeats=2 seed=3", 0xec8be933f7c28220ULL},
+    {"grid-convergence-permanent", "policy=nn bers=0.001 early-episode=100 late-episode=300 extra-episodes=100 repeats=1 seed=3", 0x0ae3eff38c43ceccULL},
+    {"grid-convergence-transient", "policy=tabular bers=0.005,0.01 fault-episode=200 max-extra-episodes=300 repeats=2 seed=3", 0xb5c54b1b45f81d4bULL},
+    {"grid-convergence-transient", "policy=nn bers=0.005 fault-episode=200 max-extra-episodes=300 repeats=2 seed=3", 0x3bfcef01f8148d41ULL},
+    {"grid-exploration-study", "policy=tabular bers=0.005,0.01 episodes=300 repeats=2 seed=3", 0xfa04621e655ca168ULL},
+    {"grid-exploration-study", "policy=nn bers=0.005 episodes=300 repeats=1 seed=3", 0x191c8c4b0d8fb465ULL},
     {"grid-inference", "policy=tabular train-episodes=300 bers=0,0.01 repeats=16 seed=3", 0x458670f846c5ead2ULL},
     {"grid-inference", "policy=nn train-episodes=300 bers=0,0.01 repeats=16 seed=3", 0xb688960dbc9634c7ULL},
     {"grid-inference-mitigation", "policy=tabular train-episodes=300 bers=0,0.01 repeats=16 seed=3", 0x1c2829e70a8c97f6ULL},
@@ -189,6 +194,49 @@ TEST(GoldenDigests, EveryScenarioMatchesItsCommittedDigest) {
     std::printf(
         "note: committed digests are x86-64 values; skipped them and "
         "checked only that backends and thread counts agree\n");
+}
+
+TEST(GoldenDigests, EveryRunnerBackedScenarioStopsOnRequest) {
+  // The only scenarios that run no campaign: grid-reward-curves keeps
+  // per-episode return traces (not trivially copyable, so no
+  // checkpoint payload), and grid-value-histogram is a single training
+  // run.
+  const std::set<std::string> not_streamed = {"grid-reward-curves",
+                                              "grid-value-histogram"};
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ftnav_golden_stop_" + std::to_string(::getpid()));
+  for (const GoldenPoint& point : kGoldenPoints) {
+    const ScenarioSpec& spec = *registry.find(point.scenario);
+    ParamSet params = spec.make_params();
+    params.apply_kv_text(point.params, ParamSource::kCli);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ScenarioContext context;
+    context.threads = 1;
+    context.stream.checkpoint_path = (dir / "run.ckpt").string();
+    context.stream.stop_after_shards = 1;
+    bool interrupted = false;
+    try {
+      (void)spec.factory(params)->run(context);
+    } catch (const CampaignInterrupted&) {
+      interrupted = true;
+    }
+    bool checkpointed = false;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+      checkpointed = checkpointed || entry.path().extension() != ".tmp";
+    if (not_streamed.count(point.scenario)) {
+      EXPECT_FALSE(interrupted) << point_label(point);
+      EXPECT_FALSE(checkpointed) << point_label(point);
+    } else {
+      EXPECT_TRUE(interrupted)
+          << point_label(point) << ": ran past stop_after_shards = 1";
+      EXPECT_TRUE(checkpointed)
+          << point_label(point) << ": left no checkpoint";
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

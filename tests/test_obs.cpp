@@ -1,6 +1,6 @@
 // Tests for the telemetry layer (src/obs/): trace spans (Chrome
 // trace-event JSON, concurrent nesting, null-recorder fast path, one
-// `shard` span per campaign shard on the batch and streamed paths),
+// `shard` span per campaign shard with or without a checkpoint),
 // metrics (counters, latency histograms, snapshot codec and merge),
 // the status-document renderings, the authenticated stats RPC — and
 // the hard invariant that campaign stdout/JSON/checkpoint bytes are
@@ -393,31 +393,25 @@ TEST(Trace, OneShardSpanPerShardOnBatchAndStreamedPaths) {
   const auto accumulate = [](Tally& acc, std::size_t, Rng&) { ++acc[0]; };
   const auto merge = [](Tally& into, Tally&& from) { into[0] += from[0]; };
 
-  // The batch path cuts 2 threads x 4 = 8 shards; the streamed path
-  // (a checkpoint turns it on) always cuts min(trials, 64).
-  for (const bool streamed : {false, true}) {
+  // Every campaign cuts min(trials, 64) shards whatever the thread
+  // count, and asking for a checkpoint does not change the partition.
+  for (const bool checkpointed : {false, true}) {
     const std::string dir =
-        scratch.path + (streamed ? "/streamed" : "/batch");
+        scratch.path + (checkpointed ? "/checkpointed" : "/plain");
     {
       obs::TraceSession session(dir);
-      Tally tally;
-      if (streamed) {
-        CampaignStreamConfig stream;
-        stream.checkpoint_path = dir + ".ckpt";
-        tally = runner.map_reduce_streamed("shard-spans", kTrials, 7,
-                                           make_acc, accumulate, merge,
-                                           stream);
-      } else {
-        tally = runner.map_reduce(kTrials, 7, make_acc, accumulate, merge);
-      }
+      CampaignStreamConfig stream;
+      if (checkpointed) stream.checkpoint_path = dir + ".ckpt";
+      const Tally tally = runner.map_reduce_streamed(
+          "shard-spans", kTrials, 7, make_acc, accumulate, merge, stream);
       EXPECT_EQ(tally[0], kTrials);
     }
     std::vector<std::uint64_t> ids = shard_span_ids(
         dir + "/trace." + std::to_string(current_pid()) + ".json");
     std::sort(ids.begin(), ids.end());
-    std::vector<std::uint64_t> expected(streamed ? 64 : 8);
+    std::vector<std::uint64_t> expected(64);
     std::iota(expected.begin(), expected.end(), std::uint64_t{0});
-    EXPECT_EQ(ids, expected) << (streamed ? "streamed" : "batch");
+    EXPECT_EQ(ids, expected) << (checkpointed ? "checkpointed" : "plain");
   }
 }
 

@@ -246,7 +246,7 @@ TEST(QuantizedEngine, BackendsBitIdentical) {
 }
 
 TEST(QuantizedEngine, PersistentEngineMatchesFreshEngine) {
-  // The batched campaign path keeps one engine and restores its golden
+  // A campaign shard keeps one engine and restores its golden
   // weight image between trials; a fresh engine per trial must be
   // indistinguishable, fault history and detector state included.
   Rng rng(50);

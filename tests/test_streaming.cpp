@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -333,6 +334,53 @@ TEST(CheckpointResume, MismatchedConfigurationRefusesToResume) {
   // Different seed -> different fingerprint -> refuse, don't corrupt.
   EXPECT_THROW(run_histogram_campaign(2, resume, 300, 999),
                std::runtime_error);
+}
+
+TEST(CheckpointResume, FileWithAnotherPartitionIsRefused) {
+  // A file with a valid checksum and this campaign's own fingerprint,
+  // but a header claiming another trial count or shard partition, must
+  // be refused on resume and on the finalize merge -- its bitmap is
+  // not indexed by this campaign's shards.
+  ScratchFile written("partition_written");
+  CampaignStreamConfig interrupted;
+  interrupted.checkpoint_path = written.path;
+  interrupted.stop_after_shards = 1;
+  EXPECT_THROW(run_histogram_campaign(1, interrupted), CampaignInterrupted);
+  const std::optional<CampaignCheckpoint::Loaded> original =
+      CampaignCheckpoint::load(written.path);
+  ASSERT_TRUE(original.has_value());
+  ASSERT_EQ(original->header.trial_count, 300u);
+  ASSERT_EQ(original->header.shard_count, 64u);
+
+  ScratchFile crafted("partition_crafted");
+  ScratchFile merged("partition_merged");
+  const struct {
+    std::uint64_t trials;
+    std::uint64_t shards;
+  } lies[] = {{300, 1}, {300, 63}, {299, 64}, {301, 64}};
+  for (const auto& lie : lies) {
+    CampaignCheckpoint::Header header = original->header;
+    header.trial_count = lie.trials;
+    header.shard_count = lie.shards;
+    std::vector<std::uint8_t> done(lie.shards, 0);
+    done[0] = 1;
+    CampaignCheckpoint::save(crafted.path, header, done, original->payload);
+
+    CampaignStreamConfig resume;
+    resume.checkpoint_path = crafted.path;
+    resume.resume = true;
+    EXPECT_THROW(run_histogram_campaign(2, resume), std::runtime_error)
+        << "resume of " << lie.trials << " trials in " << lie.shards
+        << " shards";
+
+    CampaignStreamConfig finalize;
+    finalize.checkpoint_path = merged.path;
+    finalize.merge_partials = {crafted.path};
+    EXPECT_THROW(run_histogram_campaign(2, finalize), std::runtime_error)
+        << "merge of " << lie.trials << " trials in " << lie.shards
+        << " shards";
+    std::filesystem::remove(merged.path);
+  }
 }
 
 TEST(CheckpointResume, ChangedBerAxisRefusesToResume) {
