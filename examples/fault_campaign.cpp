@@ -747,6 +747,15 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
       return 2;
     }
   }
+  // Bind before any output or worker launch, so a cross-parameter
+  // error the scenario checks at bind time exits 2 with empty stdout.
+  std::unique_ptr<Scenario> scenario;
+  try {
+    scenario = spec->factory(params);
+  } catch (const ParamError& error) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
+    return 2;
+  }
   // Diagnose typo'd FTNAV_* variables: everything set in this process
   // must be a declared harness knob or some scenario's parameter.
   warn_unknown_ftnav_vars(registry.known_param_env_names());
@@ -783,7 +792,7 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
     apply_lease_knobs(context.dist);
     context.stream = CampaignStreamConfig{};  // DistCampaign re-targets it
     try {
-      (void)spec->factory(params)->run(context);
+      (void)scenario->run(context);
     } catch (const TransportAuthError& error) {
       // The diagnosed sibling of a silent lease expiry: the server
       // refused this worker's session. Same exit contract as any
@@ -957,7 +966,7 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
 
   ScenarioResult result;
   try {
-    result = spec->factory(params)->run(context);
+    result = scenario->run(context);
   } catch (const CampaignInterrupted& interrupted) {
     std::printf("%s\n", interrupted.what());
     std::printf("re-run with --checkpoint %s --resume to finish\n",

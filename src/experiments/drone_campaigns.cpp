@@ -138,7 +138,6 @@ DroneTrainingCampaignResult run_drone_training_campaign(
       .add(config.bers)
       .add(config.injection_points)
       .add(config.fine_tune_episodes)
-      .add(config.permanent_ber)
       .add(config.eval_repeats)
       .add(world.name());
   const std::string tag_suffix = "#" + digest.hex();
@@ -170,19 +169,18 @@ DroneTrainingCampaignResult run_drone_training_campaign(
           tuner.weights().format().total_bits(), rng);
       tuner.set_stuck(StuckAtMask::compile(map));
     }
+    const bool transient = transient_ber && *transient_ber > 0.0;
+    const auto inject_transient = [&] {
+      tuner.inject_transient(FaultMap::sample(
+          FaultType::kTransientFlip, *transient_ber, tuner.weights().size(),
+          tuner.weights().format().total_bits(), rng));
+    };
     DroneEnv env(world, bundle.env_config);
     int global_step = 0;
     for (int episode = 0; episode < config.fine_tune_episodes; ++episode) {
       Tensor observation = env.reset(rng);
       while (!env.done()) {
-        if (transient_ber && *transient_ber > 0.0 &&
-            global_step == injection_step) {
-          const FaultMap map = FaultMap::sample(
-              FaultType::kTransientFlip, *transient_ber,
-              tuner.weights().size(),
-              tuner.weights().format().total_bits(), rng);
-          tuner.inject_transient(map);
-        }
+        if (transient && global_step == injection_step) inject_transient();
         const int action = tuner.act(observation, 0.05, rng);
         const DroneEnv::StepResult step_result = env.step(action);
         Tensor next = env.observe();
@@ -192,6 +190,10 @@ DroneTrainingCampaignResult run_drone_training_campaign(
         ++global_step;
       }
     }
+    // Each fine-tuning episode ends at its first crash, so the run may
+    // stop short of `injection_step`; the transient then lands after
+    // the last step, before the evaluation flights, rather than never.
+    if (transient && global_step <= injection_step) inject_transient();
     // Post-fine-tuning flight quality.
     RunningStats distances;
     for (int repeat = 0; repeat < config.eval_repeats; ++repeat) {

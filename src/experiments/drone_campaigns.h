@@ -19,10 +19,15 @@ namespace ftnav {
 
 struct DroneTrainingCampaignConfig {
   DronePolicySpec policy{};
-  std::vector<double> bers;              ///< e.g. {0, 1e-4, 1e-3, 1e-2, 1e-1}
-  std::vector<double> injection_points;  ///< fractions of the step budget
+  /// Transient columns and the stuck-at rows' axis, e.g.
+  /// {0, 1e-4, 1e-3, 1e-2, 1e-1}.
+  std::vector<double> bers;
+  /// Transient injection steps as fractions of the step budget
+  /// (fine_tune_episodes x max_steps). Episodes end at their first
+  /// crash, so a run may not reach its step; it then injects after
+  /// its last fine-tuning step, before the evaluation flights.
+  std::vector<double> injection_points;
   int fine_tune_episodes = 3;
-  double permanent_ber = 1e-3;           ///< BER for the stuck-at rows
   int eval_repeats = 5;
   std::uint64_t seed = 42;
   /// Campaign worker threads; <= 0 selects hardware_concurrency.

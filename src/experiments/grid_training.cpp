@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "campaign/campaign_runner.h"
 #include "core/injector.h"
@@ -142,6 +143,14 @@ GridTrainResult run_grid_training(const GridTrainSpec& spec) {
 
 HeatmapGrid run_transient_training_heatmap(
     const TrainingHeatmapConfig& config) {
+  // Injection matches an exact episode, so one outside the run would
+  // leave its whole column fault-free.
+  for (int episode : config.injection_episodes)
+    if (episode < 0 || episode >= config.episodes)
+      throw std::invalid_argument(
+          "TrainingHeatmapConfig: injection episode " +
+          std::to_string(episode) + " is outside training episodes 0.." +
+          std::to_string(config.episodes - 1));
   std::vector<std::string> row_labels;
   for (double ber : config.bers)
     row_labels.push_back(format_double(ber * 100.0, 1) + "%");

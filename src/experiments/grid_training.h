@@ -80,7 +80,10 @@ struct TrainingHeatmapConfig {
   ObstacleDensity density = ObstacleDensity::kMiddle;
   int episodes = 1000;
   std::vector<double> bers;              ///< row axis (fraction, not %)
-  std::vector<int> injection_episodes;   ///< column axis
+  /// Column axis; training runs episodes 0 .. episodes - 1, so each
+  /// must lie in that range (run_transient_training_heatmap throws
+  /// std::invalid_argument otherwise).
+  std::vector<int> injection_episodes;
   int repeats = 10;
   bool mitigated = false;
   std::uint64_t seed = 42;

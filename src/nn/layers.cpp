@@ -237,12 +237,11 @@ Tensor Dense::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Dense::forward_one_hot(const Tensor& one_hot, std::size_t hot) {
-  (void)output_shape(one_hot.shape());
+Tensor Dense::forward_one_hot(std::size_t hot) {
   if (hot >= static_cast<std::size_t>(in_features_))
     throw std::invalid_argument(
         "Dense::forward_one_hot: hot index out of range");
-  cached_input_ = one_hot;
+  cached_input_ = Tensor();
   Tensor out(Shape{out_features_, 1, 1});
   const float* bias = params_.data() + (params_.size() - out_features_);
   // dense_scalar's chain acc = bias; acc += row[i] * x[i] adds +-0 for
@@ -255,7 +254,9 @@ Tensor Dense::forward_one_hot(const Tensor& one_hot, std::size_t hot) {
 
 Tensor Dense::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
-    throw std::logic_error("Dense::backward before forward");
+    throw std::logic_error(
+        "Dense::backward without a cached input (before forward, or "
+        "after forward_one_hot)");
   if (grad_output.shape() != Shape{out_features_, 1, 1})
     throw std::invalid_argument("Dense::backward: gradient shape mismatch");
   Tensor grad_input(cached_input_.shape());
@@ -272,6 +273,24 @@ Tensor Dense::backward(const Tensor& grad_output) {
     }
   }
   return grad_input;
+}
+
+void Dense::backward_one_hot(const Tensor& grad_output, std::size_t hot) {
+  if (hot >= static_cast<std::size_t>(in_features_))
+    throw std::invalid_argument(
+        "Dense::backward_one_hot: hot index out of range");
+  if (grad_output.shape() != Shape{out_features_, 1, 1})
+    throw std::invalid_argument(
+        "Dense::backward_one_hot: gradient shape mismatch");
+  // backward()'s g * x[i] is g for the hot input and +-0 for a cold
+  // one, which leaves any entry but -0.0 unchanged.
+  const std::size_t bias_base = params_.size() - out_features_;
+  for (int o = 0; o < out_features_; ++o) {
+    const float g = grad_output[static_cast<std::size_t>(o)];
+    if (g == 0.0f) continue;
+    grads_[bias_base + static_cast<std::size_t>(o)] += g;
+    grads_[static_cast<std::size_t>(o) * in_features_ + hot] += g;
+  }
 }
 
 void Dense::apply_gradients(float lr) {

@@ -1,28 +1,11 @@
 #include "rl/mlp_q.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
 namespace ftnav {
-namespace {
-
-/// The master update scans gradients in blocks of this many floats.
-/// Most blocks are all +0.0 (FC1's one-hot input grades one column);
-/// one OR over a block's bit patterns, which the fixed size lets the
-/// compiler vectorize, skips such a block.
-constexpr std::size_t kGradBlock = 16;
-
-bool all_positive_zero(const float* block) {
-  std::uint32_t bits = 0;
-  for (std::size_t k = 0; k < kGradBlock; ++k)
-    bits |= std::bit_cast<std::uint32_t>(block[k]);
-  return bits == 0;
-}
-
-}  // namespace
 
 MlpQAgent::MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng)
     : env_(&env), config_(config) {
@@ -102,42 +85,53 @@ int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
   Tensor grad(static_cast<std::size_t>(GridWorld::action_count()));
   grad[static_cast<std::size_t>(action)] = static_cast<float>(
       static_cast<double>(q[static_cast<std::size_t>(action)]) - target);
-  net_.backward(grad);
+  // FC2 and ReLU run their generic backward; FC1's input is one-hot,
+  // so it grades one weight column and its biases, and nothing reads
+  // its input gradient.
+  for (std::size_t i = net_.layer_count() - 1; i > 0; --i)
+    grad = net_.layer(i).backward(grad);
+  fc1_->backward_one_hot(grad, static_cast<std::size_t>(state));
   // Straight-through update: gradients w.r.t. quantized weights are
   // applied to the float master, then re-quantized into the buffer.
-  update_masters();
+  update_masters(state, action);
   commit();
   return action;
 }
 
-void MlpQAgent::update_masters() {
-  // A +0.0 gradient (the cleared state) leaves m - lr * g equal to m
-  // bit for bit, so skipping it matches updating every word.
+void MlpQAgent::update_masters(int state, int action) {
   const auto lr = static_cast<float>(config_.learning_rate);
-  for (ParamSlice& slice : slices_) {
-    float* master = master_.data() + slice.offset;
-    const std::span<float> grads = slice.gradients;
-    for (std::size_t base = 0; base < grads.size(); base += kGradBlock) {
-      const std::size_t end = std::min(grads.size(), base + kGradBlock);
-      if (end - base == kGradBlock && all_positive_zero(&grads[base]))
-        continue;
-      for (std::size_t i = base; i < end; ++i) {
-        const float g = grads[i];
-        if (std::bit_cast<std::uint32_t>(g) == 0) continue;
-        const float updated = master[i] - lr * g;
-        if (std::bit_cast<std::uint32_t>(updated) !=
-            std::bit_cast<std::uint32_t>(master[i]))
-          slice.queued.push_back(i);
-        master[i] = updated;
-        grads[i] = 0.0f;
-      }
-    }
-  }
+  const auto update = [&](ParamSlice& slice, std::size_t i) {
+    float& g = slice.gradients[i];
+    // A +0.0 gradient (the cleared state) leaves m - lr * g equal to m
+    // bit for bit, so skipping it matches updating every word.
+    if (std::bit_cast<std::uint32_t>(g) == 0) return;
+    float& m = master_[slice.offset + i];
+    const float updated = m - lr * g;
+    if (std::bit_cast<std::uint32_t>(updated) !=
+        std::bit_cast<std::uint32_t>(m))
+      slice.queued.push_back(i);
+    m = updated;
+    g = 0.0f;
+  };
+  const auto hidden = static_cast<std::size_t>(config_.hidden_units);
+  const auto states = static_cast<std::size_t>(env_->state_count());
+  const auto actions = static_cast<std::size_t>(GridWorld::action_count());
+  // FC1 ([hidden][states] weights, then biases): column `state`, then
+  // every bias.
+  ParamSlice& fc1 = slices_[0];
+  for (std::size_t o = 0; o < hidden; ++o)
+    update(fc1, o * states + static_cast<std::size_t>(state));
+  for (std::size_t o = 0; o < hidden; ++o) update(fc1, hidden * states + o);
+  // FC2 ([actions][hidden] weights, then biases): row `action`, then
+  // its bias.
+  ParamSlice& fc2 = slices_[1];
+  const auto row = static_cast<std::size_t>(action);
+  for (std::size_t i = 0; i < hidden; ++i) update(fc2, row * hidden + i);
+  update(fc2, actions * hidden + row);
 }
 
 Tensor MlpQAgent::q_values(int state) {
-  Tensor x = fc1_->forward_one_hot(encode_state(state),
-                                   static_cast<std::size_t>(state));
+  Tensor x = fc1_->forward_one_hot(static_cast<std::size_t>(state));
   for (std::size_t i = 1; i < net_.layer_count(); ++i)
     x = net_.layer(i).forward(x);
   return x;

@@ -65,6 +65,7 @@ class MlpQAgent {
   /// quantized weight buffer. FC1 runs as Dense::forward_one_hot: the
   /// network only ever holds decoded words (finite, never -0.0), so
   /// this equals network().forward(encode_state(state)) bit for bit.
+  /// It builds no one-hot tensor, and FC1 caches no input.
   Tensor q_values(int state);
   int greedy_action(int state);
 
@@ -110,12 +111,16 @@ class MlpQAgent {
   void commit();
   /// Queues every word for the next commit.
   void queue_all();
-  /// Applies each nonzero gradient to its float master (the same
-  /// m -= lr * g as a full SGD step), clears it, and queues the words
-  /// whose master bits changed.
-  void update_masters();
+  /// Applies each nonzero gradient of the entries a TD step from
+  /// `state` taking `action` grades (FC1 column `state`, the FC1
+  /// biases, FC2 row `action` and its bias) to its float master (the
+  /// same m -= lr * g as a full SGD step), clears it, and queues the
+  /// words whose master bits changed. Invariant between steps: every
+  /// gradient is +0.0, so the entries it skips need no visit.
+  void update_masters(int state, int action);
 
-  /// One TD(0) step from `state`: act, learn, commit. Returns the
+  /// One TD(0) step from `state`: act, learn, commit. FC1 runs
+  /// Dense::forward_one_hot and Dense::backward_one_hot. Returns the
   /// action; fills the env result and reward.
   int td_step(int state, double epsilon, Rng& rng,
               GridWorld::StepResult& result, double& out_reward);

@@ -349,6 +349,18 @@ TrainingHeatmapConfig training_config_of(const ParamSet& params,
   return config;
 }
 
+/// Training runs episodes 0 .. episodes - 1 and injects on an exact
+/// match, so a later injection episode would head a fault-free column.
+void check_injection_episodes(const ParamSet& params) {
+  const std::int64_t episodes = params.get_int("episodes");
+  for (const std::int64_t episode : params.get_int_list("injection-episodes"))
+    if (episode >= episodes)
+      throw ParamError("injection-episodes: " + std::to_string(episode) +
+                       " is not below episodes (" + std::to_string(episodes) +
+                       "); training runs episodes 0.." +
+                       std::to_string(episodes - 1));
+}
+
 ScenarioResult run_training_transient(const ParamSet& params,
                                       ScenarioContext& context) {
   const TrainingHeatmapConfig config = training_config_of(params, context);
@@ -610,7 +622,6 @@ ScenarioResult run_drone_training_scenario(const ParamSet& params,
   config.injection_points = params.get_double_list("injection-points");
   config.fine_tune_episodes =
       static_cast<int>(params.get_int("fine-tune-episodes"));
-  config.permanent_ber = params.get_double("permanent-ber");
   config.eval_repeats = static_cast<int>(params.get_int("eval-repeats"));
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
   config.threads = context.threads;
@@ -1115,6 +1126,18 @@ ScenarioSpec with_cost(ScenarioSpec spec,
   return spec;
 }
 
+/// Runs `check` on the bound parameters before the factory binds them,
+/// so a cross-parameter error throws ParamError before any output.
+ScenarioSpec with_check(ScenarioSpec spec,
+                        std::function<void(const ParamSet&)> check) {
+  spec.factory = [check = std::move(check),
+                  bind = std::move(spec.factory)](const ParamSet& bound) {
+    check(bound);
+    return bind(bound);
+  };
+  return spec;
+}
+
 }  // namespace
 
 // ---- exported formatters --------------------------------------------------
@@ -1181,11 +1204,13 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       grid_mitigation_cost));
 
   registry.add(with_cost(
-      make_spec(
-          "grid-training-transient",
-          "transient faults during Grid World training: success-rate "
-          "heatmap by (BER, injection episode) (Figs. 2, 8)",
-          {"grid", "training"}, training_params(), run_training_transient),
+      with_check(make_spec("grid-training-transient",
+                           "transient faults during Grid World training: "
+                           "success-rate heatmap by (BER, injection "
+                           "episode) (Figs. 2, 8)",
+                           {"grid", "training"}, training_params(),
+                           run_training_transient),
+                 check_injection_episodes),
       grid_training_transient_cost));
 
   registry.add(with_cost(
@@ -1265,12 +1290,11 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
                                "bit-error-rate axis (fractions)", 0.0, 1.0),
         ParamSpec::double_list("injection-points", {0.0, 0.33, 0.66},
                                "injection points as fractions of the "
-                               "fine-tuning step budget",
+                               "fine-tuning step budget; a run that "
+                               "crashes first injects after its last step",
                                0.0, 1.0),
         ParamSpec::integer("fine-tune-episodes", 2,
                            "online fine-tuning episodes", 1, 1e6),
-        ParamSpec::real("permanent-ber", 1e-3,
-                        "BER for the stuck-at rows", 0.0, 1.0),
         ParamSpec::integer("eval-repeats", 3,
                            "MSF evaluation rollouts per cell", 1, 1e6),
     };

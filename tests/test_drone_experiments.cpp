@@ -143,5 +143,27 @@ TEST(DroneTrainingCampaign, HeatmapAndPermanentRows) {
   EXPECT_GE(result.fault_free_msf, 0.0);
 }
 
+TEST(DroneTrainingCampaign, UnreachedTransientStillFires) {
+  // Fine-tuning episodes end at their first crash, so the step at
+  // fraction 1.0 of the budget is never reached. The transient must
+  // land after the last step instead of leaving the cell fault-free.
+  // Trial 0 draws the same stream in both campaigns, so a transient
+  // that never fired would reproduce the BER-0 cell exactly.
+  DroneTrainingCampaignConfig config;
+  config.policy = tiny_policy();
+  config.injection_points = {1.0};
+  config.fine_tune_episodes = 1;
+  config.eval_repeats = 2;
+  config.seed = 13;
+  const DroneWorld world = DroneWorld::indoor_long();
+  config.bers = {0.0};
+  const double fault_free =
+      run_drone_training_campaign(world, config).transient.at(0, 0);
+  config.bers = {0.1};
+  const double faulty =
+      run_drone_training_campaign(world, config).transient.at(0, 0);
+  EXPECT_NE(faulty, fault_free);
+}
+
 }  // namespace
 }  // namespace ftnav

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -178,6 +179,36 @@ TEST(MlpQ, FullRecommitChangesNothing) {
                                         agent.weights().words().end());
     ASSERT_EQ(words, recommitted) << "episode " << episode;
     ASSERT_EQ(params, bits_of(agent.network().snapshot_parameters()))
+        << "episode " << episode;
+  }
+}
+
+TEST(MlpQ, GradientsAreClearAfterEveryStep) {
+  // A TD step's master update visits only the entries the step graded,
+  // which is right only while every other gradient is +0.0: each step
+  // must clear every gradient it wrote, through transient flips, a
+  // stuck-at mask and clear_stuck.
+  const GridWorld world = simple_world();
+  Rng rng(41);
+  MlpQAgent agent(world, MlpQConfig{}, rng);
+  const QFormat fmt = agent.weights().format();
+  std::vector<float> grads(agent.weight_count());
+  constexpr int kEpisodes = 90;
+  for (int episode = 0; episode < kEpisodes; ++episode) {
+    Rng fault_rng(43 + static_cast<std::uint64_t>(episode));
+    if (episode == 20 || episode == 50)
+      agent.inject_transient(
+          FaultMap::sample(FaultType::kTransientFlip, 0.02,
+                           agent.weight_count(), fmt.total_bits(), fault_rng));
+    if (episode == 30)
+      agent.set_stuck(StuckAtMask::compile(
+          FaultMap::sample(FaultType::kStuckAt1, 0.01, agent.weight_count(),
+                           fmt.total_bits(), fault_rng)));
+    if (episode == 60) agent.clear_stuck();
+    agent.run_training_episode(
+        std::max(0.05, 1.0 - episode / (kEpisodes * 0.6)), rng);
+    agent.network().copy_gradients_into(grads);
+    ASSERT_EQ(bits_of(grads), std::vector<std::uint32_t>(grads.size(), 0))
         << "episode " << episode;
   }
 }

@@ -415,6 +415,31 @@ const std::vector<std::pair<std::string, std::string>> kTrainingKv = {
     {"bers", "0.005,0.01"},         {"injection-episodes", "0,75"},
     {"repeats", "2"},               {"seed", "7"}};
 
+TEST(RegistryContract, TrainingTransientRejectsUnreachedInjectionEpisodes) {
+  // Training runs episodes 0..episodes-1 and injects on an exact match:
+  // the default axis (0,250,500,750,999) on a 500-episode run would
+  // print three fault-free columns. Binding rejects it, before any
+  // output, and the error names the value.
+  const ScenarioSpec* spec =
+      ScenarioRegistry::instance().find("grid-training-transient");
+  ASSERT_NE(spec, nullptr);
+  ParamSet params = spec->make_params();
+  params.set("episodes", "500", ParamSource::kCli);
+  try {
+    (void)spec->factory(params);
+    FAIL() << "an injection episode >= episodes was accepted";
+  } catch (const ParamError& error) {
+    EXPECT_NE(std::string(error.what()).find("500"), std::string::npos)
+        << error.what();
+  }
+  params.set("injection-episodes", "0,250,499", ParamSource::kCli);
+  EXPECT_NO_THROW((void)spec->factory(params));
+
+  TrainingHeatmapConfig config = small_training_config();
+  config.injection_episodes = {0, config.episodes};
+  EXPECT_THROW(run_transient_training_heatmap(config), std::invalid_argument);
+}
+
 TEST(RegistryContract, TrainingTransientMatchesDirectCallByteForByte) {
   ScratchDir scratch("transient");
   TrainingHeatmapConfig config = small_training_config();
