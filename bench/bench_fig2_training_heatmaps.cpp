@@ -24,28 +24,31 @@ int main() {
     const char* policy = tabular ? "tabular" : "nn";
     const int repeats =
         config.resolve_repeats(tabular ? 10 : 3, tabular ? 100 : 20);
-    const std::vector<std::pair<std::string, std::string>> grid_overrides = {
+    // The permanent sweep faults from episode 0: no injection axis.
+    const std::vector<std::pair<std::string, std::string>> sweep_overrides = {
         {"policy", policy},
         {"episodes", std::to_string(episodes)},
         {"bers", param_join(grid_training_bers(config.full_scale))},
-        {"injection-episodes",
-         param_join(grid_injection_episodes(episodes, config.full_scale))},
         {"repeats", std::to_string(repeats)},
         {"seed", std::to_string(config.seed)}};
+    auto heatmap_overrides = sweep_overrides;
+    heatmap_overrides.emplace_back(
+        "injection-episodes",
+        param_join(grid_injection_episodes(episodes, config.full_scale)));
 
     std::printf("--- Fig. 2%c (%s): transient faults, success rate (%%) by "
                 "(BER, injection episode), %d repeats/cell ---\n",
                 tabular ? 'a' : 'c', policy, repeats);
     artifact.add(tabular ? "fig2a" : "fig2c",
                  run_scenario("grid-training-transient", config,
-                              grid_overrides));
+                              heatmap_overrides));
 
     std::printf("--- Fig. 2%c (%s): permanent faults from episode 0, "
                 "success rate (%%) by BER ---\n",
                 tabular ? 'a' : 'c', policy);
     artifact.add(tabular ? "fig2a_perm" : "fig2c_perm",
                  run_scenario("grid-training-permanent", config,
-                              grid_overrides));
+                              sweep_overrides));
 
     std::printf("--- Fig. 2%c (%s): trained value histogram & bit stats "
                 "---\n",

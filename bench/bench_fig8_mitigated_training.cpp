@@ -33,13 +33,13 @@ int main() {
     }
     const int repeats =
         config.resolve_repeats(tabular ? 10 : 2, tabular ? 100 : 20);
-    const auto overrides =
+    // The permanent sweep faults from episode 0: no injection axis.
+    const auto sweep_overrides =
         [&](bool mitigated) -> std::vector<std::pair<std::string,
                                                      std::string>> {
       return {{"policy", policy},
               {"episodes", std::to_string(episodes)},
               {"bers", param_join(bers)},
-              {"injection-episodes", param_join(injections)},
               {"repeats", std::to_string(repeats)},
               {"mitigate", mitigated ? "true" : "false"},
               {"seed", std::to_string(config.seed)}};
@@ -51,17 +51,20 @@ int main() {
                   "(%%) ---\n",
                   tabular ? 'a' : 'b', policy,
                   mitigated ? "WITH mitigation" : "baseline");
+      auto heatmap_overrides = sweep_overrides(mitigated);
+      heatmap_overrides.emplace_back("injection-episodes",
+                                     param_join(injections));
       artifact.add(
           std::string(tabular ? "fig8a" : "fig8b") + "_" + arm,
           run_scenario("grid-training-transient", config,
-                       overrides(mitigated)));
+                       heatmap_overrides));
 
       std::printf("--- permanent faults, %s (%s) ---\n",
                   mitigated ? "WITH mitigation" : "baseline", policy);
       artifact.add(
           std::string(tabular ? "fig8a" : "fig8b") + "_perm_" + arm,
           run_scenario("grid-training-permanent", config,
-                       overrides(mitigated)));
+                       sweep_overrides(mitigated)));
     }
   }
 

@@ -74,7 +74,7 @@
 
 #include "cost/cost_model.h"
 #include "dist/campaign_server.h"
-#include "dist/dist_campaign.h"
+#include "dist/dist_config.h"
 #include "dist/dist_coordinator.h"
 #include "dist/status_doc.h"
 #include "dist/tcp_transport.h"
@@ -784,13 +784,16 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
   // Silent on stdout (the coordinator's output is the campaign's
   // output and must not interleave with worker chatter).
   if (mode == LaunchMode::kRun && flags.worker_id >= 0) {
-    context.dist.worker_id = flags.worker_id;
-    context.dist.queue_addr = flags.queue_addr;
-    context.dist.auth_token = flags.auth_token;
-    context.dist.queue_namespace = flags.tag;
-    context.dist.fail_after_shards = flags.worker_fail_after;
-    apply_lease_knobs(context.dist);
-    context.stream = CampaignStreamConfig{};  // DistCampaign re-targets it
+    // The campaign core re-targets each call's stream at the worker's
+    // partial checkpoint; only the role survives this reset.
+    context.stream = CampaignStreamConfig{};
+    DistConfig& dist = context.stream.dist;
+    dist.worker_id = flags.worker_id;
+    dist.queue_addr = flags.queue_addr;
+    dist.auth_token = flags.auth_token;
+    dist.queue_namespace = flags.tag;
+    dist.fail_after_shards = flags.worker_fail_after;
+    apply_lease_knobs(dist);
     try {
       (void)scenario->run(context);
     } catch (const TransportAuthError& error) {
@@ -880,13 +883,13 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
                    flags.workers, worker_id_base,
                    worker_id_base + flags.workers - 1, queue_addr.c_str());
     }
-    context.dist.workers = flags.workers;
-    context.dist.queue_addr = queue_addr;
-    context.dist.auth_token = flags.auth_token;
-    context.dist.queue_namespace =
-        mode == LaunchMode::kRun ? flags.tag : tag;
-    context.dist.worker_id_base = worker_id_base;
-    apply_lease_knobs(context.dist);
+    DistConfig& dist = context.stream.dist;
+    dist.workers = flags.workers;
+    dist.queue_addr = queue_addr;
+    dist.auth_token = flags.auth_token;
+    dist.queue_namespace = mode == LaunchMode::kRun ? flags.tag : tag;
+    dist.worker_id_base = worker_id_base;
+    apply_lease_knobs(dist);
 
     // Workers get the *canonical* parameter set on their command line,
     // so every process binds byte-identical scenario configuration no
@@ -902,8 +905,7 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
       add("--param", param.name + "=" + params.canonical_value(param.name));
     add("--threads", std::to_string(context.threads));
     add("--queue-addr", queue_addr);
-    if (!context.dist.queue_namespace.empty())
-      add("--tag", context.dist.queue_namespace);
+    if (!dist.queue_namespace.empty()) add("--tag", dist.queue_namespace);
     if (flags.lease_expiry >= 0.0) {
       char expiry[32];
       std::snprintf(expiry, sizeof expiry, "%.17g", flags.lease_expiry);
@@ -924,7 +926,7 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
       worker_command.env.push_back("FTNAV_AUTH_TOKEN=" + flags.auth_token);
 
     try {
-      const DistCoordinator coordinator(context.dist);
+      const DistCoordinator coordinator(dist);
       coordinator.run([&](int id) {
         DistCoordinator::Command command = worker_command;
         command.argv.push_back("--worker-id");
@@ -941,11 +943,12 @@ int cmd_launch(LaunchMode mode, int argc, char** argv) {
     // Finalize-only attach: merge whatever the (possibly dead)
     // workers published and complete any remaining shards in this
     // process — still byte-identical to a single-process run.
-    context.dist.workers = 1;
-    context.dist.queue_addr = queue_addr;
-    context.dist.auth_token = flags.auth_token;
-    context.dist.queue_namespace = tag;
-    apply_lease_knobs(context.dist);
+    DistConfig& dist = context.stream.dist;
+    dist.workers = 1;
+    dist.queue_addr = queue_addr;
+    dist.auth_token = flags.auth_token;
+    dist.queue_namespace = tag;
+    apply_lease_knobs(dist);
   }
 
   if (flags.progress_every > 0) {

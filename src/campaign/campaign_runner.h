@@ -19,7 +19,10 @@
 // partials in completion order (streaming.h). The same path carries
 // progress callbacks, checkpoint/resume, graceful stop and the
 // distributed roles (src/dist/) when the CampaignStreamConfig asks for
-// them; a default-constructed config asks for none. Because the
+// them; a default-constructed config asks for none. The role named by
+// `stream.dist` applies to each call on its own: every call of a
+// multi-grid driver is its own worker or finalize run, on the queue
+// its tag derives. Because the
 // partition is a pure function of the trial count, a checkpoint
 // written by a 1-thread run resumes bit-identically under 8 threads
 // and vice versa; threads beyond the shard count sit idle.
@@ -54,6 +57,7 @@
 
 #include "campaign/checkpoint.h"
 #include "campaign/streaming.h"
+#include "dist/dist_campaign.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 
@@ -265,11 +269,13 @@ class CampaignRunner {
   }
 
  private:
-  /// The one campaign core: thread-independent partition, optional
-  /// checkpoint resume, per-shard accumulate -> commit into a
-  /// StreamingAggregator, periodic checkpoint saves, graceful stop,
-  /// and the distributed hooks (shard arbitration + partial-checkpoint
-  /// merge -- see src/dist/). `make_partial()` builds a fresh per-shard
+  /// The one campaign core: thread-independent partition, the
+  /// distributed role of `requested.dist` (applied to a local copy of
+  /// the stream, for this call only), optional checkpoint resume,
+  /// per-shard accumulate -> commit into a StreamingAggregator,
+  /// periodic checkpoint saves, graceful stop, and the distributed
+  /// hooks (shard arbitration + partial-checkpoint merge -- see
+  /// src/dist/). `make_partial()` builds a fresh per-shard
   /// accumulator and `make_scratch()` the shard's scratch object;
   /// `accumulate(acc, shard, trial, rng, scratch)` fills the partial;
   /// `merge_restored(into, from, from_done, shards)` folds an
@@ -281,7 +287,12 @@ class CampaignRunner {
                    std::uint64_t seed, Acc initial, MakePartial&& make_partial,
                    MakeScratch&& make_scratch, AccumulateFn accumulate,
                    MergeFn merge, MergeRestoredFn merge_restored,
-                   const CampaignStreamConfig& stream) const {
+                   const CampaignStreamConfig& requested) const {
+    // Worker: lease shards into this process's partial checkpoint.
+    // Finalize: merge the workers' partials and resume. Off: as asked.
+    CampaignStreamConfig stream = requested;
+    const DistCampaign role(tag, stream);
+
     const std::vector<CampaignShard> shards =
         shard_trials(trial_count, stream_shard_count(trial_count));
     const std::uint64_t fingerprint = CampaignCheckpoint::fingerprint(

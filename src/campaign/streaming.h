@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "dist/dist_config.h"
 #include "util/binary_io.h"
 
 namespace ftnav {
@@ -102,10 +103,11 @@ class ShardArbiter {
       const std::vector<std::uint8_t>& done_by_self) = 0;
 };
 
-/// Streaming/checkpoint knobs carried by experiment config structs.
-/// Default-constructed, it reports no progress, checkpoints nothing
-/// and never stops early; the campaign runs the same partition and
-/// merge either way.
+/// Streaming, checkpoint and distribution knobs of one campaign call,
+/// carried from the front end to the runner in ScenarioContext::stream
+/// (scenario/scenario.h). Default-constructed, it reports no progress,
+/// checkpoints nothing, never stops early and runs every shard in this
+/// process; the campaign runs the same partition and merge either way.
 struct CampaignStreamConfig {
   /// Invoked with consistent snapshots at shard boundaries, at least
   /// every `progress_every_trials` completed trials (and once at
@@ -129,6 +131,13 @@ struct CampaignStreamConfig {
   /// CampaignInterrupted. 0 runs to completion.
   std::size_t stop_after_shards = 0;
 
+  /// Multi-process role (see src/dist/). The campaign core applies it
+  /// to each call on a local copy of this config: a worker re-targets
+  /// the checkpoint, resume and stop knobs above at its partial file
+  /// and installs `arbiter`; finalize fills in `merge_partials`. Off
+  /// (the default) leaves the call as configured.
+  DistConfig dist;
+
   /// Distributed-worker shard arbitration (non-owning; see src/dist/
   /// and ShardArbiter above). Null runs every pending shard locally.
   ShardArbiter* arbiter = nullptr;
@@ -145,7 +154,8 @@ struct CampaignStreamConfig {
 
 /// Copy of `stream` whose checkpoint file is "<path>.<suffix>" — used
 /// by drivers that run several trial grids in one campaign so each
-/// grid checkpoints to its own file.
+/// grid checkpoints to its own file. The copy keeps the `dist` role;
+/// each grid's queue derives from its own campaign tag.
 inline CampaignStreamConfig with_checkpoint_suffix(
     const CampaignStreamConfig& stream, const std::string& suffix) {
   CampaignStreamConfig derived = stream;

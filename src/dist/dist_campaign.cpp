@@ -191,13 +191,13 @@ struct DistCampaign::Impl {
   }
 };
 
-DistCampaign::DistCampaign(const DistConfig& dist, std::string_view tag,
+DistCampaign::DistCampaign(std::string_view tag,
                            CampaignStreamConfig& stream) {
-  const DistConfig::Role role = dist.role();
+  const DistConfig::Role role = stream.dist.role();
   if (role == DistConfig::Role::kOff) return;
 
   impl_ = std::make_unique<Impl>();
-  impl_->config = dist;
+  impl_->config = stream.dist;
   // A worker must beat several times per expiry window or a live
   // lease could be expiry-reclaimed mid-shard (bitmap overlap, merge
   // refused); clamp the period instead of trusting the caller's pair.

@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "dist/dist_campaign.h"
+#include "dist/dist_config.h"
 
 namespace ftnav {
 

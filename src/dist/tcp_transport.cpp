@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "campaign/checkpoint.h"
+#include "dist/dist_campaign.h"
 #include "dist/wire_format.h"
 #include "obs/trace.h"
 #include "util/binary_io.h"

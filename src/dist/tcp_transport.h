@@ -75,7 +75,7 @@
 #include <vector>
 
 #include "dist/campaign_server.h"
-#include "dist/dist_campaign.h"
+#include "dist/dist_config.h"
 #include "obs/metrics.h"
 
 namespace ftnav {
@@ -175,7 +175,7 @@ class TcpQueueClient {
 
 /// One campaign's view of the shard queue, bound to this process's
 /// worker id: a TcpQueueClient scoped to the campaign label.
-/// Constructed per streamed campaign by DistCampaign; the finalize
+/// Constructed per campaign call by DistCampaign; the finalize
 /// role uses only collect_partials() / merged_checkpoint_path().
 /// Partials live in a fresh process-local scratch directory (removed
 /// on destruction); the server's stored copies are the durable truth.

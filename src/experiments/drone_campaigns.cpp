@@ -78,16 +78,15 @@ std::string inference_stream_tag(const std::string& base,
 /// fault-free rollouts.
 template <typename EngineFor, typename KeyFn, typename ArmFn>
 std::vector<std::vector<double>> sweep_msf_grid(
-    const DroneInferenceCampaignConfig& config, std::uint64_t tag,
+    const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context, std::uint64_t tag,
     std::size_t row_count, const DroneWorld& world,
     const DroneEnvConfig& env_config, EngineFor&& engine_for,
     KeyFn&& engine_key, ArmFn&& arm, const std::string& perf_section) {
   const std::size_t ber_count = config.bers.size();
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag = inference_stream_tag(
       "drone-sweep/" + std::to_string(tag), config, &world);
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map_streamed(
       stream_tag, row_count * ber_count, config.seed ^ tag,
@@ -105,7 +104,7 @@ std::vector<std::vector<double>> sweep_msf_grid(
               arm(row, ber, e, r);
             });
       },
-      stream);
+      context.stream);
   perf::add_section(
       perf_section,
       row_count * ber_count * static_cast<std::size_t>(config.repeats),
@@ -130,7 +129,8 @@ void arm_weight_transient(double ber, QuantizedInferenceEngine& engine,
 }  // namespace
 
 DroneTrainingCampaignResult run_drone_training_campaign(
-    const DroneWorld& world, const DroneTrainingCampaignConfig& config) {
+    const DroneWorld& world, const DroneTrainingCampaignConfig& config,
+    const ScenarioContext& context) {
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
 
   ConfigDigest digest;
@@ -203,7 +203,7 @@ DroneTrainingCampaignResult run_drone_training_campaign(
     return distances.mean();
   };
 
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::size_t rows = config.injection_points.size();
   const std::size_t cols = config.bers.size();
   // Fine-tune trial phase (both grids, excluding the policy-training
@@ -215,33 +215,24 @@ DroneTrainingCampaignResult run_drone_training_campaign(
   // accumulated into per-shard heatmaps. Cells are disjoint, so the
   // streamed completion-order merge reassembles the same grid.
   const std::string transient_tag = "drone-training/transient" + tag_suffix;
-  CampaignStreamConfig transient_stream =
-      with_checkpoint_suffix(config.stream, "transient");
-  {
-    DistCampaign dist(config.dist, transient_tag, transient_stream);
-    result.transient = runner.map_reduce_streamed(
-        transient_tag, rows * cols, config.seed ^ 0x7a,
-        [&] { return HeatmapGrid(row_labels, col_labels); },
-        [&](HeatmapGrid& acc, std::size_t trial, Rng& rng) {
-          const std::size_t r = trial / cols;
-          const std::size_t c = trial % cols;
-          const int step =
-              static_cast<int>(config.injection_points[r] * steps_budget);
-          acc.set(r, c,
-                  run_fine_tune(config.bers[c], step, std::nullopt, 0.0,
-                                rng));
-        },
-        [](HeatmapGrid& into, HeatmapGrid&& from) { into.merge(from); },
-        transient_stream);
-  }
+  result.transient = runner.map_reduce_streamed(
+      transient_tag, rows * cols, config.seed ^ 0x7a,
+      [&] { return HeatmapGrid(row_labels, col_labels); },
+      [&](HeatmapGrid& acc, std::size_t trial, Rng& rng) {
+        const std::size_t r = trial / cols;
+        const std::size_t c = trial % cols;
+        const int step =
+            static_cast<int>(config.injection_points[r] * steps_budget);
+        acc.set(r, c,
+                run_fine_tune(config.bers[c], step, std::nullopt, 0.0, rng));
+      },
+      [](HeatmapGrid& into, HeatmapGrid&& from) { into.merge(from); },
+      with_checkpoint_suffix(context.stream, "transient"));
 
   // Fault-free reference plus the two stuck-at rows, as a flat trial
   // list: trial 0 is fault-free, then stuck-at-0 per BER, stuck-at-1
   // per BER.
   const std::string flat_tag = "drone-training/flat" + tag_suffix;
-  CampaignStreamConfig flat_stream =
-      with_checkpoint_suffix(config.stream, "flat");
-  DistCampaign flat_dist(config.dist, flat_tag, flat_stream);
   const std::vector<double> flat = runner.map_streamed(
       flat_tag, 1 + 2 * cols, config.seed ^ 0x7a5a,
       [&](std::size_t trial, Rng& rng) {
@@ -253,7 +244,7 @@ DroneTrainingCampaignResult run_drone_training_campaign(
         const double ber = config.bers[index % cols];
         return run_fine_tune(std::nullopt, 0, type, ber, rng);
       },
-      flat_stream);
+      with_checkpoint_suffix(context.stream, "flat"));
   perf::add_section("drone_training_trials", rows * cols + 1 + 2 * cols,
                     perf::now() - trials_started);
   result.fault_free_msf = flat[0];
@@ -265,7 +256,8 @@ DroneTrainingCampaignResult run_drone_training_campaign(
 }
 
 EnvironmentSweepResult run_environment_sweep(
-    const DroneInferenceCampaignConfig& config) {
+    const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   EnvironmentSweepResult result;
   result.bers = config.bers;
   const std::vector<DroneWorld> worlds = {DroneWorld::indoor_long(),
@@ -273,7 +265,7 @@ EnvironmentSweepResult run_environment_sweep(
   for (const DroneWorld& world : worlds)
     result.environments.push_back(world.name());
 
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
 
   // Phase 1: per-environment policy training in parallel. Training is
   // deterministic in (world, spec), so the trial stream goes unused.
@@ -292,8 +284,6 @@ EnvironmentSweepResult run_environment_sweep(
   const std::size_t ber_count = config.bers.size();
   const std::string stream_tag =
       inference_stream_tag("drone-env-sweep", config, nullptr);
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map_streamed(
       stream_tag, worlds.size() * ber_count, config.seed ^ 0x7b,
@@ -315,7 +305,7 @@ EnvironmentSweepResult run_environment_sweep(
               arm_weight_transient(ber, e, r);
             });
       },
-      stream);
+      context.stream);
   perf::add_section(
       "drone_env_trials",
       worlds.size() * ber_count * static_cast<std::size_t>(config.repeats),
@@ -338,7 +328,8 @@ std::string to_string(DroneFaultLocation location) {
 }
 
 LocationSweepResult run_location_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config) {
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   LocationSweepResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -346,7 +337,7 @@ LocationSweepResult run_location_sweep(
   // Every row drives the same engine configuration, so the whole sweep
   // shares cache slot 0.
   result.msf = sweep_msf_grid(
-      config, 0x7c, 4, world, bundle.env_config,
+      config, context, 0x7c, 4, world, bundle.env_config,
       [&](std::size_t) {
         return std::make_unique<QuantizedInferenceEngine>(
             bundle.network, QFormat::drone_weights(),
@@ -379,7 +370,8 @@ LocationSweepResult run_location_sweep(
 }
 
 LayerSweepResult run_layer_sweep(const DroneWorld& world,
-                                 const DroneInferenceCampaignConfig& config) {
+                                 const DroneInferenceCampaignConfig& config,
+                                 const ScenarioContext& context) {
   LayerSweepResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -396,7 +388,8 @@ LayerSweepResult run_layer_sweep(const DroneWorld& world,
   // Rows differ only in which layer the arm targets, not in engine
   // configuration: one shared slot.
   result.msf = sweep_msf_grid(
-      config, 0x7d, layer_count, world, bundle.env_config, engine_for,
+      config, context, 0x7d, layer_count, world, bundle.env_config,
+      engine_for,
       [](std::size_t) { return std::size_t{0}; },
       [](std::size_t layer, double ber, QuantizedInferenceEngine& e,
          Rng& r) { e.inject_layer_weight_faults(layer, ber, r); },
@@ -405,7 +398,8 @@ LayerSweepResult run_layer_sweep(const DroneWorld& world,
 }
 
 DataTypeSweepResult run_data_type_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config) {
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   DataTypeSweepResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -422,7 +416,7 @@ DataTypeSweepResult run_data_type_sweep(
   // Each row quantizes the network into a different QFormat, so each
   // row owns its cache slot.
   result.msf = sweep_msf_grid(
-      config, 0x7e, formats.size(), world, bundle.env_config,
+      config, context, 0x7e, formats.size(), world, bundle.env_config,
       [&](std::size_t row) {
         return std::make_unique<QuantizedInferenceEngine>(
             bundle.network, formats[row], bundle.c3f2.input_shape());
@@ -436,7 +430,8 @@ DataTypeSweepResult run_data_type_sweep(
 }
 
 DroneMitigationResult run_drone_mitigation_comparison(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config) {
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context) {
   DroneMitigationResult result;
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
@@ -450,11 +445,9 @@ DroneMitigationResult run_drone_mitigation_comparison(
     std::uint64_t detections = 0;
   };
   const std::size_t ber_count = config.bers.size();
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       inference_stream_tag("drone-mitigation", config, &world);
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
   const double trials_started = perf::now();
   const std::vector<Cell> cells = runner.map_streamed(
       stream_tag, 2 * ber_count, config.seed ^ 0x7f,
@@ -489,7 +482,7 @@ DroneMitigationResult run_drone_mitigation_comparison(
               engine.weight_detector()->detections() - detections_before;
         return cell;
       },
-      stream);
+      context.stream);
   perf::add_section(
       "drone_mitigation_trials",
       2 * ber_count * static_cast<std::size_t>(config.repeats),

@@ -8,9 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "campaign/streaming.h"
-#include "dist/dist_campaign.h"
 #include "experiments/drone_policy.h"
+#include "scenario/scenario.h"
 #include "util/table.h"
 
 namespace ftnav {
@@ -30,16 +29,6 @@ struct DroneTrainingCampaignConfig {
   int fine_tune_episodes = 3;
   int eval_repeats = 5;
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// Streaming progress + checkpoint/resume. The transient grid and
-  /// the stuck-at sweep checkpoint to "<path>.transient" and
-  /// "<path>.flat"; policy training re-runs on resume.
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/); each grid gets its own
-  /// work queue derived from its campaign tag.
-  DistConfig dist;
 };
 
 struct DroneTrainingCampaignResult {
@@ -58,9 +47,13 @@ struct DroneTrainingCampaignResult {
 
 /// Typed entry point of the `drone-training` scenario: campaigns run
 /// through the scenario registry (src/scenario/, `fault_campaign run
-/// drone-training`), which calls this and renders its result.
+/// drone-training`), which calls this and renders its result. The
+/// transient grid and the stuck-at sweep checkpoint to
+/// "<path>.transient" and "<path>.flat"; policy training re-runs on
+/// resume and in every worker.
 DroneTrainingCampaignResult run_drone_training_campaign(
-    const DroneWorld& world, const DroneTrainingCampaignConfig& config);
+    const DroneWorld& world, const DroneTrainingCampaignConfig& config,
+    const ScenarioContext& context = {});
 
 // ---- Fig. 7b-e and 10b: inference campaigns -------------------------------
 
@@ -69,14 +62,6 @@ struct DroneInferenceCampaignConfig {
   std::vector<double> bers;
   int repeats = 10;    ///< fault draws x rollouts per point
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// Streaming progress + checkpoint/resume for the trial grid
-  /// (policy training is not checkpointed and re-runs on resume).
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/).
-  DistConfig dist;
 };
 
 /// Fig. 7b: MSF vs BER (transient weight faults) per environment.
@@ -86,7 +71,8 @@ struct EnvironmentSweepResult {
   std::vector<std::vector<double>> msf;  ///< [environment][ber]
 };
 EnvironmentSweepResult run_environment_sweep(
-    const DroneInferenceCampaignConfig& config);
+    const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context = {});
 
 /// Fig. 7c: fault-location sensitivity.
 enum class DroneFaultLocation {
@@ -102,7 +88,8 @@ struct LocationSweepResult {
   std::vector<std::vector<double>> msf;  ///< [location][ber], enum order
 };
 LocationSweepResult run_location_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config);
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context = {});
 
 /// Fig. 7d: per-layer weight-fault sensitivity (Conv1..FC2).
 struct LayerSweepResult {
@@ -111,7 +98,8 @@ struct LayerSweepResult {
   std::vector<std::vector<double>> msf;  ///< [layer][ber]
 };
 LayerSweepResult run_layer_sweep(const DroneWorld& world,
-                                 const DroneInferenceCampaignConfig& config);
+                                 const DroneInferenceCampaignConfig& config,
+                                 const ScenarioContext& context = {});
 
 /// Fig. 7e: fixed-point data-type sensitivity.
 struct DataTypeSweepResult {
@@ -120,7 +108,8 @@ struct DataTypeSweepResult {
   std::vector<std::vector<double>> msf;  ///< [format][ber]
 };
 DataTypeSweepResult run_data_type_sweep(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config);
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context = {});
 
 /// Fig. 10b: anomaly-detection mitigation on weight faults.
 struct DroneMitigationResult {
@@ -130,6 +119,7 @@ struct DroneMitigationResult {
   std::uint64_t detections = 0;
 };
 DroneMitigationResult run_drone_mitigation_comparison(
-    const DroneWorld& world, const DroneInferenceCampaignConfig& config);
+    const DroneWorld& world, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context = {});
 
 }  // namespace ftnav

@@ -245,7 +245,7 @@ std::string to_string(InferenceFaultMode mode) {
 }
 
 InferenceCampaignResult run_inference_campaign(
-    const InferenceCampaignConfig& config) {
+    const InferenceCampaignConfig& config, const ScenarioContext& context) {
   if (config.repeats <= 0)
     throw std::invalid_argument("InferenceCampaignConfig: repeats <= 0");
   TrainedPolicies trained = train_policy(config);
@@ -263,7 +263,7 @@ InferenceCampaignResult run_inference_campaign(
   const std::size_t ber_count = config.bers.size();
   const std::size_t cell_count = 4 * ber_count;
   const auto repeat_count = static_cast<std::size_t>(config.repeats);
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const auto merge_accums = [](InferenceAccum& into,
                                InferenceAccum&& from) { into.merge(from); };
   // Checkpoint identity: the same config must never resume a grid it
@@ -281,10 +281,6 @@ InferenceCampaignResult run_inference_campaign(
           .add(config.detector_margin)
           .add(config.bers)
           .hex();
-  // Multi-process sharding: a worker runs only its leased shards into
-  // a partial checkpoint; the coordinator merges partials and resumes.
-  CampaignStreamConfig stream = config.stream;
-  DistCampaign dist(config.dist, stream_tag, stream);
   InferenceAccum totals(cell_count);
   // Trial-grid wall clock for the perf-trajectory record: the phase
   // the batched engine + SIMD kernels speed up, excluding the policy
@@ -317,7 +313,7 @@ InferenceCampaignResult run_inference_campaign(
             ++acc.successes[cell];
           acc.detections[cell] += detector.detections();
         },
-        merge_accums, stream);
+        merge_accums, context.stream);
   } else {
     // --- NN path (through the quantized inference engine) --------------
     // The golden network every shard's engine is built from: the
@@ -360,7 +356,7 @@ InferenceCampaignResult run_inference_campaign(
             acc.detections[cell] +=
                 engine.weight_detector()->detections() - detections_before;
         },
-        merge_accums, stream);
+        merge_accums, context.stream);
   }
 
   perf::add_section(config.kind == GridPolicyKind::kTabular
@@ -382,19 +378,20 @@ InferenceCampaignResult run_inference_campaign(
 }
 
 MitigationComparison run_inference_mitigation_comparison(
-    const InferenceCampaignConfig& config) {
+    const InferenceCampaignConfig& config, const ScenarioContext& context) {
   MitigationComparison comparison;
   comparison.bers = config.bers;
+  ScenarioContext arm = context;
 
   InferenceCampaignConfig baseline = config;
   baseline.mitigated = false;
-  baseline.stream = with_checkpoint_suffix(config.stream, "baseline");
-  const InferenceCampaignResult off = run_inference_campaign(baseline);
+  arm.stream = with_checkpoint_suffix(context.stream, "baseline");
+  const InferenceCampaignResult off = run_inference_campaign(baseline, arm);
 
   InferenceCampaignConfig hardened = config;
   hardened.mitigated = true;
-  hardened.stream = with_checkpoint_suffix(config.stream, "mitigated");
-  const InferenceCampaignResult on = run_inference_campaign(hardened);
+  arm.stream = with_checkpoint_suffix(context.stream, "mitigated");
+  const InferenceCampaignResult on = run_inference_campaign(hardened, arm);
 
   comparison.baseline_success = off.success_by_mode[0];   // Transient-M
   comparison.mitigated_success = on.success_by_mode[0];

@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/streaming.h"
-#include "dist/dist_campaign.h"
 #include "experiments/grid_training.h"
 
 namespace ftnav {
@@ -38,15 +36,6 @@ struct InferenceCampaignConfig {
   /// Detection margin for the mitigated arm (the paper uses 10%).
   double detector_margin = 0.1;
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// Streaming progress + checkpoint/resume for the trial grid
-  /// (policy training is not checkpointed and re-runs on resume).
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/); policy training re-runs
-  /// per worker, the trial grid is partitioned via the work queue.
-  DistConfig dist;
 };
 
 struct InferenceCampaignResult {
@@ -60,9 +49,13 @@ struct InferenceCampaignResult {
 
 /// Typed entry point of the `grid-inference` scenario: campaigns run
 /// through the scenario registry (src/scenario/, `fault_campaign run
-/// grid-inference`), which calls this and renders its result.
+/// grid-inference`), which calls this and renders its result. The
+/// trial grid runs on `context.threads` and checkpoints to
+/// `context.stream`; policy training is not checkpointed and re-runs on
+/// resume and in every worker.
 InferenceCampaignResult run_inference_campaign(
-    const InferenceCampaignConfig& config);
+    const InferenceCampaignConfig& config,
+    const ScenarioContext& context = {});
 
 /// Fig. 10a: success% with and without mitigation under Transient-M
 /// weight faults (NN policy).
@@ -72,7 +65,9 @@ struct MitigationComparison {
   std::vector<double> mitigated_success;
 };
 
+/// The arms checkpoint to "<path>.baseline" and "<path>.mitigated".
 MitigationComparison run_inference_mitigation_comparison(
-    const InferenceCampaignConfig& config);
+    const InferenceCampaignConfig& config,
+    const ScenarioContext& context = {});
 
 }  // namespace ftnav

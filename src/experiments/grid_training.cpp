@@ -142,7 +142,7 @@ GridTrainResult run_grid_training(const GridTrainSpec& spec) {
 }
 
 HeatmapGrid run_transient_training_heatmap(
-    const TrainingHeatmapConfig& config) {
+    const TrainingHeatmapConfig& config, const ScenarioContext& context) {
   // Injection matches an exact episode, so one outside the run would
   // leave its whole column fault-free.
   for (int episode : config.injection_episodes)
@@ -166,7 +166,7 @@ HeatmapGrid run_transient_training_heatmap(
   const std::size_t cols = config.injection_episodes.size();
   const std::size_t cell_count = config.bers.size() * cols;
   const auto repeats = static_cast<std::size_t>(config.repeats);
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       std::string("grid-training/transient-heatmap/") +
       to_string(config.kind) + (config.mitigated ? "/mitigated" : "") +
@@ -178,9 +178,6 @@ HeatmapGrid run_transient_training_heatmap(
           .add(config.bers)
           .add(config.injection_episodes)
           .hex();
-  CampaignStreamConfig stream =
-      with_checkpoint_suffix(config.stream, "transient");
-  DistCampaign dist(config.dist, stream_tag, stream);
   const std::vector<int> successes = runner.map_reduce_streamed(
       stream_tag, cell_count * repeats, config.seed,
       [&] { return std::vector<int>(cell_count, 0); },
@@ -200,7 +197,7 @@ HeatmapGrid run_transient_training_heatmap(
       [](std::vector<int>& into, std::vector<int>&& from) {
         for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
       },
-      stream);
+      with_checkpoint_suffix(context.stream, "transient"));
   for (std::size_t cell = 0; cell < cell_count; ++cell)
     grid.set(cell / cols, cell % cols,
              100.0 * static_cast<double>(successes[cell]) /
@@ -209,7 +206,7 @@ HeatmapGrid run_transient_training_heatmap(
 }
 
 PermanentTrainingSweep run_permanent_training_sweep(
-    const TrainingHeatmapConfig& config) {
+    const TrainingHeatmapConfig& config, const ScenarioContext& context) {
   PermanentTrainingSweep sweep;
   sweep.bers = config.bers;
 
@@ -217,7 +214,7 @@ PermanentTrainingSweep run_permanent_training_sweep(
   // cells first, matching the result layout.
   const std::size_t ber_count = config.bers.size();
   const auto repeats = static_cast<std::size_t>(config.repeats);
-  const CampaignRunner runner(config.threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       std::string("grid-training/permanent-sweep/") +
       to_string(config.kind) + (config.mitigated ? "/mitigated" : "") +
@@ -228,9 +225,6 @@ PermanentTrainingSweep run_permanent_training_sweep(
           .add(config.repeats)
           .add(config.bers)
           .hex();
-  CampaignStreamConfig stream =
-      with_checkpoint_suffix(config.stream, "permanent");
-  DistCampaign dist(config.dist, stream_tag, stream);
   const std::vector<int> successes = runner.map_reduce_streamed(
       stream_tag, 2 * ber_count * repeats, config.seed ^ 0x9e37,
       [&] { return std::vector<int>(2 * ber_count, 0); },
@@ -251,7 +245,7 @@ PermanentTrainingSweep run_permanent_training_sweep(
       [](std::vector<int>& into, std::vector<int>&& from) {
         for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
       },
-      stream);
+      with_checkpoint_suffix(context.stream, "permanent"));
   for (std::size_t cell = 0; cell < 2 * ber_count; ++cell) {
     const double pct = 100.0 * static_cast<double>(successes[cell]) /
                        static_cast<double>(config.repeats);
@@ -297,7 +291,8 @@ ValueHistogramResult trained_value_histogram(GridPolicyKind kind,
 }
 
 std::vector<RewardCurve> run_reward_curves(GridPolicyKind kind, int episodes,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed,
+                                           const ScenarioContext& context) {
   // Scenario shape follows Fig. 3: two transient upsets (one mid-, one
   // late-training), one stuck-at-0 and one stuck-at-1, plus fault-free.
   struct Scenario {
@@ -317,8 +312,12 @@ std::vector<RewardCurve> run_reward_curves(GridPolicyKind kind, int episodes,
        0.003},
   };
 
-  std::vector<RewardCurve> curves;
-  for (const Scenario& scenario : scenarios) {
+  // Every curve trains from `seed` alone, so the trial stream goes
+  // unused and the slots fill in any order.
+  std::vector<RewardCurve> curves(scenarios.size());
+  const CampaignRunner runner(context.threads);
+  runner.for_each(scenarios.size(), seed, [&](std::size_t index, Rng&) {
+    const Scenario& scenario = scenarios[index];
     GridTrainSpec spec;
     spec.kind = kind;
     spec.episodes = episodes;
@@ -333,23 +332,23 @@ std::vector<RewardCurve> run_reward_curves(GridPolicyKind kind, int episodes,
       spec.permanent_type = scenario.permanent;
       spec.permanent_ber = scenario.permanent_ber;
     }
-    curves.push_back(
-        RewardCurve{scenario.label, run_grid_training(spec).returns});
-  }
+    curves[index] =
+        RewardCurve{scenario.label, run_grid_training(spec).returns};
+  });
   return curves;
 }
 
 TransientConvergenceResult run_transient_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int fault_episode,
-    int max_extra_episodes, int repeats, std::uint64_t seed, int threads,
-    const CampaignStreamConfig& stream_config, const DistConfig& dist_config) {
+    int max_extra_episodes, int repeats, std::uint64_t seed,
+    const ScenarioContext& context) {
   TransientConvergenceResult result;
   result.bers = bers;
 
   // Per-trial recovery times collected in parallel, then folded in
   // trial order so the floating-point means are thread-count-invariant.
   const auto repeat_count = static_cast<std::size_t>(repeats);
-  const CampaignRunner runner(threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       "grid-convergence/transient/" + to_string(kind) + "#" +
       ConfigDigest()
@@ -358,8 +357,6 @@ TransientConvergenceResult run_transient_convergence(
           .add(repeats)
           .add(bers)
           .hex();
-  CampaignStreamConfig stream = stream_config;
-  DistCampaign dist(dist_config, stream_tag, stream);
   const std::vector<int> recoveries = runner.map_streamed(
       stream_tag, bers.size() * repeat_count, seed ^ 0xc0ffee,
       [&](std::size_t trial, Rng& rng) {
@@ -372,7 +369,7 @@ TransientConvergenceResult run_transient_convergence(
         spec.seed = rng();
         return run_grid_training(spec).reconverge_episodes;
       },
-      stream);
+      context.stream);
   for (std::size_t b = 0; b < bers.size(); ++b) {
     RunningStats episodes_taken;
     int failures = 0;
@@ -395,15 +392,14 @@ TransientConvergenceResult run_transient_convergence(
 PermanentConvergenceResult run_permanent_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int early_episode,
     int late_episode, int extra_episodes, int repeats, std::uint64_t seed,
-    int threads, const CampaignStreamConfig& stream_config,
-    const DistConfig& dist_config) {
+    const ScenarioContext& context) {
   PermanentConvergenceResult result;
   result.bers = bers;
 
   // Trial grid: (BER, arm, repeat) where the four arms per BER are
   // (SA0 early, SA0 late, SA1 early, SA1 late).
   const auto repeat_count = static_cast<std::size_t>(repeats);
-  const CampaignRunner runner(threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       "grid-convergence/permanent/" + to_string(kind) + "#" +
       ConfigDigest()
@@ -413,8 +409,6 @@ PermanentConvergenceResult run_permanent_convergence(
           .add(repeats)
           .add(bers)
           .hex();
-  CampaignStreamConfig stream = stream_config;
-  DistCampaign dist(dist_config, stream_tag, stream);
   const std::vector<char> successes = runner.map_streamed(
       stream_tag, bers.size() * 4 * repeat_count, seed ^ 0xdead,
       [&](std::size_t trial, Rng& rng) -> char {
@@ -431,7 +425,7 @@ PermanentConvergenceResult run_permanent_convergence(
         spec.seed = rng();
         return run_grid_training(spec).success ? 1 : 0;
       },
-      stream);
+      context.stream);
   const auto cell_pct = [&](std::size_t b, std::size_t arm) {
     std::size_t wins = 0;
     const std::size_t base = (b * 4 + arm) * repeat_count;
@@ -450,8 +444,7 @@ PermanentConvergenceResult run_permanent_convergence(
 
 std::vector<ExplorationStudyRow> run_exploration_study(
     GridPolicyKind kind, const std::vector<double>& bers, int episodes,
-    int repeats, std::uint64_t seed, int threads,
-    const CampaignStreamConfig& stream_config, const DistConfig& dist_config) {
+    int repeats, std::uint64_t seed, const ScenarioContext& context) {
   const std::vector<FaultType> types = {
       FaultType::kTransientFlip, FaultType::kStuckAt0, FaultType::kStuckAt1};
   const int transient_episode = static_cast<int>(0.6 * episodes);
@@ -463,12 +456,10 @@ std::vector<ExplorationStudyRow> run_exploration_study(
     int recovery = 0;
   };
   const auto repeat_count = static_cast<std::size_t>(repeats);
-  const CampaignRunner runner(threads);
+  const CampaignRunner runner(context.threads);
   const std::string stream_tag =
       "grid-exploration/" + to_string(kind) + "#" +
       ConfigDigest().add(episodes).add(repeats).add(bers).hex();
-  CampaignStreamConfig stream = stream_config;
-  DistCampaign dist(dist_config, stream_tag, stream);
   const std::vector<Telemetry> trials = runner.map_streamed(
       stream_tag, types.size() * bers.size() * repeat_count, seed ^ 0xfeed,
       [&](std::size_t trial, Rng& rng) {
@@ -498,7 +489,7 @@ std::vector<ExplorationStudyRow> run_exploration_study(
                                  : episodes - transient_episode;
         return telemetry;
       },
-      stream);
+      context.stream);
 
   std::vector<ExplorationStudyRow> rows;
   for (std::size_t cell = 0; cell < types.size() * bers.size(); ++cell) {

@@ -13,11 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "campaign/streaming.h"
 #include "core/exploration.h"
-#include "dist/dist_campaign.h"
 #include "core/fault_model.h"
 #include "envs/gridworld.h"
+#include "scenario/scenario.h"
 #include "util/histogram.h"
 #include "util/table.h"
 
@@ -87,16 +86,6 @@ struct TrainingHeatmapConfig {
   int repeats = 10;
   bool mitigated = false;
   std::uint64_t seed = 42;
-  /// Campaign worker threads; <= 0 selects hardware_concurrency.
-  /// Results are bit-identical for every value (see src/campaign/).
-  int threads = 0;
-  /// Streaming progress + checkpoint/resume. The transient heatmap and
-  /// the permanent sweep checkpoint to "<path>.transient" and
-  /// "<path>.permanent" respectively.
-  CampaignStreamConfig stream;
-  /// Multi-process sharding (see src/dist/); each grid gets its own
-  /// work queue derived from its campaign tag.
-  DistConfig dist;
 };
 
 /// Success rate (%) per (BER, injection episode) cell under transient
@@ -104,7 +93,11 @@ struct TrainingHeatmapConfig {
 /// Typed entry point of the `grid-training-transient` scenario:
 /// campaigns run through the scenario registry (src/scenario/,
 /// `fault_campaign run`), which calls this and renders its result.
-HeatmapGrid run_transient_training_heatmap(const TrainingHeatmapConfig& config);
+/// Every campaign driver in src/experiments takes the invocation's
+/// ScenarioContext last: `threads` for its CampaignRunner, `stream`
+/// for each runner call. This grid checkpoints to "<path>.transient".
+HeatmapGrid run_transient_training_heatmap(
+    const TrainingHeatmapConfig& config, const ScenarioContext& context = {});
 
 // ---- Fig. 2a / 2c (right block): permanent faults in training ----------
 
@@ -114,8 +107,9 @@ struct PermanentTrainingSweep {
   std::vector<double> stuck_at_1_success;  ///< %
 };
 
+/// Reads no `injection_episodes`; checkpoints to "<path>.permanent".
 PermanentTrainingSweep run_permanent_training_sweep(
-    const TrainingHeatmapConfig& config);
+    const TrainingHeatmapConfig& config, const ScenarioContext& context = {});
 
 // ---- Fig. 2b / 2d: trained-value histograms -----------------------------
 
@@ -139,9 +133,12 @@ struct RewardCurve {
 };
 
 /// Paper's four example scenarios (two transient, stuck-at-0, stuck-at-1)
-/// plus a fault-free reference, for the given policy kind.
+/// plus a fault-free reference, for the given policy kind. Each curve
+/// is one training seeded from `seed` alone, so the five run as a set-up
+/// loop on `context.threads` (nothing to checkpoint or distribute).
 std::vector<RewardCurve> run_reward_curves(GridPolicyKind kind, int episodes,
-                                           std::uint64_t seed);
+                                           std::uint64_t seed,
+                                           const ScenarioContext& context = {});
 
 // ---- Fig. 4a / 4c: episodes to re-converge ------------------------------
 
@@ -151,14 +148,12 @@ struct TransientConvergenceResult {
   std::vector<double> failure_fraction;  ///< runs that never re-converged
 };
 
-/// `threads`, `stream` and `dist` are the campaign knobs of
-/// TrainingHeatmapConfig; the grid checkpoints to the stream's path
-/// itself. The same holds for the two drivers below.
+/// The grid checkpoints to the stream's path itself; so do the two
+/// drivers below.
 TransientConvergenceResult run_transient_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int fault_episode,
     int max_extra_episodes, int repeats, std::uint64_t seed,
-    int threads = 0, const CampaignStreamConfig& stream = {},
-    const DistConfig& dist = {});
+    const ScenarioContext& context = {});
 
 // ---- Fig. 4b / 4d: permanent faults + extra training --------------------
 
@@ -174,8 +169,7 @@ struct PermanentConvergenceResult {
 PermanentConvergenceResult run_permanent_convergence(
     GridPolicyKind kind, const std::vector<double>& bers, int early_episode,
     int late_episode, int extra_episodes, int repeats, std::uint64_t seed,
-    int threads = 0, const CampaignStreamConfig& stream = {},
-    const DistConfig& dist = {});
+    const ScenarioContext& context = {});
 
 // ---- Fig. 9: exploration adaptation telemetry ---------------------------
 
@@ -189,7 +183,6 @@ struct ExplorationStudyRow {
 
 std::vector<ExplorationStudyRow> run_exploration_study(
     GridPolicyKind kind, const std::vector<double>& bers, int episodes,
-    int repeats, std::uint64_t seed, int threads = 0,
-    const CampaignStreamConfig& stream = {}, const DistConfig& dist = {});
+    int repeats, std::uint64_t seed, const ScenarioContext& context = {});
 
 }  // namespace ftnav

@@ -153,8 +153,7 @@ std::string json_array(const std::vector<double>& values) {
 
 // ---- grid inference -------------------------------------------------------
 
-InferenceCampaignConfig inference_config_of(const ParamSet& params,
-                                            ScenarioContext& context) {
+InferenceCampaignConfig inference_config_of(const ParamSet& params) {
   InferenceCampaignConfig config;
   config.kind = policy_of(params);
   config.density = density_of(params);
@@ -164,9 +163,6 @@ InferenceCampaignConfig inference_config_of(const ParamSet& params,
   config.mitigated = params.get_bool("mitigate");
   config.detector_margin = params.get_double("detector-margin");
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   return config;
 }
 
@@ -204,8 +200,9 @@ InferenceFaultMode mode_of(const ParamSet& params) {
 
 ScenarioResult run_grid_inference(const ParamSet& params,
                                   ScenarioContext& context) {
-  const InferenceCampaignConfig config = inference_config_of(params, context);
-  const InferenceCampaignResult result = run_inference_campaign(config);
+  const InferenceCampaignConfig config = inference_config_of(params);
+  const InferenceCampaignResult result =
+      run_inference_campaign(config, context);
 
   std::ostringstream text;
   Table table(
@@ -275,11 +272,8 @@ ScenarioResult run_grid_inference_mitigation(const ParamSet& params,
   config.repeats = static_cast<int>(params.get_int("repeats"));
   config.detector_margin = params.get_double("detector-margin");
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   const MitigationComparison comparison =
-      run_inference_mitigation_comparison(config);
+      run_inference_mitigation_comparison(config, context);
 
   std::ostringstream text;
   Table table({"BER", "no mitigation", "mitigation"});
@@ -314,38 +308,38 @@ ScenarioResult run_grid_inference_mitigation(const ParamSet& params,
 
 // ---- grid training --------------------------------------------------------
 
-std::vector<ParamSpec> training_params() {
-  return {
+/// The training scenarios' parameters; only the transient heatmap has
+/// an injection-episode axis (the permanent sweep faults from episode
+/// 0).
+std::vector<ParamSpec> training_params(bool transient) {
+  std::vector<ParamSpec> params = {
       policy_param("tabular"),
       density_param(),
       ParamSpec::integer("episodes", 1000, "training episodes", 1, 1e7),
       ParamSpec::double_list("bers", {0.001, 0.003, 0.005, 0.008, 0.010},
                              "bit-error-rate axis (fractions)", 0.0, 1.0),
-      ParamSpec::int_list("injection-episodes", {0, 250, 500, 750, 999},
-                          "transient-injection episode axis", 0, 1e7),
-      repeats_param(10, "training runs per grid cell"),
-      ParamSpec::boolean("mitigate", false,
-                         "adaptive exploration-rate mitigation (paper "
-                         "§5.1)"),
-      seed_param(),
   };
+  if (transient)
+    params.push_back(
+        ParamSpec::int_list("injection-episodes", {0, 250, 500, 750, 999},
+                            "transient-injection episode axis", 0, 1e7));
+  params.push_back(repeats_param(10, "training runs per grid cell"));
+  params.push_back(ParamSpec::boolean(
+      "mitigate", false, "adaptive exploration-rate mitigation (paper §5.1)"));
+  params.push_back(seed_param());
+  return params;
 }
 
-TrainingHeatmapConfig training_config_of(const ParamSet& params,
-                                         ScenarioContext& context) {
+/// The permanent sweep's config; the transient heatmap adds its axis.
+TrainingHeatmapConfig training_config_of(const ParamSet& params) {
   TrainingHeatmapConfig config;
   config.kind = policy_of(params);
   config.density = density_of(params);
   config.episodes = static_cast<int>(params.get_int("episodes"));
   config.bers = params.get_double_list("bers");
-  config.injection_episodes =
-      to_int(params.get_int_list("injection-episodes"));
   config.repeats = static_cast<int>(params.get_int("repeats"));
   config.mitigated = params.get_bool("mitigate");
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   return config;
 }
 
@@ -363,8 +357,10 @@ void check_injection_episodes(const ParamSet& params) {
 
 ScenarioResult run_training_transient(const ParamSet& params,
                                       ScenarioContext& context) {
-  const TrainingHeatmapConfig config = training_config_of(params, context);
-  const HeatmapGrid grid = run_transient_training_heatmap(config);
+  TrainingHeatmapConfig config = training_config_of(params);
+  config.injection_episodes =
+      to_int(params.get_int_list("injection-episodes"));
+  const HeatmapGrid grid = run_transient_training_heatmap(config, context);
   ScenarioResult out;
   out.text = "success rate (%) by (BER, injection episode), transient "
              "faults during training:\n" +
@@ -375,8 +371,8 @@ ScenarioResult run_training_transient(const ParamSet& params,
 
 ScenarioResult run_training_permanent(const ParamSet& params,
                                       ScenarioContext& context) {
-  const TrainingHeatmapConfig config = training_config_of(params, context);
-  const PermanentTrainingSweep sweep = run_permanent_training_sweep(config);
+  const PermanentTrainingSweep sweep =
+      run_permanent_training_sweep(training_config_of(params), context);
   std::ostringstream text;
   Table table({"BER", "stuck-at-0 success%", "stuck-at-1 success%"});
   for (std::size_t i = 0; i < sweep.bers.size(); ++i) {
@@ -402,8 +398,7 @@ ScenarioResult run_convergence_transient(const ParamSet& params,
       policy_of(params), bers, fault_episode,
       static_cast<int>(params.get_int("max-extra-episodes")),
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads,
-      context.stream, context.dist);
+      static_cast<std::uint64_t>(params.get_int("seed")), context);
 
   std::ostringstream text;
   Table table({"BER", "total episodes to converge", "never-converged %"});
@@ -432,8 +427,7 @@ ScenarioResult run_convergence_permanent(const ParamSet& params,
   const PermanentConvergenceResult result = run_permanent_convergence(
       policy_of(params), bers, early, late, extra,
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads,
-      context.stream, context.dist);
+      static_cast<std::uint64_t>(params.get_int("seed")), context);
 
   std::ostringstream text;
   Table table(
@@ -463,8 +457,7 @@ ScenarioResult run_exploration(const ParamSet& params,
       policy_of(params), params.get_double_list("bers"),
       static_cast<int>(params.get_int("episodes")),
       static_cast<int>(params.get_int("repeats")),
-      static_cast<std::uint64_t>(params.get_int("seed")), context.threads,
-      context.stream, context.dist);
+      static_cast<std::uint64_t>(params.get_int("seed")), context);
 
   std::ostringstream text;
   Table table({"fault", "BER", "peak exploration %", "episodes to steady",
@@ -516,10 +509,10 @@ void append_curve(std::ostringstream& text, const RewardCurve& curve,
 }
 
 ScenarioResult run_reward_curve_scenario(const ParamSet& params,
-                                         ScenarioContext&) {
+                                         ScenarioContext& context) {
   const std::vector<RewardCurve> curves = run_reward_curves(
       policy_of(params), static_cast<int>(params.get_int("episodes")),
-      static_cast<std::uint64_t>(params.get_int("seed")));
+      static_cast<std::uint64_t>(params.get_int("seed")), context);
   std::ostringstream text;
   text << "cumulative return during training ('#'=near +1, '_'=near "
           "-1):\n";
@@ -573,15 +566,12 @@ ScenarioResult run_value_histogram(const ParamSet& params,
 // ---- drone campaigns ------------------------------------------------------
 
 DroneInferenceCampaignConfig drone_inference_config_of(
-    const ParamSet& params, ScenarioContext& context) {
+    const ParamSet& params) {
   DroneInferenceCampaignConfig config;
   config.policy = drone_policy_of(params);
   config.bers = params.get_double_list("bers");
   config.repeats = static_cast<int>(params.get_int("repeats"));
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   return config;
 }
 
@@ -624,11 +614,8 @@ ScenarioResult run_drone_training_scenario(const ParamSet& params,
       static_cast<int>(params.get_int("fine-tune-episodes"));
   config.eval_repeats = static_cast<int>(params.get_int("eval-repeats"));
   config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  config.threads = context.threads;
-  config.stream = context.stream;
-  config.dist = context.dist;
   const DroneTrainingCampaignResult result =
-      run_drone_training_campaign(world_of(params), config);
+      run_drone_training_campaign(world_of(params), config, context);
 
   std::ostringstream text;
   char header[64];
@@ -654,8 +641,9 @@ ScenarioResult run_drone_training_scenario(const ParamSet& params,
 ScenarioResult run_drone_environments(const ParamSet& params,
                                       ScenarioContext& context) {
   const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
-  const EnvironmentSweepResult result = run_environment_sweep(config);
+      drone_inference_config_of(params);
+  const EnvironmentSweepResult result =
+      run_environment_sweep(config, context);
   std::vector<std::string> series;
   for (const std::string& environment : result.environments)
     series.push_back(environment + " MSF (m)");
@@ -670,9 +658,9 @@ ScenarioResult run_drone_environments(const ParamSet& params,
 ScenarioResult run_drone_locations(const ParamSet& params,
                                    ScenarioContext& context) {
   const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
+      drone_inference_config_of(params);
   const LocationSweepResult result =
-      run_location_sweep(world_of(params), config);
+      run_location_sweep(world_of(params), config, context);
   const Table table = drone_sweep_table(
       result.bers, {"Input", "Weight", "Act (T)", "Act (P)"}, result.msf);
   ScenarioResult out;
@@ -684,8 +672,9 @@ ScenarioResult run_drone_locations(const ParamSet& params,
 ScenarioResult run_drone_layers(const ParamSet& params,
                                 ScenarioContext& context) {
   const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
-  const LayerSweepResult result = run_layer_sweep(world_of(params), config);
+      drone_inference_config_of(params);
+  const LayerSweepResult result =
+      run_layer_sweep(world_of(params), config, context);
   const Table table =
       drone_sweep_table(result.bers, result.layers, result.msf);
   ScenarioResult out;
@@ -697,9 +686,9 @@ ScenarioResult run_drone_layers(const ParamSet& params,
 ScenarioResult run_drone_data_types(const ParamSet& params,
                                     ScenarioContext& context) {
   const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
+      drone_inference_config_of(params);
   const DataTypeSweepResult result =
-      run_data_type_sweep(world_of(params), config);
+      run_data_type_sweep(world_of(params), config, context);
   const Table table =
       drone_sweep_table(result.bers, result.formats, result.msf);
   ScenarioResult out;
@@ -712,9 +701,9 @@ ScenarioResult run_drone_data_types(const ParamSet& params,
 ScenarioResult run_drone_mitigation_scenario(const ParamSet& params,
                                              ScenarioContext& context) {
   const DroneInferenceCampaignConfig config =
-      drone_inference_config_of(params, context);
+      drone_inference_config_of(params);
   const DroneMitigationResult result =
-      run_drone_mitigation_comparison(world_of(params), config);
+      run_drone_mitigation_comparison(world_of(params), config, context);
 
   std::ostringstream text;
   Table table({"BER", "no mitigation", "mitigation"});
@@ -772,14 +761,14 @@ ScenarioResult run_margin_ablation(const ParamSet& params,
     config.seed = static_cast<std::uint64_t>(params.get_int("seed"));
     config.mitigated = true;
     config.detector_margin = margins[i];
-    config.threads = context.threads;
     // Every margin arm is its own campaign: per-arm checkpoint files
     // (the config digest already separates their fingerprints).
     std::string suffix = "m";
     suffix += std::to_string(i);
-    config.stream = with_checkpoint_suffix(context.stream, suffix);
-    config.dist = context.dist;
-    const InferenceCampaignResult result = run_inference_campaign(config);
+    ScenarioContext arm = context;
+    arm.stream = with_checkpoint_suffix(context.stream, suffix);
+    const InferenceCampaignResult result =
+        run_inference_campaign(config, arm);
     table.add_row({format_double(margins[i] * 100.0, 0) + "%",
                    format_double(result.success_by_mode[0][0], 1)});
   }
@@ -1208,7 +1197,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
                            "transient faults during Grid World training: "
                            "success-rate heatmap by (BER, injection "
                            "episode) (Figs. 2, 8)",
-                           {"grid", "training"}, training_params(),
+                           {"grid", "training"}, training_params(true),
                            run_training_transient),
                  check_injection_episodes),
       grid_training_transient_cost));
@@ -1218,7 +1207,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
           "grid-training-permanent",
           "permanent stuck-at faults throughout Grid World training: "
           "success vs BER (Figs. 2, 8)",
-          {"grid", "training"}, training_params(), run_training_permanent),
+          {"grid", "training"}, training_params(false),
+          run_training_permanent),
       grid_training_permanent_cost));
 
   registry.add(with_cost(make_spec(

@@ -10,14 +10,16 @@
 //     run(ScenarioContext&) -> ScenarioResult
 //
 // ScenarioContext carries the cross-cutting execution knobs every
-// campaign already understands — worker threads, streaming progress /
-// checkpoint-resume (CampaignStreamConfig), and multi-process sharding
-// (DistConfig). A scenario that passes them to its driver's campaign
-// gets the streaming and distributed machinery without wiring of its
-// own; every built-in scenario does, except grid-reward-curves and
-// grid-value-histogram, which run no campaign. A new workload is one
-// registration: declare params, build the campaign config, run,
-// render.
+// campaign understands — worker threads, and the CampaignStreamConfig
+// of progress, checkpoint/resume and multi-process role (its `dist`).
+// It is the only carrier of them: a scenario hands it unchanged to its
+// driver (src/experiments/), the driver builds its CampaignRunner from
+// `threads` and passes `stream` to each runner call, and the runner
+// applies the distributed role per call. Every built-in scenario does
+// so, except grid-value-histogram (one training, no campaign) and
+// grid-reward-curves, which uses only `threads`, for its set-up loop of
+// five trainings. A new workload is one registration: declare params,
+// build the driver config, run with the context, render.
 //
 // Front-ends on top of the registry:
 //   - `fault_campaign list | describe <name> | run <name> --param k=v`
@@ -40,24 +42,22 @@
 
 #include "campaign/streaming.h"
 #include "cost/cost_model.h"
-#include "dist/dist_campaign.h"
 #include "scenario/param_set.h"
 
 namespace ftnav {
 
-/// Cross-cutting execution knobs, identical for every scenario. The
+/// Cross-cutting execution knobs, identical for every scenario and
+/// every campaign driver, which take it as their last argument. The
 /// scenario's own knobs live in its ParamSet; these belong to the
 /// invocation (how many threads, where to checkpoint, which worker
 /// role) and never affect result bytes.
 struct ScenarioContext {
   /// Campaign worker threads; <= 0 selects hardware_concurrency.
   int threads = 0;
-  /// Streaming progress + checkpoint/resume knobs (scenarios with
-  /// several internal grids derive per-grid files via
-  /// with_checkpoint_suffix, exactly as the drivers always did).
+  /// Progress, checkpoint/resume and the multi-process role
+  /// (`stream.dist`, see src/dist/). Drivers with several internal
+  /// grids derive per-grid checkpoint files via with_checkpoint_suffix.
   CampaignStreamConfig stream;
-  /// Multi-process sharding role (see src/dist/).
-  DistConfig dist;
 };
 
 /// What a scenario produced: a human-readable report and named JSON

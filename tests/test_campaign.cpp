@@ -278,7 +278,7 @@ TEST(WorkerPoolTest, FailingTaskIsRethrownOnTheCaller) {
 
 // ---- thread-count invariance of the ported experiment drivers ----------
 
-DroneInferenceCampaignConfig tiny_drone_campaign(int threads) {
+DroneInferenceCampaignConfig tiny_drone_campaign() {
   DroneInferenceCampaignConfig config;
   config.policy.preset = C3F2Preset::kFast;
   config.policy.imitation_episodes = 2;
@@ -289,15 +289,21 @@ DroneInferenceCampaignConfig tiny_drone_campaign(int threads) {
   config.bers = {0.0, 1e-2};
   config.repeats = 2;
   config.seed = 5;
-  config.threads = threads;
   return config;
+}
+
+/// A campaign context with `threads` and default stream knobs.
+ScenarioContext on_threads(int threads) {
+  ScenarioContext context;
+  context.threads = threads;
+  return context;
 }
 
 TEST(CampaignDeterminism, DroneInferenceSweepMatchesAcrossThreadCounts) {
   const EnvironmentSweepResult serial =
-      run_environment_sweep(tiny_drone_campaign(1));
-  const EnvironmentSweepResult parallel =
-      run_environment_sweep(tiny_drone_campaign(parallel_threads()));
+      run_environment_sweep(tiny_drone_campaign(), on_threads(1));
+  const EnvironmentSweepResult parallel = run_environment_sweep(
+      tiny_drone_campaign(), on_threads(parallel_threads()));
   ASSERT_EQ(serial.msf.size(), parallel.msf.size());
   for (std::size_t env = 0; env < serial.msf.size(); ++env)
     EXPECT_EQ(serial.msf[env], parallel.msf[env]);  // bit-identical MSF
@@ -317,12 +323,10 @@ TEST(CampaignDeterminism, DroneTrainingHeatmapIsByteIdentical) {
   config.eval_repeats = 1;
   config.seed = 13;
 
-  config.threads = 1;
-  const DroneTrainingCampaignResult serial =
-      run_drone_training_campaign(DroneWorld::indoor_long(), config);
-  config.threads = parallel_threads();
-  const DroneTrainingCampaignResult parallel =
-      run_drone_training_campaign(DroneWorld::indoor_long(), config);
+  const DroneTrainingCampaignResult serial = run_drone_training_campaign(
+      DroneWorld::indoor_long(), config, on_threads(1));
+  const DroneTrainingCampaignResult parallel = run_drone_training_campaign(
+      DroneWorld::indoor_long(), config, on_threads(parallel_threads()));
 
   EXPECT_EQ(serial.transient.to_csv(9), parallel.transient.to_csv(9));
   EXPECT_EQ(serial.stuck_at_0, parallel.stuck_at_0);
@@ -339,10 +343,10 @@ TEST(CampaignDeterminism, GridInferenceCampaignMatchesAcrossThreadCounts) {
   config.seed = 7;
   config.mitigated = true;
 
-  config.threads = 1;
-  const InferenceCampaignResult serial = run_inference_campaign(config);
-  config.threads = parallel_threads();
-  const InferenceCampaignResult parallel = run_inference_campaign(config);
+  const InferenceCampaignResult serial =
+      run_inference_campaign(config, on_threads(1));
+  const InferenceCampaignResult parallel =
+      run_inference_campaign(config, on_threads(parallel_threads()));
 
   ASSERT_EQ(serial.success_by_mode.size(), parallel.success_by_mode.size());
   for (std::size_t mode = 0; mode < serial.success_by_mode.size(); ++mode)
@@ -357,10 +361,10 @@ TEST(CampaignDeterminism, TrainingHeatmapMatchesAcrossThreadCounts) {
   config.injection_episodes = {0, 60, 110};
   config.repeats = 2;
 
-  config.threads = 1;
-  const HeatmapGrid serial = run_transient_training_heatmap(config);
-  config.threads = parallel_threads();
-  const HeatmapGrid parallel = run_transient_training_heatmap(config);
+  const HeatmapGrid serial =
+      run_transient_training_heatmap(config, on_threads(1));
+  const HeatmapGrid parallel =
+      run_transient_training_heatmap(config, on_threads(parallel_threads()));
   EXPECT_EQ(serial.to_csv(9), parallel.to_csv(9));
 }
 

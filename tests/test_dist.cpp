@@ -3,10 +3,11 @@
 // processes' partial checkpoints merge into a checkpoint byte-identical
 // to a single-process run, for any split and any worker kill schedule.
 // Workers are simulated in-process (the campaign server only sees RPCs,
-// so a thread with its own DistConfig is indistinguishable from a
-// process); the real fork/exec path is covered by DistCoordinatorTest
-// and CI's distributed-determinism job. Worker-count, lease-batch, and
-// kill-and-reclaim matrices live in test_transport.cpp.
+// so a thread whose stream carries its own DistConfig is
+// indistinguishable from a process); the real fork/exec path is covered
+// by DistCoordinatorTest and CI's distributed-determinism job.
+// Worker-count, lease-batch, and kill-and-reclaim matrices live in
+// test_transport.cpp.
 
 #include <gtest/gtest.h>
 
@@ -139,28 +140,29 @@ Histogram run_campaign(const CampaignStreamConfig& stream) {
       [](Histogram& into, Histogram&& from) { into.merge(from); }, stream);
 }
 
-/// One simulated worker process: DistConfig in the worker role wired
-/// through DistCampaign, exactly as the experiment drivers do it.
-Histogram run_worker(const std::string& queue_addr, int worker_id) {
-  DistConfig config;
-  config.worker_id = worker_id;
-  config.queue_addr = queue_addr;
-  config.lease_expiry_seconds = 1.0;  // heartbeat auto-clamps to 0.25
-  config.poll_period_seconds = 0.01;
+/// One simulated worker process: a stream whose DistConfig names the
+/// worker role, exactly as the front end hands it to a scenario.
+CampaignStreamConfig worker_stream(const std::string& queue_addr,
+                                   int worker_id) {
   CampaignStreamConfig stream;
-  DistCampaign dist(config, kTag, stream);
-  return run_campaign(stream);
+  stream.dist.worker_id = worker_id;
+  stream.dist.queue_addr = queue_addr;
+  stream.dist.lease_expiry_seconds = 1.0;  // heartbeat clamps to 0.25
+  stream.dist.poll_period_seconds = 0.01;
+  return stream;
+}
+
+Histogram run_worker(const std::string& queue_addr, int worker_id) {
+  return run_campaign(worker_stream(queue_addr, worker_id));
 }
 
 /// Coordinator finalize: merge the partials into `merged_path`.
 Histogram run_finalize(const std::string& queue_addr,
                        const std::string& merged_path, int workers) {
-  DistConfig config;
-  config.workers = workers;
-  config.queue_addr = queue_addr;
   CampaignStreamConfig stream;
+  stream.dist.workers = workers;
+  stream.dist.queue_addr = queue_addr;
   stream.checkpoint_path = merged_path;
-  DistCampaign dist(config, kTag, stream);
   return run_campaign(stream);
 }
 
@@ -185,12 +187,10 @@ TEST(DistCampaignE2E, RespawnedWorkerResumesItsOwnPartial) {
   TcpWorkServer server("127.0.0.1:0");
   server.start();
   {
-    DistConfig config;
-    config.worker_id = 0;
-    config.queue_addr = server.address();
     CampaignStreamConfig stream;
-    DistCampaign dist(config, kTag, stream);
-    stream.stop_after_shards = 7;  // dies inside its 7th commit
+    stream.dist.worker_id = 0;
+    stream.dist.queue_addr = server.address();
+    stream.dist.worker_stop_after_shards = 7;  // dies in its 7th commit
     EXPECT_THROW(run_campaign(stream), CampaignInterrupted);
   }
 
@@ -225,25 +225,17 @@ TEST(DistCampaignE2E, MapStreamedPartialsMergeByTrialRange) {
   TcpWorkServer server("127.0.0.1:0");
   server.start();
   const auto worker = [&](int worker_id) {
-    DistConfig config;
-    config.worker_id = worker_id;
-    config.queue_addr = server.address();
-    config.lease_expiry_seconds = 1.0;  // heartbeat auto-clamps to 0.25
-    config.poll_period_seconds = 0.01;
-    CampaignStreamConfig stream;
-    DistCampaign dist(config, "test-dist-map", stream);
-    (void)runner.map_streamed("test-dist-map", 150, 77, trial_fn, stream);
+    (void)runner.map_streamed("test-dist-map", 150, 77, trial_fn,
+                              worker_stream(server.address(), worker_id));
   };
   std::thread other([&] { worker(1); });
   worker(0);
   other.join();
 
-  DistConfig finalize;
-  finalize.workers = 2;
-  finalize.queue_addr = server.address();
   CampaignStreamConfig stream;
+  stream.dist.workers = 2;
+  stream.dist.queue_addr = server.address();
   stream.checkpoint_path = scratch.path + "/merged.ckpt";
-  DistCampaign dist(finalize, "test-dist-map", stream);
   const std::vector<double> merged =
       runner.map_streamed("test-dist-map", 150, 77, trial_fn, stream);
   EXPECT_EQ(merged, reference);  // bit-identical doubles
@@ -266,25 +258,23 @@ TEST(CampaignServerFailover, ServerKillAndRestartMergesByteIdentical) {
   const Histogram reference = run_campaign(reference_stream);
 
   const std::string journal = scratch.path + "/journal.bin";
-  const auto endpoint_config = [](const std::string& addr) {
-    DistConfig config;
-    config.queue_addr = addr;
-    config.auth_token = "failover-token";
-    config.queue_namespace = "failover-tag";
-    config.lease_expiry_seconds = 1.0;  // heartbeat auto-clamps to 0.25
-    config.poll_period_seconds = 0.01;
-    return config;
+  const auto endpoint_stream = [](const std::string& addr) {
+    CampaignStreamConfig stream;
+    stream.dist.queue_addr = addr;
+    stream.dist.auth_token = "failover-token";
+    stream.dist.queue_namespace = "failover-tag";
+    stream.dist.lease_expiry_seconds = 1.0;  // heartbeat clamps to 0.25
+    stream.dist.poll_period_seconds = 0.01;
+    return stream;
   };
 
   {
     CampaignServer server(
         CampaignServerConfig{"127.0.0.1:0", journal, "failover-token"});
     server.start();
-    DistConfig config = endpoint_config(server.address());
-    config.worker_id = 0;
-    config.worker_stop_after_shards = 5;  // die in the crash window
-    CampaignStreamConfig stream;
-    DistCampaign dist(config, kTag, stream);
+    CampaignStreamConfig stream = endpoint_stream(server.address());
+    stream.dist.worker_id = 0;
+    stream.dist.worker_stop_after_shards = 5;  // die in the crash window
     EXPECT_THROW(run_campaign(stream), CampaignInterrupted);
   }  // server destroyed here: no drain, exactly like a SIGKILL
 
@@ -296,18 +286,14 @@ TEST(CampaignServerFailover, ServerKillAndRestartMergesByteIdentical) {
     // Failover worker under a fresh id (as attach's alloc_worker_ids
     // guarantees): reclaims the dead worker's lease from the REPLAYED
     // heartbeat-free state and completes the campaign.
-    DistConfig config = endpoint_config(server.address());
-    config.worker_id = 7;
-    CampaignStreamConfig stream;
-    DistCampaign dist(config, kTag, stream);
+    CampaignStreamConfig stream = endpoint_stream(server.address());
+    stream.dist.worker_id = 7;
     (void)run_campaign(stream);
   }
 
-  DistConfig finalize = endpoint_config(server.address());
-  finalize.workers = 1;
-  CampaignStreamConfig stream;
+  CampaignStreamConfig stream = endpoint_stream(server.address());
+  stream.dist.workers = 1;
   stream.checkpoint_path = scratch.path + "/merged.ckpt";
-  DistCampaign dist(finalize, kTag, stream);
   const Histogram merged = run_campaign(stream);
   expect_histograms_identical(merged, reference);
   EXPECT_EQ(read_file(stream.checkpoint_path), read_file(reference_path));
@@ -328,19 +314,17 @@ TEST(CampaignServerTenancy, ConcurrentTagsKeepDisjointQueues) {
 
   CampaignServer server("127.0.0.1:0");
   server.start();
-  const auto tenant_config = [&](const std::string& tenant) {
-    DistConfig config;
-    config.queue_addr = server.address();
-    config.queue_namespace = tenant;
-    config.lease_expiry_seconds = 1.0;
-    config.poll_period_seconds = 0.01;
-    return config;
+  const auto tenant_stream = [&](const std::string& tenant) {
+    CampaignStreamConfig stream;
+    stream.dist.queue_addr = server.address();
+    stream.dist.queue_namespace = tenant;
+    stream.dist.lease_expiry_seconds = 1.0;
+    stream.dist.poll_period_seconds = 0.01;
+    return stream;
   };
   const auto tenant_worker = [&](const std::string& tenant, int worker_id) {
-    DistConfig config = tenant_config(tenant);
-    config.worker_id = worker_id;
-    CampaignStreamConfig stream;
-    DistCampaign dist(config, kTag, stream);
+    CampaignStreamConfig stream = tenant_stream(tenant);
+    stream.dist.worker_id = worker_id;
     (void)run_campaign(stream);
   };
 
@@ -349,11 +333,9 @@ TEST(CampaignServerTenancy, ConcurrentTagsKeepDisjointQueues) {
   tenant_b.join();
 
   for (const std::string tenant : {"tenant-a", "tenant-b"}) {
-    DistConfig finalize = tenant_config(tenant);
-    finalize.workers = 1;
-    CampaignStreamConfig stream;
+    CampaignStreamConfig stream = tenant_stream(tenant);
+    stream.dist.workers = 1;
     stream.checkpoint_path = scratch.path + "/merged-" + tenant + ".ckpt";
-    DistCampaign dist(finalize, kTag, stream);
     const Histogram merged = run_campaign(stream);
     expect_histograms_identical(merged, reference);
     EXPECT_EQ(read_file(stream.checkpoint_path), reference_bytes) << tenant;

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -372,22 +373,27 @@ InferenceCampaignConfig small_inference_config() {
   config.bers = {0.005};
   config.repeats = 8;
   config.seed = 11;
-  config.threads = 2;
   return config;
+}
+
+/// Two threads, checkpointing to `checkpoint_path`.
+ScenarioContext checkpoint_context(const std::string& checkpoint_path) {
+  ScenarioContext context;
+  context.threads = 2;
+  context.stream.checkpoint_path = checkpoint_path;
+  return context;
 }
 
 TEST(RegistryContract, GridInferenceMatchesDirectCallByteForByte) {
   ScratchDir scratch("inference");
   // Direct driver call with a checkpoint.
-  InferenceCampaignConfig config = small_inference_config();
-  config.stream.checkpoint_path = scratch.path + "/direct.ckpt";
-  const InferenceCampaignResult direct = run_inference_campaign(config);
+  const InferenceCampaignConfig config = small_inference_config();
+  const InferenceCampaignResult direct = run_inference_campaign(
+      config, checkpoint_context(scratch.path + "/direct.ckpt"));
   const std::string direct_json = inference_campaign_json(config, direct);
 
   // Same campaign through the registry.
-  ScenarioContext context;
-  context.threads = 2;
-  context.stream.checkpoint_path = scratch.path + "/registry.ckpt";
+  ScenarioContext context = checkpoint_context(scratch.path + "/registry.ckpt");
   const ScenarioResult result =
       run_registry("grid-inference", kInferenceKv, context);
 
@@ -406,7 +412,6 @@ TrainingHeatmapConfig small_training_config() {
   config.injection_episodes = {0, 75};
   config.repeats = 2;
   config.seed = 7;
-  config.threads = 2;
   return config;
 }
 
@@ -414,6 +419,12 @@ const std::vector<std::pair<std::string, std::string>> kTrainingKv = {
     {"policy", "tabular"},          {"episodes", "150"},
     {"bers", "0.005,0.01"},         {"injection-episodes", "0,75"},
     {"repeats", "2"},               {"seed", "7"}};
+
+/// kTrainingKv without the injection axis, which only the transient
+/// heatmap has (the permanent sweep faults from episode 0).
+const std::vector<std::pair<std::string, std::string>> kPermanentKv = {
+    {"policy", "tabular"},  {"episodes", "150"}, {"bers", "0.005,0.01"},
+    {"repeats", "2"},       {"seed", "7"}};
 
 TEST(RegistryContract, TrainingTransientRejectsUnreachedInjectionEpisodes) {
   // Training runs episodes 0..episodes-1 and injects on an exact match:
@@ -442,13 +453,11 @@ TEST(RegistryContract, TrainingTransientRejectsUnreachedInjectionEpisodes) {
 
 TEST(RegistryContract, TrainingTransientMatchesDirectCallByteForByte) {
   ScratchDir scratch("transient");
-  TrainingHeatmapConfig config = small_training_config();
-  config.stream.checkpoint_path = scratch.path + "/direct.ckpt";
-  const HeatmapGrid direct = run_transient_training_heatmap(config);
+  const HeatmapGrid direct = run_transient_training_heatmap(
+      small_training_config(),
+      checkpoint_context(scratch.path + "/direct.ckpt"));
 
-  ScenarioContext context;
-  context.threads = 2;
-  context.stream.checkpoint_path = scratch.path + "/registry.ckpt";
+  ScenarioContext context = checkpoint_context(scratch.path + "/registry.ckpt");
   const ScenarioResult result =
       run_registry("grid-training-transient", kTrainingKv, context);
 
@@ -461,16 +470,13 @@ TEST(RegistryContract, TrainingTransientMatchesDirectCallByteForByte) {
 
 TEST(RegistryContract, TrainingPermanentMatchesDirectCallByteForByte) {
   ScratchDir scratch("permanent");
-  TrainingHeatmapConfig config = small_training_config();
-  config.stream.checkpoint_path = scratch.path + "/direct.ckpt";
-  const PermanentTrainingSweep direct =
-      run_permanent_training_sweep(config);
+  const PermanentTrainingSweep direct = run_permanent_training_sweep(
+      small_training_config(),
+      checkpoint_context(scratch.path + "/direct.ckpt"));
 
-  ScenarioContext context;
-  context.threads = 2;
-  context.stream.checkpoint_path = scratch.path + "/registry.ckpt";
+  ScenarioContext context = checkpoint_context(scratch.path + "/registry.ckpt");
   const ScenarioResult result =
-      run_registry("grid-training-permanent", kTrainingKv, context);
+      run_registry("grid-training-permanent", kPermanentKv, context);
 
   ASSERT_EQ(result.artifacts.size(), 1u);
   EXPECT_EQ(result.artifacts[0].second, permanent_sweep_json(direct));
@@ -482,66 +488,95 @@ TEST(RegistryContract, TrainingPermanentMatchesDirectCallByteForByte) {
 
 #if !defined(_WIN32)
 
+/// Every file in `dir`, keyed by name.
+std::map<std::string, std::string> read_dir(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    files[entry.path().filename().string()] =
+        read_file(entry.path().string());
+  return files;
+}
+
 TEST(RegistryContract, TwoWorkersWithKillResumeMatchSingleProcess) {
-  ScratchDir scratch("dist");
-  // Single-process registry reference (checkpoint + JSON).
-  ScenarioContext reference_context;
-  reference_context.threads = 2;
-  reference_context.stream.checkpoint_path =
-      scratch.path + "/reference.ckpt";
-  const ScenarioResult reference =
-      run_registry("grid-inference", kInferenceKv, reference_context);
+  // grid-inference runs one trial grid; grid-inference-mitigation runs
+  // two arms in one process, each a runner call with its own queue and
+  // its own "<path>.baseline" / "<path>.mitigated" checkpoint, so the
+  // role applies to each call on its own and the kill lands in the
+  // first arm.
+  for (const std::string name :
+       {"grid-inference", "grid-inference-mitigation"}) {
+    SCOPED_TRACE(name);
+    ScratchDir scratch("dist-" + name);
+    const std::string reference_dir = scratch.path + "/reference";
+    const std::string merged_dir = scratch.path + "/merged";
+    std::filesystem::create_directories(reference_dir);
+    std::filesystem::create_directories(merged_dir);
+    // Single-process registry reference (checkpoints + JSON).
+    ScenarioContext reference_context =
+        checkpoint_context(reference_dir + "/run.ckpt");
+    const ScenarioResult reference =
+        run_registry(name, kInferenceKv, reference_context);
 
-  TcpWorkServer server("127.0.0.1:0");
-  server.start();
-  const auto worker_context = [&](int id) {
-    ScenarioContext context;
-    context.threads = 2;
-    context.dist.worker_id = id;
-    context.dist.queue_addr = server.address();
-    context.dist.lease_expiry_seconds = 1.0;
-    context.dist.poll_period_seconds = 0.01;
-    return context;
-  };
+    TcpWorkServer server("127.0.0.1:0");
+    server.start();
+    const auto worker_context = [&](int id) {
+      ScenarioContext context;
+      context.threads = 2;
+      context.stream.dist.worker_id = id;
+      context.stream.dist.queue_addr = server.address();
+      context.stream.dist.lease_expiry_seconds = 1.0;
+      context.stream.dist.poll_period_seconds = 0.01;
+      return context;
+    };
 
-  // Worker 0 is killed (gracefully, in-process) right after committing
-  // its 2nd shard — inside the claim->done crash window: the shard is
-  // in its partial checkpoint but the lease was never released.
-  {
-    ScenarioContext context = worker_context(0);
-    context.dist.worker_stop_after_shards = 2;
-    EXPECT_THROW(run_registry("grid-inference", kInferenceKv, context),
-                 CampaignInterrupted);
+    // Worker 0 is killed (gracefully, in-process) right after
+    // committing its 2nd shard — inside the claim->done crash window:
+    // the shard is in its partial checkpoint but the lease was never
+    // released.
+    {
+      ScenarioContext context = worker_context(0);
+      context.stream.dist.worker_stop_after_shards = 2;
+      EXPECT_THROW(run_registry(name, kInferenceKv, context),
+                   CampaignInterrupted);
+    }
+
+    // The coordinator's waitpid path reclaims the dead life's leases;
+    // worker 0 respawns (resuming its published partial) while worker
+    // 1 races it for the remaining shards.
+    TcpQueueClient(server.address()).reclaim(0, 0.0);
+    std::thread other([&] {
+      ScenarioContext context = worker_context(1);
+      EXPECT_NO_THROW((void)run_registry(name, kInferenceKv, context));
+    });
+    {
+      ScenarioContext context = worker_context(0);
+      EXPECT_NO_THROW((void)run_registry(name, kInferenceKv, context));
+    }
+    other.join();
+
+    // Coordinator finalize through the registry: merge the partials
+    // and produce the standard result without re-running trials.
+    ScenarioContext finalize_context =
+        checkpoint_context(merged_dir + "/run.ckpt");
+    finalize_context.stream.dist.workers = 2;
+    finalize_context.stream.dist.queue_addr = server.address();
+    const ScenarioResult merged =
+        run_registry(name, kInferenceKv, finalize_context);
+
+    EXPECT_EQ(merged.text, reference.text);
+    EXPECT_EQ(merged.to_json(), reference.to_json());
+    const std::map<std::string, std::string> reference_files =
+        read_dir(reference_dir);
+    const std::map<std::string, std::string> merged_files =
+        read_dir(merged_dir);
+    EXPECT_EQ(reference_files.size(),
+              name == "grid-inference" ? 1u : 2u);
+    ASSERT_EQ(merged_files.size(), reference_files.size());
+    for (const auto& [file, bytes] : reference_files) {
+      ASSERT_EQ(merged_files.count(file), 1u) << file;
+      EXPECT_EQ(merged_files.at(file), bytes) << file;
+    }
   }
-
-  // The coordinator's waitpid path reclaims the dead life's leases;
-  // worker 0 respawns (resuming its published partial) while worker 1
-  // races it for the remaining shards.
-  TcpQueueClient(server.address()).reclaim(0, 0.0);
-  std::thread other([&] {
-    ScenarioContext context = worker_context(1);
-    (void)run_registry("grid-inference", kInferenceKv, context);
-  });
-  {
-    ScenarioContext context = worker_context(0);
-    (void)run_registry("grid-inference", kInferenceKv, context);
-  }
-  other.join();
-
-  // Coordinator finalize through the registry: merge the partials and
-  // produce the standard result without re-running trials.
-  ScenarioContext finalize_context;
-  finalize_context.threads = 2;
-  finalize_context.dist.workers = 2;
-  finalize_context.dist.queue_addr = server.address();
-  finalize_context.stream.checkpoint_path = scratch.path + "/merged.ckpt";
-  const ScenarioResult merged =
-      run_registry("grid-inference", kInferenceKv, finalize_context);
-
-  EXPECT_EQ(merged.text, reference.text);
-  EXPECT_EQ(merged.to_json(), reference.to_json());
-  EXPECT_EQ(read_file(scratch.path + "/merged.ckpt"),
-            read_file(scratch.path + "/reference.ckpt"));
 }
 
 #endif  // !defined(_WIN32)

@@ -393,19 +393,22 @@ TEST(CheckpointResume, ChangedBerAxisRefusesToResume) {
   config.bers = {0.005};
   config.repeats = 6;
   config.seed = 33;
-  config.threads = 2;
 
   ScratchFile scratch("resume_ber_mismatch");
-  InferenceCampaignConfig interrupted = config;
+  ScenarioContext interrupted;
+  interrupted.threads = 2;
   interrupted.stream.checkpoint_path = scratch.path;
   interrupted.stream.stop_after_shards = 2;
-  EXPECT_THROW(run_inference_campaign(interrupted), CampaignInterrupted);
+  EXPECT_THROW(run_inference_campaign(config, interrupted),
+               CampaignInterrupted);
 
-  InferenceCampaignConfig resumed = config;
-  resumed.bers = {0.010};  // same count, different fault pressure
+  InferenceCampaignConfig changed = config;
+  changed.bers = {0.010};  // same count, different fault pressure
+  ScenarioContext resumed;
+  resumed.threads = 2;
   resumed.stream.checkpoint_path = scratch.path;
   resumed.stream.resume = true;
-  EXPECT_THROW(run_inference_campaign(resumed), std::runtime_error);
+  EXPECT_THROW(run_inference_campaign(changed, resumed), std::runtime_error);
 }
 
 TEST(CheckpointResume, InferenceCampaignResumesByteIdentically) {
@@ -416,21 +419,24 @@ TEST(CheckpointResume, InferenceCampaignResumesByteIdentically) {
   config.repeats = 8;
   config.seed = 21;
   config.mitigated = true;
-  config.threads = 2;
+  ScenarioContext context;
+  context.threads = 2;
   const InferenceCampaignResult uninterrupted =
-      run_inference_campaign(config);
+      run_inference_campaign(config, context);
 
   ScratchFile scratch("resume_driver");
-  InferenceCampaignConfig interrupted = config;
+  ScenarioContext interrupted = context;
   interrupted.stream.checkpoint_path = scratch.path;
   interrupted.stream.stop_after_shards = 9;
-  EXPECT_THROW(run_inference_campaign(interrupted), CampaignInterrupted);
+  EXPECT_THROW(run_inference_campaign(config, interrupted),
+               CampaignInterrupted);
 
-  InferenceCampaignConfig resume = config;
+  ScenarioContext resume = context;
   resume.threads = 4;
   resume.stream.checkpoint_path = scratch.path;
   resume.stream.resume = true;
-  const InferenceCampaignResult resumed = run_inference_campaign(resume);
+  const InferenceCampaignResult resumed =
+      run_inference_campaign(config, resume);
 
   ASSERT_EQ(resumed.success_by_mode.size(),
             uninterrupted.success_by_mode.size());

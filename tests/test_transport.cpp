@@ -25,7 +25,6 @@
 
 #include "campaign/campaign_runner.h"
 #include "campaign/streaming.h"
-#include "dist/dist_campaign.h"
 #include "dist/tcp_transport.h"
 #include "dist/wire_format.h"
 #include "util/clock.h"
@@ -99,31 +98,29 @@ Histogram run_campaign(const CampaignStreamConfig& stream) {
       [](Histogram& into, Histogram&& from) { into.merge(from); }, stream);
 }
 
-DistConfig worker_config(const DistConfig& endpoint, int worker_id,
-                         int lease_batch) {
-  DistConfig config = endpoint;
-  config.worker_id = worker_id;
-  config.lease_batch = lease_batch;
-  config.lease_expiry_seconds = 1.0;  // heartbeat auto-clamps to 0.25
-  config.poll_period_seconds = 0.01;
-  return config;
+/// A worker's stream: the endpoint's DistConfig in the worker role.
+CampaignStreamConfig worker_stream(const DistConfig& endpoint, int worker_id,
+                                   int lease_batch) {
+  CampaignStreamConfig stream;
+  stream.dist = endpoint;
+  stream.dist.worker_id = worker_id;
+  stream.dist.lease_batch = lease_batch;
+  stream.dist.lease_expiry_seconds = 1.0;  // heartbeat clamps to 0.25
+  stream.dist.poll_period_seconds = 0.01;
+  return stream;
 }
 
 void run_worker(const DistConfig& endpoint, int worker_id, int lease_batch) {
-  const DistConfig config = worker_config(endpoint, worker_id, lease_batch);
-  CampaignStreamConfig stream;
-  DistCampaign dist(config, kTag, stream);
-  (void)run_campaign(stream);
+  (void)run_campaign(worker_stream(endpoint, worker_id, lease_batch));
 }
 
 /// Coordinator finalize: merge the partials into `merged_path`.
 Histogram run_finalize(const DistConfig& endpoint,
                        const std::string& merged_path, int workers) {
-  DistConfig config = endpoint;
-  config.workers = workers;
   CampaignStreamConfig stream;
+  stream.dist = endpoint;
+  stream.dist.workers = workers;
   stream.checkpoint_path = merged_path;
-  DistCampaign dist(config, kTag, stream);
   return run_campaign(stream);
 }
 
@@ -183,12 +180,11 @@ void expect_kill_and_recover_matches(const DistConfig& endpoint,
                                      const std::string& merged_path,
                                      const std::string& reference_bytes) {
   {
-    const DistConfig config = worker_config(endpoint, 0, lease_batch);
-    CampaignStreamConfig stream;
-    DistCampaign dist(config, kTag, stream);
-    stream.stop_after_shards = 4;  // simulated kill
+    CampaignStreamConfig stream = worker_stream(endpoint, 0, lease_batch);
+    stream.dist.worker_stop_after_shards = 4;  // simulated kill
+    // Worker 0's heartbeat stops as the interrupted call unwinds.
     EXPECT_THROW(run_campaign(stream), CampaignInterrupted);
-  }  // worker 0's heartbeat stops here
+  }
 
   run_worker(endpoint, 1, lease_batch);  // reclaims + finishes
   run_worker(endpoint, 0, lease_batch);  // respawn: resume own partial
