@@ -7,16 +7,19 @@
 #   2. start `fault_campaign serve` with a durable journal and a
 #      session token, and assert an unauthenticated client is turned
 #      away (exit 2) before touching any queue;
-#   3. `submit` the same campaign with workers, then kill -9 the
-#      coordinator, one worker, and the server mid-campaign;
+#   3. `submit` the same campaign with workers, poll `status --json`
+#      until a queue reports some but not all shards done, then kill -9
+#      the coordinator, one worker, and the server mid-campaign;
 #   4. restart the server on the same journal (replay), `attach` with
 #      fresh workers, and require the merged checkpoint, stdout, and
-#      JSON to be byte-identical to the reference run.
+#      JSON to be byte-identical to the reference run. When the kill
+#      landed mid-campaign, the recovery trace must hold at least one
+#      shard span: the attach ran shards the killed processes left.
 #
-# On a machine fast enough that the campaign finishes before the kill
-# lands, the kill step degrades to a no-op and the attach still has to
-# reproduce the reference bytes from the journaled queue -- a weaker
-# but still meaningful pass (the script says which one you got).
+# If the campaign finishes between two polls, the kill step degrades
+# to a no-op and the attach still has to reproduce the reference bytes
+# from the journaled queue -- a weaker but still meaningful pass (the
+# script says which one you got).
 #
 # The recovery phase (restarted server + attach) runs with telemetry
 # on (FTNAV_TRACE_DIR + FTNAV_LOG=debug) while the reference run stays
@@ -26,13 +29,12 @@
 # with ci/validate_telemetry.py.
 #
 # usage: ci/campaign_chaos.sh [path-to-fault_campaign]
-# knobs: CHAOS_REPEATS (60), CHAOS_EPISODES (300), CHAOS_KILL_DELAY (2.5)
+# knobs: CHAOS_REPEATS (6000), CHAOS_EPISODES (300)
 set -euo pipefail
 
 BIN=${1:-./build/examples/fault_campaign}
-REPEATS=${CHAOS_REPEATS:-60}
+REPEATS=${CHAOS_REPEATS:-6000}
 EPISODES=${CHAOS_EPISODES:-300}
-KILL_DELAY=${CHAOS_KILL_DELAY:-2.5}
 PARAMS=(--param policy=nn --param "repeats=$REPEATS"
         --param "train-episodes=$EPISODES" --param bers=0.001,0.002,0.005)
 TOKEN=chaos-session-token
@@ -87,10 +89,26 @@ echo "== submit with 2 workers, then kill coordinator + worker + server"
   --lease-expiry 3 --poll-period 0.2 \
   > "$WORK/submit.txt" 2> "$WORK/submit.err" &
 SUB=$!
-sleep "$KILL_DELAY"
-if kill -9 "$SUB" 2>/dev/null; then
-  echo "   killed coordinator (pid $SUB)"
+# Poll until the trial phase is under way: some queue has committed
+# shards and still has shards left.
+MID=
+while kill -0 "$SUB" 2>/dev/null; do
+  if "$BIN" status --server "$ADDR" --auth-token "$TOKEN" --json \
+       > "$WORK/poll.json" 2>/dev/null &&
+     python3 -c 'import json, sys
+mid = [q for q in json.load(open(sys.argv[1]))["queues"]
+       if 0 < q["done"] < q["shards"]]
+for q in mid: print("   %d/%d shards done" % (q["done"], q["shards"]))
+sys.exit(not mid)' "$WORK/poll.json"; then
+    MID=1
+    break
+  fi
+  sleep 0.05
+done
+if [ -n "$MID" ] && kill -9 "$SUB" 2>/dev/null; then
+  echo "   killed coordinator mid-campaign (pid $SUB)"
 else
+  MID=
   echo "   coordinator already finished -- degraded (journal-replay-only) pass"
 fi
 SUB=
@@ -140,7 +158,13 @@ diff -u "$WORK/ref.json" "$WORK/att.json"
 echo "== telemetry artifacts from the recovery phase validate"
 # Attach coordinator + 2 workers flush at exit; the still-running
 # server flushes its own trace only when it exits, so require 3.
-python3 "$VALIDATE" trace "$TRACE_DIR" --min-files 3
+report=$(python3 "$VALIDATE" trace "$TRACE_DIR" --min-files 3)
+echo "$report"
+if [ -n "$MID" ]; then
+  # The kill left shards undone, so the attach's workers ran some.
+  spans=$(sed -n 's/.*, \([0-9][0-9]*\) shard spans)$/\1/p' <<< "$report")
+  test "${spans:-0}" -ge 1
+fi
 "$BIN" status --server "$ADDR" --auth-token "$TOKEN" --json \
   > "$WORK/status.json"
 python3 "$VALIDATE" status "$WORK/status.json" \

@@ -60,6 +60,16 @@ void StuckAtMask::apply(std::span<Word> words) const noexcept {
   }
 }
 
+void StuckAtMask::apply(std::span<float> values,
+                        const QFormat& format) const noexcept {
+  for (const Entry& entry : entries_) {
+    if (entry.word_index >= values.size()) break;  // entries are sorted
+    float& value = values[entry.word_index];
+    const Word word = (format.encode(value) & entry.and_mask) | entry.or_mask;
+    value = static_cast<float>(format.decode(word));
+  }
+}
+
 void inject_transient(QVector& buffer, const FaultMap& map) {
   if (map.type() != FaultType::kTransientFlip)
     throw std::invalid_argument("inject_transient: map is not transient");
@@ -88,17 +98,8 @@ std::size_t inject_transient_values(std::span<float> values,
 }
 
 void enforce_stuck_values(std::span<float> values, const QFormat& format,
-                          const StuckAtMask& mask) {
-  if (mask.empty()) return;
-  // Encode the whole tensor, force the stuck bits, decode back. The
-  // clean positions round-trip through quantization, which is what the
-  // physical buffer does to them anyway.
-  std::vector<Word> words(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    words[i] = format.encode(values[i]);
-  mask.apply(words);
-  for (std::size_t i = 0; i < values.size(); ++i)
-    values[i] = static_cast<float>(format.decode(words[i]));
+                          const StuckAtMask& mask) noexcept {
+  mask.apply(values, format);
 }
 
 void quantize_values(std::span<float> values, const QFormat& format) noexcept {

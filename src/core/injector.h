@@ -45,6 +45,12 @@ class StuckAtMask {
   /// Enforces the stuck bits over a QVector.
   void apply(QVector& buffer) const noexcept { apply(buffer.words()); }
 
+  /// Enforces the stuck bits over float values already quantized to
+  /// `format`: each stuck value inside the span is encoded, masked and
+  /// decoded; every other value is left alone, since re-encoding a
+  /// quantized value returns it unchanged.
+  void apply(std::span<float> values, const QFormat& format) const noexcept;
+
  private:
   struct Entry {
     std::uint32_t word_index = 0;
@@ -132,12 +138,16 @@ std::size_t inject_transient_values(std::span<float> values,
                                     const QFormat& format, double ber,
                                     Rng& rng);
 
-/// Dynamic stuck-at enforcement over a float tensor: every value passes
-/// through its encoding with the stuck bits forced. Used for permanent
+/// Dynamic stuck-at enforcement over a float tensor whose values are
+/// already quantized to `format` (the input buffer after
+/// quantize_values, a ReLU over quantized layer outputs): the stuck
+/// values pass through their encoding with the stuck bits forced, and
+/// every other value is already what its clean buffer word decodes to,
+/// so only the stuck words are touched. Used for permanent input and
 /// activation faults, where the buffer is rewritten each step but the
 /// cells stay broken.
 void enforce_stuck_values(std::span<float> values, const QFormat& format,
-                          const StuckAtMask& mask);
+                          const StuckAtMask& mask) noexcept;
 
 /// Round-trips every value through the fixed-point format (quantization
 /// without faults); models writing a float tensor into a clean buffer.

@@ -1,6 +1,8 @@
 #include "experiments/drone_campaigns.h"
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "campaign/campaign_runner.h"
@@ -73,9 +75,15 @@ std::string inference_stream_tag(const std::string& base,
 /// the shard's resident cache — `engine_key(row)` names the slot (rows
 /// needing differently-configured engines get distinct keys) and
 /// `engine_for(row)` builds it on first use. `arm(row, ber, engine,
-/// rng)` draws the cell's fault instance per repeat. Cells at BER <= 0
-/// share one fixed baseline stream so every row reports identical
-/// fault-free rollouts.
+/// rng)` draws the cell's fault instance per repeat.
+///
+/// Cells at BER <= 0 arm no fault and fly one fixed baseline stream,
+/// so every fault-free cell of an engine slot reports the same MSF:
+/// the first such cell to run flies the baseline on its shard's
+/// engine, and the slot's other fault-free cells return that value.
+/// The memo lives in this call only (never in a checkpoint), and every
+/// cell still returns its value, so a resumed or worker run that skips
+/// the first cell flies the baseline itself and gets the same bytes.
 template <typename EngineFor, typename KeyFn, typename ArmFn>
 std::vector<std::vector<double>> sweep_msf_grid(
     const DroneInferenceCampaignConfig& config,
@@ -87,6 +95,14 @@ std::vector<std::vector<double>> sweep_msf_grid(
   const CampaignRunner runner(context.threads);
   const std::string stream_tag = inference_stream_tag(
       "drone-sweep/" + std::to_string(tag), config, &world);
+  struct Baseline {
+    std::once_flag flown;
+    double msf = 0.0;
+  };
+  // Filled before the campaign starts, so trials only look slots up.
+  std::map<std::size_t, Baseline> baselines;
+  for (std::size_t row = 0; row < row_count; ++row)
+    baselines.try_emplace(engine_key(row));
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map_streamed(
       stream_tag, row_count * ber_count, config.seed ^ tag,
@@ -94,15 +110,23 @@ std::vector<std::vector<double>> sweep_msf_grid(
       [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
         const std::size_t row = trial / ber_count;
         const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine =
-            engines.acquire(engine_key(row), [&] { return engine_for(row); });
-        Rng rng = ber <= 0.0 ? Rng(config.seed ^ 0xb05e) : trial_rng;
+        const std::size_t key = engine_key(row);
+        const auto engine = [&]() -> QuantizedInferenceEngine& {
+          return engines.acquire(key, [&] { return engine_for(row); });
+        };
+        if (ber <= 0.0) {
+          Baseline& baseline = baselines.at(key);
+          std::call_once(baseline.flown, [&] {
+            Rng rng(config.seed ^ 0xb05e);
+            baseline.msf = msf_with_faults(
+                engine(), world, env_config, config.repeats, rng,
+                [](QuantizedInferenceEngine&, Rng&) {});
+          });
+          return baseline.msf;
+        }
         return msf_with_faults(
-            engine, world, env_config, config.repeats, rng,
-            [&](QuantizedInferenceEngine& e, Rng& r) {
-              if (ber <= 0.0) return;
-              arm(row, ber, e, r);
-            });
+            engine(), world, env_config, config.repeats, trial_rng,
+            [&](QuantizedInferenceEngine& e, Rng& r) { arm(row, ber, e, r); });
       },
       context.stream);
   perf::add_section(

@@ -114,6 +114,33 @@ TEST(DroneCampaign, DataTypeSweepUsesPaperFormats) {
   EXPECT_EQ(result.formats[2], "Q(1,10,5)sm");
 }
 
+TEST(DroneCampaign, FaultFreeColumnMatchesUnsharedBaseline) {
+  // The location and layer sweeps fly one fault-free baseline per
+  // engine slot and hand it to every row's BER-0 cell. The mitigation
+  // comparison's baseline BER-0 cell flies the same stream on the same
+  // engine configuration by itself, so every shared entry must equal it.
+  const DroneWorld world = DroneWorld::indoor_long();
+  const DroneInferenceCampaignConfig config = tiny_campaign();
+  ASSERT_EQ(config.bers[0], 0.0);
+  for (int threads : {1, 4}) {
+    ScenarioContext context;
+    context.threads = threads;
+    const double unshared =
+        run_drone_mitigation_comparison(world, config, context)
+            .baseline_msf[0];
+    EXPECT_GT(unshared, 0.0);
+    const LocationSweepResult locations =
+        run_location_sweep(world, config, context);
+    ASSERT_EQ(locations.msf.size(), 4u);
+    for (const auto& row : locations.msf)
+      EXPECT_EQ(row[0], unshared) << "threads " << threads;
+    const LayerSweepResult layers = run_layer_sweep(world, config, context);
+    ASSERT_EQ(layers.msf.size(), kC3F2ParameteredLayers);
+    for (const auto& row : layers.msf)
+      EXPECT_EQ(row[0], unshared) << "threads " << threads;
+  }
+}
+
 TEST(DroneCampaign, MitigationComparisonPopulatesBothArms) {
   const DroneWorld world = DroneWorld::indoor_long();
   const DroneMitigationResult result =

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "envs/drone_camera.h"
 #include "envs/drone_world.h"
+#include "util/rng.h"
 
 namespace ftnav {
 namespace {
@@ -142,6 +146,79 @@ TEST(Camera, ImageIsDeterministic) {
   const Tensor a = render_camera(world, world.start_pose(), config);
   const Tensor b = render_camera(world, world.start_pose(), config);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+}
+
+/// The camera's per-pixel shading before rows were tabulated, kept as
+/// the oracle: every row's elevation, floor or ceiling colour and wall
+/// gradient are recomputed for every pixel.
+Tensor render_per_pixel(const DroneWorld& world, const Pose2D& pose,
+                        const CameraConfig& config) {
+  const std::vector<double> depths = depth_profile(world, pose, config);
+  const int hw = config.image_hw;
+  Tensor image(Shape{3, hw, hw});
+  const double vfov = config.fov_deg * kPi / 180.0;
+  for (int col = 0; col < hw; ++col) {
+    const double d = std::max(depths[static_cast<std::size_t>(col)], 0.05);
+    const double wall_angle = std::atan2(config.wall_half_height, d);
+    const double wall_shade =
+        std::clamp(1.0 - d / config.max_range, 0.0, 1.0);
+    for (int row = 0; row < hw; ++row) {
+      const double frac =
+          static_cast<double>(row) / static_cast<double>(hw - 1);
+      const double phi = vfov * (0.5 - frac);
+      double r, g, b;
+      if (std::abs(phi) <= wall_angle) {
+        r = wall_shade;
+        g = 0.8 * wall_shade + 0.2 * (1.0 - std::abs(phi) / (vfov * 0.5));
+        b = 1.0 - wall_shade;
+      } else if (phi < 0.0) {
+        const double floor_d =
+            std::min(config.camera_height / std::tan(-phi), config.max_range);
+        const double shade =
+            0.5 * std::clamp(1.0 - floor_d / config.max_range, 0.0, 1.0);
+        r = shade;
+        g = 0.6 * shade;
+        b = 0.3 + 0.4 * shade;
+      } else {
+        const double ceil_d =
+            std::min(config.camera_height / std::tan(phi), config.max_range);
+        const double shade =
+            0.35 * std::clamp(1.0 - ceil_d / config.max_range, 0.0, 1.0);
+        r = 0.2 + shade;
+        g = 0.2 + shade;
+        b = 0.25 + shade;
+      }
+      image.ref(0, row, col) = static_cast<float>(r);
+      image.ref(1, row, col) = static_cast<float>(g);
+      image.ref(2, row, col) = static_cast<float>(b);
+    }
+  }
+  return image;
+}
+
+TEST(DroneCamera, RowTablesMatchPerPixelShading) {
+  // Odd sizes have a phi == 0 middle row; 2 is the smallest image.
+  const int sizes[] = {2, 3, 39, 40, 103};
+  Rng rng(2024);
+  for (const DroneWorld& world :
+       {DroneWorld::indoor_long(), DroneWorld::indoor_vanleer()}) {
+    for (int pose_index = 0; pose_index < 120; ++pose_index) {
+      const Pose2D pose{rng.uniform(0.0, world.width()),
+                        rng.uniform(0.0, world.height()),
+                        rng.uniform(-kPi, kPi)};
+      for (int hw : sizes) {
+        CameraConfig config;
+        config.image_hw = hw;
+        const Tensor image = render_camera(world, pose, config);
+        const Tensor oracle = render_per_pixel(world, pose, config);
+        ASSERT_EQ(image.shape(), oracle.shape());
+        ASSERT_EQ(std::memcmp(image.data(), oracle.data(),
+                              image.size() * sizeof(float)),
+                  0)
+            << world.name() << " pose " << pose_index << " image_hw " << hw;
+      }
+    }
+  }
 }
 
 }  // namespace

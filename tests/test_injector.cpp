@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "core/injector.h"
@@ -133,6 +134,55 @@ TEST(EnforceStuckValues, EmptyMaskPreservesValuesExactly) {
   enforce_stuck_values(values, fmt, StuckAtMask());
   // Fast path: empty mask must not even quantize.
   EXPECT_FLOAT_EQ(values[0], 0.33f);
+}
+
+TEST(EnforceStuckValues, TouchesOnlyStuckWords) {
+  // Oracle: the whole-tensor round trip -- encode every value, force
+  // the stuck bits, decode every value. On quantized inputs the clean
+  // words round-trip unchanged, so enforcing only the stuck words must
+  // give the same bits.
+  const auto whole_tensor = [](std::vector<float> values,
+                               const QFormat& format,
+                               const StuckAtMask& mask) {
+    std::vector<Word> words(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+      words[i] = format.encode(values[i]);
+    mask.apply(words);
+    for (std::size_t i = 0; i < values.size(); ++i)
+      values[i] = static_cast<float>(format.decode(words[i]));
+    return values;
+  };
+  const QFormat formats[] = {QFormat::drone_weights(),
+                             QFormat::q_1_7_8(Encoding::kSignMagnitude),
+                             QFormat::q_1_10_5(), QFormat(3, 4)};
+  Rng rng(77);
+  for (const QFormat& format : formats) {
+    for (int round = 0; round < 40; ++round) {
+      const std::size_t size = 1 + rng.below(300);
+      std::vector<float> values(size);
+      for (float& v : values)
+        v = static_cast<float>(rng.uniform(-1.5, 1.5) * format.max_value());
+      // Some exact zeros, as a ReLU leaves them.
+      for (std::size_t i = 0; i < size; i += 7) values[i] = 0.0f;
+      quantize_values(values, format);
+      // Masks compiled for a buffer up to twice as long reach past the
+      // span, as the activation mask does on the smaller layers.
+      const std::size_t mask_words = size + rng.below(size + 1);
+      const double ber = rng.uniform(0.0, 0.2);
+      StuckAtMask mask = StuckAtMask::compile(
+          FaultMap::sample(FaultType::kStuckAt0, ber, mask_words,
+                           format.total_bits(), rng));
+      mask.merge(StuckAtMask::compile(
+          FaultMap::sample(FaultType::kStuckAt1, ber, mask_words,
+                           format.total_bits(), rng)));
+      const std::vector<float> expected = whole_tensor(values, format, mask);
+      enforce_stuck_values(values, format, mask);
+      ASSERT_EQ(std::memcmp(values.data(), expected.data(),
+                            size * sizeof(float)),
+                0)
+          << format.name() << " round " << round;
+    }
+  }
 }
 
 TEST(QuantizeValues, RoundsEveryElement) {
