@@ -1,7 +1,9 @@
 // Micro-benchmarks backing the paper's §5.2 claim that range-based
 // anomaly detection costs <3% runtime, plus the cost of the injection
 // primitives themselves (the tool-chain is advertised as enabling
-// *rapid* fault analysis).
+// *rapid* fault analysis) and of the passes of a quantized C3F2
+// inference besides its MACs (activation quantization, max-pool), on
+// the active kernel backend (FTNAV_SIMD).
 //
 // Runs on the shared bench harness: FTNAV_* knobs and a JSON table via
 // FTNAV_JSON_DIR. Nothing gates on these timings: ci/perf_gate.py times
@@ -15,6 +17,7 @@
 #include "core/anomaly_detector.h"
 #include "core/injector.h"
 #include "nn/c3f2.h"
+#include "nn/kernels/kernels.h"
 #include "nn/quantized_engine.h"
 #include "util/perf.h"
 #include "util/rng.h"
@@ -121,6 +124,66 @@ int main() {
     });
   }
 
+  // The passes of one quantized C3F2 inference besides its MACs, on
+  // the active kernel backend, and the dense fault draw.
+  {
+    Rng rng(config.seed + 4);
+    const C3F2Config c3f2 = C3F2Config::preset(C3F2Preset::kFast);
+    Network net = make_c3f2(c3f2, rng);
+    const kernels::KernelOps& ops = kernels::active();
+
+    // Every word one inference quantizes: the input and each conv and
+    // dense output.
+    Shape shape = c3f2.input_shape();
+    std::size_t words = shape.element_count();
+    Shape pool_in{};
+    for (std::size_t i = 0; i < net.layer_count(); ++i) {
+      const Layer& layer = net.layer(i);
+      const Shape out = layer.output_shape(shape);
+      if (!layer.parameters().empty()) words += out.element_count();
+      if (layer.kind() == LayerKind::kMaxPool2D && !pool_in.valid())
+        pool_in = shape;
+      shape = out;
+    }
+    std::vector<float> values(words);
+    for (float& v : values) v = static_cast<float>(rng.normal(0.0, 4.0));
+    const QFormat fmt = QFormat::drone_weights();
+    const std::size_t passes = 2'000 * scale;
+    micro.section("quantize_one_inference_words", passes * words, [&] {
+      std::vector<float> buffer(words);
+      for (std::size_t i = 0; i < passes; ++i) {
+        std::copy(values.begin(), values.end(), buffer.begin());
+        ops.quantize(buffer.data(), buffer.size(), fmt);
+        g_sink = g_sink + buffer[i % words];
+      }
+    });
+
+    // The first max-pool's input (conv1's 16x18x18 output).
+    std::vector<float> pool_x(pool_in.element_count());
+    for (float& v : pool_x) v = static_cast<float>(rng.normal(0.0, 1.0));
+    std::vector<float> pool_y(pool_x.size() / 4);
+    const std::size_t pools = 20'000 * scale;
+    micro.section("maxpool2d_conv1_output", pools, [&] {
+      for (std::size_t i = 0; i < pools; ++i) {
+        ops.maxpool2d(pool_x.data(), pool_y.data(), pool_in.channels,
+                      pool_in.height, pool_in.width, 2, nullptr);
+        g_sink = g_sink + pool_y[i % pool_y.size()];
+      }
+    });
+
+    // A Weight / BER 0.1 cell's draw: 10% of the C3F2 weight bits.
+    const std::size_t weight_words = net.parameter_count();
+    const std::size_t draws = 50 * scale;
+    micro.section("faultmap_sample_c3f2_ber0.1", draws, [&] {
+      for (std::size_t i = 0; i < draws; ++i) {
+        const FaultMap map = FaultMap::sample(
+            FaultType::kTransientFlip, 0.1, weight_words,
+            fmt.total_bits(), rng);
+        g_sink = g_sink + static_cast<double>(map.size());
+      }
+    });
+  }
+
   // The §5.2 overhead claim, measured end to end: one C3F2 inference
   // with and without weight protection. The protected run should be
   // within a few percent.
@@ -164,8 +227,11 @@ int main() {
   artifact.add("micro", table);
   print_shape_note(
       "c3f2_inference_protected lands within a few percent of "
-      "c3f2_inference (the paper's <3% anomaly-detection overhead); the "
-      "injection primitives are orders of magnitude cheaper than an "
-      "inference, so campaigns are compute- not injection-bound");
+      "c3f2_inference (the paper's <3% anomaly-detection overhead); a "
+      "sparse fault draw (faultmap_sample_64k, BER 1e-3) costs less than "
+      "one c3f2_inference, and even the dense draw "
+      "(faultmap_sample_c3f2_ber0.1) costs about ten, paid once per "
+      "flight rather than per inference, so campaigns are compute- not "
+      "injection-bound");
   return 0;
 }

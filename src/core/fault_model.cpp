@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace ftnav {
 
@@ -57,12 +56,18 @@ FaultMap FaultMap::sample_count(FaultType type, std::size_t fault_bits,
     throw std::invalid_argument("FaultMap: more fault bits than positions");
 
   std::vector<FaultSite> sites;
+  if (fault_bits == 0) return FaultMap(type, std::move(sites));
   sites.reserve(fault_bits);
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(fault_bits * 2);
-  while (chosen.size() < fault_bits) {
+  // Rejection sampling of distinct positions: a draw already in
+  // `chosen` is redrawn, so the sites and their order depend only on
+  // the draws. One bit per position, zeroed on every call.
+  std::vector<std::uint64_t> chosen((total + 63) / 64, 0);
+  while (sites.size() < fault_bits) {
     const std::uint64_t pos = rng.below(total);
-    if (!chosen.insert(pos).second) continue;
+    std::uint64_t& word = chosen[pos / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+    if ((word & bit) != 0) continue;
+    word |= bit;
     sites.push_back(FaultSite{
         static_cast<std::uint32_t>(pos / static_cast<std::size_t>(bits_per_word)),
         static_cast<std::uint8_t>(pos % static_cast<std::size_t>(bits_per_word))});

@@ -102,8 +102,4 @@ void enforce_stuck_values(std::span<float> values, const QFormat& format,
   mask.apply(values, format);
 }
 
-void quantize_values(std::span<float> values, const QFormat& format) noexcept {
-  for (float& v : values) v = format.quantize(v);
-}
-
 }  // namespace ftnav

@@ -139,8 +139,8 @@ std::size_t inject_transient_values(std::span<float> values,
                                     Rng& rng);
 
 /// Dynamic stuck-at enforcement over a float tensor whose values are
-/// already quantized to `format` (the input buffer after
-/// quantize_values, a ReLU over quantized layer outputs): the stuck
+/// already quantized to `format` (the quantized input buffer, a ReLU
+/// over quantized layer outputs): the stuck
 /// values pass through their encoding with the stuck bits forced, and
 /// every other value is already what its clean buffer word decodes to,
 /// so only the stuck words are touched. Used for permanent input and
@@ -148,9 +148,5 @@ std::size_t inject_transient_values(std::span<float> values,
 /// cells stay broken.
 void enforce_stuck_values(std::span<float> values, const QFormat& format,
                           const StuckAtMask& mask) noexcept;
-
-/// Round-trips every value through the fixed-point format (quantization
-/// without faults); models writing a float tensor into a clean buffer.
-void quantize_values(std::span<float> values, const QFormat& format) noexcept;
 
 }  // namespace ftnav

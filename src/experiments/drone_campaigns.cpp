@@ -73,8 +73,9 @@ std::string inference_stream_tag(const std::string& base,
 /// Shared shape of the Fig. 7c-e sweeps: a (row, BER) cell grid where
 /// each cell runs `config.repeats` rollouts on an engine acquired from
 /// the shard's resident cache — `engine_key(row)` names the slot (rows
-/// needing differently-configured engines get distinct keys) and
-/// `engine_for(row)` builds it on first use. `arm(row, ber, engine,
+/// needing differently-configured engines get distinct keys; the keys
+/// must name exactly `engine_slots` slots, the count the cost model
+/// prices) and `engine_for(row)` builds it on first use. `arm(row, ber, engine,
 /// rng)` draws the cell's fault instance per repeat.
 ///
 /// Cells at BER <= 0 arm no fault and fly one fixed baseline stream,
@@ -90,7 +91,8 @@ std::vector<std::vector<double>> sweep_msf_grid(
     const ScenarioContext& context, std::uint64_t tag,
     std::size_t row_count, const DroneWorld& world,
     const DroneEnvConfig& env_config, EngineFor&& engine_for,
-    KeyFn&& engine_key, ArmFn&& arm, const std::string& perf_section) {
+    KeyFn&& engine_key, std::size_t engine_slots, ArmFn&& arm,
+    const std::string& perf_section) {
   const std::size_t ber_count = config.bers.size();
   const CampaignRunner runner(context.threads);
   const std::string stream_tag = inference_stream_tag(
@@ -103,6 +105,11 @@ std::vector<std::vector<double>> sweep_msf_grid(
   std::map<std::size_t, Baseline> baselines;
   for (std::size_t row = 0; row < row_count; ++row)
     baselines.try_emplace(engine_key(row));
+  if (baselines.size() != engine_slots)
+    throw std::logic_error(perf_section + ": engine keys name " +
+                           std::to_string(baselines.size()) +
+                           " slots, expected " +
+                           std::to_string(engine_slots));
   const double trials_started = perf::now();
   const std::vector<double> cells = runner.map_streamed(
       stream_tag, row_count * ber_count, config.seed ^ tag,
@@ -368,6 +375,7 @@ LocationSweepResult run_location_sweep(
             bundle.c3f2.input_shape());
       },
       [](std::size_t) { return std::size_t{0}; },
+      LocationSweepResult::kEngineSlots,
       [](std::size_t row, double ber, QuantizedInferenceEngine& e,
          Rng& r) {
         switch (static_cast<DroneFaultLocation>(row)) {
@@ -415,6 +423,7 @@ LayerSweepResult run_layer_sweep(const DroneWorld& world,
       config, context, 0x7d, layer_count, world, bundle.env_config,
       engine_for,
       [](std::size_t) { return std::size_t{0}; },
+      LayerSweepResult::kEngineSlots,
       [](std::size_t layer, double ber, QuantizedInferenceEngine& e,
          Rng& r) { e.inject_layer_weight_faults(layer, ber, r); },
       "drone_layer_trials");
@@ -446,6 +455,7 @@ DataTypeSweepResult run_data_type_sweep(
             bundle.network, formats[row], bundle.c3f2.input_shape());
       },
       [](std::size_t row) { return row; },
+      DataTypeSweepResult::kEngineSlots,
       [](std::size_t, double ber, QuantizedInferenceEngine& e, Rng& r) {
         arm_weight_transient(ber, e, r);
       },

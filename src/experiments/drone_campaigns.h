@@ -5,6 +5,7 @@
 // and express faults through the QuantizedInferenceEngine's buffers;
 // the training campaign (Fig. 7a) exercises the OnlineFineTuner.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,9 @@ enum class DroneFaultLocation {
 std::string to_string(DroneFaultLocation location);
 
 struct LocationSweepResult {
+  /// Engine-cache slots the sweep flies its fault-free cells on (one
+  /// memoized flight per slot): every location drives one engine.
+  static constexpr std::size_t kEngineSlots = 1;
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [location][ber], enum order
 };
@@ -93,6 +97,8 @@ LocationSweepResult run_location_sweep(
 
 /// Fig. 7d: per-layer weight-fault sensitivity (Conv1..FC2).
 struct LayerSweepResult {
+  /// Every layer row drives one engine (see LocationSweepResult).
+  static constexpr std::size_t kEngineSlots = 1;
   std::vector<std::string> layers;
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [layer][ber]
@@ -103,6 +109,8 @@ LayerSweepResult run_layer_sweep(const DroneWorld& world,
 
 /// Fig. 7e: fixed-point data-type sensitivity.
 struct DataTypeSweepResult {
+  /// One engine per format row (see LocationSweepResult).
+  static constexpr std::size_t kEngineSlots = 3;
   std::vector<std::string> formats;
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [format][ber]

@@ -81,9 +81,10 @@ class QFormat {
   /// float(decode(encode(value))) — same round-to-nearest-even,
   /// saturation, and NaN-to-zero handling — without the word
   /// pack/unpack round trip. This is the hot path of every activation
-  /// buffer write (quantize_values in core/injector.h runs it per
-  /// element of every layer output), so it stays branch-light and
-  /// inline; tests/test_qformat.cpp checks the equality exhaustively.
+  /// buffer write (the scalar `quantize` kernel in nn/kernels runs it
+  /// per element of every layer output, and the SIMD kernels run its
+  /// operations per lane), so it stays branch-light and inline;
+  /// tests/test_qformat.cpp checks the equality exhaustively.
   float quantize(float value) const noexcept {
     const double scaled = static_cast<double>(value) * scale_;
     // Round to nearest-even without a libm call: adding and removing
@@ -99,6 +100,14 @@ class QFormat {
     if (rounded < raw_min_d_) rounded = raw_min_d_;
     return static_cast<float>(rounded * inv_scale_);
   }
+
+  // The cached constants quantize() reads, for kernels that run its
+  // operations on vector lanes: it returns
+  // float(clamp(round(double(value) * scale())) * resolution()), the
+  // clamp taking raw_max_bound() first, then raw_min_bound().
+  double scale() const noexcept { return scale_; }
+  double raw_max_bound() const noexcept { return raw_max_d_; }
+  double raw_min_bound() const noexcept { return raw_min_d_; }
 
   /// Signed integer v such that decode(word) == v * resolution().
   std::int32_t to_raw(Word word) const noexcept;

@@ -1,4 +1,4 @@
-// Scalar kernel backend, runtime dispatch, max-pool and transpose.
+// Scalar kernel backend, runtime dispatch and transpose.
 //
 // The scalar loops fix the accumulation order that every backend
 // reproduces, for the float layers and the quantized engine alike. The
@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+
+#include "fixed/qformat.h"
 
 namespace ftnav::kernels {
 
@@ -63,12 +65,14 @@ void relu_scalar(float* x, std::size_t n) {
 /// gw[oc][..] add one term per output position (oh, ow ascending);
 /// gx[ic][ih][iw] adds one term per (oc, oh, ow) ascending whose window
 /// covers it. A zero output gradient (+0 or -0) adds nothing: adding
-/// +-0 would turn a -0 sum into +0 and 0 * inf into NaN.
+/// +-0 would turn a -0 sum into +0 and 0 * inf into NaN. A null gx
+/// drops its updates and leaves every other chain as it is.
 void conv2d_backward_scalar(const float* w, const float* x, const float* gy,
                             float* gw, float* gb, float* gx,
                             float* /*scratch*/, const ConvShape& s) {
-  std::fill(gx, gx + static_cast<std::size_t>(s.in_c) * s.in_h * s.in_w,
-            0.0f);
+  if (gx != nullptr)
+    std::fill(gx, gx + static_cast<std::size_t>(s.in_c) * s.in_h * s.in_w,
+              0.0f);
   for (int oc = 0; oc < s.out_c; ++oc) {
     for (int oh = 0; oh < s.out_h; ++oh) {
       for (int ow = 0; ow < s.out_w; ++ow) {
@@ -88,12 +92,46 @@ void conv2d_backward_scalar(const float* w, const float* x, const float* gy,
                 (static_cast<std::size_t>(ic) * s.in_h + (ih0 + kh)) *
                     s.in_w +
                 iw0;
-            for (int kw = 0; kw < s.kernel; ++kw) {
+            for (int kw = 0; kw < s.kernel; ++kw)
               gw[wrow + kw] += g * x[xrow + kw];
-              gx[xrow + kw] += g * w[wrow + kw];
+            if (gx != nullptr)
+              for (int kw = 0; kw < s.kernel; ++kw)
+                gx[xrow + kw] += g * w[wrow + kw];
+          }
+        }
+      }
+    }
+  }
+}
+
+void quantize_scalar(float* x, std::size_t n, const QFormat& format) {
+  for (std::size_t i = 0; i < n; ++i) x[i] = format.quantize(x[i]);
+}
+
+void maxpool2d_scalar(const float* x, float* y, int channels, int in_h,
+                      int in_w, int window, std::size_t* argmax) {
+  const int out_h = in_h / window;
+  const int out_w = in_w / window;
+  std::size_t flat = 0;
+  for (int c = 0; c < channels; ++c) {
+    for (int oh = 0; oh < out_h; ++oh) {
+      for (int ow = 0; ow < out_w; ++ow, ++flat) {
+        const std::size_t origin =
+            (static_cast<std::size_t>(c) * in_h + oh * window) * in_w +
+            ow * window;
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_index = origin;
+        for (int kh = 0; kh < window; ++kh) {
+          for (int kw = 0; kw < window; ++kw) {
+            const std::size_t i = origin + kh * in_w + kw;
+            if (x[i] > best) {
+              best = x[i];
+              best_index = i;
             }
           }
         }
+        y[flat] = best;
+        if (argmax != nullptr) argmax[flat] = best_index;
       }
     }
   }
@@ -105,7 +143,9 @@ constexpr KernelOps kScalarOps{"scalar",
                                conv2d_scalar,
                                dense_scalar,
                                relu_scalar,
-                               conv2d_backward_scalar};
+                               conv2d_backward_scalar,
+                               quantize_scalar,
+                               maxpool2d_scalar};
 
 std::atomic<const KernelOps*> g_override{nullptr};
 
@@ -180,35 +220,6 @@ const KernelOps& active() {
     }
   }();
   return chosen;
-}
-
-void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
-               int window, std::size_t* argmax) {
-  const int out_h = in_h / window;
-  const int out_w = in_w / window;
-  std::size_t flat = 0;
-  for (int c = 0; c < channels; ++c) {
-    for (int oh = 0; oh < out_h; ++oh) {
-      for (int ow = 0; ow < out_w; ++ow, ++flat) {
-        const std::size_t origin =
-            (static_cast<std::size_t>(c) * in_h + oh * window) * in_w +
-            ow * window;
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_index = origin;
-        for (int kh = 0; kh < window; ++kh) {
-          for (int kw = 0; kw < window; ++kw) {
-            const std::size_t i = origin + kh * in_w + kw;
-            if (x[i] > best) {
-              best = x[i];
-              best_index = i;
-            }
-          }
-        }
-        y[flat] = best;
-        if (argmax != nullptr) argmax[flat] = best_index;
-      }
-    }
-  }
 }
 
 void transpose(const float* w, float* wt, int rows, int cols) {

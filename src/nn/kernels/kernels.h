@@ -1,7 +1,7 @@
 #pragma once
 // Runtime-dispatched compute kernels: the forward loops of the float
-// layers (src/nn/layers.cpp) and the quantized inference engine, and
-// the float Conv2D backward.
+// layers (src/nn/layers.cpp) and the quantized inference engine, the
+// engine's activation quantization, and the float Conv2D backward.
 //
 // The engine emulates fixed-point MACs in float: per output element it
 // runs one sequential accumulation chain (bias, then += w*x in a fixed
@@ -12,9 +12,12 @@
 // results are bit-identical for every backend and lane width. The
 // backward keeps the same contract: every gradient element sees the
 // scalar backward's sequence of `+= g * v` updates, skipped exactly
-// where that loop skips a zero output gradient. The project is
-// compiled with -ffp-contract=off so no backend fuses the multiply-add
-// chain into FMAs.
+// where that loop skips a zero output gradient. Quantization runs
+// QFormat::quantize's IEEE operations on each lane, and max-pool makes
+// the scalar loop's comparisons in its window order, so both return
+// the scalar entry's bytes too. The project is compiled with
+// -ffp-contract=off so no backend fuses the multiply-add chain into
+// FMAs.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -25,6 +28,10 @@
 
 #include <cstddef>
 #include <string>
+
+namespace ftnav {
+class QFormat;
+}  // namespace ftnav
 
 namespace ftnav::kernels {
 
@@ -49,8 +56,19 @@ struct ConvShape {
 ///           gw[oc][ic][kh][kw] and gb[oc], overwrites every element
 ///           of gx (CHW, the input gradient), and may use `scratch`,
 ///           conv2d_backward_scratch(s) floats whose contents on entry
-///           and exit are unspecified.
-/// Output regions must not alias inputs.
+///           and exit are unspecified. gx may be nullptr: then no input
+///           gradient is computed, and gw and gb receive exactly the
+///           values of the full call (neither chain reads gx);
+///   quantize: x[i] = format.quantize(x[i]) for i < n, in place;
+///   maxpool2d: non-overlapping `window` x `window` max over CHW x, y
+///           the (channels, in_h / window, in_w / window) output. Each
+///           output scans its window row by row from -inf and takes a
+///           value only when it is greater than the best so far, so
+///           the first of equal maxima wins and NaN is never selected.
+///           A non-null `argmax` receives each output's flat CHW input
+///           index.
+/// Output regions must not alias inputs (quantize and relu work in
+/// place).
 struct KernelOps {
   const char* name;
   /// True when `dense` reads the transposed weight copy `wt` (built
@@ -71,6 +89,9 @@ struct KernelOps {
   void (*conv2d_backward)(const float* w, const float* x, const float* gy,
                           float* gw, float* gb, float* gx, float* scratch,
                           const ConvShape& s);
+  void (*quantize)(float* x, std::size_t n, const QFormat& format);
+  void (*maxpool2d)(const float* x, float* y, int channels, int in_h,
+                    int in_w, int window, std::size_t* argmax);
 };
 
 /// Floats of scratch any backend's conv2d_backward may use for `s`.
@@ -104,12 +125,6 @@ const KernelOps& resolve_backend(const std::string& choice);
 /// is active, otherwise the FTNAV_SIMD choice resolved once on first
 /// use. Engines capture this at construction, float layers per call.
 const KernelOps& active();
-
-/// Shared scalar max-pool (not dispatched: it only selects existing
-/// values, so it is backend-invariant by construction). A non-null
-/// `argmax` receives each output's flat CHW input index.
-void maxpool2d(const float* x, float* y, int channels, int in_h, int in_w,
-               int window, std::size_t* argmax = nullptr);
 
 /// wt[c][r] = w[r][c] for a row-major rows x cols `w`: the `wt` copy
 /// that dense (rows = out_f) and conv2d (rows = out_c) read. A copy, so

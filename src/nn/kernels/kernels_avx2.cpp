@@ -24,6 +24,12 @@
 // input channels of an input-gradient position (through HWC copies of
 // gx and w). Every gradient element keeps the scalar backward's chain.
 //
+// Quantization widens each float to a double lane and runs
+// QFormat::quantize's operations there: the same IEEE mul, add and sub
+// and the same selects, so every lane rounds and saturates exactly as
+// the scalar call does. Max-pool over 2x2 windows makes 8 outputs of a
+// row per pass with the scalar loop's comparisons in its window order.
+//
 // This TU is the only one compiled with -mavx2 (x86 builds only; see
 // CMakeLists.txt). On other architectures it compiles to a stub that
 // reports the backend as unavailable.
@@ -36,6 +42,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+
+#include "fixed/qformat.h"
 
 namespace ftnav::kernels {
 
@@ -45,7 +54,7 @@ constexpr int kConvPositions = 4;
 constexpr int kConvBlocks = 2;
 constexpr int kDenseBlocks = 4;
 
-/// Mask selecting lanes [0, n) for n in 1..8.
+/// Mask selecting lanes [0, n) for n in 0..8.
 __m256i first_lanes(int n) {
   static const std::int32_t kOnes[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                          0,  0,  0,  0,  0,  0,  0,  0};
@@ -391,7 +400,118 @@ void conv2d_backward_avx2(const float* w, const float* x, const float* gy,
                           float* gw, float* gb, float* gx, float* scratch,
                           const ConvShape& s) {
   conv_backward_params(x, gy, gw, gb, scratch, s);
-  conv_backward_input(w, gy, gx, scratch, s);
+  if (gx != nullptr) conv_backward_input(w, gy, gx, scratch, s);
+}
+
+/// QFormat::quantize four lanes at a time, operation for operation:
+/// double(v) * scale; add, then subtract, copysign(2^52, scaled) to
+/// round to nearest-even; NaN to +0 through an ordered-compare mask;
+/// `r > max ? max : r`, which is min_pd(max, r), then `r < min ? min :
+/// r`, which is max_pd(min, r); times 2^-f; and cvtpd_ps, which rounds
+/// to nearest like static_cast<float> (the program never changes the
+/// rounding mode). The tail runs QFormat::quantize itself.
+void quantize_avx2(float* x, std::size_t n, const QFormat& format) {
+  const __m256d scale = _mm256_set1_pd(format.scale());
+  const __m256d inv_scale = _mm256_set1_pd(format.resolution());
+  const __m256d raw_max = _mm256_set1_pd(format.raw_max_bound());
+  const __m256d raw_min = _mm256_set1_pd(format.raw_min_bound());
+  const __m256d shift = _mm256_set1_pd(4503599627370496.0);  // 2^52
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d scaled =
+        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + i)), scale);
+    const __m256d offset = _mm256_or_pd(_mm256_and_pd(scaled, sign), shift);
+    __m256d rounded = _mm256_sub_pd(_mm256_add_pd(scaled, offset), offset);
+    rounded = _mm256_and_pd(rounded,
+                            _mm256_cmp_pd(rounded, rounded, _CMP_ORD_Q));
+    rounded = _mm256_min_pd(raw_max, rounded);
+    rounded = _mm256_max_pd(raw_min, rounded);
+    _mm_storeu_ps(x + i, _mm256_cvtpd_ps(_mm256_mul_pd(rounded, inv_scale)));
+  }
+  for (; i < n; ++i) x[i] = format.quantize(x[i]);
+}
+
+/// Even and odd elements of the 16 floats at p, as
+/// {p[0], p[2], ..., p[14]} and {p[1], p[3], ..., p[15]}. A partial
+/// pass loads only the lanes set in `lo` and `hi` (zero elsewhere), so
+/// it reads nothing past the row.
+void split_columns(const float* p, bool partial, __m256i lo, __m256i hi,
+                   __m256& even, __m256& odd) {
+  const __m256 a = partial ? _mm256_maskload_ps(p, lo) : _mm256_loadu_ps(p);
+  const __m256 b =
+      partial ? _mm256_maskload_ps(p + 8, hi) : _mm256_loadu_ps(p + 8);
+  // shuffle_ps works within 128-bit halves ({a0 a2 b0 b2 | a4 a6 b4 b6});
+  // the 64-bit permute puts the pairs in order.
+  even = _mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0))),
+      _MM_SHUFFLE(3, 1, 2, 0)));
+  odd = _mm256_castpd_ps(_mm256_permute4x64_pd(
+      _mm256_castps_pd(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1))),
+      _MM_SHUFFLE(3, 1, 2, 0)));
+}
+
+/// 2x2 windows: lane j of a pass is output ow + j. Each lane folds its
+/// window in the scalar order (upper left, upper right, lower left,
+/// lower right) from -inf with best = max_ps(v, best), which returns
+/// `v > best ? v : best`: the scalar update, so the first of equal
+/// maxima wins and NaN is never taken. The same ordered compare picks
+/// the argmax offset. A row's last out_w % 8 outputs run the same fold
+/// in masked lanes. Other windows run the scalar entry.
+void maxpool2d_avx2(const float* x, float* y, int channels, int in_h,
+                    int in_w, int window, std::size_t* argmax) {
+  if (window != 2) {
+    scalar_ops().maxpool2d(x, y, channels, in_h, in_w, window, argmax);
+    return;
+  }
+  const int out_h = in_h / 2;
+  const int out_w = in_w / 2;
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m256i offsets[4] = {_mm256_set1_epi32(0), _mm256_set1_epi32(1),
+                              _mm256_set1_epi32(in_w),
+                              _mm256_set1_epi32(in_w + 1)};
+  const int tail = out_w % 8;
+  const __m256i tail_out = first_lanes(tail);
+  const __m256i tail_lo = first_lanes(std::min(8, 2 * tail));
+  const __m256i tail_hi = first_lanes(std::max(0, 2 * tail - 8));
+  float* out = y;
+  for (int c = 0; c < channels; ++c) {
+    for (int oh = 0; oh < out_h; ++oh) {
+      const std::size_t row =
+          (static_cast<std::size_t>(c) * in_h + 2 * oh) * in_w;
+      for (int ow = 0; ow < out_w; ow += 8) {
+        const bool partial = out_w - ow < 8;
+        const std::size_t origin = row + 2 * static_cast<std::size_t>(ow);
+        __m256 v[4];
+        split_columns(x + origin, partial, tail_lo, tail_hi, v[0], v[1]);
+        split_columns(x + origin + in_w, partial, tail_lo, tail_hi, v[2],
+                      v[3]);
+        __m256 best = neg_inf;
+        __m256i picked = offsets[0];
+        for (int k = 0; k < 4; ++k) {
+          const __m256 greater = _mm256_cmp_ps(v[k], best, _CMP_GT_OQ);
+          best = _mm256_max_ps(v[k], best);
+          picked = _mm256_castps_si256(_mm256_blendv_ps(
+              _mm256_castsi256_ps(picked), _mm256_castsi256_ps(offsets[k]),
+              greater));
+        }
+        const int lanes = partial ? tail : 8;
+        if (partial)
+          _mm256_maskstore_ps(out, tail_out, best);
+        else
+          _mm256_storeu_ps(out, best);
+        if (argmax != nullptr) {
+          alignas(32) std::int32_t offset[8];
+          _mm256_store_si256(reinterpret_cast<__m256i*>(offset), picked);
+          for (int j = 0; j < lanes; ++j)
+            argmax[out - y + j] = origin + 2 * static_cast<std::size_t>(j) +
+                                  static_cast<std::size_t>(offset[j]);
+        }
+        out += lanes;
+      }
+    }
+  }
 }
 
 constexpr KernelOps kAvx2Ops{"avx2",
@@ -400,7 +520,9 @@ constexpr KernelOps kAvx2Ops{"avx2",
                              conv2d_avx2,
                              dense_avx2,
                              relu_avx2,
-                             conv2d_backward_avx2};
+                             conv2d_backward_avx2,
+                             quantize_avx2,
+                             maxpool2d_avx2};
 
 }  // namespace
 

@@ -74,6 +74,18 @@ Tensor Conv2D::forward(const Tensor& input) {
 Tensor Conv2D::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("Conv2D::backward before forward");
+  Tensor grad_input(cached_input_.shape());
+  run_backward(grad_output, grad_input.data());
+  return grad_input;
+}
+
+void Conv2D::backward_parameters(const Tensor& grad_output) {
+  if (cached_input_.empty())
+    throw std::logic_error("Conv2D::backward before forward");
+  run_backward(grad_output, nullptr);
+}
+
+void Conv2D::run_backward(const Tensor& grad_output, float* grad_input) {
   const Shape out_shape = grad_output.shape();
   if (out_shape != output_shape(cached_input_.shape()))
     throw std::invalid_argument("Conv2D::backward: gradient shape mismatch");
@@ -87,12 +99,10 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
   thread_local std::vector<float> scratch;
   scratch.resize(
       std::max(scratch.size(), kernels::conv2d_backward_scratch(shape)));
-  Tensor grad_input(in_shape);
   const std::size_t weight_count = params_.size() - out_channels_;
   kernels::active().conv2d_backward(
       params_.data(), cached_input_.data(), grad_output.data(), grads_.data(),
-      grads_.data() + weight_count, grad_input.data(), scratch.data(), shape);
-  return grad_input;
+      grads_.data() + weight_count, grad_input, scratch.data(), shape);
 }
 
 void Conv2D::apply_gradients(float lr) {
@@ -156,8 +166,8 @@ Tensor MaxPool2D::forward(const Tensor& input) {
   Tensor out(output_shape(in));
   cached_input_shape_ = in;
   argmax_.resize(out.size());
-  kernels::maxpool2d(input.data(), out.data(), in.channels, in.height,
-                     in.width, window_, argmax_.data());
+  kernels::active().maxpool2d(input.data(), out.data(), in.channels,
+                              in.height, in.width, window_, argmax_.data());
   return out;
 }
 

@@ -42,6 +42,12 @@ class Layer {
 
   virtual Tensor forward(const Tensor& input) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// backward() for a caller that discards the input gradient: the
+  /// parameter gradients accumulate exactly as backward() accumulates
+  /// them, and a layer may skip computing the input gradient.
+  virtual void backward_parameters(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
 
   /// Parameters as a flat mutable span (weights then biases); empty for
   /// parameter-free layers.
@@ -73,6 +79,8 @@ class Conv2D final : public Layer {
   Shape output_shape(const Shape& in) const override;
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Accumulates the weight and bias gradients only.
+  void backward_parameters(const Tensor& grad_output) override;
   std::span<float> parameters() override { return params_; }
   std::span<const float> parameters() const override { return params_; }
   std::span<float> gradients() override { return grads_; }
@@ -86,6 +94,10 @@ class Conv2D final : public Layer {
   int stride() const noexcept { return stride_; }
 
  private:
+  /// The kernel backward into `grad_input` (nullptr: no input
+  /// gradient).
+  void run_backward(const Tensor& grad_output, float* grad_input);
+
   int in_channels_;
   int out_channels_;
   int kernel_;

@@ -36,8 +36,9 @@ Tensor Network::forward(const Tensor& input) {
 
 Tensor Network::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size(); i > 1; --i)
+    g = layers_[i - 1]->backward(g);
+  if (!layers_.empty()) layers_.front()->backward_parameters(g);
   return g;
 }
 

@@ -40,7 +40,10 @@ class Network {
   Tensor forward(const Tensor& input);
 
   /// Backward pass from the loss gradient w.r.t. the network output;
-  /// accumulates parameter gradients in each layer.
+  /// accumulates parameter gradients in each layer. The first layer
+  /// runs backward_parameters(), so a Conv2D there computes no input
+  /// gradient (no caller reads one). Returns the gradient w.r.t. the
+  /// first layer's output (`grad_output` itself when empty).
   Tensor backward(const Tensor& grad_output);
 
   /// SGD step on every layer, clearing gradients.

@@ -174,7 +174,7 @@ Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
   float* nxt = buf_b_.data();
   std::size_t count = input.size();
   std::copy(input.values().begin(), input.values().end(), cur);
-  quantize_values(std::span<float>(cur, count), format_);
+  ops_->quantize(cur, count, format_);
   if (input_ber_ > 0.0)
     inject_transient_values(std::span<float>(cur, count), format_, input_ber_,
                             rng);
@@ -198,7 +198,7 @@ Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
                      wimg + op.param_begin + op.weight_count, cur, nxt,
                      op.conv);
         count = op.out_shape.element_count();
-        quantize_values(std::span<float>(nxt, count), format_);
+        ops_->quantize(nxt, count, format_);
         std::swap(cur, nxt);
         break;
       case LayerKind::kDense:
@@ -209,7 +209,7 @@ Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
                     wimg + op.param_begin + op.weight_count, cur, nxt,
                     op.in_f, op.out_f);
         count = static_cast<std::size_t>(op.out_f);
-        quantize_values(std::span<float>(nxt, count), format_);
+        ops_->quantize(nxt, count, format_);
         std::swap(cur, nxt);
         break;
       case LayerKind::kReLU: {
@@ -221,8 +221,8 @@ Tensor QuantizedInferenceEngine::infer(const Tensor& input, Rng& rng) {
         break;
       }
       case LayerKind::kMaxPool2D:
-        kernels::maxpool2d(cur, nxt, op.in_shape.channels, op.in_shape.height,
-                           op.in_shape.width, op.window);
+        ops_->maxpool2d(cur, nxt, op.in_shape.channels, op.in_shape.height,
+                        op.in_shape.width, op.window, nullptr);
         count = op.out_shape.element_count();
         std::swap(cur, nxt);
         break;

@@ -128,9 +128,9 @@ class QuantizedInferenceEngine {
   std::size_t act(const Tensor& input, Rng& rng);
 
  private:
-  /// One step of the compiled execution program. Parametered steps
-  /// reference their slice of the decoded weight image; Dense steps
-  /// additionally name their slice of the transposed-weight cache.
+  /// One step of the compiled execution program. Parametered (Conv and
+  /// Dense) steps reference their slice of the decoded weight image and
+  /// their slice of the transposed-weight cache.
   struct Op {
     LayerKind kind = LayerKind::kFlatten;
     kernels::ConvShape conv{};     // kConv2D
@@ -139,7 +139,7 @@ class QuantizedInferenceEngine {
     Shape in_shape{}, out_shape{};
     std::size_t param_begin = 0;   // into the float weight image
     std::size_t weight_count = 0;  // excludes biases
-    std::size_t wt_begin = 0;      // into the transposed dense cache
+    std::size_t wt_begin = 0;      // into the transposed-weight cache
   };
 
   void build_program();
@@ -166,7 +166,7 @@ class QuantizedInferenceEngine {
   std::size_t max_elements_ = 0;  // largest buffer any step touches
   std::size_t wt_words_ = 0;      // transposed-cache footprint
   std::vector<float> weight_image_;   // decoded (+ filtered) weights
-  std::vector<float> wt_cache_;       // transposed dense weights
+  std::vector<float> wt_cache_;       // transposed conv and dense weights
   std::vector<float> buf_a_, buf_b_;  // ping-pong activation buffers
 };
 

@@ -1,5 +1,6 @@
 #include "scenario/builtin_scenarios.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -1059,23 +1060,38 @@ Work drone_setup(const ParamSet& params, const DroneModel& model,
 
 /// Shared shape of the Fig. 7b-7e / 10b sweeps: `rows` series x the
 /// BER axis, each cell running `repeats` faulted flights. The runner
-/// shards cells; the perf sections count cells x repeats.
+/// shards cells; the perf sections count cells x repeats. A sweep with
+/// `engine_slots` > 0 flies only one fault-free cell per engine slot
+/// (its other BER-0 cells return the stored result), so `per_trial`
+/// spreads the flown cells' work over every cell; with 0 every cell
+/// flies.
 CostEstimate drone_sweep_cost(const ParamSet& params, std::size_t rows,
-                              const char* label, double policies) {
+                              const char* label, double policies,
+                              std::size_t engine_slots = 0) {
   const DroneModel model = drone_model(params);
   CostEstimate est;
   est.setup = drone_setup(params, model, policies);
   const double repeats = static_cast<double>(repeats_of(params));
+  const std::vector<double> bers = params.get_double_list("bers");
+  const auto faulted = static_cast<std::size_t>(std::count_if(
+      bers.begin(), bers.end(), [](double ber) { return ber > 0.0; }));
   CampaignCost campaign;
   campaign.label = label;
-  campaign.trials = rows * bers_of(params);
+  campaign.trials = rows * bers.size();
   campaign.perf_trials =
       campaign.trials * static_cast<std::size_t>(repeats);
+  const std::size_t flown =
+      engine_slots == 0
+          ? campaign.trials
+          : rows * faulted + (faulted < bers.size() ? engine_slots : 0);
   campaign.per_trial = drone_flight(model).scaled(repeats);
   campaign.per_trial.bytes +=
       repeats * cost::inject_restore_bytes(
                     static_cast<std::size_t>(model.store_words),
                     kDroneWordBytes);
+  if (campaign.trials > 0)
+    campaign.per_trial = campaign.per_trial.scaled(
+        static_cast<double>(flown) / static_cast<double>(campaign.trials));
   est.campaigns.push_back(std::move(campaign));
   return est;
 }
@@ -1319,8 +1335,9 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
           "and activation faults (Fig. 7c)",
           {"drone", "inference"}, drone_inference_params(true),
           run_drone_locations),
-      [](const ParamSet& params) {  // input / weight-T / weight-P / act
-        return drone_sweep_cost(params, 4, "drone_location_trials", 1.0);
+      [](const ParamSet& params) {  // input / weight / act (T) / act (P)
+        return drone_sweep_cost(params, 4, "drone_location_trials", 1.0,
+                                LocationSweepResult::kEngineSlots);
       }));
 
   registry.add(with_cost(
@@ -1330,7 +1347,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
           {"drone", "inference"}, drone_inference_params(true),
           run_drone_layers),
       [](const ParamSet& params) {  // conv1..3, fc1, fc2
-        return drone_sweep_cost(params, 5, "drone_layer_trials", 1.0);
+        return drone_sweep_cost(params, 5, "drone_layer_trials", 1.0,
+                                LayerSweepResult::kEngineSlots);
       }));
 
   registry.add(with_cost(
@@ -1341,7 +1359,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
           {"drone", "inference"}, drone_inference_params(true),
           run_drone_data_types),
       [](const ParamSet& params) {  // the three fixed-point encodings
-        return drone_sweep_cost(params, 3, "drone_data_type_trials", 1.0);
+        return drone_sweep_cost(params, 3, "drone_data_type_trials", 1.0,
+                                DataTypeSweepResult::kEngineSlots);
       }));
 
   {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -170,6 +171,21 @@ std::string param_format_double(double value) {
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
     if (std::strtod(buffer, nullptr) == value) break;
+  }
+  // The lowest precision that round-trips has the fewest digits, but %g
+  // writes a value of at least 10^precision with an exponent (30 is
+  // "3e+01" at %.1g). The one shorter candidate is then the plain
+  // integer at the precision that covers every integer digit ("30" at
+  // %.2g); any other precision that round-trips gives a string at least
+  // as long, and a tie keeps the lower precision.
+  const char* exponent = std::strchr(buffer, 'e');
+  if (exponent != nullptr && exponent[1] == '+') {
+    const int integer_digits = std::atoi(exponent + 2) + 1;
+    char plain[40];
+    if (integer_digits <= 17) {
+      std::snprintf(plain, sizeof plain, "%.*g", integer_digits, value);
+      if (std::strlen(plain) < std::strlen(buffer)) return plain;
+    }
   }
   return buffer;
 }

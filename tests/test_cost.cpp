@@ -291,5 +291,54 @@ TEST(CostPrediction, DroneSweepLabelNamesItsTrialSection) {
   EXPECT_EQ(section.ops, 4u * 2u * 2u);  // 4 fault sites x 2 BERs x 2
 }
 
+TEST(CostPrediction, DroneSweepsPriceOnlyTheFlightsFlown) {
+  ScenarioRegistry registry;
+  register_builtin_scenarios(registry);
+  // The campaign's predicted flight work, all cells together.
+  const auto flights = [&](const char* scenario, const std::string& bers) {
+    const ScenarioSpec* spec = registry.find(scenario);
+    EXPECT_NE(spec, nullptr);
+    ParamSet params = spec->make_params();
+    params.set("bers", bers, ParamSource::kCli);
+    const cost::CostEstimate estimate = spec->cost(params);
+    EXPECT_EQ(estimate.campaigns.size(), 1u);
+    const cost::CampaignCost& campaign = estimate.campaigns[0];
+    EXPECT_EQ(campaign.perf_trial_count(),
+              campaign.trials * static_cast<std::size_t>(
+                                    params.get_int("repeats")));
+    return campaign.per_trial.scaled(static_cast<double>(campaign.trials));
+  };
+  const auto expect_same = [](const cost::Work& a, const cost::Work& b) {
+    EXPECT_DOUBLE_EQ(a.macs, b.macs);
+    EXPECT_DOUBLE_EQ(a.bytes, b.bytes);
+    EXPECT_DOUBLE_EQ(a.drone_steps, b.drone_steps);
+  };
+  // Every fault-free cell of an engine slot returns one stored flight,
+  // so a second BER-0 column adds no predicted flight work.
+  for (const char* scenario :
+       {"drone-fault-locations", "drone-layers", "drone-data-types"}) {
+    SCOPED_TRACE(scenario);
+    expect_same(flights(scenario, "0,0.001,0.01"),
+                flights(scenario, "0,0,0.001,0.01"));
+  }
+  // At the default five BERs the location sweep flies 17 of its 20
+  // cells (4 faulted rows x 4 BERs + one baseline) and the layer sweep
+  // 21 of 25; the data-type sweep's three slots fly every cell.
+  const std::string faulted = "0.0001,0.001,0.01,0.1";
+  const std::string with_zero = "0," + faulted;
+  const std::pair<const char*, double> flown_share[] = {
+      {"drone-fault-locations", 17.0 / 16.0},
+      {"drone-layers", 21.0 / 20.0},
+      {"drone-data-types", 15.0 / 12.0}};
+  for (const auto& [scenario, share] : flown_share) {
+    SCOPED_TRACE(scenario);
+    expect_same(flights(scenario, with_zero),
+                flights(scenario, faulted).scaled(share));
+  }
+  // The environment sweep memoizes nothing: each BER-0 cell flies.
+  expect_same(flights("drone-environments", "0,0,0.001"),
+              flights("drone-environments", "0.001").scaled(3.0));
+}
+
 }  // namespace
 }  // namespace ftnav

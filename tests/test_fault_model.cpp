@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "core/fault_model.h"
@@ -136,6 +137,51 @@ TEST(FaultModel, SamplingCoversWholeBuffer) {
   std::set<std::uint32_t> words;
   for (const FaultSite& s : map.sites()) words.insert(s.word_index);
   EXPECT_EQ(words.size(), 16u);
+}
+
+/// The sampler as it was before its bit set: distinct positions kept
+/// in a std::unordered_set. The oracle for the draws' sites and order.
+std::vector<FaultSite> set_reference_sample(std::size_t fault_bits,
+                                            std::size_t words,
+                                            int bits_per_word, Rng& rng) {
+  const std::size_t total = words * static_cast<std::size_t>(bits_per_word);
+  std::vector<FaultSite> sites;
+  std::unordered_set<std::uint64_t> chosen;
+  while (chosen.size() < fault_bits) {
+    const std::uint64_t pos = rng.below(total);
+    if (!chosen.insert(pos).second) continue;
+    sites.push_back(FaultSite{
+        static_cast<std::uint32_t>(pos / static_cast<std::size_t>(bits_per_word)),
+        static_cast<std::uint8_t>(pos % static_cast<std::size_t>(bits_per_word))});
+  }
+  return sites;
+}
+
+TEST(FaultModel, SamplingMatchesSetReference) {
+  struct Draw {
+    std::size_t fault_bits, words;
+    int bits_per_word;
+  };
+  // Zero, sparse and dense (every position) counts, back to back on one
+  // generator, so a mark left behind by one call would show in the next.
+  const Draw draws[] = {{0, 100, 8},       {5, 100, 8},    {800, 100, 8},
+                        {56, 34841, 16},   {0, 34841, 16}, {32, 1, 32},
+                        {55746, 34841, 16}, {3, 3, 1},     {3, 3, 1},
+                        {129, 130, 1},     {7, 1000, 32}};
+  Rng rng(2024);
+  Rng reference_rng(2024);
+  for (const Draw& d : draws) {
+    SCOPED_TRACE(testing::Message() << d.fault_bits << " of " << d.words
+                                    << " x " << d.bits_per_word);
+    const FaultMap map = FaultMap::sample_count(
+        FaultType::kTransientFlip, d.fault_bits, d.words, d.bits_per_word,
+        rng);
+    const std::vector<FaultSite> expected = set_reference_sample(
+        d.fault_bits, d.words, d.bits_per_word, reference_rng);
+    ASSERT_EQ(std::vector<FaultSite>(map.sites().begin(), map.sites().end()),
+              expected);
+  }
+  EXPECT_EQ(rng.below(1u << 30), reference_rng.below(1u << 30));
 }
 
 }  // namespace

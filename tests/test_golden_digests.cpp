@@ -53,15 +53,15 @@ struct GoldenPoint {
 // clang-format off
 const GoldenPoint kGoldenPoints[] = {
     {"ablation-detector-margin", "margins=0,0.1 ber=0.002 train-episodes=300 repeats=32 seed=3", 0x1bd3b4df7ab5e77eULL},
-    {"drone-data-types", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 repeats=3 seed=5", 0xb031a73eb00390a6ULL},
-    {"drone-data-types", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0xd972887b8cdc1c53ULL},
-    {"drone-environments", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0xbdf270328d3cdad6ULL},
-    {"drone-fault-locations", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 repeats=3 seed=5", 0x7d6d50a421d7dd4cULL},
-    {"drone-fault-locations", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0x0e0c1302e65e21a3ULL},
-    {"drone-layers", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 repeats=3 seed=5", 0x0de1c6748bb10211ULL},
-    {"drone-layers", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0x1957c633148a49e6ULL},
-    {"drone-mitigation", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0x365b1018bd9400efULL},
-    {"drone-training", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 injection-points=0.5 fine-tune-episodes=1 eval-repeats=1 seed=5", 0x87bf913fd11b23faULL},
+    {"drone-data-types", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 repeats=3 seed=5", 0x363a6c5156c7454bULL},
+    {"drone-data-types", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0xe2699d1d41f1bf1cULL},
+    {"drone-environments", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0xd22a842afc35d93bULL},
+    {"drone-fault-locations", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 repeats=3 seed=5", 0x4925204e60a035a9ULL},
+    {"drone-fault-locations", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0xe05ca6f2881d0586ULL},
+    {"drone-layers", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 repeats=3 seed=5", 0xa683d2c07c6ab608ULL},
+    {"drone-layers", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0x3eba95d2cece8c83ULL},
+    {"drone-mitigation", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0,0.01 repeats=3 seed=5", 0xd39d952d7165daf2ULL},
+    {"drone-training", "imitation-episodes=2 ddqn-episodes=1 env-max-steps=40 env-max-distance=30 bers=0.01 injection-points=0.5 fine-tune-episodes=1 eval-repeats=1 seed=5", 0x5d873abe6e21a2d3ULL},
     {"grid-convergence-permanent", "policy=tabular bers=0.005,0.01 early-episode=100 late-episode=300 extra-episodes=200 repeats=2 seed=3", 0xec8be933f7c28220ULL},
     {"grid-convergence-permanent", "policy=nn bers=0.001 early-episode=100 late-episode=300 extra-episodes=100 repeats=1 seed=3", 0x0ae3eff38c43ceccULL},
     {"grid-convergence-transient", "policy=tabular bers=0.005,0.01 fault-episode=200 max-extra-episodes=300 repeats=2 seed=3", 0xb5c54b1b45f81d4bULL},

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/injector.h"
+#include "nn/kernels/kernels.h"
 
 namespace ftnav {
 namespace {
@@ -164,7 +165,7 @@ TEST(EnforceStuckValues, TouchesOnlyStuckWords) {
         v = static_cast<float>(rng.uniform(-1.5, 1.5) * format.max_value());
       // Some exact zeros, as a ReLU leaves them.
       for (std::size_t i = 0; i < size; i += 7) values[i] = 0.0f;
-      quantize_values(values, format);
+      kernels::scalar_ops().quantize(values.data(), values.size(), format);
       // Masks compiled for a buffer up to twice as long reach past the
       // span, as the activation mask does on the smaller layers.
       const std::size_t mask_words = size + rng.below(size + 1);
@@ -185,10 +186,12 @@ TEST(EnforceStuckValues, TouchesOnlyStuckWords) {
   }
 }
 
+// The scalar quantize kernel, the reference every backend's quantize
+// reproduces.
 TEST(QuantizeValues, RoundsEveryElement) {
   const QFormat fmt(3, 4);
   std::vector<float> values = {0.3f, -0.3f, 100.0f};
-  quantize_values(values, fmt);
+  kernels::scalar_ops().quantize(values.data(), values.size(), fmt);
   EXPECT_FLOAT_EQ(values[0], 0.3125f);
   EXPECT_FLOAT_EQ(values[1], -0.3125f);
   EXPECT_FLOAT_EQ(values[2], 7.9375f);
@@ -197,9 +200,10 @@ TEST(QuantizeValues, RoundsEveryElement) {
 TEST(QuantizeValues, IdempotentOnRepresentable) {
   const QFormat fmt(4, 11);
   std::vector<float> values = {1.5f, -2.25f};
-  quantize_values(values, fmt);
+  const auto quantize = kernels::scalar_ops().quantize;
+  quantize(values.data(), values.size(), fmt);
   const auto once = values;
-  quantize_values(values, fmt);
+  quantize(values.data(), values.size(), fmt);
   EXPECT_EQ(values, once);
 }
 

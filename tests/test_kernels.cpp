@@ -275,6 +275,142 @@ void run_conv_backward_matrix(const KernelOps& simd) {
         }
 }
 
+/// conv2d_backward with gx == nullptr against the full call on the same
+/// backend: gw and gb bit-equal, over Conv2D.GradientCheckParams'
+/// shapes and C3F2 conv1 (fast preset), with zero and -0 gradients
+/// mixed in.
+void run_conv_backward_without_input_gradient(const KernelOps& ops) {
+  const QFormat fmt = QFormat::q_1_4_11();
+  const ConvGeometry shapes[] = {
+      {2, 3, 3, 2, 3, 3}, {2, 9, 3, 2, 3, 3}, {3, 16, 5, 2, 18, 18}};
+  for (const ConvGeometry& g : shapes) {
+    const ConvShape s = shape_of(g);
+    SCOPED_TRACE(testing::Message() << "in_c " << g.in_c << " out_c "
+                                    << g.out_c << " kernel " << g.kernel);
+    const std::size_t wn =
+        static_cast<std::size_t>(g.out_c) * g.in_c * g.kernel * g.kernel;
+    const std::size_t xn = static_cast<std::size_t>(g.in_c) * s.in_h * s.in_w;
+    const std::size_t yn = static_cast<std::size_t>(g.out_c) * g.out_h * g.out_w;
+    const auto w = quantized_randoms(fmt, wn, 1100 + wn);
+    const auto x = quantized_randoms(fmt, xn, 1200 + xn);
+    auto gy = quantized_randoms(fmt, yn, 1300 + yn);
+    for (std::size_t i = 0; i < yn; i += 3) gy[i] = 0.0f;
+    for (std::size_t i = 1; i < yn; i += 5) gy[i] = -0.0f;
+    auto params = quantized_randoms(fmt, wn + g.out_c, 1400 + wn);
+    for (std::size_t i = 2; i < params.size(); i += 7) params[i] = -0.0f;
+    std::vector<float> scratch(kernels::conv2d_backward_scratch(s));
+    std::vector<float> full = params, partial = params;
+    std::vector<float> gx(xn);
+    ops.conv2d_backward(w.data(), x.data(), gy.data(), full.data(),
+                        full.data() + wn, gx.data(), scratch.data(), s);
+    ops.conv2d_backward(w.data(), x.data(), gy.data(), partial.data(),
+                        partial.data() + wn, nullptr, scratch.data(), s);
+    expect_bit_identical(full, partial, "conv2d_backward gw/gb, gx null");
+  }
+}
+
+/// The quantize slot against the scalar entry, memcmp over every
+/// length 0..19 (all tails of both vector widths) and one long run, in
+/// four formats and both encodings. Inputs: +-0, +-inf, NaN,
+/// subnormals, exact half-resolution ties, values either side of each
+/// saturation bound, and random floats.
+void run_quantize_matrix(const KernelOps& simd) {
+  Rng rng(31);
+  for (const QFormat base :
+       {QFormat(3, 4), QFormat(4, 11), QFormat(7, 8), QFormat(10, 5)}) {
+    for (const Encoding encoding :
+         {Encoding::kTwosComplement, Encoding::kSignMagnitude}) {
+      const QFormat fmt = base.with_encoding(encoding);
+      SCOPED_TRACE(fmt.name());
+      const float inf = std::numeric_limits<float>::infinity();
+      const auto res = static_cast<float>(fmt.resolution());
+      const auto top = static_cast<float>(fmt.max_value());
+      const auto bottom = static_cast<float>(fmt.min_value());
+      std::vector<float> pool = {
+          0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(),
+          -std::numeric_limits<float>::quiet_NaN(),
+          std::numeric_limits<float>::denorm_min(),
+          -std::numeric_limits<float>::denorm_min(), 1e-40f, -3e-39f,
+          0.5f * res, -0.5f * res, 1.5f * res, -1.5f * res, 2.5f * res,
+          -2.5f * res, 7.5f * res,
+          top, std::nextafter(top, inf), std::nextafter(top, -inf),
+          top + 0.5f * res, top + res,
+          bottom, std::nextafter(bottom, inf), std::nextafter(bottom, -inf),
+          bottom - 0.5f * res, bottom - res, -top - 0.5f * res};
+      for (int i = 0; i < 100; ++i)
+        pool.push_back(static_cast<float>(rng.normal(0.0, 1.5 * top)));
+      for (int i = 0; i < 20; ++i)
+        pool.push_back(static_cast<float>(rng.uniform(-1e6, 1e6)));
+      const auto check = [&](std::size_t start, std::size_t n) {
+        std::vector<float> scalar(n), vectorized(n);
+        for (std::size_t i = 0; i < n; ++i)
+          scalar[i] = vectorized[i] = pool[(start + i) % pool.size()];
+        kernels::scalar_ops().quantize(scalar.data(), n, fmt);
+        simd.quantize(vectorized.data(), n, fmt);
+        // An empty vector's data() may be null, which memcmp rejects.
+        ASSERT_TRUE(n == 0 || std::memcmp(scalar.data(), vectorized.data(),
+                                          n * sizeof(float)) == 0)
+            << "start " << start << " length " << n;
+      };
+      for (std::size_t n = 0; n <= 19; ++n)
+        for (std::size_t start = 0; start < pool.size(); start += 5)
+          check(start, n);
+      check(0, pool.size());
+    }
+  }
+}
+
+/// The maxpool2d slot against the scalar entry: values and argmax
+/// indices, for windows 1, 2 and 3 over shapes with odd heights and
+/// widths. Inputs come from a coarse grid, so equal maxima are common,
+/// with NaN, +-0 and -inf spliced in (and one all-NaN window).
+void run_maxpool_matrix(const KernelOps& simd) {
+  struct Geometry {
+    int channels, height, width;
+  };
+  const Geometry shapes[] = {{1, 5, 5},   {3, 9, 17}, {16, 18, 18},
+                             {1, 2, 2},   {2, 4, 16}, {2, 7, 35},
+                             {1, 3, 31}, {4, 6, 33}};
+  Rng rng(41);
+  for (const Geometry& g : shapes) {
+    const std::size_t n =
+        static_cast<std::size_t>(g.channels) * g.height * g.width;
+    std::vector<float> x(n);
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                              -0.0f, -std::numeric_limits<float>::infinity()};
+    for (float& v : x) {
+      const std::uint64_t pick = rng.below(16);
+      v = pick < 4 ? specials[pick]
+                   : static_cast<float>(static_cast<int>(pick) - 10) * 0.5f;
+    }
+    x[0] = x[1] = x[static_cast<std::size_t>(g.width)] =
+        x[static_cast<std::size_t>(g.width) + 1] =
+            std::numeric_limits<float>::quiet_NaN();
+    for (const int window : {1, 2, 3}) {
+      if (g.height < window || g.width < window) continue;
+      SCOPED_TRACE(testing::Message()
+                   << g.channels << "x" << g.height << "x" << g.width
+                   << " window " << window);
+      const std::size_t out = static_cast<std::size_t>(g.channels) *
+                              (g.height / window) * (g.width / window);
+      for (const bool with_argmax : {false, true}) {
+        std::vector<float> y_scalar(out, 1.0f), y_simd(out, 2.0f);
+        std::vector<std::size_t> arg_scalar(out, 1), arg_simd(out, 2);
+        kernels::scalar_ops().maxpool2d(
+            x.data(), y_scalar.data(), g.channels, g.height, g.width, window,
+            with_argmax ? arg_scalar.data() : nullptr);
+        simd.maxpool2d(x.data(), y_simd.data(), g.channels, g.height,
+                       g.width, window,
+                       with_argmax ? arg_simd.data() : nullptr);
+        expect_bit_identical(y_scalar, y_simd, "maxpool2d");
+        if (with_argmax) {
+          EXPECT_EQ(arg_scalar, arg_simd);
+        }
+      }
+    }
+  }
+}
+
 /// Float layers on the active backend: C3F2 (fast preset) and the Grid
 /// World MLP (100 -> 48 -> 4) forward a fixed input, then one imitation
 /// episode trains the C3F2. Returns both outputs and the trained
@@ -359,6 +495,18 @@ TEST_F(Avx2BitIdentity, FloatForwardAndTrainingStayBitIdentical) {
   run_float_layers(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, ConvBackwardWithoutInputGradient) {
+  run_conv_backward_without_input_gradient(*simd_);
+}
+
+TEST_F(Avx2BitIdentity, QuantizeAcrossFormatsSpecialsAndTails) {
+  run_quantize_matrix(*simd_);
+}
+
+TEST_F(Avx2BitIdentity, MaxPoolAcrossWindowsShapesAndSpecials) {
+  run_maxpool_matrix(*simd_);
+}
+
 // ---- NEON ----------------------------------------------------------------
 
 class NeonBitIdentity : public ::testing::Test {
@@ -394,6 +542,18 @@ TEST_F(NeonBitIdentity, FaultedWeightImagesStayBitIdentical) {
 
 TEST_F(NeonBitIdentity, FloatForwardAndTrainingStayBitIdentical) {
   run_float_layers(*simd_);
+}
+
+TEST_F(NeonBitIdentity, ConvBackwardWithoutInputGradient) {
+  run_conv_backward_without_input_gradient(*simd_);
+}
+
+TEST_F(NeonBitIdentity, QuantizeAcrossFormatsSpecialsAndTails) {
+  run_quantize_matrix(*simd_);
+}
+
+TEST_F(NeonBitIdentity, MaxPoolAcrossWindowsShapesAndSpecials) {
+  run_maxpool_matrix(*simd_);
 }
 
 // ---- Dispatch ------------------------------------------------------------
@@ -433,6 +593,10 @@ TEST(Kernels, ScopedBackendOverridesActive) {
   }
 }
 
+TEST(Kernels, ScalarConvBackwardWithoutInputGradient) {
+  run_conv_backward_without_input_gradient(kernels::scalar_ops());
+}
+
 TEST(Kernels, MaxPoolSelectsFirstOfEqualMaxima) {
   // 2x2 windows over one channel; ties must resolve to the first
   // element in scan order (strict > comparison).
@@ -444,7 +608,8 @@ TEST(Kernels, MaxPoolSelectsFirstOfEqualMaxima) {
   };
   std::vector<float> y(4);
   std::vector<std::size_t> argmax(4);
-  kernels::maxpool2d(x.data(), y.data(), 1, 4, 4, 2, argmax.data());
+  kernels::scalar_ops().maxpool2d(x.data(), y.data(), 1, 4, 4, 2,
+                                  argmax.data());
   EXPECT_EQ(y[0], 1.0f);
   EXPECT_EQ(y[1], 0.5f);
   EXPECT_EQ(y[2], -1.0f);

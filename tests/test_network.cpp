@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "nn/c3f2.h"
+#include "nn/kernels/kernels.h"
 #include "nn/network.h"
 
 namespace ftnav {
@@ -148,6 +152,63 @@ TEST(C3F2, PaperPresetShapes) {
   ASSERT_EQ(labels.size(), 5u);
   EXPECT_EQ(labels[0], "Conv1");
   EXPECT_EQ(labels[4], "FC2");
+}
+
+/// One step of Network::backward() against every layer's backward()
+/// run by hand, back to front, on a copy of `net`: the parameter
+/// gradients must be bit-equal, and backward() must return the
+/// gradient the chain hands to the first layer.
+void expect_backward_matches_layer_chain(const Network& net,
+                                         const Tensor& input, Rng& rng) {
+  Network chained = net;
+  Network trained = net;
+  const Tensor out = chained.forward(input);
+  (void)trained.forward(input);
+  Tensor grad(out.shape());
+  for (std::size_t i = 0; i < grad.size(); ++i)
+    grad[i] = static_cast<float>(rng.normal(0.0, 0.1));
+  Tensor to_first = grad;
+  for (std::size_t i = chained.layer_count(); i > 1; --i)
+    to_first = chained.layer(i - 1).backward(to_first);
+  (void)chained.layer(0).backward(to_first);
+  const Tensor returned = trained.backward(grad);
+  ASSERT_EQ(returned.shape(), to_first.shape());
+  for (std::size_t i = 0; i < returned.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(to_first[i]),
+              std::bit_cast<std::uint32_t>(returned[i]))
+        << "returned gradient word " << i;
+  const std::vector<float> expected = chained.snapshot_gradients();
+  const std::vector<float> actual = trained.snapshot_gradients();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(expected[i]),
+              std::bit_cast<std::uint32_t>(actual[i]))
+        << "gradient word " << i;
+  // The first layer's gradients are live, so the comparison covers the
+  // layer that skips its input gradient.
+  const auto [begin, end] = chained.parameter_range(0);
+  bool first_live = false;
+  for (std::size_t i = begin; i < end; ++i) first_live |= expected[i] != 0.0f;
+  EXPECT_TRUE(first_live);
+}
+
+TEST(Network, BackwardMatchesLayerChain) {
+  // C3F2 fast (Conv2D first: no input gradient) on the scalar and the
+  // active backend, and an MLP (Dense first: the default path).
+  const C3F2Config config = C3F2Config::preset(C3F2Preset::kFast);
+  Rng rng(12);
+  const Network c3f2 = make_c3f2(config, rng);
+  Tensor image(config.input_shape());
+  for (std::size_t i = 0; i < image.size(); ++i)
+    image[i] = static_cast<float>(rng.uniform());
+  {
+    kernels::ScopedKernelBackend pin(kernels::scalar_ops());
+    expect_backward_matches_layer_chain(c3f2, image, rng);
+  }
+  expect_backward_matches_layer_chain(c3f2, image, rng);
+  const Network mlp = small_mlp(rng);
+  expect_backward_matches_layer_chain(
+      mlp, Tensor(Shape{4, 1, 1}, {0.5f, -0.25f, 1.0f, 0.0f}), rng);
 }
 
 TEST(C3F2, ForwardRunsOnFastPreset) {

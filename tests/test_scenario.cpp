@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -23,6 +26,7 @@
 #include "scenario/param_set.h"
 #include "scenario/scenario.h"
 #include "util/env_config.h"
+#include "util/rng.h"
 
 namespace ftnav {
 namespace {
@@ -149,6 +153,47 @@ TEST(ParamSet, ShortestRoundTripDoubleFormatting) {
   EXPECT_EQ(param_format_double(0.005), "0.005");
   EXPECT_EQ(param_format_double(0.1), "0.1");
   EXPECT_EQ(param_format_double(1e-05), "1e-05");
+  // The shortest string wins over the lowest precision that
+  // round-trips ("3e+01" at %.1g), with ties going to the lower one.
+  EXPECT_EQ(param_format_double(30.0), "30");
+  EXPECT_EQ(param_format_double(10.0), "10");
+  EXPECT_EQ(param_format_double(1000.0), "1000");
+  EXPECT_EQ(param_format_double(0.0001), "0.0001");
+  EXPECT_EQ(param_format_double(1e+20), "1e+20");
+  EXPECT_EQ(param_format_double(100000.0), "1e+05");
+  EXPECT_EQ(param_format_double(0.0), "0");
+  EXPECT_EQ(param_format_double(-250.0), "-250");
+  EXPECT_EQ(param_format_double(10000.0), "1e+04");  // a tie
+  // Against the definition: the shortest %.*g string, precisions 1-17,
+  // that round-trips, the lowest precision on a tie.
+  const auto shortest = [](double value) {
+    std::string best;
+    char buffer[40];
+    for (int precision = 1; precision <= 17; ++precision) {
+      std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
+      if (std::strtod(buffer, nullptr) == value &&
+          (best.empty() || std::strlen(buffer) < best.size()))
+        best = buffer;
+    }
+    return best;
+  };
+  Rng rng(17);
+  std::vector<double> values;
+  for (int e = -30; e <= 30; ++e) {
+    const double power = std::pow(10.0, e);
+    for (const double mantissa : {1.0, 1.5, 2.0, 2.5, 3.0, 9.9, 12.0, 99.0,
+                                  123.0, 999.0, 1001.0, 123456789.0})
+      values.push_back(mantissa * power);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(static_cast<double>(rng.below(1000000)));
+    values.push_back(rng.uniform(-1e6, 1e6));
+    values.push_back(std::ldexp(rng.uniform(), static_cast<int>(rng.below(120)) - 60));
+  }
+  for (const double value : values) {
+    ASSERT_EQ(param_format_double(value), shortest(value)) << value;
+    ASSERT_EQ(param_format_double(-value), shortest(-value)) << -value;
+  }
   const double third = 1.0 / 3.0;
   EXPECT_EQ(std::strtod(param_format_double(third).c_str(), nullptr),
             third);
