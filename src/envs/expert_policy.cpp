@@ -73,8 +73,9 @@ Tensor ExpertPolicy::action_targets() const {
   return targets;
 }
 
-int ExpertPolicy::act() const {
-  const Tensor targets = action_targets();
+int ExpertPolicy::act() const { return best_action(action_targets()); }
+
+int ExpertPolicy::best_action(const Tensor& targets) {
   int best = 2;  // straight, shortest stride
   double best_score = -1e9;
   for (int action = 0; action < DroneEnvConfig::action_count(); ++action) {

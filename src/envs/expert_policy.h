@@ -24,8 +24,14 @@ class ExpertPolicy {
   /// Layout matches DroneEnvConfig action ids (yaw fastest).
   Tensor action_targets() const;
 
-  /// Greedy expert action (argmax of action_targets()).
+  /// Greedy expert action: best_action(action_targets()).
   int act() const;
+
+  /// The expert's choice among `targets` (action_targets() at some
+  /// pose): a safe score earns a bonus for longer, straighter strides,
+  /// and the first best action wins. Lets a caller that already holds
+  /// the targets skip the second raycast sweep act() would run.
+  static int best_action(const Tensor& targets);
 
  private:
   const DroneEnv* env_;

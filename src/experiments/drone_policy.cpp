@@ -1,5 +1,7 @@
 #include "experiments/drone_policy.h"
 
+#include <utility>
+
 #include "rl/dqn.h"
 #include "util/stats.h"
 
@@ -32,7 +34,9 @@ DronePolicyBundle train_drone_policy(const DroneWorld& world,
   if (spec.ddqn_episodes > 0) {
     DqnConfig dqn;
     dqn.learning_rate = 2e-4;  // refine, don't wreck the bootstrap
-    DoubleDqnTrainer trainer(bundle.network, dqn);
+    // The trainer takes the imitation network, buffers and all; the
+    // bundle gets the refined copy back below.
+    DoubleDqnTrainer trainer(std::move(bundle.network), dqn);
     for (int episode = 0; episode < spec.ddqn_episodes; ++episode)
       (void)trainer.run_episode(env, 0.1, rng);
     bundle.network = trainer.online();
@@ -67,7 +71,7 @@ double mean_safe_flight(Network& network, const DroneWorld& world,
     Tensor observation = env.reset(rng);
     while (!env.done()) {
       const int action =
-          static_cast<int>(network.forward(observation).argmax());
+          static_cast<int>(network.infer(observation).argmax());
       (void)env.step(action);
       observation = env.observe();
     }

@@ -24,12 +24,16 @@ QFormat::QFormat(int integer_bits, int fraction_bits, Encoding encoding)
   inv_scale_ = std::ldexp(1.0, -fraction_bits);
   raw_max_d_ = static_cast<double>(raw_max());
   raw_min_d_ = static_cast<double>(raw_min());
+  const int bits = total_bits();
+  word_mask_ = bits == 32 ? 0xffffffffu : ((Word{1} << bits) - 1u);
+  sign_mask_ = Word{1} << (bits - 1);
 }
 
 QFormat QFormat::with_encoding(Encoding encoding) const noexcept {
   QFormat copy = *this;
   copy.encoding_ = encoding;
   // raw_min() depends on the encoding; keep the cached bound honest.
+  // The masks depend on the widths only and carry over as they are.
   copy.raw_min_d_ = static_cast<double>(copy.raw_min());
   return copy;
 }
@@ -54,61 +58,16 @@ double QFormat::min_value() const noexcept {
   return static_cast<double>(raw_min()) * resolution();
 }
 
-Word QFormat::word_mask() const noexcept {
-  const int bits = total_bits();
-  return bits == 32 ? 0xffffffffu : ((Word{1} << bits) - 1u);
-}
-
 Word QFormat::sign_integer_mask() const noexcept {
   Word mask = 0;
   for (int b = fraction_bits_; b < total_bits(); ++b) mask |= Word{1} << b;
   return mask;
 }
 
-Word QFormat::encode(double value) const noexcept {
-  const double scaled = value * scale_;
-  // Same rounding as quantize() (and as the std::nearbyint this code
-  // originally called: round-to-nearest-even in the default FP mode,
-  // without the libm call). A possible -0.0 result differs only in
-  // zero sign, which the integer cast erases.
-  constexpr double kShift = 4503599627370496.0;  // 2^52
-  const double offset = std::copysign(kShift, scaled);
-  double rounded = (scaled + offset) - offset;
-  if (std::isnan(rounded)) rounded = 0.0;
-  if (rounded > raw_max_d_) rounded = raw_max_d_;
-  if (rounded < raw_min_d_) rounded = raw_min_d_;
-  return from_raw(static_cast<std::int64_t>(rounded));
-}
-
-double QFormat::decode(Word word) const noexcept {
-  return static_cast<double>(to_raw(word)) * inv_scale_;
-}
-
-std::int32_t QFormat::to_raw(Word word) const noexcept {
-  const int bits = total_bits();
-  Word value = word & word_mask();
-  if (encoding_ == Encoding::kSignMagnitude) {
-    const Word magnitude_mask = word_mask() >> 1;
-    const auto magnitude = static_cast<std::int32_t>(value & magnitude_mask);
-    return (value >> (bits - 1)) ? -magnitude : magnitude;
-  }
-  // Sign-extend from `bits` to 32.
-  if (bits < 32 && (value & (Word{1} << (bits - 1))) != 0)
-    value |= ~word_mask();
-  return static_cast<std::int32_t>(value);
-}
-
 Word QFormat::from_raw(std::int64_t raw) const noexcept {
   if (raw > raw_max()) raw = raw_max();
   if (raw < raw_min()) raw = raw_min();
-  if (encoding_ == Encoding::kSignMagnitude) {
-    if (raw < 0) {
-      return (Word{1} << (total_bits() - 1)) |
-             static_cast<Word>(-raw);
-    }
-    return static_cast<Word>(raw);
-  }
-  return static_cast<Word>(raw) & word_mask();
+  return pack(static_cast<std::int32_t>(raw));
 }
 
 std::string QFormat::name() const {

@@ -65,7 +65,7 @@ class QFormat {
   double min_value() const noexcept;
 
   /// Mask selecting the meaningful low bits of a word.
-  Word word_mask() const noexcept;
+  Word word_mask() const noexcept { return word_mask_; }
   /// Mask selecting the sign and integer bits only -- the bits the
   /// paper's anomaly detector compares (fraction bits are ignored).
   Word sign_integer_mask() const noexcept;
@@ -73,9 +73,29 @@ class QFormat {
   int sign_bit() const noexcept { return total_bits() - 1; }
 
   /// Encodes with round-to-nearest and saturation at the format bounds.
-  Word encode(double value) const noexcept;
+  /// Inline and branch-light like quantize(), whose rounding and
+  /// clamps it shares: every weight commit of a training step and every
+  /// stuck-word re-encode runs it, so a call would cost several times
+  /// its arithmetic (tests/test_qformat.cpp checks it, and decode,
+  /// against reference bodies that derive every mask from the widths).
+  Word encode(double value) const noexcept {
+    const double scaled = value * scale_;
+    // Same rounding as quantize(). A possible -0.0 result differs only
+    // in zero sign, which the integer cast erases.
+    constexpr double kShift = 4503599627370496.0;  // 2^52
+    const double offset = std::copysign(kShift, scaled);
+    double rounded = (scaled + offset) - offset;
+    if (std::isnan(rounded)) rounded = 0.0;
+    if (rounded > raw_max_d_) rounded = raw_max_d_;
+    if (rounded < raw_min_d_) rounded = raw_min_d_;
+    // The clamps bound `rounded` to [raw_min(), raw_max()], so it needs
+    // no second saturation as an integer.
+    return pack(static_cast<std::int32_t>(rounded));
+  }
   /// Decodes a word (only the low total_bits() are read).
-  double decode(Word word) const noexcept;
+  double decode(Word word) const noexcept {
+    return static_cast<double>(to_raw(word)) * inv_scale_;
+  }
 
   /// Quantizes to the nearest representable value: bit-identical to
   /// float(decode(encode(value))) — same round-to-nearest-even,
@@ -110,7 +130,16 @@ class QFormat {
   double raw_min_bound() const noexcept { return raw_min_d_; }
 
   /// Signed integer v such that decode(word) == v * resolution().
-  std::int32_t to_raw(Word word) const noexcept;
+  std::int32_t to_raw(Word word) const noexcept {
+    const Word value = word & word_mask_;
+    if (encoding_ == Encoding::kSignMagnitude) {
+      const auto magnitude = static_cast<std::int32_t>(value & ~sign_mask_);
+      return (value & sign_mask_) != 0 ? -magnitude : magnitude;
+    }
+    // Sign-extend from total_bits() to 32 (~word_mask_ is 0 at 32 bits).
+    return static_cast<std::int32_t>(
+        (value & sign_mask_) != 0 ? value | ~word_mask_ : value);
+  }
   /// Encodes a raw signed integer, saturating to the representable range.
   Word from_raw(std::int64_t raw) const noexcept;
 
@@ -131,17 +160,27 @@ class QFormat {
  private:
   std::int32_t raw_max() const noexcept;
   std::int32_t raw_min() const noexcept;
+  /// The word of a raw value already in [raw_min(), raw_max()].
+  Word pack(std::int32_t raw) const noexcept {
+    if (encoding_ == Encoding::kSignMagnitude)
+      return raw < 0 ? sign_mask_ | static_cast<Word>(-raw)
+                     : static_cast<Word>(raw);
+    return static_cast<Word>(raw) & word_mask_;
+  }
 
   int integer_bits_;
   int fraction_bits_;
   Encoding encoding_;
-  // Cached scale factors and saturation bounds: encode/decode/quantize
-  // run on every element of every buffer write, so none of these may be
-  // recomputed per call.
+  // Cached scale factors, saturation bounds and masks: encode/decode/
+  // quantize run on every element of every buffer write, so none of
+  // these may be recomputed per call. The masks depend on the widths
+  // only, so with_encoding() copies them as they are.
   double scale_ = 1.0;       // 2^fraction_bits
   double inv_scale_ = 1.0;   // 2^-fraction_bits
   double raw_max_d_ = 0.0;   // double(raw_max())
   double raw_min_d_ = 0.0;   // double(raw_min())
+  Word word_mask_ = 0;       // the low total_bits() bits
+  Word sign_mask_ = 0;       // bit sign_bit()
 };
 
 /// Flips bit `bit` of `word` (bit must be < 32).

@@ -49,10 +49,15 @@ Shape Conv2D::output_shape(const Shape& in) const {
                (in.width - kernel_) / stride_ + 1};
 }
 
-Tensor Conv2D::forward(const Tensor& input) {
-  const Shape out_shape = output_shape(input.shape());
+const Tensor& Conv2D::forward(const Tensor& input) {
+  (void)output_shape(input.shape());
   cached_input_ = input;
-  Tensor out(out_shape);
+  return infer(input);
+}
+
+const Tensor& Conv2D::infer(const Tensor& input) {
+  const Shape out_shape = output_shape(input.shape());
+  Tensor& out = output_.shaped(out_shape);
   const kernels::KernelOps& ops = kernels::active();
   const std::size_t weight_count = params_.size() - out_channels_;
   if (ops.conv_wants_transposed) {
@@ -71,10 +76,11 @@ Tensor Conv2D::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2D::backward(const Tensor& grad_output) {
+const Tensor& Conv2D::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("Conv2D::backward before forward");
-  Tensor grad_input(cached_input_.shape());
+  // The kernel overwrites every element of the input gradient.
+  Tensor& grad_input = grad_input_.shaped(cached_input_.shape());
   run_backward(grad_output, grad_input.data());
   return grad_input;
 }
@@ -127,19 +133,25 @@ Shape ReLU::output_shape(const Shape& in) const {
   return in;
 }
 
-Tensor ReLU::forward(const Tensor& input) {
+const Tensor& ReLU::forward(const Tensor& input) {
+  (void)output_shape(input.shape());
   cached_input_ = input;
-  Tensor out = input;
+  return infer(input);
+}
+
+const Tensor& ReLU::infer(const Tensor& input) {
+  Tensor& out = output_.shaped(output_shape(input.shape()));
+  std::copy(input.values().begin(), input.values().end(), out.data());
   kernels::active().relu(out.data(), out.size());
   return out;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
+const Tensor& ReLU::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error("ReLU::backward before forward");
   if (grad_output.shape() != cached_input_.shape())
     throw std::invalid_argument("ReLU::backward: gradient shape mismatch");
-  Tensor grad_input(cached_input_.shape());
+  Tensor& grad_input = grad_input_.shaped(cached_input_.shape());
   for (std::size_t i = 0; i < grad_output.size(); ++i)
     grad_input[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
   return grad_input;
@@ -161,22 +173,30 @@ Shape MaxPool2D::output_shape(const Shape& in) const {
   return Shape{in.channels, in.height / window_, in.width / window_};
 }
 
-Tensor MaxPool2D::forward(const Tensor& input) {
+const Tensor& MaxPool2D::forward(const Tensor& input) {
+  argmax_.resize(output_shape(input.shape()).element_count());
+  cached_input_shape_ = input.shape();
+  return pool(input, argmax_.data());
+}
+
+const Tensor& MaxPool2D::infer(const Tensor& input) {
+  return pool(input, nullptr);
+}
+
+const Tensor& MaxPool2D::pool(const Tensor& input, std::size_t* argmax) {
   const Shape in = input.shape();
-  Tensor out(output_shape(in));
-  cached_input_shape_ = in;
-  argmax_.resize(out.size());
+  Tensor& out = output_.shaped(output_shape(in));
   kernels::active().maxpool2d(input.data(), out.data(), in.channels,
-                              in.height, in.width, window_, argmax_.data());
+                              in.height, in.width, window_, argmax);
   return out;
 }
 
-Tensor MaxPool2D::backward(const Tensor& grad_output) {
+const Tensor& MaxPool2D::backward(const Tensor& grad_output) {
   if (!cached_input_shape_.valid())
     throw std::logic_error("MaxPool2D::backward before forward");
   if (grad_output.shape() != output_shape(cached_input_shape_))
     throw std::invalid_argument("MaxPool2D::backward: gradient shape mismatch");
-  Tensor grad_input(cached_input_shape_);
+  Tensor& grad_input = grad_input_.zeroed(cached_input_shape_);
   for (std::size_t i = 0; i < grad_output.size(); ++i)
     grad_input[argmax_[i]] += grad_output[i];
   return grad_input;
@@ -193,19 +213,27 @@ Shape Flatten::output_shape(const Shape& in) const {
   return Shape{static_cast<int>(in.element_count()), 1, 1};
 }
 
-Tensor Flatten::forward(const Tensor& input) {
+const Tensor& Flatten::forward(const Tensor& input) {
+  (void)output_shape(input.shape());
   cached_input_shape_ = input.shape();
-  return Tensor(output_shape(input.shape()),
-                std::vector<float>(input.values().begin(),
-                                   input.values().end()));
+  return infer(input);
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
+const Tensor& Flatten::infer(const Tensor& input) {
+  Tensor& out = output_.shaped(output_shape(input.shape()));
+  std::copy(input.values().begin(), input.values().end(), out.data());
+  return out;
+}
+
+const Tensor& Flatten::backward(const Tensor& grad_output) {
   if (!cached_input_shape_.valid())
     throw std::logic_error("Flatten::backward before forward");
-  return Tensor(cached_input_shape_,
-                std::vector<float>(grad_output.values().begin(),
-                                   grad_output.values().end()));
+  if (grad_output.size() != cached_input_shape_.element_count())
+    throw std::invalid_argument("Flatten::backward: gradient size mismatch");
+  Tensor& grad_input = grad_input_.shaped(cached_input_shape_);
+  std::copy(grad_output.values().begin(), grad_output.values().end(),
+            grad_input.data());
+  return grad_input;
 }
 
 std::unique_ptr<Layer> Flatten::clone() const {
@@ -233,10 +261,14 @@ Shape Dense::output_shape(const Shape& in) const {
   return Shape{out_features_, 1, 1};
 }
 
-Tensor Dense::forward(const Tensor& input) {
+const Tensor& Dense::forward(const Tensor& input) {
   (void)output_shape(input.shape());
   cached_input_ = input;
-  Tensor out(Shape{out_features_, 1, 1});
+  return infer(input);
+}
+
+const Tensor& Dense::infer(const Tensor& input) {
+  Tensor& out = output_.shaped(output_shape(input.shape()));
   const std::size_t weight_count = params_.size() - out_features_;
   // Scalar on every backend: the SIMD kernels read transposed weights,
   // and rebuilding them per call (weights change between forwards)
@@ -247,12 +279,12 @@ Tensor Dense::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Dense::forward_one_hot(std::size_t hot) {
+const Tensor& Dense::forward_one_hot(std::size_t hot) {
   if (hot >= static_cast<std::size_t>(in_features_))
     throw std::invalid_argument(
         "Dense::forward_one_hot: hot index out of range");
   cached_input_ = Tensor();
-  Tensor out(Shape{out_features_, 1, 1});
+  Tensor& out = output_.shaped(Shape{out_features_, 1, 1});
   const float* bias = params_.data() + (params_.size() - out_features_);
   // dense_scalar's chain acc = bias; acc += row[i] * x[i] adds +-0 for
   // every cold input, which leaves a finite, non-(-0.0) sum unchanged.
@@ -262,14 +294,14 @@ Tensor Dense::forward_one_hot(std::size_t hot) {
   return out;
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+const Tensor& Dense::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
     throw std::logic_error(
         "Dense::backward without a cached input (before forward, or "
         "after forward_one_hot)");
   if (grad_output.shape() != Shape{out_features_, 1, 1})
     throw std::invalid_argument("Dense::backward: gradient shape mismatch");
-  Tensor grad_input(cached_input_.shape());
+  Tensor& grad_input = grad_input_.zeroed(cached_input_.shape());
   const std::size_t bias_base = params_.size() - out_features_;
   for (int o = 0; o < out_features_; ++o) {
     const float g = grad_output[static_cast<std::size_t>(o)];

@@ -28,9 +28,50 @@ enum class LayerKind : std::uint8_t {
 
 std::string to_string(LayerKind kind);
 
-/// Abstract layer. Forward caches whatever backward needs; backward
-/// consumes the loss gradient w.r.t. the output and returns the gradient
-/// w.r.t. the input while accumulating parameter gradients.
+/// A layer's reusable result tensor. A layer writes its output into
+/// one and its input gradient into another, keeping the storage from
+/// call to call, so a steady-state call allocates nothing. A copy
+/// starts empty: a cloned or copied layer (engines snapshot the golden
+/// network per shard) carries no stale result and no memory it has not
+/// used.
+class LayerBuffer {
+ public:
+  LayerBuffer() = default;
+  LayerBuffer(const LayerBuffer&) noexcept {}
+  LayerBuffer& operator=(const LayerBuffer&) noexcept {
+    tensor_ = Tensor();
+    return *this;
+  }
+
+  /// The buffer reshaped to `shape`; values unspecified until written.
+  Tensor& shaped(Shape shape) {
+    tensor_.resize(shape);
+    return tensor_;
+  }
+  /// The buffer reshaped to `shape` with every element +0.0, as
+  /// Tensor(shape) starts: for results the layer sums into.
+  Tensor& zeroed(Shape shape) {
+    tensor_.resize(shape);
+    tensor_.fill(0.0f);
+    return tensor_;
+  }
+
+ private:
+  Tensor tensor_;
+};
+
+/// Abstract layer. forward() caches whatever backward needs, then runs
+/// the layer's one forward loop, which infer() runs without caching;
+/// backward consumes the loss gradient w.r.t. the output and returns
+/// the gradient w.r.t. the input while accumulating parameter
+/// gradients.
+///
+/// Results are references into buffers the layer owns and reuses.
+/// forward() and infer() return the output buffer: it holds their
+/// values until the layer's next forward() or infer(). backward()
+/// returns the input-gradient buffer: it holds its values until the
+/// layer's next backward(). Copy a result that must outlive that, or
+/// that is passed back into the layer that returned it.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -40,8 +81,13 @@ class Layer {
   /// std::invalid_argument when the input shape is unsupported.
   virtual Shape output_shape(const Shape& in) const = 0;
 
-  virtual Tensor forward(const Tensor& input) = 0;
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// Caches what backward() reads, then computes the output.
+  virtual const Tensor& forward(const Tensor& input) = 0;
+  /// forward()'s output, bit for bit, through the same loop, writing
+  /// nothing backward() reads: a backward() after it still grades the
+  /// last forward()'s input.
+  virtual const Tensor& infer(const Tensor& input) = 0;
+  virtual const Tensor& backward(const Tensor& grad_output) = 0;
   /// backward() for a caller that discards the input gradient: the
   /// parameter gradients accumulate exactly as backward() accumulates
   /// them, and a layer may skip computing the input gradient.
@@ -67,6 +113,8 @@ class Layer {
 
  protected:
   std::string label_;
+  LayerBuffer output_;      // forward()/infer() result
+  LayerBuffer grad_input_;  // backward() result
 };
 
 /// 2-D convolution (no padding, square kernel, square stride).
@@ -77,8 +125,9 @@ class Conv2D final : public Layer {
 
   LayerKind kind() const noexcept override { return LayerKind::kConv2D; }
   Shape output_shape(const Shape& in) const override;
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& infer(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   /// Accumulates the weight and bias gradients only.
   void backward_parameters(const Tensor& grad_output) override;
   std::span<float> parameters() override { return params_; }
@@ -113,8 +162,9 @@ class ReLU final : public Layer {
  public:
   LayerKind kind() const noexcept override { return LayerKind::kReLU; }
   Shape output_shape(const Shape& in) const override;
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& infer(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
  private:
@@ -128,13 +178,19 @@ class MaxPool2D final : public Layer {
 
   LayerKind kind() const noexcept override { return LayerKind::kMaxPool2D; }
   Shape output_shape(const Shape& in) const override;
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  /// The max-pool kernel with a null argmax: no winner is recorded.
+  const Tensor& infer(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
   int window() const noexcept { return window_; }
 
  private:
+  /// The forward loop, recording each output's winner into `argmax`
+  /// when it is not null.
+  const Tensor& pool(const Tensor& input, std::size_t* argmax);
+
   int window_;
   Shape cached_input_shape_{};
   std::vector<std::size_t> argmax_;  // flat input index per output cell
@@ -145,8 +201,9 @@ class Flatten final : public Layer {
  public:
   LayerKind kind() const noexcept override { return LayerKind::kFlatten; }
   Shape output_shape(const Shape& in) const override;
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& infer(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
  private:
@@ -160,16 +217,18 @@ class Dense final : public Layer {
 
   LayerKind kind() const noexcept override { return LayerKind::kDense; }
   Shape output_shape(const Shape& in) const override;
-  Tensor forward(const Tensor& input) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& infer(const Tensor& input) override;
   /// forward() for the one-hot input e_hot (element `hot` is 1, every
   /// other 0): out[o] = bias[o] + W[o][hot], one weight column instead
   /// of the full mat-vec. Equals forward(e_hot) bit for bit when every
   /// parameter is finite and none is -0.0, which holds for values
   /// decoded from a QFormat; the caller guarantees that. No input is
   /// cached: backward() after it throws std::logic_error, and
-  /// backward_one_hot() needs only the index.
-  Tensor forward_one_hot(std::size_t hot);
-  Tensor backward(const Tensor& grad_output) override;
+  /// backward_one_hot() needs only the index. Writes the output buffer
+  /// forward() and infer() write.
+  const Tensor& forward_one_hot(std::size_t hot);
+  const Tensor& backward(const Tensor& grad_output) override;
   /// backward() for the one-hot input e_hot, without the input
   /// gradient: each nonzero g = grad_output[o] is added to the
   /// gradients of W[o][hot] and bias[o]. Equals backward() after

@@ -28,18 +28,24 @@ Shape Network::output_shape(const Shape& input_shape) const {
   return shape;
 }
 
-Tensor Network::forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x);
-  return x;
+const Tensor& Network::forward(const Tensor& input) {
+  const Tensor* x = &input;
+  for (auto& layer : layers_) x = &layer->forward(*x);
+  return *x;
 }
 
-Tensor Network::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
+const Tensor& Network::infer(const Tensor& input) {
+  const Tensor* x = &input;
+  for (auto& layer : layers_) x = &layer->infer(*x);
+  return *x;
+}
+
+const Tensor& Network::backward(const Tensor& grad_output) {
+  const Tensor* g = &grad_output;
   for (std::size_t i = layers_.size(); i > 1; --i)
-    g = layers_[i - 1]->backward(g);
-  if (!layers_.empty()) layers_.front()->backward_parameters(g);
-  return g;
+    g = &layers_[i - 1]->backward(*g);
+  if (!layers_.empty()) layers_.front()->backward_parameters(*g);
+  return *g;
 }
 
 void Network::apply_gradients(float lr) {

@@ -36,15 +36,26 @@ class Network {
   /// Validates shapes through the whole stack; throws on mismatch.
   Shape output_shape(const Shape& input_shape) const;
 
-  /// Forward pass through every layer (caches for backward).
-  Tensor forward(const Tensor& input);
+  /// Forward pass through every layer (caches for backward). Each
+  /// layer reads the previous layer's output buffer in place; the
+  /// result is the last layer's, valid until its next forward() or
+  /// infer() (`input` itself when the network is empty).
+  const Tensor& forward(const Tensor& input);
+
+  /// forward()'s output, bit for bit, caching nothing: every layer runs
+  /// infer(), so a backward() after it grades the last forward()'s
+  /// input. For evaluations that are never graded (action choice,
+  /// bootstrap targets).
+  const Tensor& infer(const Tensor& input);
 
   /// Backward pass from the loss gradient w.r.t. the network output;
   /// accumulates parameter gradients in each layer. The first layer
   /// runs backward_parameters(), so a Conv2D there computes no input
   /// gradient (no caller reads one). Returns the gradient w.r.t. the
-  /// first layer's output (`grad_output` itself when empty).
-  Tensor backward(const Tensor& grad_output);
+  /// first layer's output, the second layer's input-gradient buffer,
+  /// valid until its next backward() (`grad_output` itself with fewer
+  /// than two layers).
+  const Tensor& backward(const Tensor& grad_output);
 
   /// SGD step on every layer, clearing gradients.
   void apply_gradients(float lr);

@@ -40,6 +40,12 @@ float Tensor::at(int c, int h, int w) const {
   return const_cast<Tensor*>(this)->at(c, h, w);
 }
 
+void Tensor::resize(Shape shape) {
+  if (!shape.valid()) throw std::invalid_argument("Tensor: invalid shape");
+  shape_ = shape;
+  data_.resize(shape.element_count());
+}
+
 void Tensor::fill(float value) noexcept {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -65,6 +65,12 @@ class Tensor {
     return data_[index(c, h, w)];
   }
 
+  /// Gives the tensor `shape`, keeping its storage when that is large
+  /// enough, so a buffer reused call after call allocates only when it
+  /// first grows. Element values are unspecified until written; throws
+  /// std::invalid_argument for an invalid shape.
+  void resize(Shape shape);
+
   void fill(float value) noexcept;
   /// Index of the maximum element (0 for an empty tensor).
   std::size_t argmax() const noexcept;

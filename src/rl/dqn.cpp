@@ -1,12 +1,13 @@
 #include "rl/dqn.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace ftnav {
 
-DoubleDqnTrainer::DoubleDqnTrainer(const Network& network, DqnConfig config)
-    : online_(network),
-      target_(network),
+DoubleDqnTrainer::DoubleDqnTrainer(Network network, DqnConfig config)
+    : online_(std::move(network)),
+      target_(online_),
       config_(config),
       replay_(config.replay_capacity) {
   if (config.batch_size <= 0)
@@ -19,7 +20,7 @@ int DoubleDqnTrainer::act(const Tensor& observation, double epsilon,
                           Rng& rng) {
   if (rng.bernoulli(epsilon))
     return static_cast<int>(rng.below(DroneEnvConfig::action_count()));
-  return static_cast<int>(online_.forward(observation).argmax());
+  return static_cast<int>(online_.infer(observation).argmax());
 }
 
 void DoubleDqnTrainer::observe(Experience experience, Rng& rng) {
@@ -35,13 +36,14 @@ void DoubleDqnTrainer::train_batch(Rng& rng) {
     const Experience& e = replay_.sample(rng);
     double target = e.reward;
     if (!e.done) {
-      // Double DQN: online net selects, target net evaluates.
-      const std::size_t best =
-          online_.forward(e.next_state).argmax();
-      const Tensor target_q = target_.forward(e.next_state);
-      target += config_.gamma * static_cast<double>(target_q[best]);
+      // Double DQN: online net selects, target net evaluates. Neither
+      // is graded, so both run cache-free; the forward of e.state below
+      // fills the caches backward reads.
+      const std::size_t best = online_.infer(e.next_state).argmax();
+      target += config_.gamma *
+                static_cast<double>(target_.infer(e.next_state)[best]);
     }
-    const Tensor q = online_.forward(e.state);
+    const Tensor& q = online_.forward(e.state);
     Tensor grad(q.shape());
     grad[static_cast<std::size_t>(e.action)] =
         scale * (q[static_cast<std::size_t>(e.action)] -
@@ -88,7 +90,7 @@ double pretrain_imitation(Network& network, DroneEnv& env, int episodes,
     while (!env.done()) {
       const Tensor observation = env.observe();
       const Tensor targets = expert.action_targets();
-      const Tensor q = network.forward(observation);
+      const Tensor& q = network.forward(observation);
       Tensor grad(q.shape());
       double loss = 0.0;
       for (std::size_t i = 0; i < q.size(); ++i) {
@@ -101,11 +103,12 @@ double pretrain_imitation(Network& network, DroneEnv& env, int episodes,
       loss_sum += loss / static_cast<double>(q.size());
       ++steps;
       // Mostly expert trajectory with occasional random deviation so the
-      // learner also sees recovery states.
+      // learner also sees recovery states. The env has not moved since
+      // `targets`, so they are what expert.act() would compute again.
       const int action = rng.bernoulli(exploration)
                              ? static_cast<int>(rng.below(
                                    DroneEnvConfig::action_count()))
-                             : expert.act();
+                             : ExpertPolicy::best_action(targets);
       (void)env.step(action);
     }
     last_episode_loss = steps > 0 ? loss_sum / steps : 0.0;

@@ -30,8 +30,10 @@ struct DqnConfig {
 
 class DoubleDqnTrainer {
  public:
-  /// Takes ownership of a copy of `network` for both online and target.
-  DoubleDqnTrainer(const Network& network, DqnConfig config);
+  /// `network` becomes the online network and a copy of it the target.
+  /// Moving a network in hands its layers' buffers to the online
+  /// network instead of allocating a second set.
+  DoubleDqnTrainer(Network network, DqnConfig config);
 
   const Network& online() const noexcept { return online_; }
   Network& online() noexcept { return online_; }

@@ -36,7 +36,7 @@ int OnlineFineTuner::act(const Tensor& observation, double epsilon,
                          Rng& rng) {
   if (rng.bernoulli(epsilon))
     return static_cast<int>(rng.below(DroneEnvConfig::action_count()));
-  return static_cast<int>(net_.forward(observation).argmax());
+  return static_cast<int>(net_.infer(observation).argmax());
 }
 
 void OnlineFineTuner::td_update(const Tensor& observation, int action,
@@ -44,10 +44,11 @@ void OnlineFineTuner::td_update(const Tensor& observation, int action,
                                 const Tensor& next_observation, bool done) {
   double target = reward * config_.reward_scale;
   if (!done) {
-    const Tensor next_q = net_.forward(next_observation);
-    target += config_.gamma * static_cast<double>(next_q.max_value());
+    // Not graded: cache-free, so the forward below fills the caches.
+    target += config_.gamma *
+              static_cast<double>(net_.infer(next_observation).max_value());
   }
-  const Tensor q = net_.forward(observation);
+  const Tensor& q = net_.forward(observation);
   Tensor grad(q.shape());
   grad[static_cast<std::size_t>(action)] =
       q[static_cast<std::size_t>(action)] - static_cast<float>(target);

@@ -29,6 +29,8 @@ MlpQAgent::MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng)
   }
   master_ = net_.snapshot_parameters();
   weights_ = QVector(config.format, master_.size());
+  grad_ = Tensor(static_cast<std::size_t>(GridWorld::action_count()));
+  // Sizes every queue to its slice, so update_masters never grows one.
   queue_all();
   commit();
 }
@@ -65,32 +67,32 @@ void MlpQAgent::queue_all() {
 
 int MlpQAgent::td_step(int state, double epsilon, Rng& rng,
                        GridWorld::StepResult& result, double& out_reward) {
-  // Order matters for layer caches: compute the bootstrap target from
-  // the next state FIRST, then run the forward pass for `state` so the
-  // caches backward consumes belong to the graded input.
-  const Tensor q_probe = q_values(state);
+  // The probe forward of `state` fills the caches backward grades; the
+  // bootstrap target runs cache-free, so they still hold the probe.
+  const Tensor& q = evaluate(state, /*train=*/true);
   const int action =
       rng.bernoulli(epsilon)
           ? static_cast<int>(rng.below(GridWorld::action_count()))
-          : static_cast<int>(q_probe.argmax());
+          : static_cast<int>(q.argmax());
+  // `q` is FC2's output buffer, which the bootstrap overwrites.
+  const float q_action = q[static_cast<std::size_t>(action)];
   result = env_->step(state, action);
   out_reward = result.reward;
 
   double target = result.reward * config_.reward_scale;
-  if (!result.done) {
-    const Tensor next_q = q_values(result.next_state);
-    target += config_.gamma * static_cast<double>(next_q.max_value());
-  }
-  const Tensor q = q_values(state);
-  Tensor grad(static_cast<std::size_t>(GridWorld::action_count()));
-  grad[static_cast<std::size_t>(action)] = static_cast<float>(
-      static_cast<double>(q[static_cast<std::size_t>(action)]) - target);
+  if (!result.done)
+    target += config_.gamma *
+              static_cast<double>(q_values(result.next_state).max_value());
+  grad_[static_cast<std::size_t>(action)] =
+      static_cast<float>(static_cast<double>(q_action) - target);
   // FC2 and ReLU run their generic backward; FC1's input is one-hot,
   // so it grades one weight column and its biases, and nothing reads
   // its input gradient.
+  const Tensor* grad = &grad_;
   for (std::size_t i = net_.layer_count() - 1; i > 0; --i)
-    grad = net_.layer(i).backward(grad);
-  fc1_->backward_one_hot(grad, static_cast<std::size_t>(state));
+    grad = &net_.layer(i).backward(*grad);
+  fc1_->backward_one_hot(*grad, static_cast<std::size_t>(state));
+  grad_[static_cast<std::size_t>(action)] = 0.0f;
   // Straight-through update: gradients w.r.t. quantized weights are
   // applied to the float master, then re-quantized into the buffer.
   update_masters(state, action);
@@ -130,11 +132,15 @@ void MlpQAgent::update_masters(int state, int action) {
   update(fc2, actions * hidden + row);
 }
 
-Tensor MlpQAgent::q_values(int state) {
-  Tensor x = fc1_->forward_one_hot(static_cast<std::size_t>(state));
+const Tensor& MlpQAgent::evaluate(int state, bool train) {
+  const Tensor* x = &fc1_->forward_one_hot(static_cast<std::size_t>(state));
   for (std::size_t i = 1; i < net_.layer_count(); ++i)
-    x = net_.layer(i).forward(x);
-  return x;
+    x = train ? &net_.layer(i).forward(*x) : &net_.layer(i).infer(*x);
+  return *x;
+}
+
+const Tensor& MlpQAgent::q_values(int state) {
+  return evaluate(state, /*train=*/false);
 }
 
 int MlpQAgent::greedy_action(int state) {
@@ -159,6 +165,7 @@ double MlpQAgent::run_training_episode(double epsilon, Rng& rng) {
     GridWorld::StepResult result;
     double reward = 0.0;
     (void)td_step(state, epsilon, rng, result, reward);
+    ++training_steps_;
     cumulative += reward;
     if (result.done) break;
     state = result.next_state;

@@ -14,6 +14,7 @@
 //     the learner can only route around them, never overwrite them.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -65,13 +66,17 @@ class MlpQAgent {
   /// quantized weight buffer. FC1 runs as Dense::forward_one_hot: the
   /// network only ever holds decoded words (finite, never -0.0), so
   /// this equals network().forward(encode_state(state)) bit for bit.
-  /// It builds no one-hot tensor, and FC1 caches no input.
-  Tensor q_values(int state);
+  /// It builds no one-hot tensor and caches nothing (the later layers
+  /// run infer()). The result is FC2's output buffer, valid until the
+  /// agent's next evaluation or training step.
+  const Tensor& q_values(int state);
   int greedy_action(int state);
 
   /// One epsilon-greedy TD(0) training episode; returns cumulative
   /// (unscaled) env reward.
   double run_training_episode(double epsilon, Rng& rng);
+  /// TD steps run_training_episode() has taken over the agent's life.
+  std::uint64_t training_steps() const noexcept { return training_steps_; }
 
   bool evaluate_success();
   double evaluate_return();
@@ -92,6 +97,8 @@ class MlpQAgent {
   const Network& network() const noexcept { return net_; }
 
   std::size_t weight_count() const noexcept { return weights_.size(); }
+  /// The float master weights, in weight-buffer order.
+  std::span<const float> master() const noexcept { return master_; }
 
  private:
   /// One parametered layer's slice of the flat master/buffer order.
@@ -119,6 +126,11 @@ class MlpQAgent {
   /// gradient is +0.0, so the entries it skips need no visit.
   void update_masters(int state, int action);
 
+  /// The network on one-hot `state`, FC1 as Dense::forward_one_hot:
+  /// the later layers run forward() (caching what backward() grades)
+  /// when `train` is set, else infer().
+  const Tensor& evaluate(int state, bool train);
+
   /// One TD(0) step from `state`: act, learn, commit. FC1 runs
   /// Dense::forward_one_hot and Dense::backward_one_hot. Returns the
   /// action; fills the env result and reward.
@@ -133,6 +145,8 @@ class MlpQAgent {
   std::vector<float> master_;  // float master weights (SGD accumulator)
   QVector weights_;            // quantized accelerator buffer
   StuckAtMask stuck_;
+  Tensor grad_;  // a TD step's output gradient, +0.0 but for `action`
+  std::uint64_t training_steps_ = 0;
 };
 
 }  // namespace ftnav

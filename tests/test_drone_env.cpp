@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "envs/drone_env.h"
 #include "envs/expert_policy.h"
 
@@ -212,6 +215,37 @@ TEST(Expert, PenalizesOverlongStridesTowardWalls) {
   // Straight-ahead clearance is ~2 m: the 1.5 m stride (action 22) must
   // score worse than the 0.3 m stride (action 2).
   EXPECT_LT(targets[22], targets[2]);
+}
+
+TEST(Expert, ActIsBestActionOfTheTargets) {
+  // Imitation grades against action_targets() and then steers with
+  // best_action() of those same targets instead of act(), which would
+  // run the raycast sweep again at the unchanged pose. The two must
+  // agree at every pose a random flight reaches, in both worlds.
+  for (const DroneWorld& world :
+       {DroneWorld::indoor_long(), DroneWorld::indoor_vanleer()}) {
+    DroneEnvConfig config = fast_config();
+    config.start_jitter = 0.5;
+    DroneEnv env(world, config);
+    const ExpertPolicy expert(env);
+    Rng rng(14);
+    std::vector<bool> chosen(DroneEnvConfig::action_count(), false);
+    for (int episode = 0; episode < 8; ++episode) {
+      (void)env.reset(rng);
+      while (!env.done()) {
+        const int action = expert.act();
+        ASSERT_EQ(action, ExpertPolicy::best_action(expert.action_targets()))
+            << world.name() << " episode " << episode << " step "
+            << env.steps();
+        chosen[static_cast<std::size_t>(action)] = true;
+        (void)env.step(static_cast<int>(
+            rng.below(DroneEnvConfig::action_count())));
+      }
+    }
+    // The poses vary enough for the expert to pick several actions.
+    EXPECT_GT(std::count(chosen.begin(), chosen.end(), true), 3)
+        << world.name();
+  }
 }
 
 TEST(Expert, SurvivesLongFlightInCorridor) {

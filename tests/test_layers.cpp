@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fixed/qformat.h"
+#include "nn/kernels/kernels.h"
 #include "nn/layers.h"
 
 namespace ftnav {
@@ -378,6 +379,60 @@ TEST(Dense, OneHotBackwardMatchesBackward) {
   (void)dense.forward(e_0);
   (void)dense.forward_one_hot(3);
   EXPECT_THROW(dense.backward(grad_out), std::logic_error);
+}
+
+// ------------------------------------------------------ infer vs forward
+
+/// infer() against forward() on clones of `layer`: infer(b) must return
+/// forward(b)'s output bit for bit, and forward(a); infer(b);
+/// backward(g) must return the input gradient, and leave the parameter
+/// gradients, of forward(a); backward(g) on a fresh clone. The probe
+/// runs three rounds, so its reused buffers carry the previous round's
+/// values into each later one.
+void expect_infer_matches_forward(const Layer& layer, const Tensor& a,
+                                  const Tensor& b, Rng& rng) {
+  const std::unique_ptr<Layer> probe = layer.clone();
+  for (int round = 0; round < 3; ++round) {
+    const std::unique_ptr<Layer> reference = layer.clone();
+    const Tensor out_b = reference->forward(b);
+    probe->zero_gradients();
+    (void)probe->forward(a);
+    ASSERT_EQ(bits_of(probe->infer(b).values()), bits_of(out_b.values()))
+        << to_string(layer.kind()) << " round " << round;
+    const Tensor grad_out = random_tensor(out_b.shape(), rng);
+    const Tensor grad_in = probe->backward(grad_out);
+    (void)reference->forward(a);
+    const Tensor expected = reference->backward(grad_out);
+    ASSERT_EQ(grad_in.shape(), expected.shape());
+    ASSERT_EQ(bits_of(grad_in.values()), bits_of(expected.values()))
+        << to_string(layer.kind()) << " round " << round;
+    ASSERT_EQ(bits_of(probe->gradients()), bits_of(reference->gradients()))
+        << to_string(layer.kind()) << " round " << round;
+  }
+}
+
+TEST(Layers, InferMatchesForwardAndLeavesItsCaches) {
+  Rng rng(22);
+  const auto kinds = [&rng] {
+    std::vector<std::pair<std::unique_ptr<Layer>, Shape>> layers;
+    layers.emplace_back(std::make_unique<Conv2D>(2, 9, 3, 1, rng),
+                        Shape{2, 7, 7});
+    layers.emplace_back(std::make_unique<ReLU>(), Shape{2, 3, 4});
+    layers.emplace_back(std::make_unique<MaxPool2D>(2), Shape{3, 18, 18});
+    layers.emplace_back(std::make_unique<MaxPool2D>(3), Shape{2, 7, 7});
+    layers.emplace_back(std::make_unique<Flatten>(), Shape{2, 3, 4});
+    layers.emplace_back(std::make_unique<Dense>(6, 4, rng), Shape{6, 1, 1});
+    return layers;
+  }();
+  for (const kernels::KernelOps* ops :
+       {&kernels::scalar_ops(), &kernels::active()}) {
+    kernels::ScopedKernelBackend pin(*ops);
+    for (const auto& [layer, shape] : kinds) {
+      const Tensor a = random_tensor(shape, rng);
+      const Tensor b = random_tensor(shape, rng);
+      expect_infer_matches_forward(*layer, a, b, rng);
+    }
+  }
 }
 
 TEST(Layers, CloneIsDeepForParams) {

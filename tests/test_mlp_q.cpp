@@ -3,11 +3,31 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "rl/mlp_q.h"
+
+// Counts every global operator new while armed, for
+// MlpQ.SteadyStateTrainingAllocatesNothing. The replacement covers the
+// whole test binary; disarmed it only forwards to malloc/free.
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocations.load(std::memory_order_relaxed))
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ftnav {
 namespace {
@@ -234,6 +254,189 @@ TEST(MlpQ, OneHotForwardMatchesGenericForward) {
     EXPECT_EQ(bits_of(fast.values()), bits_of(generic.values()))
         << "state " << s;
   }
+}
+
+/// MlpQAgent's TD training as it ran before the cache-free bootstrap
+/// and the reusable layer buffers: per step three full forwards through
+/// generic layers on a one-hot tensor (probe, bootstrap, and a re-forward
+/// of `state` that refills the caches backward reads), each result
+/// copied, a full backward, an SGD step over every master entry, and a
+/// commit that re-encodes and decodes every word. Starts from a copy of
+/// `agent`'s state and consumes the rng exactly as the agent does.
+class ThreeForwardReference {
+ public:
+  explicit ThreeForwardReference(const MlpQAgent& agent)
+      : env_(&agent.env()),
+        config_(agent.config()),
+        net_(agent.network()),
+        master_(agent.master().begin(), agent.master().end()),
+        weights_(agent.weights()) {}
+
+  std::span<const float> master() const noexcept { return master_; }
+  const QVector& weights() const noexcept { return weights_; }
+  const Network& network() const noexcept { return net_; }
+
+  void run_training_episode(double epsilon, Rng& rng) {
+    int state = env_->source_state();
+    if (config_.exploring_starts) {
+      for (int attempt = 0; attempt < 64; ++attempt) {
+        const int candidate =
+            static_cast<int>(rng.below(env_->state_count()));
+        const Cell cell = env_->cell(candidate);
+        if (cell == Cell::kFree || cell == Cell::kSource) {
+          state = candidate;
+          break;
+        }
+      }
+    }
+    for (int step = 0; step < config_.max_steps; ++step) {
+      const GridWorld::StepResult result = td_step(state, epsilon, rng);
+      if (result.done) break;
+      state = result.next_state;
+    }
+  }
+
+  void set_stuck(const StuckAtMask& mask) {
+    stuck_ = mask;
+    commit();
+  }
+  /// As MlpQAgent::clear_stuck: the words shed the bits at the next
+  /// commit.
+  void clear_stuck() { stuck_ = StuckAtMask(); }
+
+  void inject_transient(const FaultMap& map) {
+    map.apply_once(weights_.words());
+    stuck_.apply(weights_);
+    for (const FaultSite& site : map.sites())
+      if (site.word_index < weights_.size())
+        master_[site.word_index] =
+            static_cast<float>(weights_.get(site.word_index));
+    decode_into_network();
+  }
+
+ private:
+  Tensor q_values(int state) {
+    Tensor x(static_cast<std::size_t>(env_->state_count()));
+    x[static_cast<std::size_t>(state)] = 1.0f;
+    for (std::size_t i = 0; i < net_.layer_count(); ++i)
+      x = net_.layer(i).forward(x);
+    return x;
+  }
+
+  GridWorld::StepResult td_step(int state, double epsilon, Rng& rng) {
+    const Tensor q_probe = q_values(state);
+    const int action =
+        rng.bernoulli(epsilon)
+            ? static_cast<int>(rng.below(GridWorld::action_count()))
+            : static_cast<int>(q_probe.argmax());
+    const GridWorld::StepResult result = env_->step(state, action);
+    double target = result.reward * config_.reward_scale;
+    if (!result.done) {
+      const Tensor next_q = q_values(result.next_state);
+      target += config_.gamma * static_cast<double>(next_q.max_value());
+    }
+    const Tensor q = q_values(state);
+    Tensor grad(static_cast<std::size_t>(GridWorld::action_count()));
+    grad[static_cast<std::size_t>(action)] = static_cast<float>(
+        static_cast<double>(q[static_cast<std::size_t>(action)]) - target);
+    for (std::size_t i = net_.layer_count(); i > 0; --i)
+      grad = net_.layer(i - 1).backward(grad);
+    std::vector<float> grads(master_.size());
+    net_.copy_gradients_into(grads);
+    const auto lr = static_cast<float>(config_.learning_rate);
+    for (std::size_t i = 0; i < master_.size(); ++i)
+      master_[i] = master_[i] - lr * grads[i];
+    net_.zero_gradients();
+    commit();
+    return result;
+  }
+
+  void commit() {
+    weights_.encode_from(std::span<const float>(master_));
+    stuck_.apply(weights_);
+    decode_into_network();
+  }
+
+  void decode_into_network() {
+    std::vector<float> params(weights_.size());
+    weights_.decode_into(params);
+    net_.restore_parameters(params);
+  }
+
+  const GridWorld* env_;
+  MlpQConfig config_;
+  Network net_;
+  std::vector<float> master_;
+  QVector weights_;
+  StuckAtMask stuck_;
+};
+
+TEST(MlpQ, TdStepMatchesThreeForwardReference) {
+  // The TD step forwards `state` once, bootstraps through infer() and
+  // grades the probe's caches; the reference re-forwards `state`
+  // instead. Master, words and network must stay bit-equal after every
+  // episode, through a transient flip, a stuck-at mask and its removal.
+  const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
+  Rng rng(47);
+  MlpQAgent agent(world, MlpQConfig{}, rng);
+  ThreeForwardReference reference(agent);
+  Rng reference_rng = rng;
+  const QFormat fmt = agent.weights().format();
+  constexpr int kEpisodes = 320;
+  for (int episode = 0; episode < kEpisodes; ++episode) {
+    Rng fault_rng(53 + static_cast<std::uint64_t>(episode));
+    if (episode == 80) {
+      const FaultMap map =
+          FaultMap::sample(FaultType::kTransientFlip, 0.02,
+                           agent.weight_count(), fmt.total_bits(), fault_rng);
+      agent.inject_transient(map);
+      reference.inject_transient(map);
+    }
+    if (episode == 160) {
+      const StuckAtMask mask = StuckAtMask::compile(
+          FaultMap::sample(FaultType::kStuckAt1, 0.01, agent.weight_count(),
+                           fmt.total_bits(), fault_rng));
+      agent.set_stuck(mask);
+      reference.set_stuck(mask);
+    }
+    if (episode == 240) {
+      agent.clear_stuck();
+      reference.clear_stuck();
+    }
+    const double epsilon = std::max(0.05, 1.0 - episode / (kEpisodes * 0.6));
+    agent.run_training_episode(epsilon, rng);
+    reference.run_training_episode(epsilon, reference_rng);
+    ASSERT_EQ(bits_of(agent.master()), bits_of(reference.master()))
+        << "episode " << episode;
+    ASSERT_TRUE(std::ranges::equal(agent.weights().words(),
+                                   reference.weights().words()))
+        << "episode " << episode;
+    ASSERT_EQ(bits_of(agent.network().snapshot_parameters()),
+              bits_of(reference.network().snapshot_parameters()))
+        << "episode " << episode;
+  }
+  EXPECT_EQ(rng(), reference_rng());
+}
+
+TEST(MlpQ, SteadyStateTrainingAllocatesNothing) {
+  // Every layer reuses its output and gradient buffers and the agent
+  // its TD gradient, so once warm a training step allocates nothing.
+  const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
+  Rng rng(59);
+  MlpQAgent agent(world, MlpQConfig{}, rng);
+  for (int episode = 0; episode < 20; ++episode)
+    agent.run_training_episode(0.5, rng);
+  g_allocations = 0;
+  g_count_allocations = true;
+  for (int episode = 0; episode < 60; ++episode)
+    agent.run_training_episode(episode % 2 == 0 ? 0.5 : 0.05, rng);
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations.load(), 0u);
+  // The counter works: a fresh agent allocates.
+  g_count_allocations = true;
+  { MlpQAgent fresh(world, MlpQConfig{}, rng); }
+  g_count_allocations = false;
+  EXPECT_GT(g_allocations.load(), 0u);
 }
 
 TEST(MlpQ, GreedyActionIsArgmax) {

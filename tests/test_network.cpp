@@ -4,10 +4,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "envs/gridworld.h"
 #include "nn/c3f2.h"
 #include "nn/kernels/kernels.h"
 #include "nn/network.h"
+#include "rl/mlp_q.h"
 
 namespace ftnav {
 namespace {
@@ -209,6 +213,72 @@ TEST(Network, BackwardMatchesLayerChain) {
   const Network mlp = small_mlp(rng);
   expect_backward_matches_layer_chain(
       mlp, Tensor(Shape{4, 1, 1}, {0.5f, -0.25f, 1.0f, 0.0f}), rng);
+}
+
+/// Bit patterns of floats, so comparisons tell -0.0 from +0.0.
+std::vector<std::uint32_t> bits_of(std::span<const float> values) {
+  std::vector<std::uint32_t> bits;
+  for (const float v : values) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+/// Network::infer() against forward() on copies of `net`: infer(b) must
+/// equal forward(b) bit for bit, and forward(a); infer(b); backward(g)
+/// must return the gradient, and leave the parameter gradients, of
+/// forward(a); backward(g) on a fresh copy. The probe copy runs three
+/// rounds, so its reused buffers carry each round into the next.
+void expect_network_infer_matches_forward(const Network& net,
+                                          const Tensor& a, const Tensor& b,
+                                          Rng& rng) {
+  Network probe = net;
+  for (int round = 0; round < 3; ++round) {
+    Network reference = net;
+    const Tensor out_b = reference.forward(b);
+    probe.zero_gradients();
+    (void)probe.forward(a);
+    ASSERT_EQ(bits_of(probe.infer(b).values()), bits_of(out_b.values()))
+        << "round " << round;
+    Tensor grad(out_b.shape());
+    for (std::size_t i = 0; i < grad.size(); ++i)
+      grad[i] = static_cast<float>(rng.normal(0.0, 0.1));
+    const Tensor returned = probe.backward(grad);
+    (void)reference.forward(a);
+    const Tensor expected = reference.backward(grad);
+    ASSERT_EQ(returned.shape(), expected.shape());
+    ASSERT_EQ(bits_of(returned.values()), bits_of(expected.values()))
+        << "round " << round;
+    ASSERT_EQ(bits_of(probe.snapshot_gradients()),
+              bits_of(reference.snapshot_gradients()))
+        << "round " << round;
+  }
+}
+
+TEST(Network, InferMatchesForwardAndLeavesItsCaches) {
+  // C3F2 fast on the scalar and the active backend, and the Grid World
+  // MLP of a briefly trained agent on one-hot states.
+  const C3F2Config config = C3F2Config::preset(C3F2Preset::kFast);
+  Rng rng(13);
+  const Network c3f2 = make_c3f2(config, rng);
+  const auto image = [&] {
+    Tensor t(config.input_shape());
+    for (std::size_t i = 0; i < t.size(); ++i)
+      t[i] = static_cast<float>(rng.uniform());
+    return t;
+  };
+  const Tensor a = image();
+  const Tensor b = image();
+  {
+    kernels::ScopedKernelBackend pin(kernels::scalar_ops());
+    expect_network_infer_matches_forward(c3f2, a, b, rng);
+  }
+  expect_network_infer_matches_forward(c3f2, a, b, rng);
+
+  const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
+  MlpQAgent agent(world, MlpQConfig{}, rng);
+  for (int episode = 0; episode < 30; ++episode)
+    agent.run_training_episode(0.5, rng);
+  expect_network_infer_matches_forward(agent.network(), agent.encode_state(3),
+                                       agent.encode_state(42), rng);
 }
 
 TEST(C3F2, ForwardRunsOnFastPreset) {

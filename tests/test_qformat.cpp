@@ -1,7 +1,8 @@
 // Tests for fixed-point Q formats: encode/decode round-trips,
-// saturation, bit manipulation, the paper's specific formats, and the
+// saturation, bit manipulation, the paper's specific formats, the
 // bit-exactness of the branchless encode/quantize fast paths against a
-// straightforward std::nearbyint reference.
+// straightforward std::nearbyint reference, and of the inline
+// encode/decode against reference bodies that cache nothing.
 
 #include <gtest/gtest.h>
 
@@ -313,6 +314,199 @@ TEST(QFormatFastPath, QuantizeMatchesAcrossTheWholeFloatRange) {
       ASSERT_EQ(float_bits(fmt.quantize(v)),
                 float_bits(static_cast<float>(fmt.decode(fmt.encode(v)))))
           << fmt.name() << " bit pattern " << word;
+    }
+  }
+}
+
+// ---- inline encode/decode against the earlier out-of-line bodies -------
+//
+// QFormat::encode and decode are inline, with the word mask and sign
+// bit cached in the format and without from_raw's integer clamp after
+// the clamp on the double. The functions below are the out-of-line
+// bodies they replaced, kept verbatim but for reading the format
+// through its public accessors and deriving every mask and bound from
+// the field widths, so they share no cached state with the format.
+
+Word oracle_word_mask(const QFormat& fmt) {
+  const int bits = fmt.total_bits();
+  return bits == 32 ? 0xffffffffu : ((Word{1} << bits) - 1u);
+}
+
+std::int64_t oracle_raw_max(const QFormat& fmt) {
+  return (std::int64_t{1} << (fmt.total_bits() - 1)) - 1;
+}
+
+std::int64_t oracle_raw_min(const QFormat& fmt) {
+  if (fmt.encoding() == Encoding::kSignMagnitude) return -oracle_raw_max(fmt);
+  return -(std::int64_t{1} << (fmt.total_bits() - 1));
+}
+
+Word oracle_from_raw(const QFormat& fmt, std::int64_t raw) {
+  if (raw > oracle_raw_max(fmt)) raw = oracle_raw_max(fmt);
+  if (raw < oracle_raw_min(fmt)) raw = oracle_raw_min(fmt);
+  if (fmt.encoding() == Encoding::kSignMagnitude) {
+    if (raw < 0) {
+      return (Word{1} << (fmt.total_bits() - 1)) | static_cast<Word>(-raw);
+    }
+    return static_cast<Word>(raw);
+  }
+  return static_cast<Word>(raw) & oracle_word_mask(fmt);
+}
+
+Word oracle_encode(const QFormat& fmt, double value) {
+  const double scaled = value * std::ldexp(1.0, fmt.fraction_bits());
+  constexpr double kShift = 4503599627370496.0;  // 2^52
+  const double offset = std::copysign(kShift, scaled);
+  double rounded = (scaled + offset) - offset;
+  if (std::isnan(rounded)) rounded = 0.0;
+  const auto raw_max = static_cast<double>(oracle_raw_max(fmt));
+  const auto raw_min = static_cast<double>(oracle_raw_min(fmt));
+  if (rounded > raw_max) rounded = raw_max;
+  if (rounded < raw_min) rounded = raw_min;
+  return oracle_from_raw(fmt, static_cast<std::int64_t>(rounded));
+}
+
+std::int32_t oracle_to_raw(const QFormat& fmt, Word word) {
+  const int bits = fmt.total_bits();
+  const Word mask = oracle_word_mask(fmt);
+  Word value = word & mask;
+  if (fmt.encoding() == Encoding::kSignMagnitude) {
+    const Word magnitude_mask = mask >> 1;
+    const auto magnitude = static_cast<std::int32_t>(value & magnitude_mask);
+    return (value >> (bits - 1)) ? -magnitude : magnitude;
+  }
+  // Sign-extend from `bits` to 32.
+  if (bits < 32 && (value & (Word{1} << (bits - 1))) != 0) value |= ~mask;
+  return static_cast<std::int32_t>(value);
+}
+
+double oracle_decode(const QFormat& fmt, Word word) {
+  return static_cast<double>(oracle_to_raw(fmt, word)) *
+         std::ldexp(1.0, -fmt.fraction_bits());
+}
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
+/// Every format of at most `max_bits` bits, in both encodings, each
+/// built directly and as a with_encoding() copy of the other encoding,
+/// so a cache with_encoding() forgets to carry or recompute shows.
+std::vector<QFormat> formats_up_to(int max_bits) {
+  std::vector<QFormat> formats;
+  for (int bits = 2; bits <= max_bits; ++bits) {
+    for (int int_bits = 0; int_bits <= bits - 1; ++int_bits) {
+      const int frac_bits = bits - 1 - int_bits;
+      for (const Encoding encoding :
+           {Encoding::kTwosComplement, Encoding::kSignMagnitude}) {
+        const Encoding other = encoding == Encoding::kTwosComplement
+                                   ? Encoding::kSignMagnitude
+                                   : Encoding::kTwosComplement;
+        const QFormat direct(int_bits, frac_bits, encoding);
+        const QFormat copy = QFormat(int_bits, frac_bits, other)
+                                 .with_encoding(encoding);
+        formats.push_back(direct);
+        formats.push_back(copy);
+      }
+    }
+  }
+  return formats;
+}
+
+/// The inline encode against the oracle on `value`, and the inline
+/// decode against the oracle on the word. Plain compares keep the
+/// sweeps, tens of millions of values, fast; a mismatch is reported.
+bool codec_matches_oracle(const QFormat& fmt, double value) {
+  const Word word = fmt.encode(value);
+  if (word != oracle_encode(fmt, value)) {
+    ADD_FAILURE() << fmt.name() << " encode(" << value << ") = " << word
+                  << ", oracle " << oracle_encode(fmt, value);
+    return false;
+  }
+  if (double_bits(fmt.decode(word)) != double_bits(oracle_decode(fmt, word))) {
+    ADD_FAILURE() << fmt.name() << " decode(" << word
+                  << ") = " << fmt.decode(word) << ", oracle "
+                  << oracle_decode(fmt, word);
+    return false;
+  }
+  return true;
+}
+
+TEST(QFormatInline, DecodeMatchesOracleOnEveryWord) {
+  // Every word of every format up to 16 bits, plus the same words with
+  // garbage above total_bits(), which decode must ignore.
+  for (const QFormat& fmt : formats_up_to(16)) {
+    const Word mask = oracle_word_mask(fmt);
+    for (Word word = 0; word <= mask; ++word) {
+      const Word dirty = word | (0xa5a5a5a5u & ~mask);
+      for (const Word w : {word, dirty}) {
+        if (fmt.to_raw(w) != oracle_to_raw(fmt, w) ||
+            double_bits(fmt.decode(w)) != double_bits(oracle_decode(fmt, w)))
+          FAIL() << fmt.name() << " word " << w << ": decode "
+                 << fmt.decode(w) << ", oracle " << oracle_decode(fmt, w);
+      }
+    }
+  }
+}
+
+TEST(QFormatInline, EncodeMatchesOracleOnEveryWordAndEdge) {
+  // Each format's full grid, its half-way points and their one-ulp
+  // neighbours, values past both bounds and the IEEE specials.
+  for (const QFormat& fmt : formats_up_to(16))
+    for (double v : rounding_edge_values(fmt))
+      if (!codec_matches_oracle(fmt, v)) return;
+}
+
+TEST(QFormatInline, FromRawMatchesOracle) {
+  for (const QFormat& fmt : formats_up_to(16)) {
+    const std::int64_t span = oracle_raw_max(fmt) + 3;
+    for (std::int64_t raw = -span; raw <= span; ++raw)
+      if (fmt.from_raw(raw) != oracle_from_raw(fmt, raw))
+        FAIL() << fmt.name() << " raw " << raw;
+    for (const std::int64_t raw :
+         {std::numeric_limits<std::int64_t>::min(),
+          std::numeric_limits<std::int64_t>::max(), std::int64_t{1} << 40,
+          -(std::int64_t{1} << 40)})
+      ASSERT_EQ(fmt.from_raw(raw), oracle_from_raw(fmt, raw))
+          << fmt.name() << " raw " << raw;
+  }
+}
+
+TEST(QFormatInline, CodecMatchesOracleOnWideFormats) {
+  // The sets the fast-path sweeps above use, on the paper's formats and
+  // on widths past 16 bits up to 32: rounding edges (every edge for the
+  // 17- and 20-bit formats), random values and a scan of float bit
+  // patterns.
+  std::vector<QFormat> formats = fast_path_formats();
+  for (const QFormat& fmt : {QFormat(8, 8), QFormat(10, 9), QFormat(15, 16),
+                             QFormat(0, 31), QFormat(31, 0)}) {
+    formats.push_back(fmt);
+    formats.push_back(fmt.with_encoding(Encoding::kSignMagnitude));
+  }
+  for (const QFormat& fmt : formats) {
+    if (fmt.total_bits() <= 20)
+      for (double v : rounding_edge_values(fmt))
+        if (!codec_matches_oracle(fmt, v)) return;
+    for (const Word word :
+         {Word{0}, Word{1}, fmt.word_mask(), fmt.word_mask() >> 1,
+          Word{1} << fmt.sign_bit(), (Word{1} << fmt.sign_bit()) | 1u})
+      ASSERT_EQ(double_bits(fmt.decode(word)),
+                double_bits(oracle_decode(fmt, word)))
+          << fmt.name() << " word " << word;
+    Rng rng(13);
+    for (int i = 0; i < 20000; ++i)
+      if (!codec_matches_oracle(fmt, rng.normal(0.0, fmt.max_value()))) return;
+    for (std::uint64_t pattern = 0; pattern <= 0xffffffffu;
+         pattern += 65521) {  // prime stride: varied mantissas
+      float v;
+      const auto word = static_cast<std::uint32_t>(pattern);
+      std::memcpy(&v, &word, sizeof(v));
+      if (!codec_matches_oracle(fmt, v)) return;
+      ASSERT_EQ(double_bits(fmt.decode(word)),
+                double_bits(oracle_decode(fmt, word)))
+          << fmt.name() << " word " << word;
     }
   }
 }
