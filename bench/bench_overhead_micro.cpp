@@ -209,34 +209,46 @@ int main() {
 
   // A Grid World MLP TD step at steady state (one thread, the default
   // middle-density map, fast scale): one probe forward, one cache-free
-  // bootstrap, one backward and the commit of the ~145 words it grades.
-  // Then the weight codec those commits run, over the trained store.
-  // Each row keeps the fastest of five timed blocks: on a shared VM one
-  // block's time can move by 2x from run to run.
+  // bootstrap, the backward terms and the commit of the ~145 words it
+  // grades; then the same with a 1% stuck-at-1 mask set before warm-up,
+  // whose bits each commit applies to the words it writes. Then the
+  // weight codec those commits run, over the trained store. Each row
+  // keeps the fastest of five timed blocks: on a shared VM one block's
+  // time can move by 2x from run to run.
   {
     constexpr int kBlocks = 5;
     const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
     Rng rng(config.seed + 5);
-    MlpQAgent agent(world, MlpQConfig{}, rng);
-    constexpr int kWarmup = 100;
-    for (int episode = 0; episode < kWarmup; ++episode)
-      agent.run_training_episode(1.0 - 0.9 * episode / kWarmup, rng);
-    const std::size_t episodes = 200 * scale;
-    std::uint64_t best_steps = 0;
-    double best_seconds = 0.0;
-    for (int block = 0; block < kBlocks; ++block) {
-      const std::uint64_t steps_before = agent.training_steps();
-      const double start = perf::now();
-      for (std::size_t i = 0; i < episodes; ++i)
-        g_sink = g_sink + agent.run_training_episode(0.1, rng);
-      const double seconds = perf::now() - start;
-      const std::uint64_t steps = agent.training_steps() - steps_before;
-      if (block == 0 || seconds * best_steps < best_seconds * steps) {
-        best_steps = steps;
-        best_seconds = seconds;
+    const auto time_td_steps = [&](const char* label, MlpQAgent& agent) {
+      constexpr int kWarmup = 100;
+      for (int episode = 0; episode < kWarmup; ++episode)
+        agent.run_training_episode(1.0 - 0.9 * episode / kWarmup, rng);
+      const std::size_t episodes = 200 * scale;
+      std::uint64_t best_steps = 0;
+      double best_seconds = 0.0;
+      for (int block = 0; block < kBlocks; ++block) {
+        const std::uint64_t steps_before = agent.training_steps();
+        const double start = perf::now();
+        for (std::size_t i = 0; i < episodes; ++i)
+          g_sink = g_sink + agent.run_training_episode(0.1, rng);
+        const double seconds = perf::now() - start;
+        const std::uint64_t steps = agent.training_steps() - steps_before;
+        if (block == 0 || seconds * best_steps < best_seconds * steps) {
+          best_steps = steps;
+          best_seconds = seconds;
+        }
       }
+      micro.record(label, best_steps, best_seconds);
+    };
+    MlpQAgent agent(world, MlpQConfig{}, rng);
+    time_td_steps("mlp_td_step", agent);
+    {
+      MlpQAgent stuck(world, MlpQConfig{}, rng);
+      stuck.set_stuck(StuckAtMask::compile(FaultMap::sample(
+          FaultType::kStuckAt1, 0.01, stuck.weight_count(),
+          stuck.weights().format().total_bits(), rng)));
+      time_td_steps("mlp_td_step_stuck", stuck);
     }
-    micro.record("mlp_td_step", best_steps, best_seconds);
 
     const QVector& store = agent.weights();
     const QFormat& fmt = store.format();

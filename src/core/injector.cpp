@@ -60,6 +60,16 @@ void StuckAtMask::apply(std::span<Word> words) const noexcept {
   }
 }
 
+void StuckAtMask::scatter(std::span<Word> and_masks,
+                          std::span<Word> or_masks) const noexcept {
+  const std::size_t size = std::min(and_masks.size(), or_masks.size());
+  for (const Entry& entry : entries_) {
+    if (entry.word_index >= size) break;  // entries are sorted
+    and_masks[entry.word_index] = entry.and_mask;
+    or_masks[entry.word_index] = entry.or_mask;
+  }
+}
+
 void StuckAtMask::apply(std::span<float> values,
                         const QFormat& format) const noexcept {
   for (const Entry& entry : entries_) {

@@ -45,6 +45,13 @@ class StuckAtMask {
   /// Enforces the stuck bits over a QVector.
   void apply(QVector& buffer) const noexcept { apply(buffer.words()); }
 
+  /// Writes each stuck word's masks into per-word arrays indexed like
+  /// the buffer: and_masks[i] and or_masks[i] for every stuck word i
+  /// below their common size. Other entries are left as they are, so
+  /// arrays filled with ~0 and 0 first hold an identity mask there.
+  void scatter(std::span<Word> and_masks,
+               std::span<Word> or_masks) const noexcept;
+
   /// Enforces the stuck bits over float values already quantized to
   /// `format`: each stuck value inside the span is encoded, masked and
   /// decoded; every other value is left alone, since re-encoding a

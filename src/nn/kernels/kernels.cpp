@@ -137,6 +137,22 @@ void maxpool2d_scalar(const float* x, float* y, int channels, int in_h,
   }
 }
 
+/// The reference commit, one entry at a time. QFormat's inline encode
+/// and decode are the operations the SIMD entries run per lane.
+void sgd_commit_scalar(const CommitRun& run, float lr, const QFormat& format) {
+  for (std::size_t i = 0; i < run.n; ++i) {
+    const float m = run.master[i] - lr * (0.0f + run.grad[i]);
+    run.master[i] = m;
+    const std::size_t k = i * run.word_stride;
+    Word w = format.encode(m);
+    if (run.and_mask != nullptr) w = (w & run.and_mask[k]) | run.or_mask[k];
+    run.words[k] = w;
+    const auto value = static_cast<float>(format.decode(w));
+    run.param[i * run.param_stride] = value;
+    run.copy[i * run.copy_stride] = value;
+  }
+}
+
 constexpr KernelOps kScalarOps{"scalar",
                                /*dense_wants_transposed=*/false,
                                /*conv_wants_transposed=*/false,
@@ -145,7 +161,8 @@ constexpr KernelOps kScalarOps{"scalar",
                                relu_scalar,
                                conv2d_backward_scalar,
                                quantize_scalar,
-                               maxpool2d_scalar};
+                               maxpool2d_scalar,
+                               sgd_commit_scalar};
 
 std::atomic<const KernelOps*> g_override{nullptr};
 

@@ -1,7 +1,8 @@
 #pragma once
 // Runtime-dispatched compute kernels: the forward loops of the float
 // layers (src/nn/layers.cpp) and the quantized inference engine, the
-// engine's activation quantization, and the float Conv2D backward.
+// engine's activation quantization, the float Conv2D backward, and the
+// Grid World MLP's straight-through weight commit (src/rl/mlp_q.cpp).
 //
 // The engine emulates fixed-point MACs in float: per output element it
 // runs one sequential accumulation chain (bias, then += w*x in a fixed
@@ -15,9 +16,11 @@
 // where that loop skips a zero output gradient. Quantization runs
 // QFormat::quantize's IEEE operations on each lane, and max-pool makes
 // the scalar loop's comparisons in its window order, so both return
-// the scalar entry's bytes too. The project is compiled with
-// -ffp-contract=off so no backend fuses the multiply-add chain into
-// FMAs.
+// the scalar entry's bytes too. The SGD commit runs each entry's float
+// update and QFormat::encode/decode operations on its own lane, so
+// every master, word and parameter matches the scalar entry's. The
+// project is compiled with -ffp-contract=off so no backend fuses the
+// multiply-add chain into FMAs.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -27,6 +30,7 @@
 // ScopedKernelBackend to compare backends inside one process.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace ftnav {
@@ -41,6 +45,27 @@ struct ConvShape {
   int in_c = 0, in_h = 0, in_w = 0;
   int out_c = 0, out_h = 0, out_w = 0;
   int kernel = 0, stride = 0;
+};
+
+/// One run of graded weights for KernelOps::sgd_commit: entry i has
+/// its float master at master[i] and its gradient term at grad[i]
+/// (both contiguous), its word at words[i * word_stride], its stuck-bit
+/// masks at and_mask/or_mask[i * word_stride] (the masks are indexed
+/// like the words; both null when no bit of the store is stuck), and
+/// its two decoded outputs at param[i * param_stride] and
+/// copy[i * copy_stride]. The regions must not overlap.
+struct CommitRun {
+  float* master = nullptr;
+  const float* grad = nullptr;
+  std::uint32_t* words = nullptr;
+  const std::uint32_t* and_mask = nullptr;
+  const std::uint32_t* or_mask = nullptr;
+  std::size_t word_stride = 1;
+  float* param = nullptr;
+  std::size_t param_stride = 1;
+  float* copy = nullptr;
+  std::size_t copy_stride = 1;
+  std::size_t n = 0;
 };
 
 /// One kernel backend. All pointers are to dense row-major storage:
@@ -66,7 +91,19 @@ struct ConvShape {
 ///           value only when it is greater than the best so far, so
 ///           the first of equal maxima wins and NaN is never selected.
 ///           A non-null `argmax` receives each output's flat CHW input
-///           index.
+///           index;
+///   sgd_commit: for each entry i < run.n of `run` (see CommitRun), in
+///           float, g = 0.0f + grad[i] and master[i] = master[i] - lr *
+///           g; then w = format.encode(master[i]), w = (w & and_mask) |
+///           or_mask when masks are given, words = w, and param = copy =
+///           float(format.decode(w)). The stored gradient of a graded
+///           weight is 0.0f + its one backward term (+0.0 before the
+///           term is added), which is why g is that sum: it differs
+///           from the term only for a -0.0 term, which it makes +0.0. A
+///           +0.0 gradient leaves the master bit for bit as it was, and
+///           a word already equal to stuck(encode(master)) re-encodes
+///           to itself, so committing an entry the step did not change
+///           changes nothing.
 /// Output regions must not alias inputs (quantize and relu work in
 /// place).
 struct KernelOps {
@@ -92,6 +129,7 @@ struct KernelOps {
   void (*quantize)(float* x, std::size_t n, const QFormat& format);
   void (*maxpool2d)(const float* x, float* y, int channels, int in_h,
                     int in_w, int window, std::size_t* argmax);
+  void (*sgd_commit)(const CommitRun& run, float lr, const QFormat& format);
 };
 
 /// Floats of scratch any backend's conv2d_backward may use for `s`.

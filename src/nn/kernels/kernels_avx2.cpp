@@ -29,6 +29,9 @@
 // and the same selects, so every lane rounds and saturates exactly as
 // the scalar call does. Max-pool over 2x2 windows makes 8 outputs of a
 // row per pass with the scalar loop's comparisons in its window order.
+// The SGD commit runs 8 entries per pass: the float update on float
+// lanes, QFormat::encode's rounding on double lanes as quantize does,
+// and the word packing, stuck bits and decode on integer lanes.
 //
 // This TU is the only one compiled with -mavx2 (x86 builds only; see
 // CMakeLists.txt). On other architectures it compiles to a stub that
@@ -41,7 +44,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "fixed/qformat.h"
@@ -514,6 +519,137 @@ void maxpool2d_avx2(const float* x, float* y, int channels, int in_h,
   }
 }
 
+/// Stores the 8 lanes at p[0], p[stride], ..., p[7 * stride].
+template <typename T, typename V>
+void store_strided(T* p, std::size_t stride, V lanes) {
+  static_assert(sizeof(V) == 8 * sizeof(T));
+  if (stride == 1) {
+    std::memcpy(p, &lanes, sizeof(V));
+    return;
+  }
+  alignas(32) T values[8];
+  std::memcpy(values, &lanes, sizeof(V));
+  for (std::size_t j = 0; j < 8; ++j) p[j * stride] = values[j];
+}
+
+/// QFormat's cached constants and masks, broadcast for sgd_commit.
+struct CommitFormat {
+  explicit CommitFormat(const QFormat& format)
+      : scale(_mm256_set1_pd(format.scale())),
+        inv_scale(_mm256_set1_pd(format.resolution())),
+        raw_max(_mm256_set1_pd(format.raw_max_bound())),
+        raw_min(_mm256_set1_pd(format.raw_min_bound())),
+        word_mask(_mm256_set1_epi32(static_cast<int>(format.word_mask()))),
+        sign_mask(_mm256_set1_epi32(
+            static_cast<int>(std::uint32_t{1} << format.sign_bit()))),
+        extend(_mm_cvtsi32_si128(32 - format.total_bits())),
+        sign_magnitude(format.encoding() == Encoding::kSignMagnitude) {}
+
+  /// QFormat::encode's raw value on four double lanes: quantize_avx2's
+  /// rounding, NaN-to-zero and clamps, then a truncating conversion,
+  /// which is exact on the clamped integral values (as the scalar
+  /// static_cast<std::int32_t> is).
+  __m128i raw(__m256d value) const {
+    const __m256d shift = _mm256_set1_pd(4503599627370496.0);  // 2^52
+    const __m256d scaled = _mm256_mul_pd(value, scale);
+    const __m256d offset = _mm256_or_pd(
+        _mm256_and_pd(scaled, _mm256_set1_pd(-0.0)), shift);
+    __m256d rounded = _mm256_sub_pd(_mm256_add_pd(scaled, offset), offset);
+    rounded = _mm256_and_pd(rounded,
+                            _mm256_cmp_pd(rounded, rounded, _CMP_ORD_Q));
+    rounded = _mm256_min_pd(raw_max, rounded);
+    rounded = _mm256_max_pd(raw_min, rounded);
+    return _mm256_cvttpd_epi32(rounded);
+  }
+  /// QFormat::pack: sign-magnitude is |raw| with the sign bit set for a
+  /// negative raw; two's complement keeps the low total_bits() bits.
+  __m256i pack(__m256i raw) const {
+    if (!sign_magnitude) return _mm256_and_si256(raw, word_mask);
+    const __m256i negative = _mm256_srai_epi32(raw, 31);
+    return _mm256_or_si256(_mm256_abs_epi32(raw),
+                           _mm256_and_si256(negative, sign_mask));
+  }
+  /// QFormat::to_raw: sign-magnitude negates the magnitude when the
+  /// sign bit is set; two's complement sign-extends from total_bits().
+  __m256i to_raw(__m256i word) const {
+    const __m256i value = _mm256_and_si256(word, word_mask);
+    if (!sign_magnitude)
+      return _mm256_sra_epi32(_mm256_sll_epi32(value, extend), extend);
+    const __m256i magnitude = _mm256_andnot_si256(sign_mask, value);
+    const __m256i negative =
+        _mm256_cmpeq_epi32(_mm256_and_si256(value, sign_mask), sign_mask);
+    return _mm256_sub_epi32(_mm256_xor_si256(magnitude, negative), negative);
+  }
+  /// float(double(raw) * resolution()), QFormat::decode as the scalar
+  /// entry stores it.
+  __m128 value(__m128i raw) const {
+    return _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_cvtepi32_pd(raw), inv_scale));
+  }
+
+  __m256d scale, inv_scale, raw_max, raw_min;
+  __m256i word_mask, sign_mask;
+  __m128i extend;  // 32 - total_bits(): the two's complement shift
+  bool sign_magnitude;
+};
+
+/// 8 entries per pass; the last run.n % 8 run the scalar entry. Strided
+/// words, parameters and copies are stored lane by lane, and strided
+/// masks gathered.
+void sgd_commit_avx2(const CommitRun& run, float lr, const QFormat& format) {
+  std::size_t i = 0;
+  const bool gatherable =
+      run.word_stride <= static_cast<std::size_t>(INT32_MAX / 8);
+  if (gatherable && run.n >= 8) {
+    const CommitFormat codec(format);
+    const __m256 rate = _mm256_set1_ps(lr);
+    const __m256 zero = _mm256_setzero_ps();
+    const auto ws = static_cast<int>(run.word_stride);
+    const __m256i lanes =
+        _mm256_setr_epi32(0, ws, 2 * ws, 3 * ws, 4 * ws, 5 * ws, 6 * ws, 7 * ws);
+    const auto load_masks = [&](const std::uint32_t* p) {
+      return run.word_stride == 1
+                 ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))
+                 : _mm256_i32gather_epi32(reinterpret_cast<const int*>(p),
+                                          lanes, 4);
+    };
+    for (; i + 8 <= run.n; i += 8) {
+      const __m256 g = _mm256_add_ps(zero, _mm256_loadu_ps(run.grad + i));
+      const __m256 m = _mm256_sub_ps(_mm256_loadu_ps(run.master + i),
+                                     _mm256_mul_ps(rate, g));
+      _mm256_storeu_ps(run.master + i, m);
+      const __m128i raw_lo =
+          codec.raw(_mm256_cvtps_pd(_mm256_castps256_ps128(m)));
+      const __m128i raw_hi =
+          codec.raw(_mm256_cvtps_pd(_mm256_extractf128_ps(m, 1)));
+      __m256i w = codec.pack(_mm256_set_m128i(raw_hi, raw_lo));
+      const std::size_t k = i * run.word_stride;
+      if (run.and_mask != nullptr)
+        w = _mm256_or_si256(_mm256_and_si256(w, load_masks(run.and_mask + k)),
+                            load_masks(run.or_mask + k));
+      store_strided(run.words + k, run.word_stride, w);
+      const __m256i raw = codec.to_raw(w);
+      const __m256 v =
+          _mm256_set_m128(codec.value(_mm256_extracti128_si256(raw, 1)),
+                          codec.value(_mm256_castsi256_si128(raw)));
+      store_strided(run.param + i * run.param_stride, run.param_stride, v);
+      store_strided(run.copy + i * run.copy_stride, run.copy_stride, v);
+    }
+  }
+  if (i == run.n) return;
+  CommitRun rest = run;
+  rest.master += i;
+  rest.grad += i;
+  rest.words += i * run.word_stride;
+  if (run.and_mask != nullptr) {
+    rest.and_mask += i * run.word_stride;
+    rest.or_mask += i * run.word_stride;
+  }
+  rest.param += i * run.param_stride;
+  rest.copy += i * run.copy_stride;
+  rest.n = run.n - i;
+  scalar_ops().sgd_commit(rest, lr, format);
+}
+
 constexpr KernelOps kAvx2Ops{"avx2",
                              /*dense_wants_transposed=*/true,
                              /*conv_wants_transposed=*/true,
@@ -522,7 +658,8 @@ constexpr KernelOps kAvx2Ops{"avx2",
                              relu_avx2,
                              conv2d_backward_avx2,
                              quantize_avx2,
-                             maxpool2d_avx2};
+                             maxpool2d_avx2,
+                             sgd_commit_avx2};
 
 }  // namespace
 

@@ -8,8 +8,8 @@
 // compiler cannot re-fuse them into FMLA). IEEE-754 single-precision
 // mul/add are identical scalar vs vector, so results are bit-identical
 // to the scalar backend; remainder elements (sizes not divisible by 4)
-// run the scalar chain directly. The conv backward, quantization and
-// max-pool are the scalar backend's.
+// run the scalar chain directly. The conv backward, quantization,
+// max-pool and the SGD commit are the scalar backend's.
 //
 // ReLU deliberately avoids vmaxq_f32: ARM FMAX propagates NaN operands
 // where the scalar `v > 0 ? v : 0` (and x86 max_ps) returns 0, so the
@@ -204,7 +204,8 @@ const KernelOps* neon_ops() noexcept {
                                   relu_neon,
                                   scalar_ops().conv2d_backward,
                                   scalar_ops().quantize,
-                                  scalar_ops().maxpool2d};
+                                  scalar_ops().maxpool2d,
+                                  scalar_ops().sgd_commit};
   return &kNeonOps;
 }
 

@@ -271,34 +271,17 @@ const Tensor& Dense::infer(const Tensor& input) {
   Tensor& out = output_.shaped(output_shape(input.shape()));
   const std::size_t weight_count = params_.size() - out_features_;
   // Scalar on every backend: the SIMD kernels read transposed weights,
-  // and rebuilding them per call (weights change between forwards)
-  // costs more than it saves on single-input MLP training.
+  // which would have to be rebuilt after every weight update (imitation
+  // and DDQN training update between forwards).
   kernels::scalar_ops().dense(params_.data(), nullptr,
                               params_.data() + weight_count, input.data(),
                               out.data(), in_features_, out_features_);
   return out;
 }
 
-const Tensor& Dense::forward_one_hot(std::size_t hot) {
-  if (hot >= static_cast<std::size_t>(in_features_))
-    throw std::invalid_argument(
-        "Dense::forward_one_hot: hot index out of range");
-  cached_input_ = Tensor();
-  Tensor& out = output_.shaped(Shape{out_features_, 1, 1});
-  const float* bias = params_.data() + (params_.size() - out_features_);
-  // dense_scalar's chain acc = bias; acc += row[i] * x[i] adds +-0 for
-  // every cold input, which leaves a finite, non-(-0.0) sum unchanged.
-  for (int o = 0; o < out_features_; ++o)
-    out[static_cast<std::size_t>(o)] =
-        bias[o] + params_[static_cast<std::size_t>(o) * in_features_ + hot];
-  return out;
-}
-
 const Tensor& Dense::backward(const Tensor& grad_output) {
   if (cached_input_.empty())
-    throw std::logic_error(
-        "Dense::backward without a cached input (before forward, or "
-        "after forward_one_hot)");
+    throw std::logic_error("Dense::backward before forward");
   if (grad_output.shape() != Shape{out_features_, 1, 1})
     throw std::invalid_argument("Dense::backward: gradient shape mismatch");
   Tensor& grad_input = grad_input_.zeroed(cached_input_.shape());
@@ -315,24 +298,6 @@ const Tensor& Dense::backward(const Tensor& grad_output) {
     }
   }
   return grad_input;
-}
-
-void Dense::backward_one_hot(const Tensor& grad_output, std::size_t hot) {
-  if (hot >= static_cast<std::size_t>(in_features_))
-    throw std::invalid_argument(
-        "Dense::backward_one_hot: hot index out of range");
-  if (grad_output.shape() != Shape{out_features_, 1, 1})
-    throw std::invalid_argument(
-        "Dense::backward_one_hot: gradient shape mismatch");
-  // backward()'s g * x[i] is g for the hot input and +-0 for a cold
-  // one, which leaves any entry but -0.0 unchanged.
-  const std::size_t bias_base = params_.size() - out_features_;
-  for (int o = 0; o < out_features_; ++o) {
-    const float g = grad_output[static_cast<std::size_t>(o)];
-    if (g == 0.0f) continue;
-    grads_[bias_base + static_cast<std::size_t>(o)] += g;
-    grads_[static_cast<std::size_t>(o) * in_features_ + hot] += g;
-  }
 }
 
 void Dense::apply_gradients(float lr) {

@@ -219,23 +219,7 @@ class Dense final : public Layer {
   Shape output_shape(const Shape& in) const override;
   const Tensor& forward(const Tensor& input) override;
   const Tensor& infer(const Tensor& input) override;
-  /// forward() for the one-hot input e_hot (element `hot` is 1, every
-  /// other 0): out[o] = bias[o] + W[o][hot], one weight column instead
-  /// of the full mat-vec. Equals forward(e_hot) bit for bit when every
-  /// parameter is finite and none is -0.0, which holds for values
-  /// decoded from a QFormat; the caller guarantees that. No input is
-  /// cached: backward() after it throws std::logic_error, and
-  /// backward_one_hot() needs only the index. Writes the output buffer
-  /// forward() and infer() write.
-  const Tensor& forward_one_hot(std::size_t hot);
   const Tensor& backward(const Tensor& grad_output) override;
-  /// backward() for the one-hot input e_hot, without the input
-  /// gradient: each nonzero g = grad_output[o] is added to the
-  /// gradients of W[o][hot] and bias[o]. Equals backward() after
-  /// forward(e_hot) bit for bit when every g is finite and no gradient
-  /// entry holds -0.0, the one value backward()'s +-0 adds to the cold
-  /// columns would change.
-  void backward_one_hot(const Tensor& grad_output, std::size_t hot);
   std::span<float> parameters() override { return params_; }
   std::span<const float> parameters() const override { return params_; }
   std::span<float> gradients() override { return grads_; }

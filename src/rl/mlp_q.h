@@ -10,8 +10,19 @@
 // that match the paper's fault semantics:
 //   * transient flips corrupt the stored weights (buffer and master),
 //     and training can subsequently "heal" them through new updates;
-//   * stuck-at bits are re-enforced on the buffer after every write, so
+//   * stuck-at bits are re-enforced on every word a commit writes, so
 //     the learner can only route around them, never overwrite them.
+//
+// A TD step grades about 145 entries: FC1's weight column `state`, the
+// FC1 biases, FC2's row `action` and its bias. Each gets exactly one
+// backward term onto a +0.0 gradient, so the agent keeps no gradient
+// buffers: it computes the terms into scratch and hands each run to the
+// kernel backend's sgd_commit slot, which updates the masters, encodes
+// them, applies each word's stuck bits and decodes the words into the
+// network and the agent's copies in one pass. FC1's masters and copy
+// are state-major ([state][hidden]), so the column a step reads and
+// grades is contiguous; the word store and the network keep natural
+// order and are written strided.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +37,11 @@
 #include "util/rng.h"
 
 namespace ftnav {
+
+namespace kernels {
+struct CommitRun;
+struct KernelOps;
+}  // namespace kernels
 
 struct MlpQConfig {
   int hidden_units = 48;
@@ -63,12 +79,12 @@ class MlpQAgent {
   Tensor encode_state(int state) const;
 
   /// Q-values for a state, computed from the (possibly faulty)
-  /// quantized weight buffer. FC1 runs as Dense::forward_one_hot: the
-  /// network only ever holds decoded words (finite, never -0.0), so
-  /// this equals network().forward(encode_state(state)) bit for bit.
-  /// It builds no one-hot tensor and caches nothing (the later layers
-  /// run infer()). The result is FC2's output buffer, valid until the
-  /// agent's next evaluation or training step.
+  /// quantized weight buffer: FC1 as its decoded column `state` plus
+  /// its biases, then ReLU and FC2 through the kernel backend's dense
+  /// slot. Decoded words are finite and never -0.0, so this equals
+  /// network().forward(encode_state(state)) bit for bit. The result is
+  /// the agent's own 4-value buffer, valid until its next evaluation
+  /// or training step.
   const Tensor& q_values(int state);
   int greedy_action(int state);
 
@@ -82,70 +98,98 @@ class MlpQAgent {
   double evaluate_return();
 
   // ---- fault hooks ---------------------------------------------------
-  /// Faults go through the hooks below. A word written directly into
-  /// weights() is only overwritten when that word is next committed
-  /// (set_stuck commits every word).
+  /// The accelerator store, in natural order (FC1 [hidden][states]
+  /// weights, FC1 biases, FC2 [actions][hidden] weights, FC2 biases):
+  /// FaultMap sites index it. Current after every step. Faults go
+  /// through the hooks below; a word written directly into it is only
+  /// overwritten when that word is next committed (a step commits the
+  /// words it grades, set_stuck every word).
   QVector& weights() noexcept { return weights_; }
   const QVector& weights() const noexcept { return weights_; }
+  /// Sticks the mask's bits and commits every word. From then on a
+  /// commit applies them to each word it writes, and only to those:
+  /// every other word already holds them.
   void set_stuck(const StuckAtMask& mask);
   void inject_transient(const FaultMap& map);
   /// Drops the stuck bits; the buffer sheds them at the next commit.
   void clear_stuck();
 
-  /// The float network view of the current (quantized, faulty) buffer;
-  /// used to hand the trained policy to the inference engine.
+  /// The float network view of the current (quantized, faulty) buffer,
+  /// in natural order and current after every step; used to hand the
+  /// trained policy to the inference engine. The agent never runs it
+  /// and never touches its gradients, which stay +0.0.
   const Network& network() const noexcept { return net_; }
 
   std::size_t weight_count() const noexcept { return weights_.size(); }
-  /// The float master weights, in weight-buffer order.
-  std::span<const float> master() const noexcept { return master_; }
+  /// The float master weights in weight-buffer (natural) order: a copy
+  /// of the state-major masters that each call refreshes, held in the
+  /// agent until its next master() call.
+  std::span<const float> master() const;
 
  private:
-  /// One parametered layer's slice of the flat master/buffer order.
-  struct ParamSlice {
-    std::size_t offset = 0;           // first flat index of the slice
-    std::span<float> params;          // the layer's parameters
-    std::span<float> gradients;       // and its gradient accumulator
-    std::vector<std::size_t> queued;  // slice indices awaiting commit
-  };
+  /// A commit run over the agent's storage (see kernels::CommitRun)
+  /// whose first word is `word`, with the stuck masks when any bit is
+  /// stuck.
+  kernels::CommitRun run_at(std::size_t word, std::size_t word_stride,
+                            float* master, float* param,
+                            std::size_t param_stride, float* copy,
+                            std::size_t copy_stride, std::size_t n) noexcept;
+  /// FC1's weight column `state` (its biases for state == state count).
+  kernels::CommitRun fc1_run(std::size_t state) noexcept;
+  /// FC2's weight row `action` (its biases for action == action count).
+  kernels::CommitRun fc2_run(std::size_t action) noexcept;
+  /// The one entry of natural word index `word`.
+  kernels::CommitRun word_entry(std::size_t word) noexcept;
+  /// Runs the backend's SGD commit over `run` with gradient terms
+  /// `grad` (n values).
+  void commit(kernels::CommitRun run, const float* grad) noexcept;
+  /// Commits every word with a +0.0 gradient, which re-encodes each
+  /// master unchanged, and empties the queue.
+  void commit_all() noexcept;
 
-  /// Encodes the queued master words into the buffer, re-applies the
-  /// stuck bits, and decodes the queued words into their layers (the
-  /// network always sees accelerator truth). Invariant between
-  /// commits: every unqueued word equals stuck(encode(master)), so
-  /// re-applying the mask leaves it alone and a full re-encode would
-  /// change nothing.
-  void commit();
-  /// Queues every word for the next commit.
-  void queue_all();
-  /// Applies each nonzero gradient of the entries a TD step from
-  /// `state` taking `action` grades (FC1 column `state`, the FC1
-  /// biases, FC2 row `action` and its bias) to its float master (the
-  /// same m -= lr * g as a full SGD step), clears it, and queues the
-  /// words whose master bits changed. Invariant between steps: every
-  /// gradient is +0.0, so the entries it skips need no visit.
-  void update_masters(int state, int action);
+  /// The network on one-hot `state`: ReLU activations into `hidden`
+  /// (hidden_units values), Q-values into q_, which it returns.
+  const Tensor& forward(int state, float* hidden) noexcept;
 
-  /// The network on one-hot `state`, FC1 as Dense::forward_one_hot:
-  /// the later layers run forward() (caching what backward() grades)
-  /// when `train` is set, else infer().
-  const Tensor& evaluate(int state, bool train);
-
-  /// One TD(0) step from `state`: act, learn, commit. FC1 runs
-  /// Dense::forward_one_hot and Dense::backward_one_hot. Returns the
+  /// One TD(0) step from `state`: act, learn, commit. Returns the
   /// action; fills the env result and reward.
   int td_step(int state, double epsilon, Rng& rng,
               GridWorld::StepResult& result, double& out_reward);
 
+  // Storage. The agent runs the network from its own copies: FC1
+  // state-major, so a step's column is contiguous, and FC2 transposed
+  // for the dense slot. Invariant between steps: every word not queued
+  // equals stuck(encode(master)), and its network parameter and copy
+  // equal decode(word).
   const GridWorld* env_;
   MlpQConfig config_;
+  const kernels::KernelOps* ops_;  // the backend active at construction
+  std::size_t states_ = 0;
+  std::size_t hidden_units_ = 0;
+  std::size_t fc2_offset_ = 0;  // FC2's first word
   Network net_;
-  Dense* fc1_ = nullptr;  // net_'s first layer (one-hot input)
-  std::vector<ParamSlice> slices_;
-  std::vector<float> master_;  // float master weights (SGD accumulator)
-  QVector weights_;            // quantized accelerator buffer
-  StuckAtMask stuck_;
-  Tensor grad_;  // a TD step's output gradient, +0.0 but for `action`
+  std::span<float> fc1_;  // FC1's parameters: [hidden][states], biases
+  std::span<float> fc2_;  // FC2's parameters: [actions][hidden], biases
+  /// Float masters (the SGD accumulator): FC1 as [states][hidden], then
+  /// the FC1 biases, FC2 and its biases in natural order.
+  std::vector<float> master_;
+  std::vector<float> fc1_rows_;     // decoded FC1, [states + 1][hidden]
+  std::vector<float> fc2_columns_;  // decoded FC2, [hidden + 1][actions]
+  QVector weights_;                 // quantized accelerator buffer
+  /// Per-word stuck masks in natural order; empty when no bit is stuck.
+  std::vector<Word> stuck_and_;
+  std::vector<Word> stuck_or_;
+  std::vector<std::uint32_t> queued_;  // words the next commit re-encodes
+  bool recommit_all_ = false;          // every word is queued
+  // A step's scratch: the probe's activations, the ungraded
+  // evaluations' activations, and the FC1 and FC2-row gradient terms.
+  std::vector<float> hidden_;
+  std::vector<float> eval_hidden_;
+  std::vector<float> fc1_grad_;
+  std::vector<float> fc2_grad_;
+  std::vector<float> zeros_;  // +0.0 gradients for re-encoding commits
+  Tensor q_;                  // the last forward's Q-values
+  mutable std::vector<float> natural_master_;  // master()'s copy
   std::uint64_t training_steps_ = 0;
 };
 

@@ -7,6 +7,7 @@
 // (NEON) and 8-lane (AVX2) boundaries to exercise remainder handling.
 // The float layers call the same kernels, so one case also trains a
 // float network on each backend and compares the results bit for bit.
+// The SGD commit's matrix compares masters, words and decoded outputs.
 // Each SIMD backend runs the same matrix through its own fixture and
 // GTEST_SKIPs on hosts that cannot execute it.
 
@@ -18,6 +19,8 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/injector.h"
@@ -411,6 +414,120 @@ void run_maxpool_matrix(const KernelOps& simd) {
   }
 }
 
+/// The sgd_commit slot against the scalar entry, memcmp over masters,
+/// words and both decoded outputs (untouched slots included), for
+/// every format of at most 16 bits in both encodings (Q(1,4,11) among
+/// them), word strides 1, 4 and 100, runs with and without stuck
+/// masks, and every length 0..17. Entries pair a master with a
+/// gradient: rounding ties and values around both saturation bounds
+/// under a +0 gradient (which leaves the master as it is), +-inf and
+/// NaN gradients, signed zeros, and random values.
+void run_sgd_commit_matrix(const KernelOps& simd) {
+  constexpr float kRate = 0.05f;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(51);
+  for (int total = 2; total <= 16; ++total) {
+    for (int integer = 0; integer < total; ++integer) {
+      for (const Encoding encoding :
+           {Encoding::kTwosComplement, Encoding::kSignMagnitude}) {
+        const QFormat fmt(integer, total - 1 - integer, encoding);
+        SCOPED_TRACE(fmt.name());
+        const auto res = static_cast<float>(fmt.resolution());
+        const auto top = static_cast<float>(fmt.max_value());
+        const auto bottom = static_cast<float>(fmt.min_value());
+        std::vector<std::pair<float, float>> pool = {
+            {-0.0f, -0.0f}, {-0.0f, 0.0f},  {0.0f, -0.0f},
+            {0.5f * res, 0.0f}, {-0.5f * res, 0.0f}, {1.5f * res, 0.0f},
+            {-1.5f * res, 0.0f}, {2.5f * res, 0.0f}, {-2.5f * res, 0.0f},
+            {top, 0.0f}, {std::nextafter(top, inf), 0.0f},
+            {top + 0.5f * res, 0.0f}, {top - 0.5f * res, 0.0f},
+            {bottom, 0.0f}, {std::nextafter(bottom, -inf), 0.0f},
+            {bottom - 0.5f * res, 0.0f}, {bottom + 0.5f * res, 0.0f},
+            {1e6f, 0.0f}, {-1e6f, 0.0f},
+            {0.25f, inf}, {0.25f, -inf}, {-1.0f, nan}, {1.0f, -nan},
+            {std::numeric_limits<float>::denorm_min(), -0.0f}};
+        for (int i = 0; i < 24; ++i)
+          pool.emplace_back(static_cast<float>(rng.normal(0.0, top)),
+                            static_cast<float>(rng.normal(0.0, 4.0 * res)));
+        for (const std::size_t stride : {1u, 4u, 100u}) {
+          const std::size_t copy_stride = stride == 1 ? 4 : 1;
+          const std::size_t slots = 17 * stride;
+          std::vector<std::uint32_t> and_mask(slots, ~std::uint32_t{0});
+          std::vector<std::uint32_t> or_mask(slots, 0);
+          for (std::size_t k = 0; k < slots; ++k) {
+            const auto bit = std::uint32_t{1} << rng.below(fmt.total_bits());
+            const std::uint64_t kind = rng.below(3);
+            if (kind == 0) and_mask[k] &= ~bit;
+            if (kind == 1) or_mask[k] |= bit;
+          }
+          for (const bool stuck : {false, true}) {
+            for (std::size_t n = 0; n <= 17; ++n) {
+              for (std::size_t start = 0; start < pool.size(); start += 7) {
+                std::vector<float> master(n), grad(n);
+                for (std::size_t i = 0; i < n; ++i)
+                  std::tie(master[i], grad[i]) =
+                      pool[(start + i) % pool.size()];
+                struct Outputs {
+                  std::vector<float> master;
+                  std::vector<std::uint32_t> words;
+                  std::vector<float> param, copy;
+                };
+                const auto commit = [&](const KernelOps& ops) {
+                  Outputs out{master,
+                              std::vector<std::uint32_t>(slots, 0xdeadbeefu),
+                              std::vector<float>(slots, -7.0f),
+                              std::vector<float>(17 * copy_stride, -9.0f)};
+                  kernels::CommitRun run;
+                  run.master = out.master.data();
+                  run.grad = grad.data();
+                  run.words = out.words.data();
+                  if (stuck) {
+                    run.and_mask = and_mask.data();
+                    run.or_mask = or_mask.data();
+                  }
+                  run.word_stride = stride;
+                  run.param = out.param.data();
+                  run.param_stride = stride;
+                  run.copy = out.copy.data();
+                  run.copy_stride = copy_stride;
+                  run.n = n;
+                  ops.sgd_commit(run, kRate, fmt);
+                  return out;
+                };
+                const Outputs scalar = commit(kernels::scalar_ops());
+                const Outputs vectorized = commit(simd);
+                SCOPED_TRACE(testing::Message()
+                             << "stride " << stride << " stuck " << stuck
+                             << " n " << n << " start " << start);
+                ASSERT_TRUE(n == 0 ||
+                            std::memcmp(scalar.master.data(),
+                                        vectorized.master.data(),
+                                        n * sizeof(float)) == 0);
+                ASSERT_EQ(scalar.words, vectorized.words);
+                ASSERT_EQ(0, std::memcmp(scalar.param.data(),
+                                         vectorized.param.data(),
+                                         slots * sizeof(float)));
+                ASSERT_EQ(0, std::memcmp(scalar.copy.data(),
+                                         vectorized.copy.data(),
+                                         scalar.copy.size() * sizeof(float)));
+                // The stored gradient is 0.0f + term: a -0.0 master
+                // under a -0.0 term stays -0.0.
+                for (std::size_t i = 0; i < n; ++i) {
+                  if (std::signbit(master[i]) && master[i] == 0.0f &&
+                      std::signbit(grad[i]) && grad[i] == 0.0f) {
+                    ASSERT_EQ(bits_of(scalar.master[i]), bits_of(-0.0f));
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Float layers on the active backend: C3F2 (fast preset) and the Grid
 /// World MLP (100 -> 48 -> 4) forward a fixed input, then one imitation
 /// episode trains the C3F2. Returns both outputs and the trained
@@ -507,6 +624,10 @@ TEST_F(Avx2BitIdentity, MaxPoolAcrossWindowsShapesAndSpecials) {
   run_maxpool_matrix(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, SgdCommitAcrossFormatsStridesMasksAndTails) {
+  run_sgd_commit_matrix(*simd_);
+}
+
 // ---- NEON ----------------------------------------------------------------
 
 class NeonBitIdentity : public ::testing::Test {
@@ -554,6 +675,10 @@ TEST_F(NeonBitIdentity, QuantizeAcrossFormatsSpecialsAndTails) {
 
 TEST_F(NeonBitIdentity, MaxPoolAcrossWindowsShapesAndSpecials) {
   run_maxpool_matrix(*simd_);
+}
+
+TEST_F(NeonBitIdentity, SgdCommitAcrossFormatsStridesMasksAndTails) {
+  run_sgd_commit_matrix(*simd_);
 }
 
 // ---- Dispatch ------------------------------------------------------------

@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "fixed/qformat.h"
 #include "nn/kernels/kernels.h"
 #include "nn/layers.h"
 
@@ -305,80 +303,11 @@ TEST(Dense, GradientCheckParams) {
   check_param_gradient(dense, random_tensor(Shape{5, 1, 1}, rng));
 }
 
-/// Sets every parameter to a value decoded from the Grid World weight
-/// format, Q(1,3,4) sign-magnitude, meeting every word (0x80, the
-/// sign-magnitude "-0", decodes to +0.0).
-void set_decoded_parameters(Dense& dense) {
-  const QFormat fmt = QFormat::grid_world_weights();
-  // 37 is odd, so i * 37 mod 256 meets every 8-bit word as i runs
-  // over any 256 consecutive values.
-  const std::span<float> params = dense.parameters();
-  ASSERT_GE(params.size(), fmt.word_mask() + 1);
-  for (std::size_t i = 0; i < params.size(); ++i)
-    params[i] = static_cast<float>(
-        fmt.decode(static_cast<Word>(i * 37 % (fmt.word_mask() + 1))));
-}
-
 /// Bit patterns of floats, so comparisons tell -0.0 from +0.0.
 std::vector<std::uint32_t> bits_of(std::span<const float> values) {
   std::vector<std::uint32_t> bits;
   for (const float v : values) bits.push_back(std::bit_cast<std::uint32_t>(v));
   return bits;
-}
-
-TEST(Dense, OneHotForwardMatchesForwardOnDecodedWeights) {
-  // On parameters decoded from every weight word, forward_one_hot must
-  // equal the full mat-vec bit for bit.
-  Rng rng(20);
-  Dense dense(20, 13, rng);  // 273 parameters
-  set_decoded_parameters(dense);
-  Dense reference(dense);
-  for (std::size_t k = 0; k < 20; ++k) {
-    Tensor e_k(Shape{20, 1, 1});
-    e_k[k] = 1.0f;
-    EXPECT_EQ(bits_of(dense.forward_one_hot(k).values()),
-              bits_of(reference.forward(e_k).values()))
-        << "hot " << k;
-  }
-  EXPECT_THROW(dense.forward_one_hot(20), std::invalid_argument);
-}
-
-TEST(Dense, OneHotBackwardMatchesBackward) {
-  // backward_one_hot must leave the gradients backward() leaves after
-  // forward(e_hot), bit for bit, for output gradients of both signs
-  // and both zeros, as they accumulate over every hot index.
-  Rng rng(21);
-  Dense dense(20, 13, rng);
-  set_decoded_parameters(dense);
-  Dense reference(dense);
-  Tensor grad_out(Shape{13, 1, 1});
-  for (std::size_t o = 0; o < grad_out.size(); ++o)
-    grad_out[o] = static_cast<float>(rng.normal(0.0, 1.0));
-  grad_out[2] = 0.0f;
-  grad_out[5] = -0.0f;
-  grad_out[7] = -std::abs(grad_out[7]);
-  grad_out[8] = std::abs(grad_out[8]);
-  for (std::size_t k = 0; k < 20; ++k) {
-    Tensor e_k(Shape{20, 1, 1});
-    e_k[k] = 1.0f;
-    dense.backward_one_hot(grad_out, k);
-    (void)reference.forward(e_k);
-    (void)reference.backward(grad_out);
-    ASSERT_EQ(bits_of(dense.gradients()), bits_of(reference.gradients()))
-        << "hot " << k;
-  }
-  EXPECT_THROW(dense.backward_one_hot(grad_out, 20), std::invalid_argument);
-  EXPECT_THROW(dense.backward_one_hot(Tensor(std::size_t{12}), 0),
-               std::invalid_argument);
-  // forward_one_hot caches no input, and drops the one a generic
-  // forward cached: backward() has nothing to read.
-  (void)dense.forward_one_hot(3);
-  EXPECT_THROW(dense.backward(grad_out), std::logic_error);
-  Tensor e_0(Shape{20, 1, 1});
-  e_0[0] = 1.0f;
-  (void)dense.forward(e_0);
-  (void)dense.forward_one_hot(3);
-  EXPECT_THROW(dense.backward(grad_out), std::logic_error);
 }
 
 // ------------------------------------------------------ infer vs forward

@@ -10,6 +10,7 @@
 #include <new>
 #include <vector>
 
+#include "nn/kernels/kernels.h"
 #include "rl/mlp_q.h"
 
 // Counts every global operator new while armed, for
@@ -419,24 +420,93 @@ TEST(MlpQ, TdStepMatchesThreeForwardReference) {
 }
 
 TEST(MlpQ, SteadyStateTrainingAllocatesNothing) {
-  // Every layer reuses its output and gradient buffers and the agent
-  // its TD gradient, so once warm a training step allocates nothing.
+  // A training step computes into scratch the agent owns and commits in
+  // place, so once warm it allocates nothing: also with stuck bits,
+  // which each commit applies from the per-word masks set_stuck built.
   const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
-  Rng rng(59);
-  MlpQAgent agent(world, MlpQConfig{}, rng);
-  for (int episode = 0; episode < 20; ++episode)
-    agent.run_training_episode(0.5, rng);
-  g_allocations = 0;
-  g_count_allocations = true;
-  for (int episode = 0; episode < 60; ++episode)
-    agent.run_training_episode(episode % 2 == 0 ? 0.5 : 0.05, rng);
-  g_count_allocations = false;
-  EXPECT_EQ(g_allocations.load(), 0u);
+  for (const bool stuck : {false, true}) {
+    SCOPED_TRACE(stuck ? "stuck-at-1 mask" : "no stuck bits");
+    Rng rng(59);
+    MlpQAgent agent(world, MlpQConfig{}, rng);
+    if (stuck) {
+      Rng fault_rng(61);
+      agent.set_stuck(StuckAtMask::compile(FaultMap::sample(
+          FaultType::kStuckAt1, 0.01, agent.weight_count(),
+          agent.weights().format().total_bits(), fault_rng)));
+    }
+    for (int episode = 0; episode < 20; ++episode)
+      agent.run_training_episode(0.5, rng);
+    g_allocations = 0;
+    g_count_allocations = true;
+    for (int episode = 0; episode < 60; ++episode)
+      agent.run_training_episode(episode % 2 == 0 ? 0.5 : 0.05, rng);
+    g_count_allocations = false;
+    EXPECT_EQ(g_allocations.load(), 0u);
+  }
   // The counter works: a fresh agent allocates.
+  Rng rng(59);
   g_count_allocations = true;
   { MlpQAgent fresh(world, MlpQConfig{}, rng); }
   g_count_allocations = false;
   EXPECT_GT(g_allocations.load(), 0u);
+}
+
+TEST(MlpQ, BackendsTrainBitIdentically) {
+  // The agent runs FC2's forward through the dense slot and its commits
+  // through sgd_commit, on the backend active when it was built. Two
+  // agents from one seed, one on the scalar backend and one on the
+  // active backend, must stay bit-equal after every episode: masters,
+  // words, the network and the Q-values of every state, through a
+  // transient flip, a stuck-at-1 mask and its removal.
+  const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
+  const kernels::KernelOps& native = kernels::active();
+  Rng scalar_rng(71);
+  Rng native_rng(71);
+  const auto make_agent = [&world](const kernels::KernelOps& ops, Rng& rng) {
+    const kernels::ScopedKernelBackend pin(ops);
+    return MlpQAgent(world, MlpQConfig{}, rng);
+  };
+  MlpQAgent scalar = make_agent(kernels::scalar_ops(), scalar_rng);
+  MlpQAgent vectorized = make_agent(native, native_rng);
+  const QFormat fmt = scalar.weights().format();
+  constexpr int kEpisodes = 240;
+  for (int episode = 0; episode < kEpisodes; ++episode) {
+    Rng fault_rng(73 + static_cast<std::uint64_t>(episode));
+    if (episode == 60) {
+      const FaultMap map =
+          FaultMap::sample(FaultType::kTransientFlip, 0.02,
+                           scalar.weight_count(), fmt.total_bits(), fault_rng);
+      scalar.inject_transient(map);
+      vectorized.inject_transient(map);
+    }
+    if (episode == 120) {
+      const StuckAtMask mask = StuckAtMask::compile(
+          FaultMap::sample(FaultType::kStuckAt1, 0.01, scalar.weight_count(),
+                           fmt.total_bits(), fault_rng));
+      scalar.set_stuck(mask);
+      vectorized.set_stuck(mask);
+    }
+    if (episode == 180) {
+      scalar.clear_stuck();
+      vectorized.clear_stuck();
+    }
+    const double epsilon = std::max(0.05, 1.0 - episode / (kEpisodes * 0.6));
+    scalar.run_training_episode(epsilon, scalar_rng);
+    vectorized.run_training_episode(epsilon, native_rng);
+    ASSERT_EQ(bits_of(scalar.master()), bits_of(vectorized.master()))
+        << "episode " << episode;
+    ASSERT_TRUE(std::ranges::equal(scalar.weights().words(),
+                                   vectorized.weights().words()))
+        << "episode " << episode;
+    ASSERT_EQ(bits_of(scalar.network().snapshot_parameters()),
+              bits_of(vectorized.network().snapshot_parameters()))
+        << "episode " << episode;
+    for (int s = 0; s < world.state_count(); ++s)
+      ASSERT_EQ(bits_of(scalar.q_values(s).values()),
+                bits_of(vectorized.q_values(s).values()))
+          << "episode " << episode << " state " << s;
+  }
+  EXPECT_EQ(scalar_rng(), native_rng());
 }
 
 TEST(MlpQ, GreedyActionIsArgmax) {
