@@ -250,6 +250,64 @@ int main() {
       time_td_steps("mlp_td_step_stuck", stuck);
     }
 
+    // The four sgd_commit runs of one such step, laid out as the agent
+    // lays them out: FC1's column `state` (state-major masters and copy,
+    // natural-order words at stride `states`, no network parameters),
+    // FC1's biases (the same, contiguous), FC2's row `action` (network
+    // parameters contiguous, the transposed copy at stride `actions`)
+    // and that row's bias. One op is one step's four runs; the state
+    // and action advance each op so the column moves as a step's does.
+    {
+      const auto states = static_cast<std::size_t>(world.state_count());
+      const auto hidden = static_cast<std::size_t>(MlpQConfig{}.hidden_units);
+      const auto actions = static_cast<std::size_t>(GridWorld::action_count());
+      const std::size_t fc1 = (states + 1) * hidden;
+      const std::size_t fc2 = actions * hidden + actions;
+      std::vector<float> master(fc1 + fc2);
+      for (float& m : master) m = static_cast<float>(rng.normal(0.0, 1.0));
+      std::vector<float> grad(hidden);
+      for (float& g : grad) g = static_cast<float>(rng.normal(0.0, 0.05));
+      std::vector<Word> words(master.size());
+      std::vector<float> fc1_copy(fc1), fc2_params(fc2), fc2_copy(fc2);
+      const kernels::KernelOps& ops = kernels::active();
+      const QFormat fmt = MlpQConfig{}.format;
+      const auto run = [&](std::size_t word, std::size_t word_stride,
+                           float* m, float* param, std::size_t param_stride,
+                           float* copy, std::size_t copy_stride,
+                           std::size_t n) {
+        kernels::CommitRun r;
+        r.master = m;
+        r.grad = grad.data();
+        r.words = words.data() + word;
+        r.word_stride = word_stride;
+        r.param = param;
+        r.param_stride = param_stride;
+        r.copy = copy;
+        r.copy_stride = copy_stride;
+        r.n = n;
+        ops.sgd_commit(r, 0.05f, fmt);
+      };
+      const std::size_t steps = 200'000 * scale;
+      micro.fastest("sgd_commit_td_runs", steps, kBlocks, [&] {
+        for (std::size_t step = 0; step < steps; ++step) {
+          const std::size_t state = step * 37 % states;
+          const std::size_t action = step % actions;
+          const std::size_t row = action * hidden;
+          run(state, states, master.data() + state * hidden, nullptr, 1,
+              fc1_copy.data() + state * hidden, 1, hidden);
+          run(states * hidden, 1, master.data() + states * hidden, nullptr, 1,
+              fc1_copy.data() + states * hidden, 1, hidden);
+          run(fc1 + row, 1, master.data() + fc1 + row, fc2_params.data() + row,
+              1, fc2_copy.data() + action, actions, hidden);
+          run(fc1 + actions * hidden + action, 1,
+              master.data() + fc1 + actions * hidden + action,
+              fc2_params.data() + actions * hidden + action, 1,
+              fc2_copy.data() + actions * hidden + action, 1, 1);
+        }
+        g_sink = g_sink + fc1_copy[0] + fc2_params[0];
+      });
+    }
+
     const QVector& store = agent.weights();
     const QFormat& fmt = store.format();
     const std::vector<double> values = store.decode_all();

@@ -102,8 +102,8 @@ class QFormat {
   /// saturation, and NaN-to-zero handling — without the word
   /// pack/unpack round trip. This is the hot path of every activation
   /// buffer write (the scalar `quantize` kernel in nn/kernels runs it
-  /// per element of every layer output, and the SIMD kernels run its
-  /// operations per lane), so it stays branch-light and inline;
+  /// per element of every layer output, and the SIMD kernels return its
+  /// results per lane), so it stays branch-light and inline;
   /// tests/test_qformat.cpp checks the equality exhaustively.
   float quantize(float value) const noexcept {
     const double scaled = static_cast<double>(value) * scale_;
@@ -121,8 +121,8 @@ class QFormat {
     return static_cast<float>(rounded * inv_scale_);
   }
 
-  // The cached constants quantize() reads, for kernels that run its
-  // operations on vector lanes: it returns
+  // The cached constants quantize() reads, for kernels that compute
+  // its results on vector lanes: it returns
   // float(clamp(round(double(value) * scale())) * resolution()), the
   // clamp taking raw_max_bound() first, then raw_min_bound().
   double scale() const noexcept { return scale_; }

@@ -137,8 +137,8 @@ void maxpool2d_scalar(const float* x, float* y, int channels, int in_h,
   }
 }
 
-/// The reference commit, one entry at a time. QFormat's inline encode
-/// and decode are the operations the SIMD entries run per lane.
+/// The reference commit, one entry at a time through QFormat's inline
+/// encode and decode; the SIMD entries return its results.
 void sgd_commit_scalar(const CommitRun& run, float lr, const QFormat& format) {
   for (std::size_t i = 0; i < run.n; ++i) {
     const float m = run.master[i] - lr * (0.0f + run.grad[i]);
@@ -148,7 +148,7 @@ void sgd_commit_scalar(const CommitRun& run, float lr, const QFormat& format) {
     if (run.and_mask != nullptr) w = (w & run.and_mask[k]) | run.or_mask[k];
     run.words[k] = w;
     const auto value = static_cast<float>(format.decode(w));
-    run.param[i * run.param_stride] = value;
+    if (run.param != nullptr) run.param[i * run.param_stride] = value;
     run.copy[i * run.copy_stride] = value;
   }
 }

@@ -13,14 +13,20 @@
 // results are bit-identical for every backend and lane width. The
 // backward keeps the same contract: every gradient element sees the
 // scalar backward's sequence of `+= g * v` updates, skipped exactly
-// where that loop skips a zero output gradient. Quantization runs
-// QFormat::quantize's IEEE operations on each lane, and max-pool makes
-// the scalar loop's comparisons in its window order, so both return
-// the scalar entry's bytes too. The SGD commit runs each entry's float
-// update and QFormat::encode/decode operations on its own lane, so
-// every master, word and parameter matches the scalar entry's. The
-// project is compiled with -ffp-contract=off so no backend fuses the
-// multiply-add chain into FMAs.
+// where that loop skips a zero output gradient. Max-pool makes the
+// scalar loop's comparisons in its window order, so it returns the
+// scalar entry's bytes too. Quantization and the SGD commit's encode
+// and decode return the same results as QFormat's double arithmetic,
+// but on float lanes: for a format of at most 24 bits, 2^f and 2^-f
+// are powers of two (scaling by one is exact unless it overflows past
+// both bounds), the raw bounds and every raw value are integers below
+// 2^24 that a float holds exactly, and rounding commutes with a clamp
+// to integral bounds, so scaling, clamping, rounding and rescaling in
+// float lose nothing. Wider formats take the scalar entries. The SGD
+// commit runs each entry's float update on its own lane, so every
+// master, word and parameter matches the scalar entry's. The project is
+// compiled with -ffp-contract=off so no backend fuses the multiply-add
+// chain into FMAs.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -53,7 +59,8 @@ struct ConvShape {
 /// masks at and_mask/or_mask[i * word_stride] (the masks are indexed
 /// like the words; both null when no bit of the store is stuck), and
 /// its two decoded outputs at param[i * param_stride] and
-/// copy[i * copy_stride]. The regions must not overlap.
+/// copy[i * copy_stride]. A null param skips that store. The regions
+/// must not overlap.
 struct CommitRun {
   float* master = nullptr;
   const float* grad = nullptr;
@@ -95,15 +102,15 @@ struct CommitRun {
 ///   sgd_commit: for each entry i < run.n of `run` (see CommitRun), in
 ///           float, g = 0.0f + grad[i] and master[i] = master[i] - lr *
 ///           g; then w = format.encode(master[i]), w = (w & and_mask) |
-///           or_mask when masks are given, words = w, and param = copy =
-///           float(format.decode(w)). The stored gradient of a graded
-///           weight is 0.0f + its one backward term (+0.0 before the
-///           term is added), which is why g is that sum: it differs
-///           from the term only for a -0.0 term, which it makes +0.0. A
-///           +0.0 gradient leaves the master bit for bit as it was, and
-///           a word already equal to stuck(encode(master)) re-encodes
-///           to itself, so committing an entry the step did not change
-///           changes nothing.
+///           or_mask when masks are given, words = w, and param (unless
+///           null) = copy = float(format.decode(w)). The stored gradient
+///           of a graded weight is 0.0f + its one backward term (+0.0
+///           before the term is added), which is why g is that sum: it
+///           differs from the term only for a -0.0 term, which it makes
+///           +0.0. A +0.0 gradient leaves the master bit for bit as it
+///           was, and a word already equal to stuck(encode(master))
+///           re-encodes to itself, so committing an entry the step did
+///           not change changes nothing.
 /// Output regions must not alias inputs (quantize and relu work in
 /// place).
 struct KernelOps {

@@ -24,14 +24,13 @@
 // input channels of an input-gradient position (through HWC copies of
 // gx and w). Every gradient element keeps the scalar backward's chain.
 //
-// Quantization widens each float to a double lane and runs
-// QFormat::quantize's operations there: the same IEEE mul, add and sub
-// and the same selects, so every lane rounds and saturates exactly as
-// the scalar call does. Max-pool over 2x2 windows makes 8 outputs of a
-// row per pass with the scalar loop's comparisons in its window order.
-// The SGD commit runs 8 entries per pass: the float update on float
-// lanes, QFormat::encode's rounding on double lanes as quantize does,
-// and the word packing, stuck bits and decode on integer lanes.
+// Quantization and the SGD commit's encode and decode run on 8 float
+// lanes for formats of at most 24 bits (FloatCodec: why that is exact),
+// and wider formats take the scalar entries. Max-pool over 2x2 windows
+// makes 8 outputs of a row per pass with the scalar loop's comparisons
+// in its window order. The SGD commit runs 8 entries per pass: the
+// float update and the codec on float lanes, and the word packing and
+// stuck bits on integer lanes.
 //
 // This TU is the only one compiled with -mavx2 (x86 builds only; see
 // CMakeLists.txt). On other architectures it compiles to a stub that
@@ -408,33 +407,87 @@ void conv2d_backward_avx2(const float* w, const float* x, const float* gy,
   if (gx != nullptr) conv_backward_input(w, gy, gx, scratch, s);
 }
 
-/// QFormat::quantize four lanes at a time, operation for operation:
-/// double(v) * scale; add, then subtract, copysign(2^52, scaled) to
-/// round to nearest-even; NaN to +0 through an ordered-compare mask;
-/// `r > max ? max : r`, which is min_pd(max, r), then `r < min ? min :
-/// r`, which is max_pd(min, r); times 2^-f; and cvtpd_ps, which rounds
-/// to nearest like static_cast<float> (the program never changes the
-/// rounding mode). The tail runs QFormat::quantize itself.
-void quantize_avx2(float* x, std::size_t n, const QFormat& format) {
-  const __m256d scale = _mm256_set1_pd(format.scale());
-  const __m256d inv_scale = _mm256_set1_pd(format.resolution());
-  const __m256d raw_max = _mm256_set1_pd(format.raw_max_bound());
-  const __m256d raw_min = _mm256_set1_pd(format.raw_min_bound());
-  const __m256d shift = _mm256_set1_pd(4503599627370496.0);  // 2^52
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d scaled =
-        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + i)), scale);
-    const __m256d offset = _mm256_or_pd(_mm256_and_pd(scaled, sign), shift);
-    __m256d rounded = _mm256_sub_pd(_mm256_add_pd(scaled, offset), offset);
-    rounded = _mm256_and_pd(rounded,
-                            _mm256_cmp_pd(rounded, rounded, _CMP_ORD_Q));
-    rounded = _mm256_min_pd(raw_max, rounded);
-    rounded = _mm256_max_pd(raw_min, rounded);
-    _mm_storeu_ps(x + i, _mm256_cvtpd_ps(_mm256_mul_pd(rounded, inv_scale)));
+/// The widest format whose every value, raw bound and raw integer a
+/// float holds exactly: a float significand has 24 bits.
+constexpr int kFloatLaneBits = 24;
+
+/// QFormat's codec on 8 float lanes, for formats of at most
+/// kFloatLaneBits bits. raw() is encode's raw value: v * 2^f, NaN to +0
+/// through an ordered-compare mask, `r > max ? max : r` (min_ps(max,
+/// r)), then `r < min ? min : r` (max_ps(min, r)), and cvtps_epi32,
+/// which rounds to nearest-even (the program never changes the rounding
+/// mode). value() is decode's value: float(raw) * 2^-f.
+///
+/// Why that is QFormat's double arithmetic to the bit: 2^f and 2^-f
+/// are powers of two, so v * 2^f is exact in float unless it overflows
+/// to +-inf, which lies beyond both bounds as the double product does;
+/// rounding commutes with a clamp to integral bounds; and every raw
+/// integer of the format (|raw| <= 2^23) converts to float exactly, as
+/// does its product with 2^-f, which is normal or +0. A rounded -0.0
+/// becomes the integer 0, so value() never returns -0.0, as QFormat's
+/// round trip does not.
+struct FloatCodec {
+  explicit FloatCodec(const QFormat& format)
+      : scale(_mm256_set1_ps(static_cast<float>(format.scale()))),
+        inv_scale(_mm256_set1_ps(static_cast<float>(format.resolution()))),
+        raw_max(_mm256_set1_ps(static_cast<float>(format.raw_max_bound()))),
+        raw_min(_mm256_set1_ps(static_cast<float>(format.raw_min_bound()))),
+        word_mask(_mm256_set1_epi32(static_cast<int>(format.word_mask()))),
+        sign_mask(_mm256_set1_epi32(
+            static_cast<int>(std::uint32_t{1} << format.sign_bit()))),
+        extend(_mm_cvtsi32_si128(32 - format.total_bits())),
+        sign_magnitude(format.encoding() == Encoding::kSignMagnitude) {}
+
+  static bool covers(const QFormat& format) noexcept {
+    return format.total_bits() <= kFloatLaneBits;
   }
-  for (; i < n; ++i) x[i] = format.quantize(x[i]);
+
+  __m256i raw(__m256 v) const {
+    __m256 scaled = _mm256_mul_ps(v, scale);
+    scaled = _mm256_and_ps(scaled, _mm256_cmp_ps(scaled, scaled, _CMP_ORD_Q));
+    scaled = _mm256_min_ps(raw_max, scaled);
+    return _mm256_cvtps_epi32(_mm256_max_ps(raw_min, scaled));
+  }
+  __m256 value(__m256i raw) const {
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(raw), inv_scale);
+  }
+  /// QFormat::pack: sign-magnitude is |raw| with the sign bit set for a
+  /// negative raw; two's complement keeps the low total_bits() bits.
+  __m256i pack(__m256i raw) const {
+    if (!sign_magnitude) return _mm256_and_si256(raw, word_mask);
+    const __m256i negative = _mm256_srai_epi32(raw, 31);
+    return _mm256_or_si256(_mm256_abs_epi32(raw),
+                           _mm256_and_si256(negative, sign_mask));
+  }
+  /// QFormat::to_raw: sign-magnitude negates the magnitude when the
+  /// sign bit is set; two's complement sign-extends from total_bits().
+  __m256i to_raw(__m256i word) const {
+    const __m256i value = _mm256_and_si256(word, word_mask);
+    if (!sign_magnitude)
+      return _mm256_sra_epi32(_mm256_sll_epi32(value, extend), extend);
+    const __m256i magnitude = _mm256_andnot_si256(sign_mask, value);
+    const __m256i negative =
+        _mm256_cmpeq_epi32(_mm256_and_si256(value, sign_mask), sign_mask);
+    return _mm256_sub_epi32(_mm256_xor_si256(magnitude, negative), negative);
+  }
+
+  __m256 scale, inv_scale, raw_max, raw_min;
+  __m256i word_mask, sign_mask;
+  __m128i extend;  // 32 - total_bits(): the two's complement shift
+  bool sign_magnitude;
+};
+
+/// QFormat::quantize as decode(encode(v)) on float lanes; the tail and
+/// wider formats run the scalar entry.
+void quantize_avx2(float* x, std::size_t n, const QFormat& format) {
+  std::size_t i = 0;
+  if (FloatCodec::covers(format)) {
+    const FloatCodec codec(format);
+    for (; i + 8 <= n; i += 8)
+      _mm256_storeu_ps(x + i,
+                       codec.value(codec.raw(_mm256_loadu_ps(x + i))));
+  }
+  scalar_ops().quantize(x + i, n - i, format);
 }
 
 /// Even and odd elements of the 16 floats at p, as
@@ -532,75 +585,15 @@ void store_strided(T* p, std::size_t stride, V lanes) {
   for (std::size_t j = 0; j < 8; ++j) p[j * stride] = values[j];
 }
 
-/// QFormat's cached constants and masks, broadcast for sgd_commit.
-struct CommitFormat {
-  explicit CommitFormat(const QFormat& format)
-      : scale(_mm256_set1_pd(format.scale())),
-        inv_scale(_mm256_set1_pd(format.resolution())),
-        raw_max(_mm256_set1_pd(format.raw_max_bound())),
-        raw_min(_mm256_set1_pd(format.raw_min_bound())),
-        word_mask(_mm256_set1_epi32(static_cast<int>(format.word_mask()))),
-        sign_mask(_mm256_set1_epi32(
-            static_cast<int>(std::uint32_t{1} << format.sign_bit()))),
-        extend(_mm_cvtsi32_si128(32 - format.total_bits())),
-        sign_magnitude(format.encoding() == Encoding::kSignMagnitude) {}
-
-  /// QFormat::encode's raw value on four double lanes: quantize_avx2's
-  /// rounding, NaN-to-zero and clamps, then a truncating conversion,
-  /// which is exact on the clamped integral values (as the scalar
-  /// static_cast<std::int32_t> is).
-  __m128i raw(__m256d value) const {
-    const __m256d shift = _mm256_set1_pd(4503599627370496.0);  // 2^52
-    const __m256d scaled = _mm256_mul_pd(value, scale);
-    const __m256d offset = _mm256_or_pd(
-        _mm256_and_pd(scaled, _mm256_set1_pd(-0.0)), shift);
-    __m256d rounded = _mm256_sub_pd(_mm256_add_pd(scaled, offset), offset);
-    rounded = _mm256_and_pd(rounded,
-                            _mm256_cmp_pd(rounded, rounded, _CMP_ORD_Q));
-    rounded = _mm256_min_pd(raw_max, rounded);
-    rounded = _mm256_max_pd(raw_min, rounded);
-    return _mm256_cvttpd_epi32(rounded);
-  }
-  /// QFormat::pack: sign-magnitude is |raw| with the sign bit set for a
-  /// negative raw; two's complement keeps the low total_bits() bits.
-  __m256i pack(__m256i raw) const {
-    if (!sign_magnitude) return _mm256_and_si256(raw, word_mask);
-    const __m256i negative = _mm256_srai_epi32(raw, 31);
-    return _mm256_or_si256(_mm256_abs_epi32(raw),
-                           _mm256_and_si256(negative, sign_mask));
-  }
-  /// QFormat::to_raw: sign-magnitude negates the magnitude when the
-  /// sign bit is set; two's complement sign-extends from total_bits().
-  __m256i to_raw(__m256i word) const {
-    const __m256i value = _mm256_and_si256(word, word_mask);
-    if (!sign_magnitude)
-      return _mm256_sra_epi32(_mm256_sll_epi32(value, extend), extend);
-    const __m256i magnitude = _mm256_andnot_si256(sign_mask, value);
-    const __m256i negative =
-        _mm256_cmpeq_epi32(_mm256_and_si256(value, sign_mask), sign_mask);
-    return _mm256_sub_epi32(_mm256_xor_si256(magnitude, negative), negative);
-  }
-  /// float(double(raw) * resolution()), QFormat::decode as the scalar
-  /// entry stores it.
-  __m128 value(__m128i raw) const {
-    return _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_cvtepi32_pd(raw), inv_scale));
-  }
-
-  __m256d scale, inv_scale, raw_max, raw_min;
-  __m256i word_mask, sign_mask;
-  __m128i extend;  // 32 - total_bits(): the two's complement shift
-  bool sign_magnitude;
-};
-
-/// 8 entries per pass; the last run.n % 8 run the scalar entry. Strided
-/// words, parameters and copies are stored lane by lane, and strided
-/// masks gathered.
+/// 8 entries per pass; the last run.n % 8, and formats wider than
+/// kFloatLaneBits, run the scalar entry. Strided words, parameters and
+/// copies are stored lane by lane, and strided masks gathered.
 void sgd_commit_avx2(const CommitRun& run, float lr, const QFormat& format) {
   std::size_t i = 0;
   const bool gatherable =
       run.word_stride <= static_cast<std::size_t>(INT32_MAX / 8);
-  if (gatherable && run.n >= 8) {
-    const CommitFormat codec(format);
+  if (gatherable && run.n >= 8 && FloatCodec::covers(format)) {
+    const FloatCodec codec(format);
     const __m256 rate = _mm256_set1_ps(lr);
     const __m256 zero = _mm256_setzero_ps();
     const auto ws = static_cast<int>(run.word_stride);
@@ -617,21 +610,19 @@ void sgd_commit_avx2(const CommitRun& run, float lr, const QFormat& format) {
       const __m256 m = _mm256_sub_ps(_mm256_loadu_ps(run.master + i),
                                      _mm256_mul_ps(rate, g));
       _mm256_storeu_ps(run.master + i, m);
-      const __m128i raw_lo =
-          codec.raw(_mm256_cvtps_pd(_mm256_castps256_ps128(m)));
-      const __m128i raw_hi =
-          codec.raw(_mm256_cvtps_pd(_mm256_extractf128_ps(m, 1)));
-      __m256i w = codec.pack(_mm256_set_m128i(raw_hi, raw_lo));
+      // An unstuck word decodes to the raw value it was packed from.
+      __m256i raw = codec.raw(m);
+      __m256i w = codec.pack(raw);
       const std::size_t k = i * run.word_stride;
-      if (run.and_mask != nullptr)
+      if (run.and_mask != nullptr) {
         w = _mm256_or_si256(_mm256_and_si256(w, load_masks(run.and_mask + k)),
                             load_masks(run.or_mask + k));
+        raw = codec.to_raw(w);
+      }
       store_strided(run.words + k, run.word_stride, w);
-      const __m256i raw = codec.to_raw(w);
-      const __m256 v =
-          _mm256_set_m128(codec.value(_mm256_extracti128_si256(raw, 1)),
-                          codec.value(_mm256_castsi256_si128(raw)));
-      store_strided(run.param + i * run.param_stride, run.param_stride, v);
+      const __m256 v = codec.value(raw);
+      if (run.param != nullptr)
+        store_strided(run.param + i * run.param_stride, run.param_stride, v);
       store_strided(run.copy + i * run.copy_stride, run.copy_stride, v);
     }
   }
@@ -644,7 +635,7 @@ void sgd_commit_avx2(const CommitRun& run, float lr, const QFormat& format) {
     rest.and_mask += i * run.word_stride;
     rest.or_mask += i * run.word_stride;
   }
-  rest.param += i * run.param_stride;
+  if (run.param != nullptr) rest.param += i * run.param_stride;
   rest.copy += i * run.copy_stride;
   rest.n = run.n - i;
   scalar_ops().sgd_commit(rest, lr, format);

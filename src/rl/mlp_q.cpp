@@ -17,7 +17,7 @@ kernels::CommitRun entry_of(kernels::CommitRun run, std::size_t i) noexcept {
     run.and_mask += i * run.word_stride;
     run.or_mask += i * run.word_stride;
   }
-  run.param += i * run.param_stride;
+  if (run.param != nullptr) run.param += i * run.param_stride;
   run.copy += i * run.copy_stride;
   run.n = 1;
   return run;
@@ -70,6 +70,19 @@ Tensor MlpQAgent::encode_state(int state) const {
   return one_hot;
 }
 
+const Network& MlpQAgent::network() const noexcept {
+  if (fc1_stale_) {
+    const std::size_t weights = states_ * hidden_units_;
+    kernels::transpose(fc1_rows_.data(), fc1_.data(),
+                       static_cast<int>(states_),
+                       static_cast<int>(hidden_units_));
+    std::copy_n(fc1_rows_.data() + weights, hidden_units_,
+                fc1_.data() + weights);
+    fc1_stale_ = false;
+  }
+  return net_;
+}
+
 std::span<const float> MlpQAgent::master() const {
   natural_master_ = master_;
   kernels::transpose(master_.data(), natural_master_.data(),
@@ -104,10 +117,8 @@ kernels::CommitRun MlpQAgent::fc1_run(std::size_t state) noexcept {
   float* master = master_.data() + row;
   float* copy = fc1_rows_.data() + row;
   if (state == states_)  // the biases: contiguous in every buffer
-    return run_at(row, 1, master, fc1_.data() + row, 1, copy, 1,
-                  hidden_units_);
-  return run_at(state, states_, master, fc1_.data() + state, states_, copy,
-                1, hidden_units_);
+    return run_at(row, 1, master, nullptr, 1, copy, 1, hidden_units_);
+  return run_at(state, states_, master, nullptr, 1, copy, 1, hidden_units_);
 }
 
 kernels::CommitRun MlpQAgent::fc2_run(std::size_t action) noexcept {
@@ -134,6 +145,7 @@ kernels::CommitRun MlpQAgent::word_entry(std::size_t word) noexcept {
 }
 
 void MlpQAgent::commit(kernels::CommitRun run, const float* grad) noexcept {
+  if (run.param == nullptr) fc1_stale_ = true;
   run.grad = grad;
   ops_->sgd_commit(run, static_cast<float>(config_.learning_rate),
                    weights_.format());
@@ -297,12 +309,13 @@ void MlpQAgent::inject_transient(const FaultMap& map) {
   const std::span<Word> words = weights_.words();
   map.apply_once(words);
   // The upset corrupted the stored weights: propagate the faulty values
-  // into the float master and the network so training continues from
-  // the damage (and can heal it), exactly like retraining on faulty
-  // silicon. Every other word already holds its stuck bits. A hit word
-  // need not round-trip (a sign flip on zero stores 0x80, which decodes
-  // to 0 and encodes back to 0x00), so it is queued for the next
-  // commit to re-encode, as a full commit would.
+  // into the float master and the decoded copies (FC1's network
+  // parameters follow at the next network() call) so training
+  // continues from the damage (and can heal it), exactly like
+  // retraining on faulty silicon. Every other word already holds its
+  // stuck bits. A hit word need not round-trip (a sign flip on zero
+  // stores 0x80, which decodes to 0 and encodes back to 0x00), so it is
+  // queued for the next commit to re-encode, as a full commit would.
   for (const FaultSite& site : map.sites()) {
     const std::size_t k = site.word_index;
     if (k >= words.size()) continue;
@@ -310,7 +323,10 @@ void MlpQAgent::inject_transient(const FaultMap& map) {
     const auto value = static_cast<float>(weights_.format().decode(words[k]));
     const kernels::CommitRun entry = word_entry(k);
     *entry.master = value;
-    *entry.param = value;
+    if (entry.param != nullptr)
+      *entry.param = value;
+    else
+      fc1_stale_ = true;
     *entry.copy = value;
     queued_.push_back(site.word_index);
   }

@@ -19,10 +19,11 @@
 // buffers: it computes the terms into scratch and hands each run to the
 // kernel backend's sgd_commit slot, which updates the masters, encodes
 // them, applies each word's stuck bits and decodes the words into the
-// network and the agent's copies in one pass. FC1's masters and copy
-// are state-major ([state][hidden]), so the column a step reads and
-// grades is contiguous; the word store and the network keep natural
-// order and are written strided.
+// agent's copies (and FC2's into the network) in one pass. FC1's
+// masters and copy are state-major ([state][hidden]), so the column a
+// step reads and grades is contiguous; the word store keeps natural
+// order and is written strided, and FC1's network parameters are
+// written from the copy only when network() is asked for them.
 
 #include <cstddef>
 #include <cstdint>
@@ -115,10 +116,14 @@ class MlpQAgent {
   void clear_stuck();
 
   /// The float network view of the current (quantized, faulty) buffer,
-  /// in natural order and current after every step; used to hand the
-  /// trained policy to the inference engine. The agent never runs it
-  /// and never touches its gradients, which stay +0.0.
-  const Network& network() const noexcept { return net_; }
+  /// in natural order; used to hand the trained policy to the inference
+  /// engine. It is written when called, not after every step: a call
+  /// after a commit or fault hook changed FC1 first writes FC1's
+  /// parameters from the agent's state-major copy (FC2's are written by
+  /// every commit). The reference is valid until the next step or fault
+  /// hook. Do not call it concurrently on one agent. The agent never
+  /// runs the network and never touches its gradients, which stay +0.0.
+  const Network& network() const noexcept;
 
   std::size_t weight_count() const noexcept { return weights_.size(); }
   /// The float master weights in weight-buffer (natural) order: a copy
@@ -141,7 +146,8 @@ class MlpQAgent {
   /// The one entry of natural word index `word`.
   kernels::CommitRun word_entry(std::size_t word) noexcept;
   /// Runs the backend's SGD commit over `run` with gradient terms
-  /// `grad` (n values).
+  /// `grad` (n values). A run without a network parameter output (FC1)
+  /// marks FC1's network parameters stale.
   void commit(kernels::CommitRun run, const float* grad) noexcept;
   /// Commits every word with a +0.0 gradient, which re-encodes each
   /// master unchanged, and empties the queue.
@@ -159,8 +165,9 @@ class MlpQAgent {
   // Storage. The agent runs the network from its own copies: FC1
   // state-major, so a step's column is contiguous, and FC2 transposed
   // for the dense slot. Invariant between steps: every word not queued
-  // equals stuck(encode(master)), and its network parameter and copy
-  // equal decode(word).
+  // equals stuck(encode(master)), its copy equals decode(word), and so
+  // does its network parameter unless it is FC1's and fc1_stale_ is
+  // set.
   const GridWorld* env_;
   MlpQConfig config_;
   const kernels::KernelOps* ops_;  // the backend active at construction
@@ -169,6 +176,8 @@ class MlpQAgent {
   std::size_t fc2_offset_ = 0;  // FC2's first word
   Network net_;
   std::span<float> fc1_;  // FC1's parameters: [hidden][states], biases
+  /// fc1_ lags fc1_rows_: network() rewrites it before returning.
+  mutable bool fc1_stale_ = false;
   std::span<float> fc2_;  // FC2's parameters: [actions][hidden], biases
   /// Float masters (the SGD accumulator): FC1 as [states][hidden], then
   /// the FC1 biases, FC2 and its biases in natural order.

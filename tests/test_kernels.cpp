@@ -8,11 +8,16 @@
 // The float layers call the same kernels, so one case also trains a
 // float network on each backend and compares the results bit for bit.
 // The SGD commit's matrix compares masters, words and decoded outputs.
-// Each SIMD backend runs the same matrix through its own fixture and
-// GTEST_SKIPs on hosts that cannot execute it.
+// The codec oracle runs quantize and sgd_commit over every format of
+// 2-24 bits (float lanes on AVX2) and of 25, 28 and 32 bits (scalar
+// entries) on specials, ties, bound neighbours and a sweep of float
+// bit patterns. Each SIMD backend runs the same matrix through its own
+// fixture and GTEST_SKIPs on hosts that cannot execute it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -57,6 +62,12 @@ std::vector<float> quantized_randoms(const QFormat& fmt, std::size_t count,
     values[1] = static_cast<float>(fmt.min_value());
   }
   return values;
+}
+
+std::vector<std::uint32_t> bits_of(const std::vector<float>& values) {
+  std::vector<std::uint32_t> out;
+  for (const float v : values) out.push_back(bits_of(v));
+  return out;
 }
 
 void expect_bit_identical(const std::vector<float>& scalar,
@@ -528,6 +539,181 @@ void run_sgd_commit_matrix(const KernelOps& simd) {
   }
 }
 
+/// Floats that probe a format's codec: +-0, +-inf, +-NaN and
+/// subnormals; the ties (k + 1/2) * resolution for |k| <= 64 around 0
+/// and around both raw bounds (as far as a float holds them); the
+/// nextafter neighbours of each bound and of the ties just past it; and
+/// a fixed-stride sweep of float bit patterns over the whole 32-bit
+/// space (an odd stride, so every bit position varies).
+std::vector<float> codec_probes(const QFormat& fmt) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const auto largest_denorm = std::bit_cast<float>(std::uint32_t{0x007fffff});
+  std::vector<float> probes = {0.0f,   -0.0f,   inf,    -inf,
+                               nan,    -nan,    denorm, -denorm,
+                               1e-40f, -3e-39f, largest_denorm,
+                               -largest_denorm};
+  const double res = fmt.resolution();
+  const double raw_max = fmt.max_value() / res;
+  const double raw_min = fmt.min_value() / res;
+  for (const double center : {0.0, raw_min, raw_max})
+    for (int k = -64; k <= 64; ++k)
+      probes.push_back(static_cast<float>((center + k + 0.5) * res));
+  for (const double edge : {fmt.max_value(), fmt.min_value(),
+                            fmt.max_value() + 0.5 * res,
+                            fmt.min_value() - 0.5 * res}) {
+    const auto v = static_cast<float>(edge);
+    probes.insert(probes.end(),
+                  {v, std::nextafter(v, inf), std::nextafter(v, -inf)});
+  }
+  constexpr std::uint64_t kStride = 131071;  // 2^17 - 1: 32,769 patterns
+  for (std::uint64_t bits = 0; bits <= 0xffffffffu; bits += kStride)
+    probes.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  return probes;
+}
+
+/// Every format of 2-24 bits (every integer/fraction split, both
+/// encodings), where the AVX2 entries run float lanes, and of 25, 28
+/// and 32 bits, which take the scalar entries: the quantize and
+/// sgd_commit slots against the scalar entries, memcmp over
+/// codec_probes(). The commit runs each probe as a master under a +0
+/// gradient, which leaves it as it is, so its words are encode(probe);
+/// once plainly and once under random stuck-at masks, whose words
+/// reach every decode path.
+void run_codec_exactness(const KernelOps& simd) {
+  Rng rng(61);
+  std::vector<int> totals;
+  for (int total = 2; total <= 24; ++total) totals.push_back(total);
+  totals.insert(totals.end(), {25, 28, 32});
+  for (const int total : totals) {
+    for (int integer = 0; integer < total; ++integer) {
+      for (const Encoding encoding :
+           {Encoding::kTwosComplement, Encoding::kSignMagnitude}) {
+        const QFormat fmt(integer, total - 1 - integer, encoding);
+        SCOPED_TRACE(fmt.name());
+        const std::vector<float> probes = codec_probes(fmt);
+        const std::size_t n = probes.size();
+        std::vector<float> scalar = probes, vectorized = probes;
+        kernels::scalar_ops().quantize(scalar.data(), n, fmt);
+        simd.quantize(vectorized.data(), n, fmt);
+        ASSERT_EQ(0, std::memcmp(scalar.data(), vectorized.data(),
+                                 n * sizeof(float)));
+
+        const std::vector<float> zeros(n, 0.0f);
+        std::vector<std::uint32_t> and_mask(n, ~std::uint32_t{0});
+        std::vector<std::uint32_t> or_mask(n, 0);
+        for (std::size_t k = 0; k < n; ++k) {
+          const auto bit = std::uint32_t{1} << rng.below(fmt.total_bits());
+          const std::uint64_t kind = rng.below(3);
+          if (kind == 0) and_mask[k] &= ~bit;
+          if (kind == 1) or_mask[k] |= bit;
+        }
+        for (const bool stuck : {false, true}) {
+          SCOPED_TRACE(stuck ? "stuck masks" : "no masks");
+          struct Outputs {
+            std::vector<float> master;
+            std::vector<std::uint32_t> words;
+            std::vector<float> param, copy;
+          };
+          const auto commit = [&](const KernelOps& ops) {
+            Outputs out{probes, std::vector<std::uint32_t>(n, 0xdeadbeefu),
+                        std::vector<float>(n, -7.0f),
+                        std::vector<float>(n, -9.0f)};
+            kernels::CommitRun run;
+            run.master = out.master.data();
+            run.grad = zeros.data();
+            run.words = out.words.data();
+            if (stuck) {
+              run.and_mask = and_mask.data();
+              run.or_mask = or_mask.data();
+            }
+            run.param = out.param.data();
+            run.copy = out.copy.data();
+            run.n = n;
+            ops.sgd_commit(run, 0.05f, fmt);
+            return out;
+          };
+          const Outputs want = commit(kernels::scalar_ops());
+          const Outputs got = commit(simd);
+          ASSERT_EQ(0, std::memcmp(want.master.data(), got.master.data(),
+                                   n * sizeof(float)));
+          ASSERT_EQ(want.words, got.words);
+          ASSERT_EQ(0, std::memcmp(want.param.data(), got.param.data(),
+                                   n * sizeof(float)));
+          ASSERT_EQ(0, std::memcmp(want.copy.data(), got.copy.data(),
+                                   n * sizeof(float)));
+        }
+      }
+    }
+  }
+}
+
+/// sgd_commit with a null `param` against the same run with a
+/// parameter output, on one backend: masters, words and the copy must
+/// be equal (and nothing may be written through the null pointer, which
+/// the sanitizer builds would report). Word strides 1 and 100, with and
+/// without stuck masks, over every length 0..17 and a 48-entry run (a
+/// TD step's FC1 column).
+void run_sgd_commit_without_param(const KernelOps& ops) {
+  Rng rng(67);
+  const QFormat fmt = QFormat::grid_world_weights();
+  for (const std::size_t stride : {1u, 100u}) {
+    for (const bool stuck : {false, true}) {
+      for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
+                                  10u, 11u, 12u, 13u, 14u, 15u, 16u, 17u,
+                                  48u}) {
+        SCOPED_TRACE(testing::Message() << "stride " << stride << " stuck "
+                                        << stuck << " n " << n);
+        const std::size_t slots = std::max<std::size_t>(n, 1) * stride;
+        std::vector<float> master(n), grad(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          master[i] = static_cast<float>(rng.normal(0.0, fmt.max_value()));
+          grad[i] = static_cast<float>(rng.normal(0.0, 1.0));
+        }
+        std::vector<std::uint32_t> and_mask(slots, ~std::uint32_t{0});
+        std::vector<std::uint32_t> or_mask(slots, 0);
+        for (std::size_t k = 0; k < slots; ++k)
+          or_mask[k] = std::uint32_t{1} << rng.below(fmt.total_bits());
+        struct Outputs {
+          std::vector<float> master;
+          std::vector<std::uint32_t> words;
+          std::vector<float> copy;
+        };
+        const auto commit = [&](std::vector<float>* param) {
+          Outputs out{master, std::vector<std::uint32_t>(slots, 0xdeadbeefu),
+                      std::vector<float>(slots, -9.0f)};
+          kernels::CommitRun run;
+          run.master = out.master.data();
+          run.grad = grad.data();
+          run.words = out.words.data();
+          if (stuck) {
+            run.and_mask = and_mask.data();
+            run.or_mask = or_mask.data();
+          }
+          run.word_stride = stride;
+          if (param != nullptr) {
+            run.param = param->data();
+            run.param_stride = stride;
+          }
+          run.copy = out.copy.data();
+          run.copy_stride = stride;
+          run.n = n;
+          ops.sgd_commit(run, 0.05f, fmt);
+          return out;
+        };
+        std::vector<float> param(slots, -9.0f);
+        const Outputs with = commit(&param);
+        const Outputs without = commit(nullptr);
+        ASSERT_EQ(bits_of(with.master), bits_of(without.master));
+        ASSERT_EQ(with.words, without.words);
+        ASSERT_EQ(bits_of(with.copy), bits_of(without.copy));
+        ASSERT_EQ(bits_of(param), bits_of(with.copy));
+      }
+    }
+  }
+}
+
 /// Float layers on the active backend: C3F2 (fast preset) and the Grid
 /// World MLP (100 -> 48 -> 4) forward a fixed input, then one imitation
 /// episode trains the C3F2. Returns both outputs and the trained
@@ -628,6 +814,14 @@ TEST_F(Avx2BitIdentity, SgdCommitAcrossFormatsStridesMasksAndTails) {
   run_sgd_commit_matrix(*simd_);
 }
 
+TEST_F(Avx2BitIdentity, CodecExactOnEveryFormatUpTo32Bits) {
+  run_codec_exactness(*simd_);
+}
+
+TEST_F(Avx2BitIdentity, SgdCommitWithoutParamMatchesWithParam) {
+  run_sgd_commit_without_param(*simd_);
+}
+
 // ---- NEON ----------------------------------------------------------------
 
 class NeonBitIdentity : public ::testing::Test {
@@ -681,6 +875,14 @@ TEST_F(NeonBitIdentity, SgdCommitAcrossFormatsStridesMasksAndTails) {
   run_sgd_commit_matrix(*simd_);
 }
 
+TEST_F(NeonBitIdentity, CodecExactOnEveryFormatUpTo32Bits) {
+  run_codec_exactness(*simd_);
+}
+
+TEST_F(NeonBitIdentity, SgdCommitWithoutParamMatchesWithParam) {
+  run_sgd_commit_without_param(*simd_);
+}
+
 // ---- Dispatch ------------------------------------------------------------
 
 TEST(Kernels, ResolveBackendNamesAndErrors) {
@@ -720,6 +922,10 @@ TEST(Kernels, ScopedBackendOverridesActive) {
 
 TEST(Kernels, ScalarConvBackwardWithoutInputGradient) {
   run_conv_backward_without_input_gradient(kernels::scalar_ops());
+}
+
+TEST(Kernels, ScalarSgdCommitWithoutParamMatchesWithParam) {
+  run_sgd_commit_without_param(kernels::scalar_ops());
 }
 
 TEST(Kernels, MaxPoolSelectsFirstOfEqualMaxima) {

@@ -157,12 +157,15 @@ TEST(MlpQ, NetworkViewMatchesBuffer) {
 }
 
 TEST(MlpQ, FullRecommitChangesNothing) {
-  // A TD step re-encodes only the words it changed. After any episode a
-  // full re-encode (set_stuck with the current mask re-commits every
-  // word) must therefore leave the buffer and the network untouched --
-  // also after a sign flip on zero words, which stores 0x80: it decodes
-  // to 0 but re-encodes to 0x00, so only a queued re-commit repairs it;
-  // and after clear_stuck, whose stuck bits every word must shed.
+  // A TD step commits the words it grades (FC1's column and biases,
+  // FC2's row and its bias), changed or not, plus the words a fault hook
+  // queued; every other word must already equal stuck(encode(master)).
+  // After any episode a full re-encode (set_stuck with the current mask
+  // re-commits every word) must therefore leave the buffer and the
+  // network untouched -- also after a sign flip on zero words, which
+  // stores 0x80: it decodes to 0 but re-encodes to 0x00, so only a
+  // queued re-commit repairs it; and after clear_stuck, whose stuck
+  // bits every word must shed.
   const GridWorld world = simple_world();
   Rng rng(23);
   MlpQAgent agent(world, MlpQConfig{}, rng);
@@ -202,6 +205,50 @@ TEST(MlpQ, FullRecommitChangesNothing) {
     ASSERT_EQ(params, bits_of(agent.network().snapshot_parameters()))
         << "episode " << episode;
   }
+}
+
+TEST(MlpQ, NetworkIsCurrentWhenAsked) {
+  // A step commits FC1 only into the agent's state-major copy, and
+  // network() writes FC1's parameters from it when asked. With one TD
+  // step per episode, the network must be the natural-order decode of
+  // the store at each point below, with no step in between where none
+  // is listed: after a step, after a flip of an FC1 column word and an
+  // FC1 bias, after set_stuck, and after clear_stuck plus one step.
+  const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
+  Rng rng(79);
+  MlpQConfig config;
+  config.max_steps = 1;
+  MlpQAgent agent(world, config, rng);
+  const QFormat fmt = agent.weights().format();
+  const auto states = static_cast<std::size_t>(world.state_count());
+  const auto hidden = static_cast<std::size_t>(config.hidden_units);
+  const auto expect_current = [&](const char* when) {
+    std::vector<float> decoded(agent.weight_count());
+    agent.weights().decode_into(decoded);
+    ASSERT_EQ(bits_of(agent.network().snapshot_parameters()),
+              bits_of(decoded))
+        << when;
+  };
+  for (int episode = 0; episode < 200; ++episode)
+    agent.run_training_episode(0.5, rng);
+  agent.run_training_episode(0.5, rng);
+  expect_current("after a step");
+  // An FC1 column word (hidden unit 5 of state 17) and an FC1 bias
+  // (unit 9), each flipped in its top magnitude bit.
+  const auto bit = static_cast<std::uint8_t>(fmt.sign_bit() - 1);
+  agent.inject_transient(FaultMap(
+      FaultType::kTransientFlip,
+      {FaultSite{static_cast<std::uint32_t>(5 * states + 17), bit},
+       FaultSite{static_cast<std::uint32_t>(states * hidden + 9), bit}}));
+  expect_current("after inject_transient");
+  Rng fault_rng(83);
+  agent.set_stuck(StuckAtMask::compile(
+      FaultMap::sample(FaultType::kStuckAt1, 0.01, agent.weight_count(),
+                       fmt.total_bits(), fault_rng)));
+  expect_current("after set_stuck");
+  agent.clear_stuck();
+  agent.run_training_episode(0.5, rng);
+  expect_current("after clear_stuck and a step");
 }
 
 TEST(MlpQ, GradientsAreClearAfterEveryStep) {
@@ -438,8 +485,11 @@ TEST(MlpQ, SteadyStateTrainingAllocatesNothing) {
       agent.run_training_episode(0.5, rng);
     g_allocations = 0;
     g_count_allocations = true;
-    for (int episode = 0; episode < 60; ++episode)
+    for (int episode = 0; episode < 60; ++episode) {
       agent.run_training_episode(episode % 2 == 0 ? 0.5 : 0.05, rng);
+      // Rewrites FC1's network parameters in place.
+      (void)agent.network();
+    }
     g_count_allocations = false;
     EXPECT_EQ(g_allocations.load(), 0u);
   }
