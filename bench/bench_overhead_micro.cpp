@@ -3,8 +3,9 @@
 // primitives themselves (the tool-chain is advertised as enabling
 // *rapid* fault analysis), of the passes of a quantized C3F2
 // inference besides its MACs (activation quantization, max-pool), on
-// the active kernel backend (FTNAV_SIMD), and of a Grid World MLP TD
-// step and the weight codec it commits through.
+// the active kernel backend (FTNAV_SIMD), of a float C3F2 imitation
+// step, and of a Grid World MLP TD step and the weight codec it
+// commits through.
 //
 // Runs on the shared bench harness: FTNAV_* knobs and a JSON table via
 // FTNAV_JSON_DIR. Nothing gates on these timings: ci/perf_gate.py times
@@ -19,6 +20,9 @@
 #include "bench_common.h"
 #include "core/anomaly_detector.h"
 #include "core/injector.h"
+#include "envs/drone_env.h"
+#include "envs/expert_policy.h"
+#include "experiments/drone_policy.h"
 #include "nn/c3f2.h"
 #include "nn/kernels/kernels.h"
 #include "nn/quantized_engine.h"
@@ -207,48 +211,89 @@ int main() {
     });
   }
 
+  // The float-step, TD-step, commit and codec rows below keep the
+  // fastest of five timed blocks of the same work: on a shared VM one
+  // block's time can move by 2x from run to run.
+  constexpr int kBlocks = 5;
+
+  // A float C3F2 imitation step (forward, backward, apply_gradients) of
+  // the fast preset, as pretrain_imitation runs it, on the active
+  // backend: each block trains a fresh copy of one network for a fixed
+  // number of steps over observations rendered along an expert flight.
+  {
+    const C3F2Config c3f2 = C3F2Config::preset(C3F2Preset::kFast);
+    const DroneWorld world = DroneWorld::indoor_long();
+    DroneEnv env(world, drone_env_config_for(c3f2));
+    const ExpertPolicy expert(env);
+    Rng rng(config.seed + 6);
+    std::vector<std::pair<Tensor, Tensor>> views;  // observation, targets
+    (void)env.reset(rng);
+    for (int view = 0; view < 32; ++view) {
+      if (env.done()) (void)env.reset(rng);
+      views.emplace_back(env.observe(), expert.action_targets());
+      (void)env.step(ExpertPolicy::best_action(views.back().second));
+    }
+    const Network initial = make_c3f2(c3f2, rng);
+    const std::size_t steps = 500 * scale;
+    micro.fastest("c3f2_float_sgd_step", steps, kBlocks, [&] {
+      Network net = initial;
+      Tensor grad(Shape{c3f2.actions, 1, 1});
+      for (std::size_t step = 0; step < steps; ++step) {
+        const auto& [observation, targets] = views[step % views.size()];
+        const Tensor& q = net.forward(observation);
+        for (std::size_t i = 0; i < q.size(); ++i)
+          grad[i] = (q[i] - targets[i]) / static_cast<float>(q.size());
+        net.backward(grad);
+        net.apply_gradients(0.02f);
+      }
+      g_sink = g_sink + net.forward(views[0].first)[0];
+    });
+  }
+
   // A Grid World MLP TD step at steady state (one thread, the default
   // middle-density map, fast scale): one probe forward, one cache-free
   // bootstrap, the backward terms and the commit of the ~145 words it
   // grades; then the same with a 1% stuck-at-1 mask set before warm-up,
   // whose bits each commit applies to the words it writes. Then the
-  // weight codec those commits run, over the trained store. Each row
-  // keeps the fastest of five timed blocks: on a shared VM one block's
-  // time can move by 2x from run to run.
+  // weight codec those commits run, over the trained store.
   {
-    constexpr int kBlocks = 5;
     const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
-    Rng rng(config.seed + 5);
-    const auto time_td_steps = [&](const char* label, MlpQAgent& agent) {
+    // An agent after 100 warm-up episodes, from the seed alone.
+    const auto warm_agent = [&](Rng& rng, bool stuck) {
+      MlpQAgent agent(world, MlpQConfig{}, rng);
+      if (stuck)
+        agent.set_stuck(StuckAtMask::compile(FaultMap::sample(
+            FaultType::kStuckAt1, 0.01, agent.weight_count(),
+            agent.weights().format().total_bits(), rng)));
       constexpr int kWarmup = 100;
       for (int episode = 0; episode < kWarmup; ++episode)
         agent.run_training_episode(1.0 - 0.9 * episode / kWarmup, rng);
+      return agent;
+    };
+    // Every block warms a fresh agent from the same seed and times its
+    // next 200 episodes, so every block (and run) times the same TD
+    // steps and the ops column repeats exactly.
+    const auto time_td_steps = [&](const char* label, bool stuck) {
       const std::size_t episodes = 200 * scale;
-      std::uint64_t best_steps = 0;
-      double best_seconds = 0.0;
+      std::uint64_t steps = 0;
+      double best = 0.0;
       for (int block = 0; block < kBlocks; ++block) {
+        Rng rng(config.seed + 5);
+        MlpQAgent agent = warm_agent(rng, stuck);
         const std::uint64_t steps_before = agent.training_steps();
         const double start = perf::now();
         for (std::size_t i = 0; i < episodes; ++i)
           g_sink = g_sink + agent.run_training_episode(0.1, rng);
         const double seconds = perf::now() - start;
-        const std::uint64_t steps = agent.training_steps() - steps_before;
-        if (block == 0 || seconds * best_steps < best_seconds * steps) {
-          best_steps = steps;
-          best_seconds = seconds;
-        }
+        steps = agent.training_steps() - steps_before;
+        if (block == 0 || seconds < best) best = seconds;
       }
-      micro.record(label, best_steps, best_seconds);
+      micro.record(label, steps, best);
     };
-    MlpQAgent agent(world, MlpQConfig{}, rng);
-    time_td_steps("mlp_td_step", agent);
-    {
-      MlpQAgent stuck(world, MlpQConfig{}, rng);
-      stuck.set_stuck(StuckAtMask::compile(FaultMap::sample(
-          FaultType::kStuckAt1, 0.01, stuck.weight_count(),
-          stuck.weights().format().total_bits(), rng)));
-      time_td_steps("mlp_td_step_stuck", stuck);
-    }
+    time_td_steps("mlp_td_step", false);
+    time_td_steps("mlp_td_step_stuck", true);
+    Rng rng(config.seed + 5);
+    const MlpQAgent agent = warm_agent(rng, false);
 
     // The four sgd_commit runs of one such step, laid out as the agent
     // lays them out: FC1's column `state` (state-major masters and copy,

@@ -1,9 +1,10 @@
 #include "experiments/drone_campaigns.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
+#include <type_traits>
 
 #include "campaign/campaign_runner.h"
 #include "core/injector.h"
@@ -13,36 +14,6 @@
 
 namespace ftnav {
 namespace {
-
-/// Runs `repeats` greedy rollouts, drawing a fresh fault instance via
-/// `arm` (called with the engine and a per-repeat rng) before each.
-/// The engine may be shard-resident (see nn/engine_slot.h): every
-/// repeat starts with reset_faults(), whose golden-image restore makes
-/// a reused engine bit-identical to a freshly built one, so fault
-/// state can never leak across repeats or across the cells sharing a
-/// slot.
-template <typename ArmFn>
-double msf_with_faults(QuantizedInferenceEngine& engine,
-                       const DroneWorld& world,
-                       const DroneEnvConfig& env_config, int repeats,
-                       Rng& rng, ArmFn&& arm) {
-  RunningStats distances;
-  DroneEnv env(world, env_config);
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    Rng repeat_rng = rng.split(static_cast<std::uint64_t>(repeat) + 1);
-    engine.reset_faults();
-    arm(engine, repeat_rng);
-    Tensor observation = env.reset(repeat_rng);
-    while (!env.done()) {
-      const int action =
-          static_cast<int>(engine.act(observation, repeat_rng));
-      (void)env.step(action);
-      observation = env.observe();
-    }
-    distances.add(env.flight_distance());
-  }
-  return distances.mean();
-}
 
 /// Digests the policy hyper-parameters into a checkpoint tag digest
 /// (the trained policy, and with it every trial, depends on them).
@@ -70,87 +41,203 @@ std::string inference_stream_tag(const std::string& base,
   return base + "#" + digest.hex();
 }
 
-/// Shared shape of the Fig. 7c-e sweeps: a (row, BER) cell grid where
-/// each cell runs `config.repeats` rollouts on an engine acquired from
-/// the shard's resident cache — `engine_key(row)` names the slot (rows
-/// needing differently-configured engines get distinct keys; the keys
-/// must name exactly `engine_slots` slots, the count the cost model
-/// prices) and `engine_for(row)` builds it on first use. `arm(row, ber, engine,
-/// rng)` draws the cell's fault instance per repeat.
+/// One flight's result: its distance and the weight-detector hits it
+/// added (0 on an unprotected engine). It is the trial result of every
+/// drone inference campaign, so its bytes are the checkpoint payload:
+/// trivially copyable, with no padding.
+struct Flight {
+  double distance = 0.0;
+  std::uint64_t detections = 0;
+};
+static_assert(std::is_trivially_copyable_v<Flight> &&
+              sizeof(Flight) == sizeof(double) + sizeof(std::uint64_t));
+
+/// A cell's flights folded in repeat order.
+struct Cell {
+  double msf = 0.0;
+  std::uint64_t detections = 0;
+};
+
+/// Row of a flight grid: the world and env its flights fly, and the
+/// engine-cache slot they fly on. Rows that need differently
+/// configured engines name distinct slots; rows on one slot fly one
+/// engine configuration and share its baseline.
+struct GridRow {
+  const DroneWorld* world = nullptr;
+  DroneEnvConfig env_config;
+  std::size_t slot = 0;
+};
+
+/// A (row, BER) cell grid of `config.repeats` flights per cell: its
+/// checkpoint tag, the seed its faulted cells' streams derive from, its
+/// rows, and how many engine slots they name.
+struct FlightGrid {
+  std::string stream_tag;
+  std::uint64_t cell_seed = 0;
+  std::vector<GridRow> rows;
+  std::size_t engine_slots = 0;
+  std::string perf_section;  ///< counts cells x repeats
+};
+
+/// Flies `grid` one flight per campaign trial, so shards stay short
+/// and threads finish together however long a cell flies. Returns each
+/// cell's MSF and detections, [row][ber].
 ///
-/// Cells at BER <= 0 arm no fault and fly one fixed baseline stream,
-/// so every fault-free cell of an engine slot reports the same MSF:
-/// the first such cell to run flies the baseline on its shard's
-/// engine, and the slot's other fault-free cells return that value.
-/// The memo lives in this call only (never in a checkpoint), and every
-/// cell still returns its value, so a resumed or worker run that skips
-/// the first cell flies the baseline itself and gets the same bytes.
-template <typename EngineFor, typename KeyFn, typename ArmFn>
+/// The trial list: each engine slot's baseline cell, once, when any BER
+/// is <= 0, then every (row, BER > 0) cell; trial t is flight t %
+/// repeats of listed cell t / repeats. A baseline arms no fault and
+/// draws from Rng(baseline_seed(slot)); faulted cell (row, col) arms
+/// `arm(row, ber, engine, rng)` and draws from
+/// Rng::stream(cell_seed, row * bers + col). Flight r of a cell flies on
+/// the (r + 1)-th split, salt r + 1, of the cell's generator (Rng::split
+/// advances its parent, so a flight replays the r + 1 splits on a
+/// copy): the streams a serial loop over the cell's flights draws. The
+/// cell's MSF is RunningStats over its flights in repeat order, and its
+/// detections their sum. Every BER <= 0 cell reads its slot's baseline.
+///
+/// Each shard builds the engine of a slot on first use (`build(row)`
+/// for a row on that slot) and keeps it for the flights it runs;
+/// reset_faults() before every flight makes a kept engine fly as a
+/// fresh one. `grid.engine_slots` must equal the number of slots the
+/// rows name (the cost model prices from it).
+template <typename BuildFn, typename BaselineSeedFn, typename ArmFn>
+std::vector<std::vector<Cell>> fly_grid(
+    const FlightGrid& grid, const DroneInferenceCampaignConfig& config,
+    const ScenarioContext& context, BuildFn&& build,
+    BaselineSeedFn&& baseline_seed, ArmFn&& arm) {
+  const std::size_t ber_count = config.bers.size();
+  const auto repeats = static_cast<std::size_t>(std::max(config.repeats, 0));
+  std::map<std::size_t, std::size_t> slot_row;  // slot -> its first row
+  for (std::size_t row = 0; row < grid.rows.size(); ++row)
+    slot_row.try_emplace(grid.rows[row].slot, row);
+  if (slot_row.size() != grid.engine_slots)
+    throw std::logic_error(grid.perf_section + ": rows name " +
+                           std::to_string(slot_row.size()) +
+                           " engine slots, expected " +
+                           std::to_string(grid.engine_slots));
+
+  struct Listed {
+    std::size_t row = 0;
+    std::size_t col = 0;
+    bool baseline = false;
+  };
+  std::vector<Listed> listed;
+  std::map<std::size_t, std::size_t> baseline_cell;  // slot -> listed
+  if (std::any_of(config.bers.begin(), config.bers.end(),
+                  [](double ber) { return ber <= 0.0; })) {
+    for (const auto& [slot, row] : slot_row) {
+      baseline_cell[slot] = listed.size();
+      listed.push_back({row, 0, true});
+    }
+  }
+  std::vector<std::size_t> faulted_cell(grid.rows.size() * ber_count);
+  for (std::size_t row = 0; row < grid.rows.size(); ++row)
+    for (std::size_t col = 0; col < ber_count; ++col)
+      if (config.bers[col] > 0.0) {
+        faulted_cell[row * ber_count + col] = listed.size();
+        listed.push_back({row, col, false});
+      }
+
+  const CampaignRunner runner(context.threads);
+  const double trials_started = perf::now();
+  const std::vector<Flight> flights = runner.map_streamed(
+      grid.stream_tag, listed.size() * repeats, grid.cell_seed,
+      [] { return EngineCache(); },
+      // The runner's per-trial stream goes unused: a flight draws from
+      // its cell's stream, whichever trial flies it.
+      [&](std::size_t trial, Rng&, EngineCache& engines) {
+        const Listed& cell = listed[trial / repeats];
+        const std::size_t repeat = trial % repeats;
+        const GridRow& row = grid.rows[cell.row];
+        Rng cell_rng =
+            cell.baseline
+                ? Rng(baseline_seed(row.slot))
+                : Rng::stream(grid.cell_seed, cell.row * ber_count + cell.col);
+        Rng rng = cell_rng.split(1);
+        for (std::size_t r = 1; r <= repeat; ++r) rng = cell_rng.split(r + 1);
+        QuantizedInferenceEngine& engine =
+            engines.acquire(row.slot, [&] { return build(cell.row); });
+        // A resident detector tallies across flights; the delta is this
+        // flight's (a fresh engine's) count.
+        const RangeAnomalyDetector* detector = engine.weight_detector();
+        const std::uint64_t before =
+            detector != nullptr ? detector->detections() : 0;
+        engine.reset_faults();
+        if (!cell.baseline) arm(cell.row, config.bers[cell.col], engine, rng);
+        DroneEnv env(*row.world, row.env_config);
+        Tensor observation = env.reset(rng);
+        while (!env.done()) {
+          const int action = static_cast<int>(engine.act(observation, rng));
+          (void)env.step(action);
+          observation = env.observe();
+        }
+        return Flight{env.flight_distance(),
+                      detector != nullptr ? detector->detections() - before
+                                          : 0};
+      },
+      context.stream);
+  perf::add_section(grid.perf_section,
+                    grid.rows.size() * ber_count * repeats,
+                    perf::now() - trials_started);
+
+  std::vector<Cell> cells(listed.size());
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    RunningStats distances;
+    for (std::size_t r = 0; r < repeats; ++r) {
+      const Flight& flight = flights[i * repeats + r];
+      distances.add(flight.distance);
+      cells[i].detections += flight.detections;
+    }
+    cells[i].msf = distances.mean();
+  }
+  std::vector<std::vector<Cell>> result(grid.rows.size(),
+                                        std::vector<Cell>(ber_count));
+  for (std::size_t row = 0; row < grid.rows.size(); ++row)
+    for (std::size_t col = 0; col < ber_count; ++col)
+      result[row][col] =
+          cells[config.bers[col] <= 0.0
+                    ? baseline_cell.at(grid.rows[row].slot)
+                    : faulted_cell[row * ber_count + col]];
+  return result;
+}
+
+/// The MSF of every cell, [row][ber].
+std::vector<std::vector<double>> msf_of(
+    const std::vector<std::vector<Cell>>& cells) {
+  std::vector<std::vector<double>> msf;
+  for (const std::vector<Cell>& row : cells) {
+    msf.emplace_back();
+    for (const Cell& cell : row) msf.back().push_back(cell.msf);
+  }
+  return msf;
+}
+
+/// The Fig. 7c-e sweeps: `rows` rows on one world and env, row r on
+/// engine slot `slot_of(r)`, every baseline drawn from seed ^ 0xb05e
+/// and faulted cells from Rng::stream(seed ^ tag, cell).
+template <typename BuildFn, typename SlotFn, typename ArmFn>
 std::vector<std::vector<double>> sweep_msf_grid(
     const DroneInferenceCampaignConfig& config,
     const ScenarioContext& context, std::uint64_t tag,
     std::size_t row_count, const DroneWorld& world,
-    const DroneEnvConfig& env_config, EngineFor&& engine_for,
-    KeyFn&& engine_key, std::size_t engine_slots, ArmFn&& arm,
-    const std::string& perf_section) {
-  const std::size_t ber_count = config.bers.size();
-  const CampaignRunner runner(context.threads);
-  const std::string stream_tag = inference_stream_tag(
+    const DroneEnvConfig& env_config, BuildFn&& build, SlotFn&& slot_of,
+    std::size_t engine_slots, ArmFn&& arm, const std::string& perf_section) {
+  FlightGrid grid;
+  grid.stream_tag = inference_stream_tag(
       "drone-sweep/" + std::to_string(tag), config, &world);
-  struct Baseline {
-    std::once_flag flown;
-    double msf = 0.0;
-  };
-  // Filled before the campaign starts, so trials only look slots up.
-  std::map<std::size_t, Baseline> baselines;
+  grid.cell_seed = config.seed ^ tag;
   for (std::size_t row = 0; row < row_count; ++row)
-    baselines.try_emplace(engine_key(row));
-  if (baselines.size() != engine_slots)
-    throw std::logic_error(perf_section + ": engine keys name " +
-                           std::to_string(baselines.size()) +
-                           " slots, expected " +
-                           std::to_string(engine_slots));
-  const double trials_started = perf::now();
-  const std::vector<double> cells = runner.map_streamed(
-      stream_tag, row_count * ber_count, config.seed ^ tag,
-      [] { return EngineCache(); },
-      [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
-        const std::size_t row = trial / ber_count;
-        const double ber = config.bers[trial % ber_count];
-        const std::size_t key = engine_key(row);
-        const auto engine = [&]() -> QuantizedInferenceEngine& {
-          return engines.acquire(key, [&] { return engine_for(row); });
-        };
-        if (ber <= 0.0) {
-          Baseline& baseline = baselines.at(key);
-          std::call_once(baseline.flown, [&] {
-            Rng rng(config.seed ^ 0xb05e);
-            baseline.msf = msf_with_faults(
-                engine(), world, env_config, config.repeats, rng,
-                [](QuantizedInferenceEngine&, Rng&) {});
-          });
-          return baseline.msf;
-        }
-        return msf_with_faults(
-            engine(), world, env_config, config.repeats, trial_rng,
-            [&](QuantizedInferenceEngine& e, Rng& r) { arm(row, ber, e, r); });
-      },
-      context.stream);
-  perf::add_section(
-      perf_section,
-      row_count * ber_count * static_cast<std::size_t>(config.repeats),
-      perf::now() - trials_started);
-  std::vector<std::vector<double>> grid;
-  grid.reserve(row_count);
-  for (std::size_t row = 0; row < row_count; ++row)
-    grid.emplace_back(cells.begin() + static_cast<std::ptrdiff_t>(row * ber_count),
-                      cells.begin() + static_cast<std::ptrdiff_t>((row + 1) * ber_count));
-  return grid;
+    grid.rows.push_back({&world, env_config, slot_of(row)});
+  grid.engine_slots = engine_slots;
+  grid.perf_section = perf_section;
+  return msf_of(fly_grid(
+      grid, config, context, build,
+      [&](std::size_t) { return config.seed ^ 0xb05e; }, arm));
 }
 
-/// Transient weight-fault arm shared by Figs. 7b/7e/10b.
-void arm_weight_transient(double ber, QuantizedInferenceEngine& engine,
-                          Rng& rng) {
+/// Transient weight-fault arm (any row) shared by Figs. 7b/7c/7e/10b.
+void arm_weight_transient(std::size_t /*row*/, double ber,
+                          QuantizedInferenceEngine& engine, Rng& rng) {
   const FaultMap map = FaultMap::sample(
       FaultType::kTransientFlip, ber, engine.weight_word_count(),
       engine.format().total_bits(), rng);
@@ -307,44 +394,25 @@ EnvironmentSweepResult run_environment_sweep(
                                                       config.policy);
                   });
 
-  // Phase 2: flat (environment, BER) cell grid over shard-resident
-  // engines — one cache slot per environment, since each environment
-  // has its own trained network. Fault-free cells share one fixed
-  // stream (per environment) so every row reports the same baseline
-  // rollouts.
-  const std::size_t ber_count = config.bers.size();
-  const std::string stream_tag =
-      inference_stream_tag("drone-env-sweep", config, nullptr);
-  const double trials_started = perf::now();
-  const std::vector<double> cells = runner.map_streamed(
-      stream_tag, worlds.size() * ber_count, config.seed ^ 0x7b,
-      [] { return EngineCache(); },
-      [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
-        const std::size_t env = trial / ber_count;
-        const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine = engines.acquire(env, [&] {
-          return std::make_unique<QuantizedInferenceEngine>(
-              bundles[env].network, QFormat::drone_weights(),
-              bundles[env].c3f2.input_shape());
-        });
-        Rng rng = ber <= 0.0 ? Rng(config.seed ^ (0xb05e + env + 1))
-                             : trial_rng;
-        return msf_with_faults(
-            engine, worlds[env], bundles[env].env_config, config.repeats,
-            rng, [&](QuantizedInferenceEngine& e, Rng& r) {
-              if (ber <= 0.0) return;
-              arm_weight_transient(ber, e, r);
-            });
-      },
-      context.stream);
-  perf::add_section(
-      "drone_env_trials",
-      worlds.size() * ber_count * static_cast<std::size_t>(config.repeats),
-      perf::now() - trials_started);
+  // Phase 2: the (environment, BER) grid, one engine slot per
+  // environment (each has its own trained network) and one baseline
+  // stream per environment.
+  FlightGrid grid;
+  grid.stream_tag = inference_stream_tag("drone-env-sweep", config, nullptr);
+  grid.cell_seed = config.seed ^ 0x7b;
   for (std::size_t env = 0; env < worlds.size(); ++env)
-    result.msf.emplace_back(
-        cells.begin() + static_cast<std::ptrdiff_t>(env * ber_count),
-        cells.begin() + static_cast<std::ptrdiff_t>((env + 1) * ber_count));
+    grid.rows.push_back({&worlds[env], bundles[env].env_config, env});
+  grid.engine_slots = EnvironmentSweepResult::kEngineSlots;
+  grid.perf_section = "drone_env_trials";
+  result.msf = msf_of(fly_grid(
+      grid, config, context,
+      [&](std::size_t env) {
+        return std::make_unique<QuantizedInferenceEngine>(
+            bundles[env].network, QFormat::drone_weights(),
+            bundles[env].c3f2.input_shape());
+      },
+      [&](std::size_t env) { return config.seed ^ (0xb05e + env + 1); },
+      arm_weight_transient));
   return result;
 }
 
@@ -383,7 +451,7 @@ LocationSweepResult run_location_sweep(
             e.set_input_transient_ber(ber);
             break;
           case DroneFaultLocation::kWeightTransient:
-            arm_weight_transient(ber, e, r);
+            arm_weight_transient(row, ber, e, r);
             break;
           case DroneFaultLocation::kActivationTransient:
             e.set_activation_transient_ber(ber);
@@ -456,9 +524,7 @@ DataTypeSweepResult run_data_type_sweep(
       },
       [](std::size_t row) { return row; },
       DataTypeSweepResult::kEngineSlots,
-      [](std::size_t, double ber, QuantizedInferenceEngine& e, Rng& r) {
-        arm_weight_transient(ber, e, r);
-      },
+      arm_weight_transient,
       "drone_data_type_trials");
   return result;
 }
@@ -470,61 +536,33 @@ DroneMitigationResult run_drone_mitigation_comparison(
   result.bers = config.bers;
   const DronePolicyBundle bundle = train_drone_policy(world, config.policy);
 
-  // Rows: 0 = baseline, 1 = range-detector-hardened — the row index is
-  // also the cache key, so a baseline cell can never acquire a hardened
-  // engine or vice versa. Each cell reports its detector tally so the
-  // campaign total is an order-independent sum over trials.
-  struct Cell {
-    double msf = 0.0;
-    std::uint64_t detections = 0;
-  };
-  const std::size_t ber_count = config.bers.size();
-  const CampaignRunner runner(context.threads);
-  const std::string stream_tag =
-      inference_stream_tag("drone-mitigation", config, &world);
-  const double trials_started = perf::now();
-  const std::vector<Cell> cells = runner.map_streamed(
-      stream_tag, 2 * ber_count, config.seed ^ 0x7f,
-      [] { return EngineCache(); },
-      [&](std::size_t trial, Rng& trial_rng, EngineCache& engines) {
-        const bool mitigated = trial >= ber_count;
-        const double ber = config.bers[trial % ber_count];
-        QuantizedInferenceEngine& engine =
-            engines.acquire(mitigated ? 1 : 0, [&] {
-              auto built = std::make_unique<QuantizedInferenceEngine>(
-                  bundle.network, QFormat::drone_weights(),
-                  bundle.c3f2.input_shape());
-              if (mitigated) built->enable_weight_protection(0.1);
-              return built;
-            });
-        // The resident detector tallies across cells; this cell's
-        // count (identical to a fresh engine's) is the delta.
-        const std::uint64_t detections_before =
-            mitigated && engine.weight_detector() != nullptr
-                ? engine.weight_detector()->detections()
-                : 0;
-        Cell cell;
-        Rng rng = ber <= 0.0 ? Rng(config.seed ^ 0xb05e) : trial_rng;
-        cell.msf = msf_with_faults(
-            engine, world, bundle.env_config, config.repeats, rng,
-            [&](QuantizedInferenceEngine& e, Rng& r) {
-              if (ber <= 0.0) return;
-              arm_weight_transient(ber, e, r);
-            });
-        if (mitigated && engine.weight_detector() != nullptr)
-          cell.detections =
-              engine.weight_detector()->detections() - detections_before;
-        return cell;
+  // Rows: 0 = baseline, 1 = range-detector-hardened. The row is also
+  // the engine slot, so a baseline flight can never acquire a hardened
+  // engine or vice versa. Both rows' fault-free cells fly the same
+  // stream, and each flight reports its detector hits, so the campaign
+  // total is an order-independent sum over flights.
+  FlightGrid grid;
+  grid.stream_tag = inference_stream_tag("drone-mitigation", config, &world);
+  grid.cell_seed = config.seed ^ 0x7f;
+  for (std::size_t row = 0; row < 2; ++row)
+    grid.rows.push_back({&world, bundle.env_config, row});
+  grid.engine_slots = DroneMitigationResult::kEngineSlots;
+  grid.perf_section = "drone_mitigation_trials";
+  const std::vector<std::vector<Cell>> cells = fly_grid(
+      grid, config, context,
+      [&](std::size_t row) {
+        auto built = std::make_unique<QuantizedInferenceEngine>(
+            bundle.network, QFormat::drone_weights(),
+            bundle.c3f2.input_shape());
+        if (row == 1) built->enable_weight_protection(0.1);
+        return built;
       },
-      context.stream);
-  perf::add_section(
-      "drone_mitigation_trials",
-      2 * ber_count * static_cast<std::size_t>(config.repeats),
-      perf::now() - trials_started);
-  for (std::size_t i = 0; i < ber_count; ++i) {
-    result.baseline_msf.push_back(cells[i].msf);
-    result.mitigated_msf.push_back(cells[ber_count + i].msf);
-    result.detections += cells[ber_count + i].detections;
+      [&](std::size_t) { return config.seed ^ 0xb05e; },
+      arm_weight_transient);
+  for (std::size_t i = 0; i < config.bers.size(); ++i) {
+    result.baseline_msf.push_back(cells[0][i].msf);
+    result.mitigated_msf.push_back(cells[1][i].msf);
+    result.detections += cells[1][i].detections;
   }
   return result;
 }

@@ -4,6 +4,15 @@
 // All inference campaigns share one offline-trained policy per world
 // and express faults through the QuantizedInferenceEngine's buffers;
 // the training campaign (Fig. 7a) exercises the OnlineFineTuner.
+//
+// An inference campaign is a (row, BER) cell grid of `repeats` flights
+// per cell, and its campaign trial is one flight: each engine slot's
+// fault-free baseline cell (when the grid has a BER <= 0 column) and
+// every faulted cell are listed, and trial t flies flight t % repeats
+// of listed cell t / repeats. A flight draws from its cell's stream,
+// never the trial's, so a cell's MSF does not depend on how its
+// flights are sharded. Every BER <= 0 cell of a slot reports the
+// slot's one baseline.
 
 #include <cstddef>
 #include <string>
@@ -61,12 +70,15 @@ DroneTrainingCampaignResult run_drone_training_campaign(
 struct DroneInferenceCampaignConfig {
   DronePolicySpec policy{};
   std::vector<double> bers;
-  int repeats = 10;    ///< fault draws x rollouts per point
+  int repeats = 10;    ///< flights per cell, each with its own fault draw
   std::uint64_t seed = 42;
 };
 
 /// Fig. 7b: MSF vs BER (transient weight faults) per environment.
 struct EnvironmentSweepResult {
+  /// Engine-cache slots the sweep flies on, one per environment (each
+  /// has its own network), each with its own baseline stream.
+  static constexpr std::size_t kEngineSlots = 2;
   std::vector<std::string> environments;
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [environment][ber]
@@ -85,8 +97,9 @@ enum class DroneFaultLocation {
 std::string to_string(DroneFaultLocation location);
 
 struct LocationSweepResult {
-  /// Engine-cache slots the sweep flies its fault-free cells on (one
-  /// memoized flight per slot): every location drives one engine.
+  /// Engine-cache slots the sweep flies on, which is also how many
+  /// baseline cells it flies for its BER <= 0 column: every location
+  /// drives one engine.
   static constexpr std::size_t kEngineSlots = 1;
   std::vector<double> bers;
   std::vector<std::vector<double>> msf;  ///< [location][ber], enum order
@@ -121,6 +134,9 @@ DataTypeSweepResult run_data_type_sweep(
 
 /// Fig. 10b: anomaly-detection mitigation on weight faults.
 struct DroneMitigationResult {
+  /// The baseline and the hardened engine (see LocationSweepResult);
+  /// both baselines fly the same stream.
+  static constexpr std::size_t kEngineSlots = 2;
   std::vector<double> bers;
   std::vector<double> baseline_msf;
   std::vector<double> mitigated_msf;

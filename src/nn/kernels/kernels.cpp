@@ -61,6 +61,11 @@ void relu_scalar(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
+void relu_backward_scalar(const float* x, const float* gy, float* gx,
+                          std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) gx[i] = x[i] > 0.0f ? gy[i] : 0.0f;
+}
+
 /// The reference backward. Each gradient element's chain: gb[oc] and
 /// gw[oc][..] add one term per output position (oh, ow ascending);
 /// gx[ic][ih][iw] adds one term per (oc, oh, ow) ascending whose window
@@ -101,6 +106,37 @@ void conv2d_backward_scalar(const float* w, const float* x, const float* gy,
         }
       }
     }
+  }
+}
+
+void transpose_scalar(const float* w, float* wt, int rows, int cols) {
+  // 8x8 tiles: a full tile's fixed-size loops unroll, and its reads and
+  // its strided writes each stay within eight cache lines.
+  constexpr std::size_t kTile = 8;
+  const auto R = static_cast<std::size_t>(rows);
+  const auto C = static_cast<std::size_t>(cols);
+  for (std::size_t r0 = 0; r0 < R; r0 += kTile) {
+    const std::size_t rn = std::min(kTile, R - r0);
+    for (std::size_t c0 = 0; c0 < C; c0 += kTile) {
+      const std::size_t cn = std::min(kTile, C - c0);
+      const float* src = w + r0 * C + c0;
+      float* dst = wt + c0 * R + r0;
+      if (rn == kTile && cn == kTile) {
+        for (std::size_t c = 0; c < kTile; ++c)
+          for (std::size_t r = 0; r < kTile; ++r)
+            dst[c * R + r] = src[r * C + c];
+      } else {
+        for (std::size_t c = 0; c < cn; ++c)
+          for (std::size_t r = 0; r < rn; ++r) dst[c * R + r] = src[r * C + c];
+      }
+    }
+  }
+}
+
+void sgd_apply_scalar(float* param, float* grad, std::size_t n, float lr) {
+  for (std::size_t i = 0; i < n; ++i) {
+    param[i] -= lr * grad[i];
+    grad[i] = 0.0f;
   }
 }
 
@@ -159,7 +195,10 @@ constexpr KernelOps kScalarOps{"scalar",
                                conv2d_scalar,
                                dense_scalar,
                                relu_scalar,
+                               relu_backward_scalar,
                                conv2d_backward_scalar,
+                               transpose_scalar,
+                               sgd_apply_scalar,
                                quantize_scalar,
                                maxpool2d_scalar,
                                sgd_commit_scalar};
@@ -237,30 +276,6 @@ const KernelOps& active() {
     }
   }();
   return chosen;
-}
-
-void transpose(const float* w, float* wt, int rows, int cols) {
-  // 8x8 tiles: a full tile's fixed-size loops unroll, and its reads and
-  // its strided writes each stay within eight cache lines.
-  constexpr std::size_t kTile = 8;
-  const auto R = static_cast<std::size_t>(rows);
-  const auto C = static_cast<std::size_t>(cols);
-  for (std::size_t r0 = 0; r0 < R; r0 += kTile) {
-    const std::size_t rn = std::min(kTile, R - r0);
-    for (std::size_t c0 = 0; c0 < C; c0 += kTile) {
-      const std::size_t cn = std::min(kTile, C - c0);
-      const float* src = w + r0 * C + c0;
-      float* dst = wt + c0 * R + r0;
-      if (rn == kTile && cn == kTile) {
-        for (std::size_t c = 0; c < kTile; ++c)
-          for (std::size_t r = 0; r < kTile; ++r)
-            dst[c * R + r] = src[r * C + c];
-      } else {
-        for (std::size_t c = 0; c < cn; ++c)
-          for (std::size_t r = 0; r < rn; ++r) dst[c * R + r] = src[r * C + c];
-      }
-    }
-  }
 }
 
 ScopedKernelBackend::ScopedKernelBackend(const KernelOps& ops)

@@ -1,8 +1,9 @@
 #pragma once
 // Runtime-dispatched compute kernels: the forward loops of the float
 // layers (src/nn/layers.cpp) and the quantized inference engine, the
-// engine's activation quantization, the float Conv2D backward, and the
-// Grid World MLP's straight-through weight commit (src/rl/mlp_q.cpp).
+// engine's activation quantization, the float Conv2D and ReLU
+// backwards and SGD update, the weight transposes, and the Grid World
+// MLP's straight-through weight commit (src/rl/mlp_q.cpp).
 //
 // The engine emulates fixed-point MACs in float: per output element it
 // runs one sequential accumulation chain (bias, then += w*x in a fixed
@@ -10,10 +11,19 @@
 // backends vectorize ACROSS independent output elements while keeping
 // every element's scalar chain intact, so each lane performs exactly
 // the operations the scalar backend performs for that element and the
-// results are bit-identical for every backend and lane width. The
+// results are bit-identical for every backend and lane width, up to
+// which NaN an add or multiply of two NaNs returns: the compiler picks
+// the operand order of a commutative instruction, so no backend fixes
+// it. Every NaN a diverged float training produces is the host's one
+// invalid-operation NaN, so the choice never shows there. The
 // backward keeps the same contract: every gradient element sees the
 // scalar backward's sequence of `+= g * v` updates, skipped exactly
-// where that loop skips a zero output gradient. Max-pool makes the
+// where that loop skips a zero output gradient (the AVX2 entry first
+// lists, per output channel and without a branch, the positions whose
+// gradient passes `g != 0.0f`, so -0.0 is skipped and NaN is not, and
+// then walks that list in order). ReLU's backward selects the output
+// gradient where the forward input is greater than zero, and the float
+// SGD update runs each parameter's one subtract. Max-pool makes the
 // scalar loop's comparisons in its window order, so it returns the
 // scalar entry's bytes too. Quantization and the SGD commit's encode
 // and decode return the same results as QFormat's double arithmetic,
@@ -79,10 +89,15 @@ struct CommitRun {
 ///   conv2d: w[oc][ic][kh][kw], wt[ic][kh][kw][oc] (transposed copy,
 ///           only valid when conv_wants_transposed; pass nullptr
 ///           otherwise), bias[oc], x/y in CHW;
-///   dense:  w[o][i] (row-major), wt[i][o] (transposed copy, only
-///           valid when dense_wants_transposed; pass nullptr
-///           otherwise), bias[o];
+///   dense:  w[o][i] (row-major), wt[i][o] (transposed copy, read
+///           only when dense_wants_transposed) or nullptr, bias[o]. A
+///           null wt is valid on every backend: the entry then reads
+///           only the row-major w (AVX2 transposes 8x8 tiles of it in
+///           registers), so callers whose weights change between calls
+///           need no copy;
 ///   relu:   in place;
+///   relu_backward: gx[i] = x[i] > 0 ? gy[i] : +0.0f for i < n, where
+///           x is the forward's input (false for -0.0 and NaN);
 ///   conv2d_backward: w and x as conv2d (x is the forward's input),
 ///           gy[oc][oh][ow] the output gradient; adds into
 ///           gw[oc][ic][kh][kw] and gb[oc], overwrites every element
@@ -91,6 +106,12 @@ struct CommitRun {
 ///           and exit are unspecified. gx may be nullptr: then no input
 ///           gradient is computed, and gw and gb receive exactly the
 ///           values of the full call (neither chain reads gx);
+///   transpose: wt[c][r] = w[r][c] for a row-major rows x cols w: the
+///           wt copy that dense (rows = out_f) and conv2d (rows = out_c)
+///           read. A copy, so no backend can change a value;
+///   sgd_apply: param[i] = param[i] - lr * grad[i], then grad[i] =
+///           +0.0f, for i < n: the float layers' SGD update and gradient
+///           reset in one pass;
 ///   quantize: x[i] = format.quantize(x[i]) for i < n, in place;
 ///   maxpool2d: non-overlapping `window` x `window` max over CHW x, y
 ///           the (channels, in_h / window, in_w / window) output. Each
@@ -115,24 +136,28 @@ struct CommitRun {
 /// place).
 struct KernelOps {
   const char* name;
-  /// True when `dense` reads the transposed weight copy `wt` (built
-  /// by the caller once per weight-image load, amortized over many
-  /// inferences).
+  /// True when `dense` reads the transposed weight copy `wt` when one
+  /// is passed (built by the caller once per weight-image load,
+  /// amortized over many inferences).
   bool dense_wants_transposed;
   /// True when `conv2d` reads the transposed weight copy `wt`
   /// (contiguous across output channels for a fixed tap, so SIMD
   /// lanes covering neighboring output channels load one vector per
   /// tap instead of gathering strided input columns). Built by the
-  /// caller with transpose().
+  /// caller with the transpose slot.
   bool conv_wants_transposed;
   void (*conv2d)(const float* w, const float* wt, const float* bias,
                  const float* x, float* y, const ConvShape& s);
   void (*dense)(const float* w, const float* wt, const float* bias,
                 const float* x, float* y, int in_f, int out_f);
   void (*relu)(float* x, std::size_t n);
+  void (*relu_backward)(const float* x, const float* gy, float* gx,
+                        std::size_t n);
   void (*conv2d_backward)(const float* w, const float* x, const float* gy,
                           float* gw, float* gb, float* gx, float* scratch,
                           const ConvShape& s);
+  void (*transpose)(const float* w, float* wt, int rows, int cols);
+  void (*sgd_apply)(float* param, float* grad, std::size_t n, float lr);
   void (*quantize)(float* x, std::size_t n, const QFormat& format);
   void (*maxpool2d)(const float* x, float* y, int channels, int in_h,
                     int in_w, int window, std::size_t* argmax);
@@ -170,11 +195,6 @@ const KernelOps& resolve_backend(const std::string& choice);
 /// is active, otherwise the FTNAV_SIMD choice resolved once on first
 /// use. Engines capture this at construction, float layers per call.
 const KernelOps& active();
-
-/// wt[c][r] = w[r][c] for a row-major rows x cols `w`: the `wt` copy
-/// that dense (rows = out_f) and conv2d (rows = out_c) read. A copy, so
-/// its loop order cannot change a value.
-void transpose(const float* w, float* wt, int rows, int cols);
 
 /// Test-only: pins the active backend for the lifetime of the scope so
 /// one process can construct engines on different backends and compare

@@ -9,7 +9,10 @@
 // enable FMA codegen). IEEE-754 single-precision mul/add are identical
 // scalar vs vector, so results are bit-identical to the scalar
 // backend. Conv's remainder elements (sizes not divisible by 8) run
-// the scalar chain directly; dense runs them in masked lanes.
+// the scalar chain directly; dense runs them in masked lanes. Dense
+// without the transposed copy (the float layers, whose weights change
+// between calls) loads 8x8 tiles of the row-major weights and
+// transposes them in registers, so its lanes run the same chains.
 //
 // One chain per vector would leave the adder waiting on its own
 // latency, so the forwards keep several chains in flight: conv runs
@@ -17,16 +20,19 @@
 // per pass, dense kDenseBlocks eight-output blocks. Interleaving
 // independent chains changes no chain.
 //
-// The conv backward walks the nonzero output gradients one by one, in
-// the scalar loop's order (most are zero behind max-pool and ReLU), and
-// vectorizes each one's updates: across the kernel taps of a weight
+// The conv backward lists, per output channel, the positions whose
+// gradient is nonzero (most are zero behind max-pool and ReLU) with a
+// compare mask and a compaction table instead of a branch per
+// position, then walks the list in the scalar loop's order and
+// vectorizes each entry's updates: across the kernel taps of a weight
 // gradient row (through x unrolled per output position) and across the
 // input channels of an input-gradient position (through HWC copies of
 // gx and w). Every gradient element keeps the scalar backward's chain.
 //
-// Quantization and the SGD commit's encode and decode run on 8 float
-// lanes for formats of at most 24 bits (FloatCodec: why that is exact),
-// and wider formats take the scalar entries. Max-pool over 2x2 windows
+// The float SGD update runs 8 parameters per pass. Quantization and
+// the SGD commit's encode and decode run on 8 float lanes for formats
+// of at most 24 bits (FloatCodec: why that is exact), and wider
+// formats take the scalar entries. Max-pool over 2x2 windows
 // makes 8 outputs of a row per pass with the scalar loop's comparisons
 // in its window order. The SGD commit runs 8 entries per pass: the
 // float update and the codec on float lanes, and the word packing and
@@ -43,6 +49,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <climits>
 #include <cstdint>
 #include <cstring>
@@ -234,25 +242,114 @@ void conv2d_avx2(const float* w, const float* wt, const float* bias,
   }
 }
 
-/// Outputs [o, o + 8B) through the transposed weights wt[i][o]
-/// (contiguous across outputs for a fixed input): B chains. With
-/// kPartial the last block keeps only the lanes set in `last`: its
-/// loads are masked, so it reads nothing past wt or bias, and its dead
-/// lanes are not stored.
-template <int B, bool kPartial>
-void dense_tile(const float* wt, const float* bias, const float* x, float* y,
-                int in_f, int out_f, int o, __m256i last) {
+/// c[k] = {r[0][k], r[1][k], ..., r[7][k]} for k < 8: the 8x8 tile
+/// whose rows start at r[0..8), transposed. Each 128-bit half is loaded
+/// from its own row, so only in-lane unpacks and shuffles remain.
+[[gnu::always_inline]] inline void load_tile_transposed(
+    const float* const* r, __m256 c[8]) {
+  for (int h = 0; h < 2; ++h) {
+    __m256 t[4];
+    for (int j = 0; j < 4; ++j)
+      t[j] = _mm256_insertf128_ps(
+          _mm256_castps128_ps256(_mm_loadu_ps(r[j] + 4 * h)),
+          _mm_loadu_ps(r[j + 4] + 4 * h), 1);
+    const __m256 u0 = _mm256_unpacklo_ps(t[0], t[1]);
+    const __m256 u1 = _mm256_unpackhi_ps(t[0], t[1]);
+    const __m256 u2 = _mm256_unpacklo_ps(t[2], t[3]);
+    const __m256 u3 = _mm256_unpackhi_ps(t[2], t[3]);
+    c[4 * h + 0] = _mm256_shuffle_ps(u0, u2, _MM_SHUFFLE(1, 0, 1, 0));
+    c[4 * h + 1] = _mm256_shuffle_ps(u0, u2, _MM_SHUFFLE(3, 2, 3, 2));
+    c[4 * h + 2] = _mm256_shuffle_ps(u1, u3, _MM_SHUFFLE(1, 0, 1, 0));
+    c[4 * h + 3] = _mm256_shuffle_ps(u1, u3, _MM_SHUFFLE(3, 2, 3, 2));
+  }
+}
+
+/// 8x8 tiles through registers; the last rows % 8 rows and cols % 8
+/// columns are copied one by one.
+void transpose_avx2(const float* w, float* wt, int rows, int cols) {
+  const auto R = static_cast<std::size_t>(rows);
+  const auto C = static_cast<std::size_t>(cols);
+  std::size_t r0 = 0;
+  for (; r0 + 8 <= R; r0 += 8) {
+    const float* r[8];
+    for (std::size_t j = 0; j < 8; ++j) r[j] = w + (r0 + j) * C;
+    std::size_t c0 = 0;
+    for (; c0 + 8 <= C; c0 += 8) {
+      __m256 c[8];
+      load_tile_transposed(r, c);
+      for (std::size_t k = 0; k < 8; ++k)
+        _mm256_storeu_ps(wt + (c0 + k) * R + r0, c[k]);
+      for (const float*& row : r) row += 8;
+    }
+    for (; c0 < C; ++c0)
+      for (std::size_t j = 0; j < 8; ++j) wt[c0 * R + r0 + j] = *r[j]++;
+  }
+  for (; r0 < R; ++r0)
+    for (std::size_t c0 = 0; c0 < C; ++c0) wt[c0 * R + r0] = w[r0 * C + c0];
+}
+
+/// Outputs [o, o + 8B): B chains. With kRows the weights come from the
+/// row-major w, one transposed 8x8 tile per 8 inputs and block (rows
+/// past out_f repeat the last row; their lanes are never stored, and
+/// the last in_f % 8 inputs are read from a zero-padded copy of the
+/// tile); otherwise from the transposed wt[i][o] (contiguous across
+/// outputs for a fixed input). Either way lane j of block b adds
+/// w[o + 8b + j][i] * x[i] for i ascending. With kPartial the last
+/// block keeps only the lanes set in `last`: its loads are masked, so
+/// it reads nothing past wt or bias, and its dead lanes are not stored.
+template <int B, bool kPartial, bool kRows>
+void dense_tile(const float* w, const float* wt, const float* bias,
+                const float* x, float* y, int in_f, int out_f, int o,
+                __m256i last) {
   const auto load = [last](const float* p, int b) {
     return kPartial && b == B - 1 ? _mm256_maskload_ps(p, last)
                                   : _mm256_loadu_ps(p);
   };
   __m256 acc[B];
   for (int b = 0; b < B; ++b) acc[b] = load(bias + o + 8 * b, b);
-  for (int i = 0; i < in_f; ++i) {
-    const __m256 xv = _mm256_broadcast_ss(x + i);
-    const float* row = wt + static_cast<std::size_t>(i) * out_f + o;
+  if constexpr (kRows) {
+    const float* rows[B][8];
     for (int b = 0; b < B; ++b)
-      acc[b] = _mm256_add_ps(acc[b], _mm256_mul_ps(load(row + 8 * b, b), xv));
+      for (int j = 0; j < 8; ++j)
+        rows[b][j] =
+            w + static_cast<std::size_t>(std::min(o + 8 * b + j, out_f - 1)) *
+                    in_f;
+    const auto add_tile = [&](int b, const float* const* r, int i, int n) {
+      __m256 c[8];
+      load_tile_transposed(r, c);
+      for (int k = 0; k < n; ++k)
+        acc[b] = _mm256_add_ps(
+            acc[b], _mm256_mul_ps(c[k], _mm256_broadcast_ss(x + i + k)));
+    };
+    int i = 0;
+    for (; i + 8 <= in_f; i += 8) {
+      for (int b = 0; b < B; ++b) {
+        const float* r[8];
+        for (int j = 0; j < 8; ++j) r[j] = rows[b][j] + i;
+        add_tile(b, r, i, 8);
+      }
+    }
+    if (i < in_f) {
+      const int n = in_f - i;
+      for (int b = 0; b < B; ++b) {
+        float tile[8][8] = {};
+        const float* r[8];
+        for (int j = 0; j < 8; ++j) {
+          std::copy(rows[b][j] + i, rows[b][j] + in_f, tile[j]);
+          r[j] = tile[j];
+        }
+        add_tile(b, r, i, n);
+      }
+    }
+  } else {
+    (void)w;
+    for (int i = 0; i < in_f; ++i) {
+      const __m256 xv = _mm256_broadcast_ss(x + i);
+      const float* row = wt + static_cast<std::size_t>(i) * out_f + o;
+      for (int b = 0; b < B; ++b)
+        acc[b] =
+            _mm256_add_ps(acc[b], _mm256_mul_ps(load(row + 8 * b, b), xv));
+    }
   }
   for (int b = 0; b < B; ++b) {
     if (kPartial && b == B - 1)
@@ -262,8 +359,9 @@ void dense_tile(const float* wt, const float* bias, const float* x, float* y,
   }
 }
 
-void dense_avx2(const float* /*w*/, const float* wt, const float* bias,
-                const float* x, float* y, int in_f, int out_f) {
+template <bool kRows>
+void dense_blocks(const float* w, const float* wt, const float* bias,
+                  const float* x, float* y, int in_f, int out_f) {
   // Lane j of block b handles output o+8b+j. A final partial block
   // runs in masked lanes, so no output falls back to a scalar chain.
   static_assert(kDenseBlocks == 4);
@@ -271,24 +369,39 @@ void dense_avx2(const float* /*w*/, const float* wt, const float* bias,
   const __m256i last = first_lanes(std::max(1, out_f - 8 * full));
   int block = 0;
   for (; block + kDenseBlocks <= full; block += kDenseBlocks)
-    dense_tile<kDenseBlocks, false>(wt, bias, x, y, in_f, out_f, 8 * block,
-                                    last);
+    dense_tile<kDenseBlocks, false, kRows>(w, wt, bias, x, y, in_f, out_f,
+                                           8 * block, last);
   const int o = 8 * block;
+  const auto tile = [&](auto blocks, auto partial) {
+    dense_tile<decltype(blocks)::value, decltype(partial)::value, kRows>(
+        w, wt, bias, x, y, in_f, out_f, o, last);
+  };
+  using std::integral_constant;
+  using Partial = integral_constant<bool, true>;
+  using Full = integral_constant<bool, false>;
   if (out_f % 8 != 0) {
     switch (full - block) {
-      case 3: dense_tile<4, true>(wt, bias, x, y, in_f, out_f, o, last); break;
-      case 2: dense_tile<3, true>(wt, bias, x, y, in_f, out_f, o, last); break;
-      case 1: dense_tile<2, true>(wt, bias, x, y, in_f, out_f, o, last); break;
-      default: dense_tile<1, true>(wt, bias, x, y, in_f, out_f, o, last); break;
+      case 3: tile(integral_constant<int, 4>{}, Partial{}); break;
+      case 2: tile(integral_constant<int, 3>{}, Partial{}); break;
+      case 1: tile(integral_constant<int, 2>{}, Partial{}); break;
+      default: tile(integral_constant<int, 1>{}, Partial{}); break;
     }
   } else {
     switch (full - block) {
-      case 3: dense_tile<3, false>(wt, bias, x, y, in_f, out_f, o, last); break;
-      case 2: dense_tile<2, false>(wt, bias, x, y, in_f, out_f, o, last); break;
-      case 1: dense_tile<1, false>(wt, bias, x, y, in_f, out_f, o, last); break;
+      case 3: tile(integral_constant<int, 3>{}, Full{}); break;
+      case 2: tile(integral_constant<int, 2>{}, Full{}); break;
+      case 1: tile(integral_constant<int, 1>{}, Full{}); break;
       default: break;
     }
   }
+}
+
+void dense_avx2(const float* w, const float* wt, const float* bias,
+                const float* x, float* y, int in_f, int out_f) {
+  if (wt == nullptr)
+    dense_blocks<true>(w, wt, bias, x, y, in_f, out_f);
+  else
+    dense_blocks<false>(w, wt, bias, x, y, in_f, out_f);
 }
 
 void relu_avx2(float* x, std::size_t n) {
@@ -302,11 +415,121 @@ void relu_avx2(float* x, std::size_t n) {
   for (; i < n; ++i) x[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
+void relu_backward_avx2(const float* x, const float* gy, float* gx,
+                        std::size_t n) {
+  // The ordered greater-than mask is clear for x <= 0, -0.0 and NaN,
+  // where AND-ing it with gy yields +0.0: the scalar select.
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 live =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_GT_OQ);
+    _mm256_storeu_ps(gx + i, _mm256_and_ps(live, _mm256_loadu_ps(gy + i)));
+  }
+  for (; i < n; ++i) gx[i] = x[i] > 0.0f ? gy[i] : 0.0f;
+}
+
+/// kSetLanes[m]: the indices of m's set bits in ascending order, one
+/// nibble each from the lowest.
+constexpr std::array<std::uint32_t, 256> kSetLanes = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t m = 0; m < 256; ++m) {
+    int slot = 0;
+    for (std::uint32_t lane = 0; lane < 8; ++lane)
+      if ((m >> lane) & 1u) table[m] |= lane << (4 * slot++);
+  }
+  return table;
+}();
+
+/// Positions per pass of the conv backward's nonzero list.
+constexpr int kListChunk = 512;
+
+/// Writes the positions p in [begin, end) whose gradient passes the
+/// scalar loop's test (`g[p] != 0.0f`: false for +-0.0, true for NaN)
+/// to list, in ascending order, and returns how many. No branch
+/// depends on a gradient: 8 positions per pass go through an unordered
+/// not-equal mask and kSetLanes, and the tail through a counted store.
+/// list needs end - begin + 8 entries; the slack takes whole-vector
+/// stores.
+int nonzero_positions(const float* g, int begin, int end, int* list) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256i nibbles = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
+  const __m256i low = _mm256_set1_epi32(0xf);
+  int count = 0;
+  int p = begin;
+  for (; p + 8 <= end; p += 8) {
+    const auto mask = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(g + p), zero, _CMP_NEQ_UQ)));
+    const __m256i lanes = _mm256_and_si256(
+        _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(kSetLanes[mask])),
+                          nibbles),
+        low);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(list + count),
+                        _mm256_add_epi32(_mm256_set1_epi32(p), lanes));
+    count += std::popcount(mask);
+  }
+  for (; p < end; ++p) {
+    list[count] = p;
+    count += g[p] != 0.0f ? 1 : 0;
+  }
+  return count;
+}
+
+/// Taps [t0, t0 + 8V) of one weight-gradient row: row[t] += g *
+/// col[t] for each listed position in list order, with the V vectors
+/// held in registers from one load to one store. With kPartial the
+/// last vector keeps only the lanes set in `tail`: its row load and
+/// store are masked, and its other lanes (taps past the row, read from
+/// the next column or xcol's slack) are dropped.
+template <int V, bool kPartial>
+void accumulate_taps(float* row, const float* xcol, const float* grads,
+                     const int* list, int listed, int taps, int t0,
+                     __m256i tail) {
+  __m256 acc[V];
+  for (int v = 0; v < V; ++v)
+    acc[v] = kPartial && v == V - 1
+                 ? _mm256_maskload_ps(row + t0 + 8 * v, tail)
+                 : _mm256_loadu_ps(row + t0 + 8 * v);
+  for (int k = 0; k < listed; ++k) {
+    const int pos = list[k];
+    const __m256 gv = _mm256_set1_ps(grads[pos]);
+    const float* col = xcol + static_cast<std::size_t>(pos) * taps + t0;
+    for (int v = 0; v < V; ++v)
+      acc[v] = _mm256_add_ps(acc[v],
+                             _mm256_mul_ps(gv, _mm256_loadu_ps(col + 8 * v)));
+  }
+  for (int v = 0; v < V; ++v) {
+    if (kPartial && v == V - 1)
+      _mm256_maskstore_ps(row + t0 + 8 * v, tail, acc[v]);
+    else
+      _mm256_storeu_ps(row + t0 + 8 * v, acc[v]);
+  }
+}
+
+/// Vectors of one weight-gradient row held in registers at a time.
+constexpr int kTapVectors = 8;
+
+/// accumulate_taps for a runtime vector count of 1..V.
+template <bool kPartial, int V = kTapVectors>
+void accumulate_taps_any(int vectors, float* row, const float* xcol,
+                         const float* grads, const int* list, int listed,
+                         int taps, int t0, __m256i tail) {
+  if constexpr (V > 0) {
+    if (vectors == V)
+      accumulate_taps<V, kPartial>(row, xcol, grads, list, listed, taps, t0,
+                                   tail);
+    else
+      accumulate_taps_any<kPartial, V - 1>(vectors, row, xcol, grads, list,
+                                           listed, taps, t0, tail);
+  }
+}
+
 /// Weight and bias gradients. x is unrolled into xcol[pos][tap] (tap =
 /// (ic, kh, kw), the order of a gw row), so each nonzero output
 /// gradient is one contiguous update gw[oc][..] += g * xcol[pos][..]:
 /// lane j is tap t+j, and every gw element still adds its terms in
-/// position order.
+/// position order. A row is updated kTapVectors vectors at a time,
+/// each block held in registers across the channel's whole list.
 void conv_backward_params(const float* x, const float* gy, float* gw,
                           float* gb, float* xcol, const ConvShape& s) {
   const int taps = s.in_c * s.kernel * s.kernel;
@@ -329,21 +552,26 @@ void conv_backward_params(const float* x, const float* gy, float* gw,
       }
     }
   }
+  constexpr int kBlockTaps = 8 * kTapVectors;
+  const __m256i tail = first_lanes(taps % 8 == 0 ? 8 : taps % 8);
+  int list[kListChunk + 8];
   for (int oc = 0; oc < s.out_c; ++oc) {
     float* row = gw + static_cast<std::size_t>(oc) * taps;
-    for (int pos = 0; pos < plane; ++pos) {
-      const float g = gy[static_cast<std::size_t>(oc) * plane + pos];
-      if (g == 0.0f) continue;
-      gb[oc] += g;
-      const __m256 gv = _mm256_set1_ps(g);
-      const float* col = xcol + static_cast<std::size_t>(pos) * taps;
-      int t = 0;
-      for (; t + 8 <= taps; t += 8) {
-        const __m256 term = _mm256_mul_ps(gv, _mm256_loadu_ps(col + t));
-        _mm256_storeu_ps(row + t,
-                         _mm256_add_ps(_mm256_loadu_ps(row + t), term));
+    const float* grads = gy + static_cast<std::size_t>(oc) * plane;
+    for (int begin = 0; begin < plane; begin += kListChunk) {
+      const int listed = nonzero_positions(
+          grads, begin, std::min(plane, begin + kListChunk), list);
+      for (int k = 0; k < listed; ++k) gb[oc] += grads[list[k]];
+      for (int t0 = 0; t0 < taps; t0 += kBlockTaps) {
+        const int block = std::min(kBlockTaps, taps - t0);
+        const int vectors = (block + 7) / 8;
+        if (block % 8 != 0)
+          accumulate_taps_any<true>(vectors, row, xcol, grads, list, listed,
+                                    taps, t0, tail);
+        else
+          accumulate_taps_any<false>(vectors, row, xcol, grads, list, listed,
+                                     taps, t0, tail);
       }
-      for (; t < taps; ++t) row[t] += g * col[t];
     }
   }
 }
@@ -368,29 +596,40 @@ void conv_backward_input(const float* w, const float* gy, float* gx,
   for (int oc = 0; oc < s.out_c; ++oc) {
     const float* src = w + static_cast<std::size_t>(oc) * s.in_c * kk;
     float* dst = wp + static_cast<std::size_t>(oc) * kk * cs;
+    if (cs == s.in_c) {  // w[oc] as an in_c x kk matrix, transposed
+      transpose_avx2(src, dst, s.in_c, kk);
+      continue;
+    }
     for (int ic = 0; ic < s.in_c; ++ic)
       for (int t = 0; t < kk; ++t)
         dst[static_cast<std::size_t>(t) * cs + ic] = *src++;
   }
   std::fill(hwc, hwc + in_plane * cs, 0.0f);
+  // Listed one output row at a time, so an entry is its column.
+  int list[kListChunk + 8];
   for (int oc = 0; oc < s.out_c; ++oc) {
+    const float* wrun = wp + static_cast<std::size_t>(oc) * kk * cs;
     for (int oh = 0; oh < s.out_h; ++oh) {
-      for (int ow = 0; ow < s.out_w; ++ow) {
-        const float g =
-            gy[(static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w + ow];
-        if (g == 0.0f) continue;
-        const __m256 gv = _mm256_set1_ps(g);
-        const float* src = wp + static_cast<std::size_t>(oc) * kk * cs;
-        for (int kh = 0; kh < s.kernel; ++kh, src += run) {
-          float* dst =
-              hwc + (static_cast<std::size_t>(oh * s.stride + kh) * s.in_w +
-                     ow * s.stride) *
-                        cs;
-          for (std::size_t i = 0; i < run; i += 8)
-            _mm256_storeu_ps(
-                dst + i,
-                _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                              _mm256_mul_ps(gv, _mm256_loadu_ps(src + i))));
+      const float* grads =
+          gy + (static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w;
+      for (int begin = 0; begin < s.out_w; begin += kListChunk) {
+        const int listed = nonzero_positions(
+            grads, begin, std::min(s.out_w, begin + kListChunk), list);
+        for (int k = 0; k < listed; ++k) {
+          const int ow = list[k];
+          const __m256 gv = _mm256_set1_ps(grads[ow]);
+          const float* src = wrun;
+          for (int kh = 0; kh < s.kernel; ++kh, src += run) {
+            float* dst =
+                hwc + (static_cast<std::size_t>(oh * s.stride + kh) * s.in_w +
+                       ow * s.stride) *
+                          cs;
+            for (std::size_t i = 0; i < run; i += 8)
+              _mm256_storeu_ps(
+                  dst + i, _mm256_add_ps(
+                               _mm256_loadu_ps(dst + i),
+                               _mm256_mul_ps(gv, _mm256_loadu_ps(src + i))));
+          }
         }
       }
     }
@@ -405,6 +644,21 @@ void conv2d_backward_avx2(const float* w, const float* x, const float* gy,
                           const ConvShape& s) {
   conv_backward_params(x, gy, gw, gb, scratch, s);
   if (gx != nullptr) conv_backward_input(w, gy, gx, scratch, s);
+}
+
+/// 8 entries per pass, each lane the scalar entry's update; the last
+/// n % 8 run the scalar entry.
+void sgd_apply_avx2(float* param, float* grad, std::size_t n, float lr) {
+  const __m256 rate = _mm256_set1_ps(lr);
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 step = _mm256_mul_ps(rate, _mm256_loadu_ps(grad + i));
+    _mm256_storeu_ps(param + i,
+                     _mm256_sub_ps(_mm256_loadu_ps(param + i), step));
+    _mm256_storeu_ps(grad + i, zero);
+  }
+  scalar_ops().sgd_apply(param + i, grad + i, n - i, lr);
 }
 
 /// The widest format whose every value, raw bound and raw integer a
@@ -647,7 +901,10 @@ constexpr KernelOps kAvx2Ops{"avx2",
                              conv2d_avx2,
                              dense_avx2,
                              relu_avx2,
+                             relu_backward_avx2,
                              conv2d_backward_avx2,
+                             transpose_avx2,
+                             sgd_apply_avx2,
                              quantize_avx2,
                              maxpool2d_avx2,
                              sgd_commit_avx2};

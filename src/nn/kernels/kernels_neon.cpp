@@ -8,8 +8,10 @@
 // compiler cannot re-fuse them into FMLA). IEEE-754 single-precision
 // mul/add are identical scalar vs vector, so results are bit-identical
 // to the scalar backend; remainder elements (sizes not divisible by 4)
-// run the scalar chain directly. The conv backward, quantization,
-// max-pool and the SGD commit are the scalar backend's.
+// run the scalar chain directly. Dense without the transposed copy,
+// ReLU's backward, the conv backward, the transpose, the float SGD
+// update, quantization, max-pool and the SGD commit are the scalar
+// backend's.
 //
 // ReLU deliberately avoids vmaxq_f32: ARM FMAX propagates NaN operands
 // where the scalar `v > 0 ? v : 0` (and x86 max_ps) returns 0, so the
@@ -157,6 +159,10 @@ void conv2d_neon(const float* w, const float* wt, const float* bias,
 
 void dense_neon(const float* w, const float* wt, const float* bias,
                 const float* x, float* y, int in_f, int out_f) {
+  if (wt == nullptr) {
+    scalar_ops().dense(w, nullptr, bias, x, y, in_f, out_f);
+    return;
+  }
   // Lane j handles output o+j through the transposed weights
   // wt[i][o] (contiguous across outputs for a fixed input).
   int o = 0;
@@ -194,15 +200,19 @@ void relu_neon(float* x, std::size_t n) {
 }  // namespace
 
 const KernelOps* neon_ops() noexcept {
-  // The conv backward, quantization and max-pool have no NEON loop:
-  // the scalar references serve.
+  // ReLU's backward, the conv backward, the transpose, the SGD update,
+  // quantization, max-pool and the commit have no NEON loop: the scalar
+  // references serve.
   static const KernelOps kNeonOps{"neon",
                                   /*dense_wants_transposed=*/true,
                                   /*conv_wants_transposed=*/true,
                                   conv2d_neon,
                                   dense_neon,
                                   relu_neon,
+                                  scalar_ops().relu_backward,
                                   scalar_ops().conv2d_backward,
+                                  scalar_ops().transpose,
+                                  scalar_ops().sgd_apply,
                                   scalar_ops().quantize,
                                   scalar_ops().maxpool2d,
                                   scalar_ops().sgd_commit};

@@ -64,8 +64,8 @@ const Tensor& Conv2D::infer(const Tensor& input) {
     // Rebuilt per call: callers write params_ through parameters()
     // between forwards, so a kept copy could go stale.
     wt_scratch_.resize(weight_count);
-    kernels::transpose(params_.data(), wt_scratch_.data(), out_channels_,
-                       in_channels_ * kernel_ * kernel_);
+    ops.transpose(params_.data(), wt_scratch_.data(), out_channels_,
+                  in_channels_ * kernel_ * kernel_);
   }
   ops.conv2d(params_.data(),
              ops.conv_wants_transposed ? wt_scratch_.data() : nullptr,
@@ -112,9 +112,8 @@ void Conv2D::run_backward(const Tensor& grad_output, float* grad_input) {
 }
 
 void Conv2D::apply_gradients(float lr) {
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    params_[i] -= lr * grads_[i];
-  zero_gradients();
+  kernels::active().sgd_apply(params_.data(), grads_.data(), params_.size(),
+                              lr);
 }
 
 void Conv2D::zero_gradients() {
@@ -152,8 +151,8 @@ const Tensor& ReLU::backward(const Tensor& grad_output) {
   if (grad_output.shape() != cached_input_.shape())
     throw std::invalid_argument("ReLU::backward: gradient shape mismatch");
   Tensor& grad_input = grad_input_.shaped(cached_input_.shape());
-  for (std::size_t i = 0; i < grad_output.size(); ++i)
-    grad_input[i] = cached_input_[i] > 0.0f ? grad_output[i] : 0.0f;
+  kernels::active().relu_backward(cached_input_.data(), grad_output.data(),
+                                  grad_input.data(), grad_output.size());
   return grad_input;
 }
 
@@ -270,12 +269,11 @@ const Tensor& Dense::forward(const Tensor& input) {
 const Tensor& Dense::infer(const Tensor& input) {
   Tensor& out = output_.shaped(output_shape(input.shape()));
   const std::size_t weight_count = params_.size() - out_features_;
-  // Scalar on every backend: the SIMD kernels read transposed weights,
-  // which would have to be rebuilt after every weight update (imitation
-  // and DDQN training update between forwards).
-  kernels::scalar_ops().dense(params_.data(), nullptr,
-                              params_.data() + weight_count, input.data(),
-                              out.data(), in_features_, out_features_);
+  // Row-major weights (no transposed copy): training updates them
+  // between forwards.
+  kernels::active().dense(params_.data(), nullptr,
+                          params_.data() + weight_count, input.data(),
+                          out.data(), in_features_, out_features_);
   return out;
 }
 
@@ -301,9 +299,8 @@ const Tensor& Dense::backward(const Tensor& grad_output) {
 }
 
 void Dense::apply_gradients(float lr) {
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    params_[i] -= lr * grads_[i];
-  zero_gradients();
+  kernels::active().sgd_apply(params_.data(), grads_.data(), params_.size(),
+                              lr);
 }
 
 void Dense::zero_gradients() {

@@ -155,10 +155,10 @@ void QuantizedInferenceEngine::load_weights() {
       const float* w = weight_image_.data() + op.param_begin;
       float* wt = wt_cache_.data() + op.wt_begin;
       if (op.kind == LayerKind::kDense && ops_->dense_wants_transposed)
-        kernels::transpose(w, wt, op.out_f, op.in_f);
+        ops_->transpose(w, wt, op.out_f, op.in_f);
       else if (op.kind == LayerKind::kConv2D && ops_->conv_wants_transposed)
-        kernels::transpose(w, wt, op.conv.out_c,
-                           op.conv.in_c * op.conv.kernel * op.conv.kernel);
+        ops_->transpose(w, wt, op.conv.out_c,
+                        op.conv.in_c * op.conv.kernel * op.conv.kernel);
     }
   }
   weights_dirty_ = false;

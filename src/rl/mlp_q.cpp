@@ -47,9 +47,8 @@ MlpQAgent::MlpQAgent(const GridWorld& env, MlpQConfig config, Rng& rng)
   // The masters start as the initial parameters, FC1's weights
   // transposed to [states][hidden].
   master_ = net_.snapshot_parameters();
-  kernels::transpose(fc1_.data(), master_.data(),
-                     static_cast<int>(hidden_units_),
-                     static_cast<int>(states_));
+  ops_->transpose(fc1_.data(), master_.data(),
+                  static_cast<int>(hidden_units_), static_cast<int>(states_));
   fc1_rows_.resize((states_ + 1) * hidden_units_);
   fc2_columns_.resize((hidden_units_ + 1) * actions);
   weights_ = QVector(config.format, master_.size());
@@ -73,9 +72,8 @@ Tensor MlpQAgent::encode_state(int state) const {
 const Network& MlpQAgent::network() const noexcept {
   if (fc1_stale_) {
     const std::size_t weights = states_ * hidden_units_;
-    kernels::transpose(fc1_rows_.data(), fc1_.data(),
-                       static_cast<int>(states_),
-                       static_cast<int>(hidden_units_));
+    ops_->transpose(fc1_rows_.data(), fc1_.data(), static_cast<int>(states_),
+                    static_cast<int>(hidden_units_));
     std::copy_n(fc1_rows_.data() + weights, hidden_units_,
                 fc1_.data() + weights);
     fc1_stale_ = false;
@@ -85,9 +83,8 @@ const Network& MlpQAgent::network() const noexcept {
 
 std::span<const float> MlpQAgent::master() const {
   natural_master_ = master_;
-  kernels::transpose(master_.data(), natural_master_.data(),
-                     static_cast<int>(states_),
-                     static_cast<int>(hidden_units_));
+  ops_->transpose(master_.data(), natural_master_.data(),
+                  static_cast<int>(states_), static_cast<int>(hidden_units_));
   return natural_master_;
 }
 

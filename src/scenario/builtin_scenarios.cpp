@@ -1059,39 +1059,30 @@ Work drone_setup(const ParamSet& params, const DroneModel& model,
 }
 
 /// Shared shape of the Fig. 7b-7e / 10b sweeps: `rows` series x the
-/// BER axis, each cell running `repeats` faulted flights. The runner
-/// shards cells; the perf sections count cells x repeats. A sweep with
-/// `engine_slots` > 0 flies only one fault-free cell per engine slot
-/// (its other BER-0 cells return the stored result), so `per_trial`
-/// spreads the flown cells' work over every cell; with 0 every cell
-/// flies.
+/// BER axis, each cell `repeats` flights. A campaign trial is one
+/// flight, and only one fault-free cell per engine slot flies (every
+/// BER-0 cell of a slot reads it), so `trials` counts the flights
+/// flown: (engine_slots + rows x faulted BERs) x repeats when the axis
+/// has a BER-0 column. The perf sections count cells x repeats.
 CostEstimate drone_sweep_cost(const ParamSet& params, std::size_t rows,
                               const char* label, double policies,
-                              std::size_t engine_slots = 0) {
+                              std::size_t engine_slots) {
   const DroneModel model = drone_model(params);
   CostEstimate est;
   est.setup = drone_setup(params, model, policies);
-  const double repeats = static_cast<double>(repeats_of(params));
+  const std::size_t repeats = repeats_of(params);
   const std::vector<double> bers = params.get_double_list("bers");
   const auto faulted = static_cast<std::size_t>(std::count_if(
       bers.begin(), bers.end(), [](double ber) { return ber > 0.0; }));
+  const std::size_t cells_flown =
+      rows * faulted + (faulted < bers.size() ? engine_slots : 0);
   CampaignCost campaign;
   campaign.label = label;
-  campaign.trials = rows * bers.size();
-  campaign.perf_trials =
-      campaign.trials * static_cast<std::size_t>(repeats);
-  const std::size_t flown =
-      engine_slots == 0
-          ? campaign.trials
-          : rows * faulted + (faulted < bers.size() ? engine_slots : 0);
-  campaign.per_trial = drone_flight(model).scaled(repeats);
-  campaign.per_trial.bytes +=
-      repeats * cost::inject_restore_bytes(
-                    static_cast<std::size_t>(model.store_words),
-                    kDroneWordBytes);
-  if (campaign.trials > 0)
-    campaign.per_trial = campaign.per_trial.scaled(
-        static_cast<double>(flown) / static_cast<double>(campaign.trials));
+  campaign.trials = cells_flown * repeats;
+  campaign.perf_trials = rows * bers.size() * repeats;
+  campaign.per_trial = drone_flight(model);
+  campaign.per_trial.bytes += cost::inject_restore_bytes(
+      static_cast<std::size_t>(model.store_words), kDroneWordBytes);
   est.campaigns.push_back(std::move(campaign));
   return est;
 }
@@ -1325,7 +1316,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
           {"drone", "inference"}, drone_inference_params(false),
           run_drone_environments),
       [](const ParamSet& params) {  // 2 worlds, one policy per world
-        return drone_sweep_cost(params, 2, "drone_env_trials", 2.0);
+        return drone_sweep_cost(params, 2, "drone_env_trials", 2.0,
+                                EnvironmentSweepResult::kEngineSlots);
       }));
 
   registry.add(with_cost(
@@ -1377,7 +1369,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
             {"drone", "inference", "mitigation", "anomaly-detection"},
             std::move(params), run_drone_mitigation_scenario),
         [](const ParamSet& params) {  // baseline + mitigated rows
-          return drone_sweep_cost(params, 2, "drone_mitigation_trials", 1.0);
+          return drone_sweep_cost(params, 2, "drone_mitigation_trials", 1.0,
+                                  DroneMitigationResult::kEngineSlots);
         }));
   }
 

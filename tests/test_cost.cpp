@@ -294,18 +294,30 @@ TEST(CostPrediction, DroneSweepLabelNamesItsTrialSection) {
 TEST(CostPrediction, DroneSweepsPriceOnlyTheFlightsFlown) {
   ScenarioRegistry registry;
   register_builtin_scenarios(registry);
-  // The campaign's predicted flight work, all cells together.
-  const auto flights = [&](const char* scenario, const std::string& bers) {
+  // Each sweep's rows and engine slots; its cells fly `repeats` flights,
+  // and one campaign trial is one flight.
+  const struct {
+    const char* scenario;
+    std::size_t rows;
+    std::size_t slots;
+  } sweeps[] = {{"drone-environments", 2, 2},
+                {"drone-fault-locations", 4, 1},
+                {"drone-layers", 5, 1},
+                {"drone-data-types", 3, 3},
+                {"drone-mitigation", 2, 2}};
+  const auto campaign_of = [&](const char* scenario, const std::string& bers) {
     const ScenarioSpec* spec = registry.find(scenario);
     EXPECT_NE(spec, nullptr);
     ParamSet params = spec->make_params();
     params.set("bers", bers, ParamSource::kCli);
     const cost::CostEstimate estimate = spec->cost(params);
     EXPECT_EQ(estimate.campaigns.size(), 1u);
-    const cost::CampaignCost& campaign = estimate.campaigns[0];
-    EXPECT_EQ(campaign.perf_trial_count(),
-              campaign.trials * static_cast<std::size_t>(
-                                    params.get_int("repeats")));
+    return std::pair{estimate.campaigns[0],
+                     static_cast<std::size_t>(params.get_int("repeats"))};
+  };
+  // The campaign's predicted flight work, all flights together.
+  const auto flights = [&](const char* scenario, const std::string& bers) {
+    const cost::CampaignCost campaign = campaign_of(scenario, bers).first;
     return campaign.per_trial.scaled(static_cast<double>(campaign.trials));
   };
   const auto expect_same = [](const cost::Work& a, const cost::Work& b) {
@@ -313,31 +325,33 @@ TEST(CostPrediction, DroneSweepsPriceOnlyTheFlightsFlown) {
     EXPECT_DOUBLE_EQ(a.bytes, b.bytes);
     EXPECT_DOUBLE_EQ(a.drone_steps, b.drone_steps);
   };
-  // Every fault-free cell of an engine slot returns one stored flight,
-  // so a second BER-0 column adds no predicted flight work.
-  for (const char* scenario :
-       {"drone-fault-locations", "drone-layers", "drone-data-types"}) {
-    SCOPED_TRACE(scenario);
-    expect_same(flights(scenario, "0,0.001,0.01"),
-                flights(scenario, "0,0,0.001,0.01"));
-  }
-  // At the default five BERs the location sweep flies 17 of its 20
-  // cells (4 faulted rows x 4 BERs + one baseline) and the layer sweep
-  // 21 of 25; the data-type sweep's three slots fly every cell.
   const std::string faulted = "0.0001,0.001,0.01,0.1";
   const std::string with_zero = "0," + faulted;
-  const std::pair<const char*, double> flown_share[] = {
-      {"drone-fault-locations", 17.0 / 16.0},
-      {"drone-layers", 21.0 / 20.0},
-      {"drone-data-types", 15.0 / 12.0}};
-  for (const auto& [scenario, share] : flown_share) {
-    SCOPED_TRACE(scenario);
-    expect_same(flights(scenario, with_zero),
-                flights(scenario, faulted).scaled(share));
+  for (const auto& sweep : sweeps) {
+    SCOPED_TRACE(sweep.scenario);
+    // Every BER-0 cell of an engine slot reads the slot's one baseline
+    // cell, so a second BER-0 column adds no flight work.
+    expect_same(flights(sweep.scenario, "0,0.001,0.01"),
+                flights(sweep.scenario, "0,0,0.001,0.01"));
+    // Trials are the flights flown: each slot's baseline cell and every
+    // faulted cell. The perf section still counts every cell's flights.
+    const auto [campaign, repeats] = campaign_of(sweep.scenario, with_zero);
+    EXPECT_EQ(campaign.trials, (sweep.slots + sweep.rows * 4) * repeats);
+    EXPECT_EQ(campaign.perf_trial_count(), sweep.rows * 5 * repeats);
+    const auto [no_zero, no_zero_repeats] =
+        campaign_of(sweep.scenario, faulted);
+    EXPECT_EQ(no_zero.trials, sweep.rows * 4 * no_zero_repeats);
+    EXPECT_EQ(no_zero.perf_trial_count(), no_zero.trials);
+    // A flight's work is the same in every cell: at the default five
+    // BERs the location sweep flies 17 of its 20 cells (4 faulted rows
+    // x 4 BERs + one baseline), the layer sweep 21 of 25, and the
+    // data-type, environment and mitigation sweeps one baseline per
+    // slot.
+    expect_same(flights(sweep.scenario, with_zero),
+                flights(sweep.scenario, faulted)
+                    .scaled(static_cast<double>(sweep.slots + sweep.rows * 4) /
+                            static_cast<double>(sweep.rows * 4)));
   }
-  // The environment sweep memoizes nothing: each BER-0 cell flies.
-  expect_same(flights("drone-environments", "0,0,0.001"),
-              flights("drone-environments", "0.001").scaled(3.0));
 }
 
 }  // namespace

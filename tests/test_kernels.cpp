@@ -30,6 +30,7 @@
 
 #include "core/injector.h"
 #include "envs/drone_world.h"
+#include "envs/expert_policy.h"
 #include "fixed/qvector.h"
 #include "nn/c3f2.h"
 #include "nn/kernels/kernels.h"
@@ -147,7 +148,7 @@ void run_conv_shape_matrix(const KernelOps& simd) {
     const auto b = quantized_randoms(fmt, g.out_c, 200 + wn);
     const auto x = quantized_randoms(fmt, xn, 300 + xn);
     std::vector<float> wt(wn);  // wt[ic][kh][kw][oc]
-    kernels::transpose(w.data(), wt.data(), g.out_c,
+    kernels::scalar_ops().transpose(w.data(), wt.data(), g.out_c,
                        g.in_c * g.kernel * g.kernel);
     std::vector<float> y_scalar(yn, -1.0f), y_simd(yn, -2.0f);
     kernels::scalar_ops().conv2d(w.data(), nullptr, b.data(), x.data(),
@@ -158,6 +159,25 @@ void run_conv_shape_matrix(const KernelOps& simd) {
   }
 }
 
+/// Float specials the float layers' kernels must pass through exactly
+/// as the scalar chains do. An operation on two NaNs returns one of
+/// them, and which one depends on the order the compiler gives the
+/// operands of a commutative instruction, which no backend fixes; so
+/// the one NaN here is the one this host's invalid operations return
+/// (inf - inf), and every NaN a chain meets has the same bits.
+std::vector<float> float_specials() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  return {0.0f, -0.0f, inf, -inf, nan, tiny, -tiny, 1e-40f, -3e-39f};
+}
+
+/// The dense slot, scalar against `simd`: through the transposed copy
+/// (built by the slot's transpose, which must copy exactly what the
+/// scalar transpose copies) on Q-format values, and from the row-major
+/// weights alone (a null wt, which every backend accepts) on random
+/// floats with +-0, +-inf, NaN and subnormals spliced into w, x and the
+/// bias. The widths cross every tile and lane boundary of both.
 void run_dense_width_matrix(const KernelOps& simd) {
   const QFormat fmt(3, 4);  // coarse grid: saturating sums
   for (const int in_f : {1, 5, 48, 128}) {
@@ -166,8 +186,10 @@ void run_dense_width_matrix(const KernelOps& simd) {
       const auto w = quantized_randoms(fmt, wn, 400 + wn);
       const auto b = quantized_randoms(fmt, out_f, 500 + wn);
       const auto x = quantized_randoms(fmt, in_f, 600 + in_f);
-      std::vector<float> wt(wn);
-      kernels::transpose(w.data(), wt.data(), out_f, in_f);
+      std::vector<float> wt(wn), wt_simd(wn, -3.0f);
+      kernels::scalar_ops().transpose(w.data(), wt.data(), out_f, in_f);
+      simd.transpose(w.data(), wt_simd.data(), out_f, in_f);
+      expect_bit_identical(wt, wt_simd, "transpose");
       std::vector<float> y_scalar(out_f, -1.0f), y_simd(out_f, -2.0f);
       kernels::scalar_ops().dense(w.data(), nullptr, b.data(), x.data(),
                                   y_scalar.data(), in_f, out_f);
@@ -177,8 +199,40 @@ void run_dense_width_matrix(const KernelOps& simd) {
       expect_bit_identical(y_scalar, y_simd, "dense");
     }
   }
+  const std::vector<float> specials = float_specials();
+  Rng rng(61);
+  const auto values = [&](std::size_t n, std::size_t every) {
+    std::vector<float> out(n);
+    for (float& v : out) v = static_cast<float>(rng.normal(0.0, 1.0));
+    for (std::size_t i = 0; i < n; i += every)
+      out[i] = specials[rng.below(specials.size())];
+    return out;
+  };
+  for (const int in_f : {1, 7, 8, 9, 127, 128, 129}) {
+    for (const int out_f : {1, 7, 8, 9, 25, 31, 32, 33, 128}) {
+      SCOPED_TRACE(testing::Message() << "null wt, in_f " << in_f
+                                      << " out_f " << out_f);
+      const std::size_t wn = static_cast<std::size_t>(out_f) * in_f;
+      // Specials sparse enough that most outputs stay finite.
+      const auto w = values(wn, 97);
+      const auto b = values(static_cast<std::size_t>(out_f), 11);
+      const auto x = values(static_cast<std::size_t>(in_f), 29);
+      std::vector<float> y_scalar(out_f, -1.0f), y_simd(out_f, -2.0f);
+      kernels::scalar_ops().dense(w.data(), nullptr, b.data(), x.data(),
+                                  y_scalar.data(), in_f, out_f);
+      simd.dense(w.data(), nullptr, b.data(), x.data(), y_simd.data(), in_f,
+                 out_f);
+      ASSERT_EQ(std::memcmp(y_scalar.data(), y_simd.data(),
+                            y_scalar.size() * sizeof(float)),
+                0);
+    }
+  }
 }
 
+/// relu, and relu_backward over every length 0..17 and conv1's 5,184
+/// outputs: the forward input mixes +-0, +-inf, NaN and subnormals
+/// into random values, and the output gradient -0.0 and NaN, so a
+/// select on x >= 0 or one that keeps a masked -0.0 shows.
 void run_relu_matrix(const KernelOps& simd) {
   for (const std::size_t n : {1u, 3u, 4u, 7u, 8u, 17u, 64u}) {
     std::vector<float> values = quantized_randoms(QFormat::q_1_4_11(), n, n);
@@ -189,6 +243,33 @@ void run_relu_matrix(const KernelOps& simd) {
     expect_bit_identical(scalar, simd_vals, "relu");
     for (float v : scalar) EXPECT_GE(v, 0.0f);
     EXPECT_EQ(bits_of(scalar[0]), bits_of(0.0f));  // not -0.0
+  }
+  const std::vector<float> specials = float_specials();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(71);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(5184);
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE(testing::Message() << "relu_backward length " << n);
+    std::vector<float> x(n), gy(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = i % 3 == 0 ? specials[(i / 3) % specials.size()]
+                        : static_cast<float>(rng.normal(0.0, 1.0));
+      gy[i] = i % 4 == 1   ? -0.0f
+              : i % 4 == 2 ? (i % 8 == 2 ? nan : -nan)
+                           : static_cast<float>(rng.normal(0.0, 1.0));
+    }
+    std::vector<float> gx_scalar(n, 1.0f), gx_simd(n, 2.0f);
+    kernels::scalar_ops().relu_backward(x.data(), gy.data(), gx_scalar.data(),
+                                        n);
+    simd.relu_backward(x.data(), gy.data(), gx_simd.data(), n);
+    ASSERT_TRUE(n == 0 || std::memcmp(gx_scalar.data(), gx_simd.data(),
+                                      n * sizeof(float)) == 0);
+    for (std::size_t i = 0; i < n; ++i)
+      if (!(x[i] > 0.0f)) {
+        ASSERT_EQ(bits_of(gx_scalar[i]), bits_of(0.0f));
+      }
   }
 }
 
@@ -213,7 +294,7 @@ void run_faulted_dense(const KernelOps& simd) {
   std::vector<float> w(image.size());
   image.decode_into(w);
   std::vector<float> wt(w.size());
-  kernels::transpose(w.data(), wt.data(), out_f, in_f);
+  kernels::scalar_ops().transpose(w.data(), wt.data(), out_f, in_f);
   const auto b = quantized_randoms(fmt, out_f, 9);
   const auto x = quantized_randoms(fmt, in_f, 10);
   std::vector<float> y_scalar(out_f), y_simd(out_f);
@@ -287,6 +368,55 @@ void run_conv_backward_matrix(const KernelOps& simd) {
           EXPECT_FALSE(std::isnan(grads_scalar[wn - 1]));
           EXPECT_FALSE(std::isnan(gx_scalar[0]));
         }
+  // The fast C3F2's three conv shapes with gradients as max-pool and
+  // ReLU leave them, about 75% zero with +0 and -0 mixed, with and
+  // without an input gradient. gw and gb start with -0 entries, which
+  // a -0 gradient times a negative input (+0) would turn into +0.
+  const ConvGeometry c3f2_shapes[] = {
+      {3, 16, 5, 2, 18, 18}, {16, 32, 3, 2, 4, 4}, {32, 32, 3, 1, 2, 2}};
+  Rng rng(81);
+  for (const ConvGeometry& g : c3f2_shapes) {
+    const ConvShape s = shape_of(g);
+    const std::size_t wn =
+        static_cast<std::size_t>(g.out_c) * g.in_c * g.kernel * g.kernel;
+    const std::size_t xn = static_cast<std::size_t>(g.in_c) * s.in_h * s.in_w;
+    const std::size_t yn =
+        static_cast<std::size_t>(g.out_c) * g.out_h * g.out_w;
+    const auto w = quantized_randoms(fmt, wn, 1500 + wn);
+    const auto x = quantized_randoms(fmt, xn, 1600 + xn);
+    std::vector<float> gy(yn);
+    for (float& v : gy) {
+      const std::uint64_t pick = rng.below(8);
+      v = pick < 6 ? (pick % 2 == 0 ? 0.0f : -0.0f)
+                   : static_cast<float>(rng.normal(0.0, 0.01));
+    }
+    auto params = quantized_randoms(fmt, wn + g.out_c, 1700 + wn);
+    for (std::size_t i = 0; i < params.size(); i += 3) params[i] = -0.0f;
+    std::vector<float> scratch(kernels::conv2d_backward_scratch(s));
+    for (const bool with_gx : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "C3F2 shape in_c " << g.in_c << " out_c " << g.out_c
+                   << (with_gx ? " with gx" : " without gx"));
+      std::vector<float> grads_scalar = params, grads_simd = params;
+      std::vector<float> gx_scalar(xn, 1.0f), gx_simd(xn, 2.0f);
+      kernels::scalar_ops().conv2d_backward(
+          w.data(), x.data(), gy.data(), grads_scalar.data(),
+          grads_scalar.data() + wn, with_gx ? gx_scalar.data() : nullptr,
+          scratch.data(), s);
+      simd.conv2d_backward(w.data(), x.data(), gy.data(), grads_simd.data(),
+                           grads_simd.data() + wn,
+                           with_gx ? gx_simd.data() : nullptr,
+                           scratch.data(), s);
+      ASSERT_EQ(std::memcmp(grads_scalar.data(), grads_simd.data(),
+                            grads_scalar.size() * sizeof(float)),
+                0);
+      if (with_gx) {
+        ASSERT_EQ(std::memcmp(gx_scalar.data(), gx_simd.data(),
+                              xn * sizeof(float)),
+                  0);
+      }
+    }
+  }
 }
 
 /// conv2d_backward with gx == nullptr against the full call on the same
@@ -748,17 +878,78 @@ std::vector<float> float_forward_and_train() {
   return out;
 }
 
+/// The fast C3F2 after 20 imitation-shaped steps (forward, the mean
+/// squared error's gradient against the expert's targets, backward,
+/// apply_gradients) on observations rendered along an expert flight:
+/// its parameters on the active backend.
+std::vector<float> c3f2_after_imitation_steps() {
+  Rng rng(23);
+  const C3F2Config c3f2 = C3F2Config::preset(C3F2Preset::kFast);
+  Network net = make_c3f2(c3f2, rng);
+  const DroneWorld world = DroneWorld::indoor_long();
+  DroneEnv env(world, DroneEnvConfig{});
+  const ExpertPolicy expert(env);
+  (void)env.reset(rng);
+  Tensor grad(Shape{c3f2.actions, 1, 1});
+  for (int step = 0; step < 20; ++step) {
+    if (env.done()) (void)env.reset(rng);
+    const Tensor targets = expert.action_targets();
+    const Tensor& q = net.forward(env.observe());
+    for (std::size_t i = 0; i < q.size(); ++i)
+      grad[i] = (q[i] - targets[i]) / static_cast<float>(q.size());
+    net.backward(grad);
+    net.apply_gradients(0.02f);
+    (void)env.step(ExpertPolicy::best_action(targets));
+  }
+  return net.snapshot_parameters();
+}
+
+/// Float layers on both backends: float_forward_and_train's outputs,
+/// the C3F2's parameters after 20 imitation steps (memcmp), and the
+/// sgd_apply slot over every length 0..17 and FC1's 16,512 parameters
+/// with specials in both parameters and gradients.
 void run_float_layers(const KernelOps& simd) {
-  std::vector<float> scalar, vectorized;
+  std::vector<float> scalar, vectorized, scalar_steps, vectorized_steps;
   {
     kernels::ScopedKernelBackend pin(kernels::scalar_ops());
     scalar = float_forward_and_train();
+    scalar_steps = c3f2_after_imitation_steps();
   }
   {
     kernels::ScopedKernelBackend pin(simd);
     vectorized = float_forward_and_train();
+    vectorized_steps = c3f2_after_imitation_steps();
   }
   expect_bit_identical(scalar, vectorized, "float layers");
+  ASSERT_EQ(scalar_steps.size(), vectorized_steps.size());
+  ASSERT_EQ(std::memcmp(scalar_steps.data(), vectorized_steps.data(),
+                        scalar_steps.size() * sizeof(float)),
+            0);
+
+  const std::vector<float> specials = float_specials();
+  Rng rng(91);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(16512);
+  for (const std::size_t n : lengths) {
+    SCOPED_TRACE(testing::Message() << "sgd_apply length " << n);
+    std::vector<float> param(n), grad(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      param[i] = i % 5 == 0 ? specials[(i / 5) % specials.size()]
+                            : static_cast<float>(rng.normal(0.0, 1.0));
+      grad[i] = i % 3 == 0 ? specials[(i / 3 + 1) % specials.size()]
+                           : static_cast<float>(rng.normal(0.0, 0.1));
+    }
+    std::vector<float> param_scalar = param, grad_scalar = grad;
+    kernels::scalar_ops().sgd_apply(param_scalar.data(), grad_scalar.data(),
+                                    n, 0.02f);
+    simd.sgd_apply(param.data(), grad.data(), n, 0.02f);
+    ASSERT_TRUE(n == 0 || std::memcmp(param_scalar.data(), param.data(),
+                                      n * sizeof(float)) == 0);
+    ASSERT_TRUE(n == 0 || std::memcmp(grad_scalar.data(), grad.data(),
+                                      n * sizeof(float)) == 0);
+    for (const float g : grad) ASSERT_EQ(bits_of(g), bits_of(0.0f));
+  }
 }
 
 // ---- AVX2 ----------------------------------------------------------------
