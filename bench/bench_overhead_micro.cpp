@@ -255,7 +255,8 @@ int main() {
   // bootstrap, the backward terms and the commit of the ~145 words it
   // grades; then the same with a 1% stuck-at-1 mask set before warm-up,
   // whose bits each commit applies to the words it writes. Then the
-  // weight codec those commits run, over the trained store.
+  // commit those steps run and the weight codec, over a store trained
+  // for 1,100 episodes.
   {
     const GridWorld world = GridWorld::preset(ObstacleDensity::kMiddle);
     // An agent after 100 warm-up episodes, from the seed alone.
@@ -292,8 +293,22 @@ int main() {
     };
     time_td_steps("mlp_td_step", false);
     time_td_steps("mlp_td_step_stuck", true);
+    // The commit and codec rows run on one agent of each kind, trained
+    // in turn on one generator through warm-up and kBlocks blocks of
+    // episodes: the codec times the plain agent's store after its 1,100
+    // episodes, and the generator, past the stuck agent's 1,100, draws
+    // the commit's masters.
     Rng rng(config.seed + 5);
-    const MlpQAgent agent = warm_agent(rng, false);
+    const auto train_blocks = [&](MlpQAgent& trained) {
+      for (std::size_t i = 0; i < kBlocks * 200 * scale; ++i)
+        g_sink = g_sink + trained.run_training_episode(0.1, rng);
+    };
+    MlpQAgent agent = warm_agent(rng, false);
+    train_blocks(agent);
+    {
+      MlpQAgent stuck = warm_agent(rng, true);
+      train_blocks(stuck);
+    }
 
     // The four sgd_commit runs of one such step, laid out as the agent
     // lays them out: FC1's column `state` (state-major masters and copy,

@@ -133,13 +133,6 @@ void transpose_scalar(const float* w, float* wt, int rows, int cols) {
   }
 }
 
-void sgd_apply_scalar(float* param, float* grad, std::size_t n, float lr) {
-  for (std::size_t i = 0; i < n; ++i) {
-    param[i] -= lr * grad[i];
-    grad[i] = 0.0f;
-  }
-}
-
 void quantize_scalar(float* x, std::size_t n, const QFormat& format) {
   for (std::size_t i = 0; i < n; ++i) x[i] = format.quantize(x[i]);
 }
@@ -198,7 +191,6 @@ constexpr KernelOps kScalarOps{"scalar",
                                relu_backward_scalar,
                                conv2d_backward_scalar,
                                transpose_scalar,
-                               sgd_apply_scalar,
                                quantize_scalar,
                                maxpool2d_scalar,
                                sgd_commit_scalar};

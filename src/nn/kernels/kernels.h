@@ -2,8 +2,8 @@
 // Runtime-dispatched compute kernels: the forward loops of the float
 // layers (src/nn/layers.cpp) and the quantized inference engine, the
 // engine's activation quantization, the float Conv2D and ReLU
-// backwards and SGD update, the weight transposes, and the Grid World
-// MLP's straight-through weight commit (src/rl/mlp_q.cpp).
+// backwards, the weight transposes, and the Grid World MLP's
+// straight-through weight commit (src/rl/mlp_q.cpp).
 //
 // The engine emulates fixed-point MACs in float: per output element it
 // runs one sequential accumulation chain (bias, then += w*x in a fixed
@@ -11,32 +11,35 @@
 // backends vectorize ACROSS independent output elements while keeping
 // every element's scalar chain intact, so each lane performs exactly
 // the operations the scalar backend performs for that element and the
-// results are bit-identical for every backend and lane width, up to
-// which NaN an add or multiply of two NaNs returns: the compiler picks
-// the operand order of a commutative instruction, so no backend fixes
-// it. Every NaN a diverged float training produces is the host's one
-// invalid-operation NaN, so the choice never shows there. The
-// backward keeps the same contract: every gradient element sees the
-// scalar backward's sequence of `+= g * v` updates, skipped exactly
-// where that loop skips a zero output gradient (the AVX2 entry first
-// lists, per output channel and without a branch, the positions whose
-// gradient passes `g != 0.0f`, so -0.0 is skipped and NaN is not, and
-// then walks that list in order). ReLU's backward selects the output
-// gradient where the forward input is greater than zero, and the float
-// SGD update runs each parameter's one subtract. Max-pool makes the
-// scalar loop's comparisons in its window order, so it returns the
-// scalar entry's bytes too. Quantization and the SGD commit's encode
-// and decode return the same results as QFormat's double arithmetic,
-// but on float lanes: for a format of at most 24 bits, 2^f and 2^-f
-// are powers of two (scaling by one is exact unless it overflows past
-// both bounds), the raw bounds and every raw value are integers below
-// 2^24 that a float holds exactly, and rounding commutes with a clamp
-// to integral bounds, so scaling, clamping, rounding and rescaling in
-// float lose nothing. Wider formats take the scalar entries. The SGD
-// commit runs each entry's float update on its own lane, so every
-// master, word and parameter matches the scalar entry's. The project is
-// compiled with -ffp-contract=off so no backend fuses the multiply-add
-// chain into FMAs.
+// results are bit-identical for every backend and lane width, on one
+// condition: every NaN a chain meets has the same bits. When an add or
+// multiply meets two different NaNs, every backend returns a NaN, but
+// which of the two follows the operand order the compiler picks for a
+// commutative instruction, so its sign and payload may differ between
+// backends (test_kernels' dense matrix checks that such outputs stay
+// NaN). The condition holds while every NaN comes from the host's
+// invalid operations (inf - inf, 0 * inf), which all return the one
+// default NaN: no negated, absolute-valued or hand-built NaN may reach
+// a kernel. The backward keeps the same contract: every gradient
+// element sees the scalar backward's sequence of `+= g * v` updates,
+// skipped exactly where that loop skips a zero output gradient (the
+// AVX2 entry first lists, per output channel and without a branch, the
+// positions whose gradient passes `g != 0.0f`, so -0.0 is skipped and
+// NaN is not, and then walks that list in order). ReLU's backward
+// selects the output gradient where the forward input is greater than
+// zero. Max-pool makes the scalar loop's comparisons in its window
+// order, so it returns the scalar entry's bytes too. Quantization and
+// the SGD commit's encode and decode return the same results as
+// QFormat's double arithmetic, but on float lanes: for a format of at
+// most 24 bits, 2^f and 2^-f are powers of two (scaling by one is
+// exact unless it overflows past both bounds), the raw bounds and every
+// raw value are integers below 2^24 that a float holds exactly, and
+// rounding commutes with a clamp to integral bounds, so scaling,
+// clamping, rounding and rescaling in float lose nothing. Wider formats
+// take the scalar entries. The SGD commit runs each entry's float
+// update on its own lane, so every master, word and parameter matches
+// the scalar entry's. The project is compiled with -ffp-contract=off so
+// no backend fuses the multiply-add chain into FMAs.
 //
 // Backend selection happens once per process from FTNAV_SIMD
 // ("scalar" | "avx2" | "neon" | "auto", default auto = the widest
@@ -109,9 +112,6 @@ struct CommitRun {
 ///   transpose: wt[c][r] = w[r][c] for a row-major rows x cols w: the
 ///           wt copy that dense (rows = out_f) and conv2d (rows = out_c)
 ///           read. A copy, so no backend can change a value;
-///   sgd_apply: param[i] = param[i] - lr * grad[i], then grad[i] =
-///           +0.0f, for i < n: the float layers' SGD update and gradient
-///           reset in one pass;
 ///   quantize: x[i] = format.quantize(x[i]) for i < n, in place;
 ///   maxpool2d: non-overlapping `window` x `window` max over CHW x, y
 ///           the (channels, in_h / window, in_w / window) output. Each
@@ -157,7 +157,6 @@ struct KernelOps {
                           float* gw, float* gb, float* gx, float* scratch,
                           const ConvShape& s);
   void (*transpose)(const float* w, float* wt, int rows, int cols);
-  void (*sgd_apply)(float* param, float* grad, std::size_t n, float lr);
   void (*quantize)(float* x, std::size_t n, const QFormat& format);
   void (*maxpool2d)(const float* x, float* y, int channels, int in_h,
                     int in_w, int window, std::size_t* argmax);

@@ -29,10 +29,9 @@
 // input channels of an input-gradient position (through HWC copies of
 // gx and w). Every gradient element keeps the scalar backward's chain.
 //
-// The float SGD update runs 8 parameters per pass. Quantization and
-// the SGD commit's encode and decode run on 8 float lanes for formats
-// of at most 24 bits (FloatCodec: why that is exact), and wider
-// formats take the scalar entries. Max-pool over 2x2 windows
+// Quantization and the SGD commit's encode and decode run on 8 float
+// lanes for formats of at most 24 bits (FloatCodec: why that is exact),
+// and wider formats take the scalar entries. Max-pool over 2x2 windows
 // makes 8 outputs of a row per pass with the scalar loop's comparisons
 // in its window order. The SGD commit runs 8 entries per pass: the
 // float update and the codec on float lanes, and the word packing and
@@ -646,21 +645,6 @@ void conv2d_backward_avx2(const float* w, const float* x, const float* gy,
   if (gx != nullptr) conv_backward_input(w, gy, gx, scratch, s);
 }
 
-/// 8 entries per pass, each lane the scalar entry's update; the last
-/// n % 8 run the scalar entry.
-void sgd_apply_avx2(float* param, float* grad, std::size_t n, float lr) {
-  const __m256 rate = _mm256_set1_ps(lr);
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 step = _mm256_mul_ps(rate, _mm256_loadu_ps(grad + i));
-    _mm256_storeu_ps(param + i,
-                     _mm256_sub_ps(_mm256_loadu_ps(param + i), step));
-    _mm256_storeu_ps(grad + i, zero);
-  }
-  scalar_ops().sgd_apply(param + i, grad + i, n - i, lr);
-}
-
 /// The widest format whose every value, raw bound and raw integer a
 /// float holds exactly: a float significand has 24 bits.
 constexpr int kFloatLaneBits = 24;
@@ -904,7 +888,6 @@ constexpr KernelOps kAvx2Ops{"avx2",
                              relu_backward_avx2,
                              conv2d_backward_avx2,
                              transpose_avx2,
-                             sgd_apply_avx2,
                              quantize_avx2,
                              maxpool2d_avx2,
                              sgd_commit_avx2};

@@ -9,9 +9,8 @@
 // mul/add are identical scalar vs vector, so results are bit-identical
 // to the scalar backend; remainder elements (sizes not divisible by 4)
 // run the scalar chain directly. Dense without the transposed copy,
-// ReLU's backward, the conv backward, the transpose, the float SGD
-// update, quantization, max-pool and the SGD commit are the scalar
-// backend's.
+// ReLU's backward, the conv backward, the transpose, quantization,
+// max-pool and the SGD commit are the scalar backend's.
 //
 // ReLU deliberately avoids vmaxq_f32: ARM FMAX propagates NaN operands
 // where the scalar `v > 0 ? v : 0` (and x86 max_ps) returns 0, so the
@@ -200,9 +199,9 @@ void relu_neon(float* x, std::size_t n) {
 }  // namespace
 
 const KernelOps* neon_ops() noexcept {
-  // ReLU's backward, the conv backward, the transpose, the SGD update,
-  // quantization, max-pool and the commit have no NEON loop: the scalar
-  // references serve.
+  // ReLU's backward, the conv backward, the transpose, quantization,
+  // max-pool and the commit have no NEON loop: the scalar references
+  // serve.
   static const KernelOps kNeonOps{"neon",
                                   /*dense_wants_transposed=*/true,
                                   /*conv_wants_transposed=*/true,
@@ -212,7 +211,6 @@ const KernelOps* neon_ops() noexcept {
                                   scalar_ops().relu_backward,
                                   scalar_ops().conv2d_backward,
                                   scalar_ops().transpose,
-                                  scalar_ops().sgd_apply,
                                   scalar_ops().quantize,
                                   scalar_ops().maxpool2d,
                                   scalar_ops().sgd_commit};

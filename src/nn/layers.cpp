@@ -112,8 +112,11 @@ void Conv2D::run_backward(const Tensor& grad_output, float* grad_input) {
 }
 
 void Conv2D::apply_gradients(float lr) {
-  kernels::active().sgd_apply(params_.data(), grads_.data(), params_.size(),
-                              lr);
+  // Two passes: zero_gradients' fill clears faster than stores in the
+  // update loop would.
+  for (std::size_t i = 0; i < params_.size(); ++i)
+    params_[i] -= lr * grads_[i];
+  zero_gradients();
 }
 
 void Conv2D::zero_gradients() {
@@ -299,8 +302,11 @@ const Tensor& Dense::backward(const Tensor& grad_output) {
 }
 
 void Dense::apply_gradients(float lr) {
-  kernels::active().sgd_apply(params_.data(), grads_.data(), params_.size(),
-                              lr);
+  // Two passes: zero_gradients' fill clears faster than stores in the
+  // update loop would.
+  for (std::size_t i = 0; i < params_.size(); ++i)
+    params_[i] -= lr * grads_[i];
+  zero_gradients();
 }
 
 void Dense::zero_gradients() {

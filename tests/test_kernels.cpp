@@ -177,7 +177,12 @@ std::vector<float> float_specials() {
 /// scalar transpose copies) on Q-format values, and from the row-major
 /// weights alone (a null wt, which every backend accepts) on random
 /// floats with +-0, +-inf, NaN and subnormals spliced into w, x and the
-/// bias. The widths cross every tile and lane boundary of both.
+/// bias. The widths cross every tile and lane boundary of both. The
+/// null-wt shapes run twice: with float_specials' one NaN, where every
+/// output must match bit for bit, and with the negated NaN also spliced
+/// into w and the bias, where the outputs whose chain reads it may meet
+/// two different NaNs (kernels.h) and must only both be NaN, and every
+/// other output must still match bit for bit.
 void run_dense_width_matrix(const KernelOps& simd) {
   const QFormat fmt(3, 4);  // coarse grid: saturating sums
   for (const int in_f : {1, 5, 48, 128}) {
@@ -200,33 +205,56 @@ void run_dense_width_matrix(const KernelOps& simd) {
     }
   }
   const std::vector<float> specials = float_specials();
+  const float other_nan = -*std::find_if(
+      specials.begin(), specials.end(), [](float v) { return std::isnan(v); });
+  std::vector<float> two_nans = specials;
+  two_nans.push_back(other_nan);
+  const auto is_other_nan = [&](float v) {
+    return bits_of(v) == bits_of(other_nan);
+  };
   Rng rng(61);
-  const auto values = [&](std::size_t n, std::size_t every) {
+  const auto values = [&](const std::vector<float>& pool, std::size_t n,
+                          std::size_t every) {
     std::vector<float> out(n);
     for (float& v : out) v = static_cast<float>(rng.normal(0.0, 1.0));
     for (std::size_t i = 0; i < n; i += every)
-      out[i] = specials[rng.below(specials.size())];
+      out[i] = pool[rng.below(pool.size())];
     return out;
   };
+  std::size_t two_nan_outputs = 0;
   for (const int in_f : {1, 7, 8, 9, 127, 128, 129}) {
     for (const int out_f : {1, 7, 8, 9, 25, 31, 32, 33, 128}) {
-      SCOPED_TRACE(testing::Message() << "null wt, in_f " << in_f
-                                      << " out_f " << out_f);
-      const std::size_t wn = static_cast<std::size_t>(out_f) * in_f;
-      // Specials sparse enough that most outputs stay finite.
-      const auto w = values(wn, 97);
-      const auto b = values(static_cast<std::size_t>(out_f), 11);
-      const auto x = values(static_cast<std::size_t>(in_f), 29);
-      std::vector<float> y_scalar(out_f, -1.0f), y_simd(out_f, -2.0f);
-      kernels::scalar_ops().dense(w.data(), nullptr, b.data(), x.data(),
-                                  y_scalar.data(), in_f, out_f);
-      simd.dense(w.data(), nullptr, b.data(), x.data(), y_simd.data(), in_f,
-                 out_f);
-      ASSERT_EQ(std::memcmp(y_scalar.data(), y_simd.data(),
-                            y_scalar.size() * sizeof(float)),
-                0);
+      for (const bool mixed : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "null wt, in_f " << in_f << " out_f " << out_f
+                     << (mixed ? ", two NaNs" : ""));
+        const std::size_t wn = static_cast<std::size_t>(out_f) * in_f;
+        const auto& pool = mixed ? two_nans : specials;
+        // Specials sparse enough that most outputs stay finite.
+        const auto w = values(pool, wn, mixed ? 13 : 97);
+        const auto b = values(pool, static_cast<std::size_t>(out_f), 11);
+        const auto x = values(specials, static_cast<std::size_t>(in_f), 29);
+        std::vector<float> y_scalar(out_f, -1.0f), y_simd(out_f, -2.0f);
+        kernels::scalar_ops().dense(w.data(), nullptr, b.data(), x.data(),
+                                    y_scalar.data(), in_f, out_f);
+        simd.dense(w.data(), nullptr, b.data(), x.data(), y_simd.data(),
+                   in_f, out_f);
+        for (int o = 0; o < out_f; ++o) {
+          const float* row = w.data() + static_cast<std::size_t>(o) * in_f;
+          if (is_other_nan(b[o]) ||
+              std::any_of(row, row + in_f, is_other_nan)) {
+            ++two_nan_outputs;
+            ASSERT_TRUE(std::isnan(y_scalar[o])) << "output " << o;
+            ASSERT_TRUE(std::isnan(y_simd[o])) << "output " << o;
+          } else {
+            ASSERT_EQ(bits_of(y_scalar[o]), bits_of(y_simd[o]))
+                << "output " << o;
+          }
+        }
+      }
     }
   }
+  EXPECT_GT(two_nan_outputs, 0u);
 }
 
 /// relu, and relu_backward over every length 0..17 and conv1's 5,184
@@ -904,10 +932,8 @@ std::vector<float> c3f2_after_imitation_steps() {
   return net.snapshot_parameters();
 }
 
-/// Float layers on both backends: float_forward_and_train's outputs,
-/// the C3F2's parameters after 20 imitation steps (memcmp), and the
-/// sgd_apply slot over every length 0..17 and FC1's 16,512 parameters
-/// with specials in both parameters and gradients.
+/// Float layers on both backends: float_forward_and_train's outputs
+/// and the C3F2's parameters after 20 imitation steps (memcmp).
 void run_float_layers(const KernelOps& simd) {
   std::vector<float> scalar, vectorized, scalar_steps, vectorized_steps;
   {
@@ -925,31 +951,6 @@ void run_float_layers(const KernelOps& simd) {
   ASSERT_EQ(std::memcmp(scalar_steps.data(), vectorized_steps.data(),
                         scalar_steps.size() * sizeof(float)),
             0);
-
-  const std::vector<float> specials = float_specials();
-  Rng rng(91);
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
-  lengths.push_back(16512);
-  for (const std::size_t n : lengths) {
-    SCOPED_TRACE(testing::Message() << "sgd_apply length " << n);
-    std::vector<float> param(n), grad(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      param[i] = i % 5 == 0 ? specials[(i / 5) % specials.size()]
-                            : static_cast<float>(rng.normal(0.0, 1.0));
-      grad[i] = i % 3 == 0 ? specials[(i / 3 + 1) % specials.size()]
-                           : static_cast<float>(rng.normal(0.0, 0.1));
-    }
-    std::vector<float> param_scalar = param, grad_scalar = grad;
-    kernels::scalar_ops().sgd_apply(param_scalar.data(), grad_scalar.data(),
-                                    n, 0.02f);
-    simd.sgd_apply(param.data(), grad.data(), n, 0.02f);
-    ASSERT_TRUE(n == 0 || std::memcmp(param_scalar.data(), param.data(),
-                                      n * sizeof(float)) == 0);
-    ASSERT_TRUE(n == 0 || std::memcmp(grad_scalar.data(), grad.data(),
-                                      n * sizeof(float)) == 0);
-    for (const float g : grad) ASSERT_EQ(bits_of(g), bits_of(0.0f));
-  }
 }
 
 // ---- AVX2 ----------------------------------------------------------------
