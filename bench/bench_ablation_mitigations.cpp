@@ -24,26 +24,10 @@ namespace {
 
 using namespace ftnav;
 
-/// Success of a greedy rollout from a given (possibly faulty) table.
-bool rollout(const GridWorld& env, const QVector& table) {
-  int state = env.source_state();
-  for (int step = 0; step < 100; ++step) {
-    int best = 0;
-    double best_value = -1e30;
-    for (int action = 0; action < GridWorld::action_count(); ++action) {
-      const double value = table.get(
-          static_cast<std::size_t>(state) * GridWorld::action_count() +
-          static_cast<std::size_t>(action));
-      if (value > best_value) {
-        best_value = value;
-        best = action;
-      }
-    }
-    const GridWorld::StepResult result = env.step(state, best);
-    if (result.done) return result.reward > 0.0;
-    state = result.next_state;
-  }
-  return false;
+/// Success of the greedy policy of a (possibly faulty) table.
+bool reaches_goal(const GridWorld& env, const QVector& table) {
+  return env.rollout([&](int state) { return greedy_action(table, state); },
+                     100) > 0.0;
 }
 
 }  // namespace
@@ -134,13 +118,13 @@ int main() {
                                         faulty.format().total_bits(),
                                         fault_rng);
         map.apply_once(faulty.words());
-        wins_plain += rollout(env, faulty) ? 1 : 0;
+        wins_plain += reaches_goal(env, faulty) ? 1 : 0;
 
         QVector filtered = faulty;
         for (std::size_t i = 0; i < filtered.size(); ++i)
           if (detector.is_anomalous_word(0, filtered.word(i)))
             filtered.set(i, 0.0);
-        wins_detector += rollout(env, filtered) ? 1 : 0;
+        wins_detector += reaches_goal(env, filtered) ? 1 : 0;
 
         // ECC: the same BER over the larger codeword memory.
         EccProtectedStore ecc(golden);
@@ -152,7 +136,7 @@ int main() {
           ecc.raw()[pos / ecc.raw_bits()] ^=
               std::uint64_t{1} << (pos % ecc.raw_bits());
         }
-        wins_ecc += rollout(env, ecc.snapshot()) ? 1 : 0;
+        wins_ecc += reaches_goal(env, ecc.snapshot()) ? 1 : 0;
 
         // TMR: the same BER over the 3x replica memory.
         TmrStore tmr(golden);
@@ -160,7 +144,7 @@ int main() {
             FaultType::kTransientFlip, ber, tmr.raw().size(),
             golden.format().total_bits(), fault_rng);
         tmr_map.apply_once(tmr.raw());
-        wins_tmr += rollout(env, tmr.snapshot()) ? 1 : 0;
+        wins_tmr += reaches_goal(env, tmr.snapshot()) ? 1 : 0;
       }
       table.add_row(
           {format_double(ber * 100.0, 1) + "%",

@@ -4,32 +4,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/exploration.h"
-#include "rl/tabular_q.h"
-
-namespace {
-
-using namespace ftnav;
-
-/// Marks the greedy route from source to goal with '*'.
-std::string render_with_route(const GridWorld& world, TabularQAgent& agent) {
-  std::string art = world.render();
-  const int row_width = world.size() + 1;  // includes '\n'
-  int state = world.source_state();
-  for (int step = 0; step < 100; ++step) {
-    const GridWorld::StepResult result =
-        world.step(state, agent.greedy_action(state));
-    if (result.done) break;
-    state = result.next_state;
-    const std::size_t offset =
-        static_cast<std::size_t>(world.row_of(state)) * row_width +
-        static_cast<std::size_t>(world.col_of(state));
-    if (art[offset] == '.') art[offset] = '*';
-  }
-  return art;
-}
-
-}  // namespace
+#include "experiments/grid_training.h"
 
 int main() {
   using namespace ftnav;
@@ -48,18 +23,24 @@ int main() {
   Table table({"map", "obstacles", "trained_success"});
   for (const auto& c : cases) {
     const GridWorld world = GridWorld::preset(c.density);
-    TabularQAgent agent(world);
     Rng rng(config.seed);
-    ExplorationConfig exploration;
-    AdaptiveExplorationController controller(exploration, false);
-    for (int episode = 0; episode < episodes; ++episode) {
-      agent.run_training_episode(controller.rate(), rng);
-      controller.end_episode(0.0);
-    }
-    const bool success = agent.evaluate_success();
+    GridAgentHandle agent(GridPolicyKind::kTabular, world, rng);
+    agent.train_fault_free(episodes, rng);
+    // The greedy rollout marks the route it walks with '*'.
+    std::string art = world.render();
+    const int row_width = world.size() + 1;  // includes '\n'
+    const bool success =
+        world.rollout(
+            [&](int state) {
+              char& cell = art[static_cast<std::size_t>(
+                  world.row_of(state) * row_width + world.col_of(state))];
+              if (cell == '.') cell = '*';
+              return agent.greedy_action(state);
+            },
+            100) > 0.0;
     std::printf("%s — %d obstacles, trained success=%s\n", c.name,
                 world.obstacle_count(), success ? "yes" : "no");
-    std::printf("%s\n", render_with_route(world, agent).c_str());
+    std::printf("%s\n", art.c_str());
     table.add_row({c.name, std::to_string(world.obstacle_count()),
                    success ? "yes" : "no"});
   }

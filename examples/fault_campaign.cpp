@@ -453,13 +453,7 @@ int cmd_describe(int argc, char** argv) {
     // Estimates bind the *declared default* parameters, so the report
     // is a stable artifact of the binary (CI snapshots it as
     // cost_report.json; see ci/validate_cost.py).
-    cost::MachineProfile profile;
-    try {
-      profile = cost::MachineProfile::from_env();
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
-      return 1;
-    }
+    const cost::MachineProfile profile;
     std::vector<const ScenarioSpec*> specs;
     if (flags.all) {
       specs = registry.all();

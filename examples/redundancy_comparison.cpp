@@ -18,25 +18,10 @@ namespace {
 
 using namespace ftnav;
 
-bool rollout(const GridWorld& env, const QVector& table) {
-  int state = env.source_state();
-  for (int step = 0; step < 100; ++step) {
-    int best = 0;
-    double best_value = -1e30;
-    for (int action = 0; action < GridWorld::action_count(); ++action) {
-      const double value = table.get(
-          static_cast<std::size_t>(state) * GridWorld::action_count() +
-          static_cast<std::size_t>(action));
-      if (value > best_value) {
-        best_value = value;
-        best = action;
-      }
-    }
-    const auto result = env.step(state, best);
-    if (result.done) return result.reward > 0.0;
-    state = result.next_state;
-  }
-  return false;
+/// Success of the greedy policy of a (possibly faulty) table.
+bool reaches_goal(const GridWorld& env, const QVector& table) {
+  return env.rollout([&](int state) { return greedy_action(table, state); },
+                     100) > 0.0;
 }
 
 }  // namespace
@@ -52,7 +37,7 @@ int main() {
     agent.run_training_episode(std::max(0.05, 1.0 - episode / 100.0), rng);
   const QVector golden = agent.table();
   std::printf("trained tabular policy: success=%s, %zu words x %d bits\n\n",
-              agent.evaluate_success() ? "yes" : "no", golden.size(),
+              reaches_goal(env, golden) ? "yes" : "no", golden.size(),
               golden.format().total_bits());
 
   // Calibrate the paper's range detector once.
@@ -75,13 +60,13 @@ int main() {
         FaultMap::sample(FaultType::kTransientFlip, ber, faulty.size(),
                          faulty.format().total_bits(), fault_rng);
     map.apply_once(faulty.words());
-    plain += rollout(env, faulty) ? 1 : 0;
+    plain += reaches_goal(env, faulty) ? 1 : 0;
 
     QVector filtered = faulty;
     for (std::size_t i = 0; i < filtered.size(); ++i)
       if (detector.is_anomalous_word(0, filtered.word(i)))
         filtered.set(i, 0.0);
-    filtered_wins += rollout(env, filtered) ? 1 : 0;
+    filtered_wins += reaches_goal(env, filtered) ? 1 : 0;
 
     EccProtectedStore ecc(golden);
     const std::size_t ecc_bits = ecc.size() * ecc.raw_bits();
@@ -91,14 +76,14 @@ int main() {
       ecc.raw()[pos / ecc.raw_bits()] ^= std::uint64_t{1}
                                          << (pos % ecc.raw_bits());
     }
-    ecc_wins += rollout(env, ecc.snapshot()) ? 1 : 0;
+    ecc_wins += reaches_goal(env, ecc.snapshot()) ? 1 : 0;
 
     TmrStore tmr(golden);
     FaultMap tmr_map = FaultMap::sample(
         FaultType::kTransientFlip, ber, tmr.raw().size(),
         golden.format().total_bits(), fault_rng);
     tmr_map.apply_once(tmr.raw());
-    tmr_wins += rollout(env, tmr.snapshot()) ? 1 : 0;
+    tmr_wins += reaches_goal(env, tmr.snapshot()) ? 1 : 0;
   }
 
   const HammingSecDed codec(golden.format().total_bits());

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/fault_model.h"
@@ -88,6 +89,10 @@ class FaultableImage {
   /// Quantizes `values` into the live image and snapshots the words.
   FaultableImage(QFormat format, std::span<const float> values)
       : live_(format, values),
+        golden_(live_.words().begin(), live_.words().end()) {}
+  /// Takes `golden`'s words as the live image and the snapshot.
+  explicit FaultableImage(QVector golden)
+      : live_(std::move(golden)),
         golden_(live_.words().begin(), live_.words().end()) {}
 
   QVector& live() noexcept { return live_; }

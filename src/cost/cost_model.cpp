@@ -191,11 +191,6 @@ Work network_forward_work(const Network& net, const Shape& input,
   return work;
 }
 
-Work network_update_work(const Network& net, const Shape& input,
-                         double word_bytes) {
-  return network_forward_work(net, input, word_bytes).scaled(3.0);
-}
-
 double inject_restore_bytes(std::size_t parameter_count,
                             double word_bytes) noexcept {
   return 2.0 * static_cast<double>(parameter_count) * word_bytes;

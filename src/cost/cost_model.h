@@ -101,11 +101,6 @@ struct CostEstimate {
 Work network_forward_work(const Network& net, const Shape& input,
                           double word_bytes = 2.0);
 
-/// Training-step approximation: forward + backward + update, costed as
-/// a fixed multiple of the forward pass (standard 3x rule of thumb).
-Work network_update_work(const Network& net, const Shape& input,
-                         double word_bytes = 2.0);
-
 /// Bytes for one fault-injection trial against a parameter store of
 /// `parameter_count` words: inject touches the store once, golden
 /// restore copies it back once.

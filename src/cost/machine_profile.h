@@ -8,13 +8,6 @@
 // single-thread seconds: one shard always runs on one worker thread,
 // so predictions compare directly against the per-shard wall clock of
 // a trace's `shard` spans (category `campaign`, arg `shard`).
-//
-// Defaults are calibrated against measured shard walls on the
-// reference container; override with FTNAV_COST_PROFILE=<path> naming
-// a flat JSON object ("ftnav-machine-profile-v1") with any subset of
-// the rate fields.
-
-#include <string>
 
 namespace ftnav::cost {
 
@@ -42,20 +35,9 @@ struct MachineProfile {
   /// Fixed seconds per trial (fault-pattern sampling, stats fold).
   double trial_overhead_seconds = 1e-6;
 
-  /// All rates strictly positive and finite.
-  bool valid() const noexcept;
-
-  /// Flat JSON object, schema "ftnav-machine-profile-v1".
-  std::string to_json() const;
-
-  /// Parses a profile written by to_json() (unknown keys rejected,
-  /// missing keys keep their defaults). Throws std::runtime_error on
-  /// malformed input or non-positive rates.
-  static MachineProfile from_json_text(const std::string& text);
-  static MachineProfile from_json_file(const std::string& path);
-
-  /// FTNAV_COST_PROFILE=<path> when set, else the calibrated defaults.
-  static MachineProfile from_env();
+  /// The calibrated defaults. Kept under this name for perfbench/,
+  /// which prices its workloads through it.
+  static MachineProfile from_env() { return MachineProfile{}; }
 };
 
 }  // namespace ftnav::cost

@@ -88,6 +88,19 @@ class DroneEnv {
   /// when stepping a finished episode.
   StepResult step(int action);
 
+  /// The one evaluation flight every MSF runs: resets from `rng`, then
+  /// steps with `policy(observation)` (the action for the current
+  /// camera image) until the episode ends. Returns the flight distance.
+  template <typename Policy>
+  double fly(Policy&& policy, Rng& rng) {
+    Tensor observation = reset(rng);
+    while (!done_) {
+      (void)step(policy(observation));
+      observation = observe();
+    }
+    return distance_;
+  }
+
   /// Frontal clearance (min over a small fan of forward rays).
   double frontal_clearance() const noexcept;
 

@@ -1,5 +1,6 @@
 #pragma once
-// 2.5-D drone world: the PEDRA/Unreal substitute (see DESIGN.md §2).
+// 2.5-D drone world: the PEDRA/Unreal substitute (see "Known
+// deviations from the paper" in README.md).
 //
 // The world is a bounded rectangle populated with axis-aligned box
 // obstacles (pillars, interior walls). It supports the two queries the

@@ -5,7 +5,8 @@
 // picks the (yaw, extent) action with the best safety margin. It serves
 // two roles:
 //   * bootstrap teacher: imitation targets that give Double DQN a
-//     competent starting policy within a bench run (DESIGN.md §2);
+//     competent starting policy within a bench run (see "Known
+//     deviations from the paper" in README.md);
 //   * sanity baseline: an upper-comparison policy for MSF experiments.
 
 #include "envs/drone_env.h"

@@ -76,6 +76,22 @@ class GridWorld {
   /// std::invalid_argument for invalid state/action ids.
   StepResult step(int state, int action) const;
 
+  /// The one greedy rollout every Grid World evaluation runs: follows
+  /// `policy` (state -> action, asked once per step, in step order)
+  /// from the source for at most `max_steps` steps. Returns the episode
+  /// return: +1 at the goal, -1 in hell, 0 at the step cap, so the
+  /// policy succeeded when it is positive.
+  template <typename Policy>
+  double rollout(Policy&& policy, int max_steps) const {
+    int state = source_;
+    for (int t = 0; t < max_steps; ++t) {
+      const StepResult result = step(state, policy(state));
+      if (result.done) return result.reward;
+      state = result.next_state;
+    }
+    return 0.0;
+  }
+
   /// ASCII rendering (Fig. 1-style) with an optional agent position.
   std::string render(int agent_state = -1) const;
 

@@ -165,15 +165,14 @@ std::vector<std::vector<Cell>> fly_grid(
         engine.reset_faults();
         if (!cell.baseline) arm(cell.row, config.bers[cell.col], engine, rng);
         DroneEnv env(*row.world, row.env_config);
-        Tensor observation = env.reset(rng);
-        while (!env.done()) {
-          const int action = static_cast<int>(engine.act(observation, rng));
-          (void)env.step(action);
-          observation = env.observe();
-        }
-        return Flight{env.flight_distance(),
-                      detector != nullptr ? detector->detections() - before
-                                          : 0};
+        const double distance = env.fly(
+            [&](const Tensor& observation) {
+              return static_cast<int>(engine.act(observation, rng));
+            },
+            rng);
+        return Flight{distance, detector != nullptr
+                                    ? detector->detections() - before
+                                    : 0};
       },
       context.stream);
   perf::add_section(grid.perf_section,

@@ -44,40 +44,40 @@ DronePolicyBundle train_drone_policy(const DroneWorld& world,
   return bundle;
 }
 
+namespace {
+
+/// MSF over `repeats` flights of `policy` (observation -> action) on
+/// one env.
+template <typename Policy>
+double mean_of_flights(const DroneWorld& world,
+                       const DroneEnvConfig& env_config, int repeats,
+                       Rng& rng, Policy&& policy) {
+  RunningStats distances;
+  DroneEnv env(world, env_config);
+  for (int repeat = 0; repeat < repeats; ++repeat)
+    distances.add(env.fly(policy, rng));
+  return distances.mean();
+}
+
+}  // namespace
+
 double mean_safe_flight(QuantizedInferenceEngine& engine,
                         const DroneWorld& world,
                         const DroneEnvConfig& env_config, int repeats,
                         Rng& rng) {
-  RunningStats distances;
-  DroneEnv env(world, env_config);
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    Tensor observation = env.reset(rng);
-    while (!env.done()) {
-      const int action = static_cast<int>(engine.act(observation, rng));
-      (void)env.step(action);
-      observation = env.observe();
-    }
-    distances.add(env.flight_distance());
-  }
-  return distances.mean();
+  return mean_of_flights(
+      world, env_config, repeats, rng, [&](const Tensor& observation) {
+        return static_cast<int>(engine.act(observation, rng));
+      });
 }
 
 double mean_safe_flight(Network& network, const DroneWorld& world,
                         const DroneEnvConfig& env_config, int repeats,
                         Rng& rng) {
-  RunningStats distances;
-  DroneEnv env(world, env_config);
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    Tensor observation = env.reset(rng);
-    while (!env.done()) {
-      const int action =
-          static_cast<int>(network.infer(observation).argmax());
-      (void)env.step(action);
-      observation = env.observe();
-    }
-    distances.add(env.flight_distance());
-  }
-  return distances.mean();
+  return mean_of_flights(
+      world, env_config, repeats, rng, [&](const Tensor& observation) {
+        return static_cast<int>(network.infer(observation).argmax());
+      });
 }
 
 }  // namespace ftnav

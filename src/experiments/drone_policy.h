@@ -4,9 +4,10 @@
 // `train_drone_policy` produces the "offline-trained" C3F2 policy the
 // inference and fine-tuning experiments start from: an imitation
 // bootstrap against the raycast expert followed by a short Double-DQN
-// refinement (DESIGN.md §2 documents this substitution for the paper's
-// long PEDRA training). `mean_safe_flight` measures the paper's MSF
-// metric: average distance flown before collision across repeats.
+// refinement (README.md's "Known deviations from the paper" documents
+// this substitution for the paper's long PEDRA training).
+// `mean_safe_flight` measures the paper's MSF metric: average distance
+// flown before collision across repeats (DroneEnv::fly).
 
 #include "envs/drone_env.h"
 #include "nn/c3f2.h"

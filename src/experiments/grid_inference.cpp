@@ -1,167 +1,132 @@
 #include "experiments/grid_inference.h"
 
-#include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign_runner.h"
 #include "core/anomaly_detector.h"
 #include "core/injector.h"
 #include "nn/quantized_engine.h"
-#include "rl/mlp_q.h"
-#include "rl/tabular_q.h"
 #include "util/perf.h"
 
 namespace ftnav {
 namespace {
 
-/// Greedy tabular rollout straight off a word buffer, optionally
-/// filtering each read through the anomaly detector (recovery = skip,
-/// i.e. the value reads as zero).
-bool tabular_rollout(const GridWorld& env, const QVector& table,
-                     RangeAnomalyDetector* detector, int max_steps) {
-  int state = env.source_state();
-  for (int step = 0; step < max_steps; ++step) {
-    int best_action = 0;
-    double best_value = -1e30;
-    for (int action = 0; action < GridWorld::action_count(); ++action) {
-      const std::size_t index =
-          static_cast<std::size_t>(state) * GridWorld::action_count() +
-          static_cast<std::size_t>(action);
-      double value = table.get(index);
-      if (detector != nullptr) value = detector->filter(0, static_cast<float>(value));
-      if (value > best_value) {
-        best_value = value;
-        best_action = action;
-      }
-    }
-    const GridWorld::StepResult result = env.step(state, best_action);
-    if (result.done) return result.reward > 0.0;
-    state = result.next_state;
-  }
-  return false;
-}
+/// Greedy rollouts stop after this many steps.
+constexpr int kMaxSteps = 100;
 
-/// Greedy NN rollout through the quantized engine.
-bool engine_rollout(const GridWorld& env, QuantizedInferenceEngine& engine,
-                    Rng& rng, int max_steps,
-                    const FaultMap* transient1 = nullptr,
-                    int transient1_step = -1) {
-  int state = env.source_state();
-  for (int step = 0; step < max_steps; ++step) {
-    if (transient1 != nullptr && step == transient1_step)
-      engine.inject_weight_faults(*transient1);
-    Tensor one_hot(static_cast<std::size_t>(env.state_count()));
-    one_hot[static_cast<std::size_t>(state)] = 1.0f;
-    const int action = static_cast<int>(engine.act(one_hot, rng));
-    if (transient1 != nullptr && step == transient1_step)
-      engine.reset_faults();  // read-register fault lasts one step
-    const GridWorld::StepResult result = env.step(state, action);
-    if (result.done) return result.reward > 0.0;
-    state = result.next_state;
-  }
-  return false;
-}
+/// The frozen policy store a fault trial corrupts and rolls out: the
+/// golden Q-table as a faultable image, read through the range detector
+/// when mitigated, or the NN's quantized engine (whose detector filters
+/// its weight buffer at load). One per shard: reset_faults() restores
+/// the golden words, so every trial starts from a fresh store's state
+/// (see nn/engine_slot.h).
+class PolicyStore {
+ public:
+  /// The tabular store: `golden`'s words, each read filtered through a
+  /// copy of `detector` when it holds one.
+  PolicyStore(const QVector& golden,
+              const std::optional<RangeAnomalyDetector>& detector)
+      : table_(golden), table_detector_(detector) {}
+  /// The NN store: `engine`, fed one-hot encodings of `states` states.
+  PolicyStore(std::unique_ptr<QuantizedInferenceEngine> engine, int states)
+      : engine_(std::move(engine)),
+        one_hot_(static_cast<std::size_t>(states)) {}
 
-struct TrainedPolicies {
-  GridWorld env;
-  std::unique_ptr<TabularQAgent> tabular;
-  std::unique_ptr<MlpQAgent> mlp;
+  std::size_t word_count() const {
+    return engine_ ? engine_->weight_word_count() : table_.size();
+  }
+  int total_bits() const {
+    return (engine_ ? engine_->format() : table_.live().format())
+        .total_bits();
+  }
+
+  void reset_faults() {
+    if (engine_)
+      engine_->reset_faults();
+    else
+      table_.restore();
+  }
+  void inject(const FaultMap& map) {
+    if (engine_)
+      engine_->inject_weight_faults(map);
+    else
+      table_.apply(map);
+  }
+  void set_stuck(const StuckAtMask& mask) {
+    if (engine_)
+      engine_->set_weight_stuck(mask);
+    else
+      table_.apply(mask);
+  }
+
+  /// The greedy action at `state` (the engine draws on `rng` only for
+  /// dynamic faults, which inference trials never arm).
+  int act(int state, Rng& rng) {
+    if (!engine_)
+      return greedy_action(table_.live(), state,
+                           table_detector_ ? &*table_detector_ : nullptr);
+    one_hot_.fill(0.0f);
+    one_hot_[static_cast<std::size_t>(state)] = 1.0f;
+    return static_cast<int>(engine_->act(one_hot_, rng));
+  }
+
+  /// Detector hits so far; 0 without a detector. The count runs across
+  /// trials, so a trial's own hits are the delta.
+  std::uint64_t detections() const {
+    const RangeAnomalyDetector* detector =
+        engine_ ? engine_->weight_detector()
+                : (table_detector_ ? &*table_detector_ : nullptr);
+    return detector != nullptr ? detector->detections() : 0;
+  }
+
+ private:
+  FaultableImage table_;
+  std::optional<RangeAnomalyDetector> table_detector_;
+  std::unique_ptr<QuantizedInferenceEngine> engine_;
+  Tensor one_hot_;
 };
 
-/// One tabular fault-injection repeat: sample the mode's fault against
-/// a private copy of the golden table, roll out, report success.
-bool tabular_fault_trial(const GridWorld& env, const QVector& golden,
-                         RangeAnomalyDetector* det, InferenceFaultMode mode,
-                         double ber, int max_steps, Rng& rng) {
+/// One fault-injection repeat: sample the mode's fault map against the
+/// store, arm it, and roll the greedy policy out from the source; true
+/// when it reaches the goal.
+bool fault_trial(const GridWorld& env, PolicyStore& store,
+                 InferenceFaultMode mode, double ber, Rng& rng) {
+  store.reset_faults();
+  const FaultType type = mode == InferenceFaultMode::kStuckAt0
+                             ? FaultType::kStuckAt0
+                         : mode == InferenceFaultMode::kStuckAt1
+                             ? FaultType::kStuckAt1
+                             : FaultType::kTransientFlip;
+  const FaultMap map = FaultMap::sample(type, ber, store.word_count(),
+                                        store.total_bits(), rng);
+  int fault_step = -1;
   switch (mode) {
-    case InferenceFaultMode::kTransientM: {
-      QVector table = golden;
-      FaultMap map = FaultMap::sample(FaultType::kTransientFlip, ber,
-                                      table.size(),
-                                      table.format().total_bits(), rng);
-      map.apply_once(table.words());
-      return tabular_rollout(env, table, det, max_steps);
-    }
-    case InferenceFaultMode::kTransient1: {
-      // The register upset corrupts reads of a single step.
-      const FaultMap map = FaultMap::sample(
-          FaultType::kTransientFlip, ber, golden.size(),
-          golden.format().total_bits(), rng);
-      const int fault_step = static_cast<int>(rng.below(20));
-      int state = env.source_state();
-      for (int step = 0; step < max_steps; ++step) {
-        QVector view = golden;
-        if (step == fault_step) map.apply_once(view.words());
-        int best_action = 0;
-        double best_value = -1e30;
-        for (int action = 0; action < GridWorld::action_count(); ++action) {
-          const std::size_t index =
-              static_cast<std::size_t>(state) * GridWorld::action_count() +
-              static_cast<std::size_t>(action);
-          double value = view.get(index);
-          if (det != nullptr)
-            value = det->filter(0, static_cast<float>(value));
-          if (value > best_value) {
-            best_value = value;
-            best_action = action;
-          }
-        }
-        const GridWorld::StepResult step_result = env.step(state, best_action);
-        if (step_result.done) return step_result.reward > 0.0;
-        state = step_result.next_state;
-      }
-      return false;
-    }
+    case InferenceFaultMode::kTransientM:
+      store.inject(map);
+      break;
+    case InferenceFaultMode::kTransient1:
+      // The register upset corrupts the reads of a single step.
+      fault_step = static_cast<int>(rng.below(20));
+      break;
     case InferenceFaultMode::kStuckAt0:
-    case InferenceFaultMode::kStuckAt1: {
-      QVector table = golden;
-      const FaultType type = mode == InferenceFaultMode::kStuckAt0
-                                 ? FaultType::kStuckAt0
-                                 : FaultType::kStuckAt1;
-      const FaultMap map = FaultMap::sample(
-          type, ber, table.size(), table.format().total_bits(), rng);
-      StuckAtMask::compile(map).apply(table);
-      return tabular_rollout(env, table, det, max_steps);
-    }
+    case InferenceFaultMode::kStuckAt1:
+      store.set_stuck(StuckAtMask::compile(map));
+      break;
   }
-  return false;
-}
-
-/// One NN fault-injection repeat through a cell-private engine.
-bool nn_fault_trial(const GridWorld& env, QuantizedInferenceEngine& engine,
-                    InferenceFaultMode mode, double ber, int max_steps,
-                    Rng& rng) {
-  engine.reset_faults();
-  switch (mode) {
-    case InferenceFaultMode::kTransientM: {
-      FaultMap map = FaultMap::sample(
-          FaultType::kTransientFlip, ber, engine.weight_word_count(),
-          engine.format().total_bits(), rng);
-      engine.inject_weight_faults(map);
-      return engine_rollout(env, engine, rng, max_steps);
-    }
-    case InferenceFaultMode::kTransient1: {
-      FaultMap map = FaultMap::sample(
-          FaultType::kTransientFlip, ber, engine.weight_word_count(),
-          engine.format().total_bits(), rng);
-      const int fault_step = static_cast<int>(rng.below(20));
-      return engine_rollout(env, engine, rng, max_steps, &map, fault_step);
-    }
-    case InferenceFaultMode::kStuckAt0:
-    case InferenceFaultMode::kStuckAt1: {
-      const FaultType type = mode == InferenceFaultMode::kStuckAt0
-                                 ? FaultType::kStuckAt0
-                                 : FaultType::kStuckAt1;
-      const FaultMap map = FaultMap::sample(
-          type, ber, engine.weight_word_count(),
-          engine.format().total_bits(), rng);
-      engine.set_weight_stuck(StuckAtMask::compile(map));
-      return engine_rollout(env, engine, rng, max_steps);
-    }
-  }
-  return false;
+  int step = 0;
+  return env.rollout(
+             [&](int state) {
+               const bool upset = step++ == fault_step;
+               if (upset) store.inject(map);
+               const int action = store.act(state, rng);
+               if (upset) store.reset_faults();
+               return action;
+             },
+             kMaxSteps) > 0.0;
 }
 
 /// Per-shard accumulator: success and detection tallies per
@@ -199,37 +164,18 @@ struct InferenceAccum {
   }
 };
 
-TrainedPolicies train_policy(const InferenceCampaignConfig& config) {
-  TrainedPolicies trained{GridWorld::preset(config.density), nullptr,
-                          nullptr};
-  // The campaign's premise is a *successfully* trained fault-free
-  // policy; quantized NN training occasionally fails to converge for a
-  // given seed, so retry a few reseeded runs until evaluation succeeds.
-  for (int attempt = 0; attempt < 6; ++attempt) {
+/// The golden policy: fault-free training on `env`. The campaign's
+/// premise is a *successfully* trained policy, and quantized NN training
+/// occasionally fails to converge for a given seed, so up to six
+/// reseeded runs are tried until the greedy rollout reaches the goal.
+GridAgentHandle train_policy(const InferenceCampaignConfig& config,
+                             const GridWorld& env) {
+  for (int attempt = 0;; ++attempt) {
     Rng rng(config.seed + static_cast<std::uint64_t>(attempt) * 7919);
-    if (config.kind == GridPolicyKind::kTabular) {
-      trained.tabular = std::make_unique<TabularQAgent>(trained.env);
-    } else {
-      trained.mlp =
-          std::make_unique<MlpQAgent>(trained.env, MlpQConfig{}, rng);
-    }
-    ExplorationConfig exploration;
-    AdaptiveExplorationController controller(exploration, false);
-    for (int episode = 0; episode < config.train_episodes; ++episode) {
-      if (trained.tabular)
-        trained.tabular->run_training_episode(controller.rate(), rng);
-      else
-        trained.mlp->run_training_episode(controller.rate(), rng);
-      controller.end_episode(trained.tabular
-                                 ? trained.tabular->evaluate_return()
-                                 : trained.mlp->evaluate_return());
-    }
-    const bool converged = trained.tabular
-                               ? trained.tabular->evaluate_success()
-                               : trained.mlp->evaluate_success();
-    if (converged) break;
+    GridAgentHandle agent(config.kind, env, rng);
+    agent.train_fault_free(config.train_episodes, rng);
+    if (attempt == 5 || agent.greedy_return() > 0.0) return agent;
   }
-  return trained;
 }
 
 }  // namespace
@@ -248,8 +194,8 @@ InferenceCampaignResult run_inference_campaign(
     const InferenceCampaignConfig& config, const ScenarioContext& context) {
   if (config.repeats <= 0)
     throw std::invalid_argument("InferenceCampaignConfig: repeats <= 0");
-  TrainedPolicies trained = train_policy(config);
-  const int max_steps = 100;
+  const GridWorld env = GridWorld::preset(config.density);
+  GridAgentHandle trained = train_policy(config, env);
 
   InferenceCampaignResult result;
   result.bers = config.bers;
@@ -257,15 +203,13 @@ InferenceCampaignResult run_inference_campaign(
 
   // Trial grid: (mode, BER, repeat), sharded at repeat granularity so
   // a campaign with few BER points (e.g. the fault_campaign CLI's
-  // single-BER runs) still saturates the pool. Every trial owns its
-  // fault state (table copy / engine / detector) and tallies into its
-  // shard's per-cell counters, merged in the final reduce.
+  // single-BER runs) still saturates the pool. Every shard owns its
+  // resident store and tallies into its per-cell counters, merged in
+  // the final reduce.
   const std::size_t ber_count = config.bers.size();
   const std::size_t cell_count = 4 * ber_count;
   const auto repeat_count = static_cast<std::size_t>(config.repeats);
   const CampaignRunner runner(context.threads);
-  const auto merge_accums = [](InferenceAccum& into,
-                               InferenceAccum&& from) { into.merge(from); };
   // Checkpoint identity: the same config must never resume a grid it
   // did not write. Seed and trial count live in the checkpoint
   // fingerprint; everything else that gives trials their meaning is
@@ -281,83 +225,50 @@ InferenceCampaignResult run_inference_campaign(
           .add(config.detector_margin)
           .add(config.bers)
           .hex();
-  InferenceAccum totals(cell_count);
   // Trial-grid wall clock for the perf-trajectory record: the phase
   // the batched engine + SIMD kernels speed up, excluding the policy
   // training preamble (identical across backends).
   const double trials_started = perf::now();
 
+  // What each shard's store is built from: the golden table (with the
+  // detector calibrated on it when mitigated), or the golden network
+  // the engine quantizes, the trained agent's float view of its store.
+  const QVector& golden = trained.store();
+  std::optional<RangeAnomalyDetector> table_detector;
+  Network golden_net;
   if (config.kind == GridPolicyKind::kTabular) {
-    const QVector golden = trained.tabular->table();
-    RangeAnomalyDetector calibrated(golden.format(), 1,
-                                    config.detector_margin);
     if (config.mitigated) {
-      const auto values = golden.decode_all();
-      for (double v : values) calibrated.calibrate(0, v);
-      calibrated.finalize();
+      table_detector.emplace(golden.format(), 1, config.detector_margin);
+      for (double v : golden.decode_all()) table_detector->calibrate(0, v);
+      table_detector->finalize();
     }
-
-    totals = runner.map_reduce_streamed(
-        stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
-        [&] { return InferenceAccum(cell_count); },
-        [&](InferenceAccum& acc, std::size_t trial, Rng& rng) {
-          const std::size_t cell = trial / repeat_count;
-          const auto mode =
-              static_cast<InferenceFaultMode>(cell / ber_count);
-          const double ber = config.bers[cell % ber_count];
-          // Trial-private detector copy; tallies sum over trials.
-          RangeAnomalyDetector detector = calibrated;
-          RangeAnomalyDetector* det = config.mitigated ? &detector : nullptr;
-          if (tabular_fault_trial(trained.env, golden, det, mode, ber,
-                                  max_steps, rng))
-            ++acc.successes[cell];
-          acc.detections[cell] += detector.detections();
-        },
-        merge_accums, context.stream);
   } else {
-    // --- NN path (through the quantized inference engine) --------------
-    // The golden network every shard's engine is built from: the
-    // trained agent's float view of its quantized buffer.
-    const Network golden_net = trained.mlp->network();
-    const QFormat format = trained.mlp->weights().format();
-    const Shape input_shape{trained.env.state_count(), 1, 1};
-    // One resident engine per shard, from the runner's scratch
-    // channel: nn_fault_trial's reset_faults() restores the golden
-    // word image bit-exactly, so every trial sees a fresh engine's
-    // state (see nn/engine_slot.h).
-    using ResidentEngine = std::unique_ptr<QuantizedInferenceEngine>;
-    totals = runner.map_reduce_streamed(
-        stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
-        [&] { return InferenceAccum(cell_count); },
-        [&] {
-          auto engine = std::make_unique<QuantizedInferenceEngine>(
-              golden_net, format, input_shape);
-          if (config.mitigated)
-            engine->enable_weight_protection(config.detector_margin);
-          return engine;
-        },
-        [&](InferenceAccum& acc, std::size_t trial, Rng& rng,
-            ResidentEngine& resident) {
-          const std::size_t cell = trial / repeat_count;
-          const auto mode =
-              static_cast<InferenceFaultMode>(cell / ber_count);
-          const double ber = config.bers[cell % ber_count];
-          QuantizedInferenceEngine& engine = *resident;
-          // The resident detector tallies across trials; the per-trial
-          // count (identical to a fresh engine's) is the delta.
-          const std::uint64_t detections_before =
-              config.mitigated && engine.weight_detector() != nullptr
-                  ? engine.weight_detector()->detections()
-                  : 0;
-          if (nn_fault_trial(trained.env, engine, mode, ber, max_steps,
-                             rng))
-            ++acc.successes[cell];
-          if (config.mitigated && engine.weight_detector() != nullptr)
-            acc.detections[cell] +=
-                engine.weight_detector()->detections() - detections_before;
-        },
-        merge_accums, context.stream);
+    golden_net = trained.mlp()->network();
   }
+
+  const InferenceAccum totals = runner.map_reduce_streamed(
+      stream_tag, cell_count * repeat_count, config.seed ^ 0xabcd,
+      [&] { return InferenceAccum(cell_count); },
+      [&]() -> PolicyStore {
+        if (config.kind == GridPolicyKind::kTabular)
+          return PolicyStore(golden, table_detector);
+        auto engine = std::make_unique<QuantizedInferenceEngine>(
+            golden_net, golden.format(), Shape{env.state_count(), 1, 1});
+        if (config.mitigated)
+          engine->enable_weight_protection(config.detector_margin);
+        return PolicyStore(std::move(engine), env.state_count());
+      },
+      [&](InferenceAccum& acc, std::size_t trial, Rng& rng,
+          PolicyStore& store) {
+        const std::size_t cell = trial / repeat_count;
+        const auto mode = static_cast<InferenceFaultMode>(cell / ber_count);
+        const double ber = config.bers[cell % ber_count];
+        const std::uint64_t detections_before = store.detections();
+        if (fault_trial(env, store, mode, ber, rng)) ++acc.successes[cell];
+        acc.detections[cell] += store.detections() - detections_before;
+      },
+      [](InferenceAccum& into, InferenceAccum&& from) { into.merge(from); },
+      context.stream);
 
   perf::add_section(config.kind == GridPolicyKind::kTabular
                         ? "grid_inference_trials_tabular"

@@ -5,56 +5,11 @@
 #include <string>
 
 #include "campaign/campaign_runner.h"
-#include "core/injector.h"
-#include "rl/mlp_q.h"
-#include "rl/tabular_q.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace ftnav {
 namespace {
-
-/// Uniform interface over the two Grid World policy kinds.
-class GridAgentHandle {
- public:
-  GridAgentHandle(GridPolicyKind kind, const GridWorld& env, Rng& rng) {
-    if (kind == GridPolicyKind::kTabular) {
-      tabular_ = std::make_unique<TabularQAgent>(env);
-    } else {
-      mlp_ = std::make_unique<MlpQAgent>(env, MlpQConfig{}, rng);
-    }
-  }
-
-  double train_episode(double epsilon, Rng& rng) {
-    return tabular_ ? tabular_->run_training_episode(epsilon, rng)
-                    : mlp_->run_training_episode(epsilon, rng);
-  }
-  bool evaluate_success() {
-    return tabular_ ? tabular_->evaluate_success() : mlp_->evaluate_success();
-  }
-  double evaluate_return() {
-    return tabular_ ? tabular_->evaluate_return() : mlp_->evaluate_return();
-  }
-  QVector& store() {
-    return tabular_ ? tabular_->table() : mlp_->weights();
-  }
-  void inject_transient(const FaultMap& map) {
-    if (tabular_)
-      tabular_->inject_transient(map);
-    else
-      mlp_->inject_transient(map);
-  }
-  void set_stuck(const StuckAtMask& mask) {
-    if (tabular_)
-      tabular_->set_stuck(mask);
-    else
-      mlp_->set_stuck(mask);
-  }
-
- private:
-  std::unique_ptr<TabularQAgent> tabular_;
-  std::unique_ptr<MlpQAgent> mlp_;
-};
 
 double default_alpha(GridPolicyKind kind) {
   // Paper §5.1: alpha = 0.8 for tabular, 0.4 for NN (the NN self-heals
@@ -68,6 +23,56 @@ std::string to_string(GridPolicyKind kind) {
   return kind == GridPolicyKind::kTabular ? "tabular" : "NN";
 }
 
+GridAgentHandle::GridAgentHandle(GridPolicyKind kind, const GridWorld& env,
+                                 Rng& rng)
+    : env_(&env) {
+  if (kind == GridPolicyKind::kTabular) {
+    tabular_ = std::make_unique<TabularQAgent>(env);
+  } else {
+    mlp_ = std::make_unique<MlpQAgent>(env, MlpQConfig{}, rng);
+  }
+}
+
+double GridAgentHandle::train_episode(double epsilon, Rng& rng) {
+  return tabular_ ? tabular_->run_training_episode(epsilon, rng)
+                  : mlp_->run_training_episode(epsilon, rng);
+}
+
+void GridAgentHandle::train_fault_free(int episodes, Rng& rng) {
+  AdaptiveExplorationController controller(ExplorationConfig{}, false);
+  for (int episode = 0; episode < episodes; ++episode)
+    controller.end_episode(train_episode(controller.rate(), rng));
+}
+
+int GridAgentHandle::greedy_action(int state) {
+  return tabular_ ? tabular_->greedy_action(state)
+                  : mlp_->greedy_action(state);
+}
+
+double GridAgentHandle::greedy_return() {
+  return env_->rollout(
+      [this](int state) { return greedy_action(state); },
+      tabular_ ? tabular_->config().max_steps : mlp_->config().max_steps);
+}
+
+QVector& GridAgentHandle::store() {
+  return tabular_ ? tabular_->table() : mlp_->weights();
+}
+
+void GridAgentHandle::inject_transient(const FaultMap& map) {
+  if (tabular_)
+    tabular_->inject_transient(map);
+  else
+    mlp_->inject_transient(map);
+}
+
+void GridAgentHandle::set_stuck(const StuckAtMask& mask) {
+  if (tabular_)
+    tabular_->set_stuck(mask);
+  else
+    mlp_->set_stuck(mask);
+}
+
 GridTrainResult run_grid_training(const GridTrainSpec& spec) {
   if (spec.episodes <= 0)
     throw std::invalid_argument("GridTrainSpec: episodes must be positive");
@@ -76,7 +81,7 @@ GridTrainResult run_grid_training(const GridTrainSpec& spec) {
   Rng fault_rng = rng.split(0x5eed);
   GridAgentHandle agent(spec.kind, env, rng);
 
-  ExplorationConfig exploration = spec.exploration;
+  ExplorationConfig exploration;
   exploration.alpha = spec.alpha_override >= 0.0
                           ? spec.alpha_override
                           : default_alpha(spec.kind);
@@ -114,7 +119,7 @@ GridTrainResult run_grid_training(const GridTrainSpec& spec) {
     const bool needs_eval = spec.mitigated || spec.record_returns ||
                             spec.track_reconvergence;
     const double eval_return =
-        needs_eval ? agent.evaluate_return() : train_return;
+        needs_eval ? agent.greedy_return() : train_return;
     controller.end_episode(eval_return);
     if (spec.record_returns) result.returns.push_back(eval_return);
 
@@ -132,8 +137,8 @@ GridTrainResult run_grid_training(const GridTrainSpec& spec) {
     }
   }
 
-  result.success = agent.evaluate_success();
-  result.final_return = agent.evaluate_return();
+  result.final_return = agent.greedy_return();
+  result.success = result.final_return > 0.0;
   result.peak_exploration = controller.peak_adjusted_rate();
   result.steady_episode = controller.steady_reached_episode();
   result.transient_detections = controller.transient_detections();
@@ -260,22 +265,10 @@ ValueHistogramResult trained_value_histogram(GridPolicyKind kind,
                                              ObstacleDensity density,
                                              int episodes,
                                              std::uint64_t seed) {
-  GridTrainSpec spec;
-  spec.kind = kind;
-  spec.density = density;
-  spec.episodes = episodes;
-  spec.seed = seed;
-
-  // Re-run the training inline so we can reach the trained store.
   const GridWorld env = GridWorld::preset(density);
   Rng rng(seed);
   GridAgentHandle agent(kind, env, rng);
-  ExplorationConfig exploration;
-  AdaptiveExplorationController controller(exploration, false);
-  for (int episode = 0; episode < episodes; ++episode) {
-    (void)agent.train_episode(controller.rate(), rng);
-    controller.end_episode(agent.evaluate_return());
-  }
+  agent.train_fault_free(episodes, rng);
 
   const QVector& store = agent.store();
   ValueHistogramResult result{

@@ -9,13 +9,17 @@
 // Campaign functions sweep BER x injection-episode grids and aggregate
 // success rates, reproducing the paper's heatmaps.
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/exploration.h"
 #include "core/fault_model.h"
+#include "core/injector.h"
 #include "envs/gridworld.h"
+#include "rl/mlp_q.h"
+#include "rl/tabular_q.h"
 #include "scenario/scenario.h"
 #include "util/histogram.h"
 #include "util/table.h"
@@ -24,6 +28,39 @@ namespace ftnav {
 
 enum class GridPolicyKind { kTabular, kNeuralNet };
 std::string to_string(GridPolicyKind kind);
+
+/// One Grid World agent of either policy kind, behind the interface the
+/// training and inference drivers train, fault and evaluate through.
+/// The agent keeps a pointer to `env`, which must outlive the handle at
+/// a fixed address; the agent itself is heap-owned, so moving the
+/// handle keeps it valid.
+class GridAgentHandle {
+ public:
+  /// The NN agent draws its initial weights from `rng`.
+  GridAgentHandle(GridPolicyKind kind, const GridWorld& env, Rng& rng);
+
+  double train_episode(double epsilon, Rng& rng);
+  /// The fault-free trainer behind every golden policy: `episodes`
+  /// training episodes on the baseline exploration schedule, a disabled
+  /// controller fed each training return (its rate never reads it).
+  void train_fault_free(int episodes, Rng& rng);
+
+  int greedy_action(int state);
+  /// Return of the greedy rollout from the source (GridWorld::rollout,
+  /// at the agent's step cap); positive when it reaches the goal.
+  double greedy_return();
+
+  QVector& store();
+  void inject_transient(const FaultMap& map);
+  void set_stuck(const StuckAtMask& mask);
+  /// The NN agent; null for a tabular handle.
+  MlpQAgent* mlp() noexcept { return mlp_.get(); }
+
+ private:
+  const GridWorld* env_;
+  std::unique_ptr<TabularQAgent> tabular_;
+  std::unique_ptr<MlpQAgent> mlp_;
+};
 
 /// One fault-scenario training run.
 struct GridTrainSpec {
@@ -41,10 +78,11 @@ struct GridTrainSpec {
   double permanent_ber = 0.0;
   int permanent_episode = 0;
 
-  /// Adaptive exploration-rate mitigation (paper §5.1).
+  /// Adaptive exploration-rate mitigation (paper §5.1), on the default
+  /// ExplorationConfig.
   bool mitigated = false;
-  ExplorationConfig exploration{};  // alpha is overridden per kind below
-  /// Paper choice: alpha = 0.8 (tabular), 0.4 (NN). Applied when >= 0.
+  /// The controller's alpha; the paper's choice, 0.8 (tabular) or 0.4
+  /// (NN), when negative.
   double alpha_override = -1.0;
 
   std::uint64_t seed = 1;

@@ -18,7 +18,7 @@
 //     NN weights vs 3.18x for tabular values) and hence its headline
 //     stuck-at-1 vs stuck-at-0 asymmetry; a symmetric weight
 //     distribution under pure two's complement has roughly equal 0/1
-//     bit counts and cannot show either effect. See DESIGN.md §5.
+//     bit counts and cannot show either effect.
 
 #include <cmath>
 #include <cstdint>

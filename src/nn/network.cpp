@@ -72,16 +72,6 @@ std::vector<float> Network::snapshot_parameters() const {
   return flat;
 }
 
-std::vector<float> Network::snapshot_gradients() const {
-  std::vector<float> flat;
-  flat.reserve(parameter_count());
-  for (const auto& layer : layers_) {
-    const auto grads = layer->gradients();
-    flat.insert(flat.end(), grads.begin(), grads.end());
-  }
-  return flat;
-}
-
 void Network::copy_parameters_into(std::span<float> out) const {
   if (out.size() != parameter_count())
     throw std::invalid_argument("copy_parameters_into: size mismatch");

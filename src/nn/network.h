@@ -69,13 +69,10 @@ class Network {
   std::vector<float> snapshot_parameters() const;
   void restore_parameters(std::span<const float> flat);
 
-  /// Copies accumulated gradients into a flat vector (same layout as
-  /// snapshot_parameters). Used by quantization-aware trainers that
-  /// keep a float master copy outside the network.
-  std::vector<float> snapshot_gradients() const;
-
-  /// Allocation-free variants for hot training loops; `out` must have
-  /// exactly parameter_count() elements.
+  /// Allocation-free copies for hot training loops (same layout as
+  /// snapshot_parameters); `out` must have exactly parameter_count()
+  /// elements. Quantization-aware trainers that keep a float master
+  /// copy outside the network read their gradients this way.
   void copy_parameters_into(std::span<float> out) const;
   void copy_gradients_into(std::span<float> out) const;
 

@@ -8,7 +8,8 @@
 //
 // Because the authors' offline phase runs for thousands of Unreal
 // episodes, benches bootstrap the policy with a short imitation phase
-// against the raycast expert before DDQN refinement (DESIGN.md §2) --
+// against the raycast expert before DDQN refinement (see "Known
+// deviations from the paper" in README.md) --
 // the fault experiments only require *a* competent converged policy.
 
 #include "envs/drone_env.h"

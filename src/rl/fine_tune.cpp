@@ -81,13 +81,9 @@ double OnlineFineTuner::run_training_episode(DroneEnv& env, double epsilon,
 }
 
 double OnlineFineTuner::evaluate_episode(DroneEnv& env, Rng& rng) {
-  Tensor observation = env.reset(rng);
-  while (!env.done()) {
-    const int action = act(observation, 0.0, rng);
-    (void)env.step(action);
-    observation = env.observe();
-  }
-  return env.flight_distance();
+  return env.fly(
+      [&](const Tensor& observation) { return act(observation, 0.0, rng); },
+      rng);
 }
 
 void OnlineFineTuner::set_stuck(const StuckAtMask& mask) {

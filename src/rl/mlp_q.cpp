@@ -257,28 +257,9 @@ double MlpQAgent::run_training_episode(double epsilon, Rng& rng) {
   return cumulative;
 }
 
-bool MlpQAgent::evaluate_success() {
-  int state = env_->source_state();
-  for (int step = 0; step < config_.max_steps; ++step) {
-    const GridWorld::StepResult result =
-        env_->step(state, greedy_action(state));
-    if (result.done) return result.reward > 0.0;
-    state = result.next_state;
-  }
-  return false;
-}
-
 double MlpQAgent::evaluate_return() {
-  int state = env_->source_state();
-  double cumulative = 0.0;
-  for (int step = 0; step < config_.max_steps; ++step) {
-    const GridWorld::StepResult result =
-        env_->step(state, greedy_action(state));
-    cumulative += result.reward;
-    if (result.done) break;
-    state = result.next_state;
-  }
-  return cumulative;
+  return env_->rollout([this](int state) { return greedy_action(state); },
+                       config_.max_steps);
 }
 
 void MlpQAgent::set_stuck(const StuckAtMask& mask) {

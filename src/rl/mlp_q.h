@@ -95,7 +95,8 @@ class MlpQAgent {
   /// TD steps run_training_episode() has taken over the agent's life.
   std::uint64_t training_steps() const noexcept { return training_steps_; }
 
-  bool evaluate_success();
+  /// Return of the greedy rollout from the source (GridWorld::rollout).
+  /// perfbench/ times it; the drivers evaluate through GridAgentHandle.
   double evaluate_return();
 
   // ---- fault hooks ---------------------------------------------------

@@ -2,7 +2,27 @@
 
 #include <stdexcept>
 
+#include "core/anomaly_detector.h"
+
 namespace ftnav {
+
+int greedy_action(const QVector& table, int state,
+                  RangeAnomalyDetector* detector) {
+  const std::size_t row = static_cast<std::size_t>(state) *
+                          static_cast<std::size_t>(GridWorld::action_count());
+  int best = 0;
+  double best_value = 0.0;
+  for (int a = 0; a < GridWorld::action_count(); ++a) {
+    double value = table.get(row + static_cast<std::size_t>(a));
+    if (detector != nullptr)
+      value = detector->filter(0, static_cast<float>(value));
+    if (a == 0 || value > best_value) {
+      best_value = value;
+      best = a;
+    }
+  }
+  return best;
+}
 
 TabularQAgent::TabularQAgent(const GridWorld& env, TabularQConfig config)
     : env_(&env),
@@ -35,16 +55,7 @@ double TabularQAgent::max_q(int state) const {
 }
 
 int TabularQAgent::greedy_action(int state) const {
-  int best = 0;
-  double best_value = q(state, 0);
-  for (int a = 1; a < GridWorld::action_count(); ++a) {
-    const double value = q(state, a);
-    if (value > best_value) {
-      best_value = value;
-      best = a;
-    }
-  }
-  return best;
+  return ftnav::greedy_action(table_, state);
 }
 
 double TabularQAgent::run_training_episode(double epsilon, Rng& rng) {
@@ -96,30 +107,6 @@ double TabularQAgent::run_training_episode(double epsilon, Rng& rng) {
         q(state, action) +
         config_.learning_rate * (target - q(state, action));
     set_q(state, action, updated);
-    if (result.done) break;
-    state = result.next_state;
-  }
-  return cumulative;
-}
-
-bool TabularQAgent::evaluate_success() const {
-  int state = env_->source_state();
-  for (int step = 0; step < config_.max_steps; ++step) {
-    const GridWorld::StepResult result =
-        env_->step(state, greedy_action(state));
-    if (result.done) return result.reward > 0.0;
-    state = result.next_state;
-  }
-  return false;
-}
-
-double TabularQAgent::evaluate_return() const {
-  int state = env_->source_state();
-  double cumulative = 0.0;
-  for (int step = 0; step < config_.max_steps; ++step) {
-    const GridWorld::StepResult result =
-        env_->step(state, greedy_action(state));
-    cumulative += result.reward;
     if (result.done) break;
     state = result.next_state;
   }

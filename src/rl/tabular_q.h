@@ -17,6 +17,14 @@
 
 namespace ftnav {
 
+class RangeAnomalyDetector;
+
+/// Greedy action of a Q-table stored [state][action]: the first action
+/// of the largest value. With a detector, each read passes through its
+/// filter first (paper §5.2: an out-of-range value reads as zero).
+int greedy_action(const QVector& table, int state,
+                  RangeAnomalyDetector* detector = nullptr);
+
 struct TabularQConfig {
   /// alpha = 1 is the exact Bellman replacement -- optimal for this
   /// deterministic MDP -- and doubly necessary on an 8-bit table:
@@ -52,12 +60,6 @@ class TabularQAgent {
 
   /// One epsilon-greedy training episode; returns the cumulative reward.
   double run_training_episode(double epsilon, Rng& rng);
-
-  /// Greedy rollout from the source; true when the goal is reached
-  /// within the step cap.
-  bool evaluate_success() const;
-  /// Cumulative reward of the greedy rollout.
-  double evaluate_return() const;
 
   // ---- fault hooks ---------------------------------------------------
   QVector& table() noexcept { return table_; }

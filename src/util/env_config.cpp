@@ -86,8 +86,6 @@ const std::vector<EnvKnob>& declared_env_knobs() {
       {"FTNAV_FULL", "run paper-scale sweeps"},
       {"FTNAV_THREADS", "campaign worker threads"},
       {"FTNAV_JSON_DIR", "JSON table artifact directory"},
-      {"FTNAV_COST_PROFILE",
-       "machine-profile JSON for the analytic cost model"},
       {"FTNAV_AUTH_TOKEN", "campaign-server session token"},
       {"FTNAV_SERVER", "default campaign-server host:port for "
                        "submit/status/attach"},

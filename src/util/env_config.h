@@ -16,10 +16,6 @@
 //                         directory (CI uploads these as artifacts);
 //                         a bench given a path that is not an existing
 //                         directory exits 2 before its banner
-//   FTNAV_COST_PROFILE    path to a machine-profile JSON
-//                         (ftnav-machine-profile-v1) calibrating the
-//                         analytic cost model's rates; empty = builtin
-//                         defaults. See src/cost/
 //   FTNAV_AUTH_TOKEN      session token for an auth-enabled campaign
 //                         server (fault_campaign serve --auth-token);
 //                         presented in the hello handshake of every

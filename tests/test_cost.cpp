@@ -94,62 +94,8 @@ TEST(NetworkWork, GridMlpForwardMacsMatchHandComputation) {
   EXPECT_DOUBLE_EQ(work.macs, 4992.0);
 }
 
-TEST(NetworkWork, UpdateIsThreeForwardsAndInjectRestoreIsTwoPasses) {
-  const C3F2Config config = C3F2Config::preset(C3F2Preset::kFast);
-  Rng rng(7);
-  const Network net = make_c3f2(config, rng);
-  const cost::Work forward =
-      cost::network_forward_work(net, config.input_shape(), 2.0);
-  const cost::Work update =
-      cost::network_update_work(net, config.input_shape(), 2.0);
-  EXPECT_DOUBLE_EQ(update.macs, 3.0 * forward.macs);
-  EXPECT_DOUBLE_EQ(update.bytes, 3.0 * forward.bytes);
+TEST(NetworkWork, InjectRestoreIsTwoPasses) {
   EXPECT_DOUBLE_EQ(cost::inject_restore_bytes(1000, 2.0), 4000.0);
-}
-
-// ---- machine profile ------------------------------------------------------
-
-TEST(MachineProfileJson, RoundTripsThroughToJson) {
-  cost::MachineProfile profile;
-  profile.mac_rate = 123e9;
-  profile.byte_rate = 4.5e9;
-  profile.grid_step_rate = 6.7e6;
-  profile.drone_step_rate = 8.9e5;
-  profile.trial_overhead_seconds = 1.25e-6;
-  const cost::MachineProfile parsed =
-      cost::MachineProfile::from_json_text(profile.to_json());
-  EXPECT_DOUBLE_EQ(parsed.mac_rate, profile.mac_rate);
-  EXPECT_DOUBLE_EQ(parsed.byte_rate, profile.byte_rate);
-  EXPECT_DOUBLE_EQ(parsed.grid_step_rate, profile.grid_step_rate);
-  EXPECT_DOUBLE_EQ(parsed.drone_step_rate, profile.drone_step_rate);
-  EXPECT_DOUBLE_EQ(parsed.trial_overhead_seconds,
-                   profile.trial_overhead_seconds);
-}
-
-TEST(MachineProfileJson, RejectsMalformedAndInvalidProfiles) {
-  // Missing schema, wrong schema, unknown key, non-positive rate,
-  // trailing garbage: all hard errors, never silent defaults.
-  EXPECT_THROW(cost::MachineProfile::from_json_text("{}"),
-               std::runtime_error);
-  EXPECT_THROW(cost::MachineProfile::from_json_text(
-                   "{\"schema\": \"wrong-schema\"}"),
-               std::runtime_error);
-  EXPECT_THROW(cost::MachineProfile::from_json_text(
-                   "{\"schema\": \"ftnav-machine-profile-v1\", "
-                   "\"bogus_rate\": 1.0}"),
-               std::runtime_error);
-  EXPECT_THROW(cost::MachineProfile::from_json_text(
-                   "{\"schema\": \"ftnav-machine-profile-v1\", "
-                   "\"mac_rate\": 0}"),
-               std::runtime_error);
-  EXPECT_THROW(cost::MachineProfile::from_json_text(
-                   "{\"schema\": \"ftnav-machine-profile-v1\"} x"),
-               std::runtime_error);
-  // Partial profiles keep defaults for the unnamed rates.
-  const cost::MachineProfile partial = cost::MachineProfile::from_json_text(
-      "{\"schema\": \"ftnav-machine-profile-v1\", \"mac_rate\": 5e9}");
-  EXPECT_DOUBLE_EQ(partial.mac_rate, 5e9);
-  EXPECT_DOUBLE_EQ(partial.byte_rate, cost::MachineProfile{}.byte_rate);
 }
 
 // ---- campaign cost arithmetic --------------------------------------------

@@ -43,11 +43,24 @@ TEST(Exploration, BaselineDecaysLinearlyToSteady) {
 }
 
 TEST(Exploration, DisabledControllerNeverDetects) {
+  // A disabled controller's schedule never reads the reward, so the
+  // fault-free trainer may feed it training returns: a second controller
+  // fed a different stream keeps the same rate at every episode.
   AdaptiveExplorationController controller(small_config(), false);
-  for (int episode = 0; episode < 150; ++episode) controller.end_episode(1.0);
-  for (int episode = 0; episode < 60; ++episode) controller.end_episode(-1.0);
+  AdaptiveExplorationController other(small_config(), false);
+  Rng rng(3);
+  for (int episode = 0; episode < 210; ++episode) {
+    controller.end_episode(episode < 150 ? 1.0 : -1.0);
+    other.end_episode(static_cast<double>(rng.below(3)) - 1.0);
+    ASSERT_EQ(controller.rate(), other.rate()) << "episode " << episode;
+    ASSERT_EQ(controller.steady_reached_episode(),
+              other.steady_reached_episode())
+        << "episode " << episode;
+  }
   EXPECT_EQ(controller.transient_detections(), 0);
   EXPECT_EQ(controller.permanent_detections(), 0);
+  EXPECT_EQ(other.transient_detections(), 0);
+  EXPECT_EQ(other.permanent_detections(), 0);
   EXPECT_TRUE(controller.in_steady_exploitation());
 }
 

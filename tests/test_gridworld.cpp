@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "envs/gridworld.h"
 
 namespace ftnav {
@@ -92,6 +94,35 @@ TEST(GridWorld, StepValidatesArguments) {
   EXPECT_THROW(world.step(-1, 0), std::invalid_argument);
   EXPECT_THROW(world.step(99, 0), std::invalid_argument);
   EXPECT_THROW(world.step(0, 4), std::invalid_argument);
+}
+
+TEST(GridWorld, RolloutReturnsTheEpisodeReturn) {
+  const GridWorld world = tiny();
+  const int up = static_cast<int>(GridAction::kUp);
+  const int down = static_cast<int>(GridAction::kDown);
+  const int right = static_cast<int>(GridAction::kRight);
+  // Along the top row, then down the right column: 0, 1, 2, 5, G.
+  const auto to_goal = [&](int state) {
+    return world.col_of(state) < 2 ? right : down;
+  };
+  EXPECT_EQ(world.rollout(to_goal, 100), 1.0);
+  // Right once, then down into the hell cell at 4.
+  EXPECT_EQ(world.rollout([&](int state) { return state == 0 ? right : down; },
+                          100),
+            -1.0);
+  // Bumping the top wall runs into the step cap; so does the goal
+  // route when the cap is shorter than its four steps.
+  EXPECT_EQ(world.rollout([&](int) { return up; }, 100), 0.0);
+  EXPECT_EQ(world.rollout(to_goal, 3), 0.0);
+  // The policy is asked once per step, in step order, from the source.
+  std::vector<int> asked;
+  (void)world.rollout(
+      [&](int state) {
+        asked.push_back(state);
+        return to_goal(state);
+      },
+      100);
+  EXPECT_EQ(asked, (std::vector<int>{0, 1, 2, 5}));
 }
 
 TEST(GridWorld, RenderShowsAgent) {

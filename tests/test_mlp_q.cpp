@@ -98,7 +98,6 @@ TEST(MlpQ, NetworkParametersAreFormatRepresentable) {
 TEST(MlpQ, LearnsSimpleWorld) {
   const GridWorld world = simple_world();
   MlpQAgent agent = train_agent(world, 250, 5);
-  EXPECT_TRUE(agent.evaluate_success());
   EXPECT_GT(agent.evaluate_return(), 0.0);
 }
 
@@ -115,7 +114,7 @@ TEST(MlpQ, WeightsStayInFormatRange) {
 TEST(MlpQ, TransientInjectionCorruptsAndTrainingHeals) {
   const GridWorld world = simple_world();
   MlpQAgent agent = train_agent(world, 400, 9);
-  ASSERT_TRUE(agent.evaluate_success());
+  ASSERT_GT(agent.evaluate_return(), 0.0);
   Rng rng(11);
   const FaultMap map = FaultMap::sample(
       FaultType::kTransientFlip, 0.02, agent.weights().size(),
@@ -126,7 +125,8 @@ TEST(MlpQ, TransientInjectionCorruptsAndTrainingHeals) {
   bool healed = false;
   for (int episode = 0; episode < 500 && !healed; ++episode) {
     agent.run_training_episode(0.2, rng);
-    if (episode >= 100 && episode % 25 == 0) healed = agent.evaluate_success();
+    if (episode >= 100 && episode % 25 == 0)
+      healed = agent.evaluate_return() > 0.0;
   }
   EXPECT_TRUE(healed);
 }
@@ -580,7 +580,7 @@ TEST(MlpQ, HighBerStuckAt1BreaksPolicy) {
   int successes = 0;
   for (int episode = 0; episode < 150; ++episode) {
     agent.run_training_episode(0.3, rng);
-    if (episode >= 140 && agent.evaluate_success()) ++successes;
+    if (episode >= 140 && agent.evaluate_return() > 0.0) ++successes;
   }
   EXPECT_LT(successes, 10);
 }

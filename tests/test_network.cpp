@@ -24,6 +24,13 @@ Network small_mlp(Rng& rng) {
   return net;
 }
 
+/// The network's accumulated gradients, flat (copy_gradients_into).
+std::vector<float> gradients_of(const Network& net) {
+  std::vector<float> flat(net.parameter_count());
+  net.copy_gradients_into(flat);
+  return flat;
+}
+
 TEST(Network, AddRejectsNull) {
   Network net;
   EXPECT_THROW(net.add(nullptr), std::invalid_argument);
@@ -104,13 +111,13 @@ TEST(Network, GradientSnapshotLayout) {
   Tensor grad(out.shape());
   grad.fill(1.0f);
   net.backward(grad);
-  const auto grads = net.snapshot_gradients();
+  const auto grads = gradients_of(net);
   EXPECT_EQ(grads.size(), net.parameter_count());
   bool any_nonzero = false;
   for (float g : grads) any_nonzero |= g != 0.0f;
   EXPECT_TRUE(any_nonzero);
   net.zero_gradients();
-  for (float g : net.snapshot_gradients()) EXPECT_EQ(g, 0.0f);
+  for (float g : gradients_of(net)) EXPECT_EQ(g, 0.0f);
 }
 
 TEST(Network, TrainingReducesLossOnRegression) {
@@ -181,8 +188,8 @@ void expect_backward_matches_layer_chain(const Network& net,
     ASSERT_EQ(std::bit_cast<std::uint32_t>(to_first[i]),
               std::bit_cast<std::uint32_t>(returned[i]))
         << "returned gradient word " << i;
-  const std::vector<float> expected = chained.snapshot_gradients();
-  const std::vector<float> actual = trained.snapshot_gradients();
+  const std::vector<float> expected = gradients_of(chained);
+  const std::vector<float> actual = gradients_of(trained);
   ASSERT_EQ(expected.size(), actual.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
     ASSERT_EQ(std::bit_cast<std::uint32_t>(expected[i]),
@@ -247,8 +254,8 @@ void expect_network_infer_matches_forward(const Network& net,
     ASSERT_EQ(returned.shape(), expected.shape());
     ASSERT_EQ(bits_of(returned.values()), bits_of(expected.values()))
         << "round " << round;
-    ASSERT_EQ(bits_of(probe.snapshot_gradients()),
-              bits_of(reference.snapshot_gradients()))
+    ASSERT_EQ(bits_of(gradients_of(probe)),
+              bits_of(gradients_of(reference)))
         << "round " << round;
   }
 }
