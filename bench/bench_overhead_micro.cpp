@@ -4,7 +4,8 @@
 // *rapid* fault analysis), of the passes of a quantized C3F2
 // inference besides its MACs (activation quantization, max-pool), on
 // the active kernel backend (FTNAV_SIMD), of a float C3F2 imitation
-// step, and of a Grid World MLP TD step and the weight codec it
+// step, its conv backwards and weight transposes and a whole imitation
+// episode, and of a Grid World MLP TD step and the weight codec it
 // commits through.
 //
 // Runs on the shared bench harness: FTNAV_* knobs and a JSON table via
@@ -26,6 +27,7 @@
 #include "nn/c3f2.h"
 #include "nn/kernels/kernels.h"
 #include "nn/quantized_engine.h"
+#include "rl/dqn.h"
 #include "rl/mlp_q.h"
 #include "util/perf.h"
 #include "util/rng.h"
@@ -248,6 +250,82 @@ int main() {
       }
       g_sink = g_sink + net.forward(views[0].first)[0];
     });
+  }
+
+  // The fast C3F2's conv2 and conv3 backward on the active backend,
+  // with the input gradient (as the imitation step runs them) and
+  // without it, on gradients about half zero as imitation leaves them:
+  // 40% of the output channels dead (all zero) and 15% of the other
+  // entries. Then the weight transposes Conv2D's float forward makes
+  // per call (one op is one float copied), and one imitation episode
+  // (one op is one step; the trajectory runs on pretrain_imitation's
+  // helper thread), each block from the same network, env and seed.
+  {
+    Rng rng(config.seed + 7);
+    const kernels::KernelOps& ops = kernels::active();
+    const auto conv_rows = [&](const char* with_gx, const char* without_gx,
+                               const kernels::ConvShape& s) {
+      const std::size_t wn =
+          static_cast<std::size_t>(s.out_c) * s.in_c * s.kernel * s.kernel;
+      const std::size_t xn = static_cast<std::size_t>(s.in_c) * s.in_h * s.in_w;
+      const std::size_t plane = static_cast<std::size_t>(s.out_h) * s.out_w;
+      std::vector<float> w(wn), x(xn), gy(s.out_c * plane);
+      std::vector<float> grads(wn + s.out_c), gx(xn);
+      std::vector<float> scratch(kernels::conv2d_backward_scratch(s));
+      for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
+      for (float& v : x) v = static_cast<float>(rng.normal(0.0, 1.0));
+      for (int oc = 0; oc < s.out_c; ++oc) {
+        const bool dead = rng.bernoulli(0.4);
+        for (std::size_t p = 0; p < plane; ++p)
+          gy[oc * plane + p] = dead || rng.bernoulli(0.15)
+                                   ? 0.0f
+                                   : static_cast<float>(rng.normal(0.0, 0.01));
+      }
+      const std::size_t calls = 20'000 * scale;
+      for (const bool input : {true, false})
+        micro.fastest(input ? with_gx : without_gx, calls, kBlocks, [&] {
+          for (std::size_t i = 0; i < calls; ++i)
+            ops.conv2d_backward(w.data(), x.data(), gy.data(), grads.data(),
+                                grads.data() + wn,
+                                input ? gx.data() : nullptr, scratch.data(),
+                                s);
+          g_sink = g_sink + grads[0] + gx[0];
+        });
+    };
+    conv_rows("conv2d_backward_conv2_gx", "conv2d_backward_conv2",
+              {16, 9, 9, 32, 4, 4, 3, 2});
+    conv_rows("conv2d_backward_conv3_gx", "conv2d_backward_conv3",
+              {32, 4, 4, 32, 2, 2, 3, 1});
+
+    const auto transpose_row = [&](const char* label, int rows, int cols) {
+      std::vector<float> w(static_cast<std::size_t>(rows) * cols), wt(w.size());
+      for (float& v : w) v = static_cast<float>(rng.normal(0.0, 0.1));
+      const std::size_t calls = 20'000 * scale;
+      micro.fastest(label, calls * w.size(), kBlocks, [&] {
+        for (std::size_t i = 0; i < calls; ++i)
+          ops.transpose(w.data(), wt.data(), rows, cols);
+        g_sink = g_sink + wt[1];
+      });
+    };
+    transpose_row("transpose_conv2_weights_per_float", 32, 16 * 9);
+    transpose_row("transpose_conv3_weights_per_float", 32, 32 * 9);
+
+    const C3F2Config c3f2 = C3F2Config::preset(C3F2Preset::kFast);
+    const DroneWorld world = DroneWorld::indoor_long();
+    const Network initial = make_c3f2(c3f2, rng);
+    std::uint64_t steps = 0;
+    double best = 0.0;
+    for (int block = 0; block < kBlocks; ++block) {
+      Network net = initial;
+      DroneEnv env(world, drone_env_config_for(c3f2));
+      Rng flight(config.seed + 8);
+      const double start = perf::now();
+      g_sink = g_sink + pretrain_imitation(net, env, 1, 0.02, 0.1, flight);
+      const double seconds = perf::now() - start;
+      steps = static_cast<std::uint64_t>(env.steps());
+      if (block == 0 || seconds < best) best = seconds;
+    }
+    micro.record("imitation_episode_pipelined", steps, best);
   }
 
   // A Grid World MLP TD step at steady state (one thread, the default

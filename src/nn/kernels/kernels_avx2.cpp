@@ -26,8 +26,12 @@
 // position, then walks the list in the scalar loop's order and
 // vectorizes each entry's updates: across the kernel taps of a weight
 // gradient row (through x unrolled per output position) and across the
-// input channels of an input-gradient position (through HWC copies of
-// gx and w). Every gradient element keeps the scalar backward's chain.
+// input channels of the input gradient, with w permuted to put them
+// last: where the layer's geometry has an instance (the fast C3F2's
+// conv2 and conv3), a whole input row accumulates in registers over
+// the output rows that cover it and is transposed out once; elsewhere
+// each entry updates an HWC copy of gx through memory. Every gradient
+// element keeps the scalar backward's chain.
 //
 // Quantization and the SGD commit's encode and decode run on 8 float
 // lanes for formats of at most 24 bits (FloatCodec: why that is exact),
@@ -263,28 +267,34 @@ void conv2d_avx2(const float* w, const float* wt, const float* bias,
   }
 }
 
-/// 8x8 tiles through registers; the last rows % 8 rows and cols % 8
-/// columns are copied one by one.
+/// 8x8 tiles through registers, one strip of 8 columns of w at a time:
+/// a strip writes 8 whole rows of wt, in order, and reads only its
+/// columns of w, so no row of wt is revisited once written (at 32 x
+/// 288, w and wt together overflow L1, and rows of wt filled 8 floats
+/// per pass were evicted between passes). A ragged last strip or
+/// tile is moved back to overlap the one before it and rewrites some
+/// elements with the values they hold; a w with fewer than 8 rows or
+/// columns is copied one by one.
 void transpose_avx2(const float* w, float* wt, int rows, int cols) {
   const auto R = static_cast<std::size_t>(rows);
   const auto C = static_cast<std::size_t>(cols);
-  std::size_t r0 = 0;
-  for (; r0 + 8 <= R; r0 += 8) {
-    const float* r[8];
-    for (std::size_t j = 0; j < 8; ++j) r[j] = w + (r0 + j) * C;
-    std::size_t c0 = 0;
-    for (; c0 + 8 <= C; c0 += 8) {
+  if (R < 8 || C < 8) {
+    for (std::size_t c = 0; c < C; ++c)
+      for (std::size_t r = 0; r < R; ++r) wt[c * R + r] = w[r * C + c];
+    return;
+  }
+  for (std::size_t strip = 0; strip < C; strip += 8) {
+    const std::size_t c0 = std::min(strip, C - 8);
+    for (std::size_t tile = 0; tile < R; tile += 8) {
+      const std::size_t r0 = std::min(tile, R - 8);
+      const float* r[8];
+      for (std::size_t j = 0; j < 8; ++j) r[j] = w + (r0 + j) * C + c0;
       __m256 c[8];
       load_tile_transposed(r, c);
       for (std::size_t k = 0; k < 8; ++k)
         _mm256_storeu_ps(wt + (c0 + k) * R + r0, c[k]);
-      for (const float*& row : r) row += 8;
     }
-    for (; c0 < C; ++c0)
-      for (std::size_t j = 0; j < 8; ++j) wt[c0 * R + r0 + j] = *r[j]++;
   }
-  for (; r0 < R; ++r0)
-    for (std::size_t c0 = 0; c0 < C; ++c0) wt[c0 * R + r0] = w[r0 * C + c0];
 }
 
 /// Outputs [o, o + 8B): B chains. With kRows the weights come from the
@@ -575,15 +585,16 @@ void conv_backward_params(const float* x, const float* gy, float* gw,
   }
 }
 
-/// Input gradient: lane j is input channel ic+j of one input position.
-/// gx accumulates in HWC order with each position's channels padded to
-/// `cs`, a multiple of 8, and w is permuted to [oc][kh][kw][cs] to
-/// match: a kernel row's taps are then one contiguous run of K*cs
-/// floats in both, and overlapping windows share whole 8-lane cells,
-/// which keeps store-to-load forwarding intact. Padding lanes are never
-/// copied out.
-void conv_backward_input(const float* w, const float* gy, float* gx,
-                         float* scratch, const ConvShape& s) {
+/// Input gradient through memory, for the shapes input_gradient_for
+/// has no input_rows instance for: lane j is input channel ic+j of one
+/// input position. gx accumulates in HWC order with each position's
+/// channels padded to `cs`, a multiple of 8, and w is permuted to
+/// [oc][kh][kw][cs] to match: a kernel row's taps are then one
+/// contiguous run of K*cs floats in both, and overlapping windows share
+/// whole 8-lane cells, which keeps store-to-load forwarding intact.
+/// Padding lanes are never copied out.
+void input_hwc(const float* w, const float* gy, float* gx, float* scratch,
+               const ConvShape& s) {
   const int cs = (s.in_c + 7) / 8 * 8;
   const int kk = s.kernel * s.kernel;
   const std::size_t run = static_cast<std::size_t>(s.kernel) * cs;
@@ -638,11 +649,157 @@ void conv_backward_input(const float* w, const float* gy, float* gx,
       gx[ic * in_plane + p] = hwc[p * cs + ic];
 }
 
+/// Output rows (channel, row) input_rows lists at most; layers with
+/// more take input_hwc.
+constexpr int kMaxGradRows = 256;
+
+/// w[oc] as an in_c x kk matrix, in_c a multiple of 8, transposed to
+/// [kk][in_c] in dst: an 8x8 register tile per 8 channels and 8 taps,
+/// and a gather per 8 channels for each remaining tap.
+void permute_channel(const float* src, float* dst, int in_c, int kk) {
+  const __m256i rows = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(kk));
+  for (int ic = 0; ic < in_c; ic += 8) {
+    const float* base = src + static_cast<std::size_t>(ic) * kk;
+    int t = 0;
+    for (; t + 8 <= kk; t += 8) {
+      const float* r[8];
+      for (int j = 0; j < 8; ++j) r[j] = base + j * kk + t;
+      __m256 c[8];
+      load_tile_transposed(r, c);
+      for (int k = 0; k < 8; ++k)
+        _mm256_storeu_ps(dst + (t + k) * in_c + ic, c[k]);
+    }
+    for (; t < kk; ++t)
+      _mm256_storeu_ps(dst + t * in_c + ic,
+                       _mm256_i32gather_ps(base + t, rows, 4));
+  }
+}
+
+/// acc[iw][v] += g[ow] * wk[kw][v] for iw = ow * S + kw, over one output
+/// row's OW gradients in order. keep[ow] is all ones when g[ow] passes
+/// `g != 0.0f` and zero when it fails; a failing gradient's product is
+/// masked to +0.0, as the scalar loop skips it: a zero gradient times
+/// an inf or NaN weight would otherwise enter the chain.
+template <int K, int S, int OW, int V>
+[[gnu::always_inline]] inline void accumulate_row(
+    __m256 (&acc)[(OW - 1) * S + K][V], const float* g,
+    const std::int32_t* keep, const float* wk, int in_c) {
+  __m256 wv[K][V];
+  for (int kw = 0; kw < K; ++kw)
+    for (int v = 0; v < V; ++v)
+      wv[kw][v] = _mm256_loadu_ps(wk + kw * in_c + 8 * v);
+  for (int ow = 0; ow < OW; ++ow) {
+    const __m256 gv = _mm256_broadcast_ss(g + ow);
+    const __m256 mask = _mm256_castsi256_ps(_mm256_set1_epi32(keep[ow]));
+    for (int kw = 0; kw < K; ++kw)
+      for (int v = 0; v < V; ++v)
+        acc[ow * S + kw][v] = _mm256_add_ps(
+            acc[ow * S + kw][v],
+            _mm256_and_ps(_mm256_mul_ps(gv, wv[kw][v]), mask));
+  }
+}
+
+/// Input gradient rows in registers, for kernel K, stride S and OW
+/// output columns whose windows cover an input row exactly (in_w ==
+/// (OW - 1) * S + K), and input channels in whole groups of V vectors.
+/// An output row (oc, oh) is live when one of its gradients passes
+/// `g != 0.0f`; only a live channel's weights are permuted (to
+/// [kh][kw][ic]). For each input row ih and V vectors of channels,
+/// acc[iw][v] lane j runs the chain of gx[cb + 8v + j][ih][iw]: +0.0,
+/// then g * w over the live rows that cover ih in (oc, oh) order and
+/// each row's columns in order. A row that is not live adds nothing,
+/// as in the scalar loop; a zero gradient of a live row adds +0.0,
+/// which changes nothing, since a chain that starts at +0.0 never holds
+/// -0.0 under round-to-nearest. The rows are built in HWC order and
+/// copied out with a transpose.
+template <int K, int S, int OW, int V>
+void input_rows(const float* w, const float* gy, float* gx, float* scratch,
+                const ConvShape& s) {
+  constexpr int kInW = (OW - 1) * S + K;
+  const int kk = K * K;
+  const int rows = s.out_c * s.out_h;
+  bool live[kMaxGradRows];
+  std::int32_t keep[kMaxGradRows * OW];
+  for (int r = 0; r < rows; ++r) {
+    bool any = false;
+    for (int ow = 0; ow < OW; ++ow) {
+      const bool pass = gy[r * OW + ow] != 0.0f;
+      keep[r * OW + ow] = pass ? -1 : 0;
+      any |= pass;
+    }
+    live[r] = any;
+  }
+  float* wp = scratch;
+  float* hwc = scratch + static_cast<std::size_t>(s.out_c) * kk * s.in_c;
+  for (int oc = 0; oc < s.out_c; ++oc) {
+    const bool* channel = live + oc * s.out_h;
+    if (std::find(channel, channel + s.out_h, true) == channel + s.out_h)
+      continue;
+    const std::size_t at = static_cast<std::size_t>(oc) * s.in_c * kk;
+    permute_channel(w + at, wp + at, s.in_c, kk);
+  }
+  int grads_at[kMaxGradRows];    // a listed row's gradients in gy
+  int weights_at[kMaxGradRows];  // and its kernel row in wp
+  for (int ih = 0; ih < s.in_h; ++ih) {
+    const int first = std::max(0, (ih - K + S) / S);
+    const int last = std::min(s.out_h - 1, ih / S);
+    int listed = 0;
+    for (int oc = 0; oc < s.out_c; ++oc)
+      for (int oh = first; oh <= last; ++oh) {
+        const int r = oc * s.out_h + oh;
+        grads_at[listed] = r * OW;
+        weights_at[listed] = (oc * kk + (ih - oh * S) * K) * s.in_c;
+        listed += live[r] ? 1 : 0;
+      }
+    float* dst = hwc + static_cast<std::size_t>(ih) * kInW * s.in_c;
+    for (int cb = 0; cb < s.in_c; cb += 8 * V) {
+      __m256 acc[kInW][V];
+      for (auto& cell : acc)
+        for (__m256& a : cell) a = _mm256_setzero_ps();
+      for (int k = 0; k < listed; ++k) {
+        accumulate_row<K, S, OW, V>(acc, gy + grads_at[k], keep + grads_at[k],
+                                    wp + weights_at[k] + cb, s.in_c);
+      }
+      for (int iw = 0; iw < kInW; ++iw)
+        for (int v = 0; v < V; ++v)
+          _mm256_storeu_ps(dst + iw * s.in_c + cb + 8 * v, acc[iw][v]);
+    }
+  }
+  transpose_avx2(hwc, gx, s.in_h * kInW, s.in_c);
+}
+
+using InputGradientFn = void (*)(const float*, const float*, float*, float*,
+                                 const ConvShape&);
+
+/// The input gradient for s: input_rows where it has an instance (the
+/// fast C3F2's conv2, 16x9x9 -> 32x4x4 k3 s2, and conv3, 32x4x4 ->
+/// 32x2x2 k3 s1, or any layer with the same row geometry), else
+/// input_hwc.
+InputGradientFn input_gradient_for(const ConvShape& s) {
+  struct Instance {
+    int kernel, stride, out_w, vectors;
+    InputGradientFn fn;
+  };
+  static constexpr Instance kInstances[] = {
+      {3, 2, 4, 1, input_rows<3, 2, 4, 1>},
+      {3, 1, 2, 2, input_rows<3, 1, 2, 2>},
+  };
+  if (s.out_c * s.out_h <= kMaxGradRows)
+    for (const Instance& i : kInstances)
+      if (s.kernel == i.kernel && s.stride == i.stride &&
+          s.out_w == i.out_w &&
+          s.in_w == (i.out_w - 1) * i.stride + i.kernel &&
+          s.in_c % (8 * i.vectors) == 0)
+        return i.fn;
+  return input_hwc;
+}
+
 void conv2d_backward_avx2(const float* w, const float* x, const float* gy,
                           float* gw, float* gb, float* gx, float* scratch,
                           const ConvShape& s) {
   conv_backward_params(x, gy, gw, gb, scratch, s);
-  if (gx != nullptr) conv_backward_input(w, gy, gx, scratch, s);
+  if (gx != nullptr) input_gradient_for(s)(w, gy, gx, scratch, s);
 }
 
 /// The widest format whose every value, raw bound and raw integer a

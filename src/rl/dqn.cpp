@@ -1,6 +1,12 @@
 #include "rl/dqn.h"
 
+#include <array>
+#include <condition_variable>
+#include <cstdint>
+#include <exception>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 namespace ftnav {
@@ -76,42 +82,166 @@ void DoubleDqnTrainer::sync_target() {
   target_.restore_parameters(params);
 }
 
+namespace {
+
+/// pretrain_imitation's ring: about 150 KB of fast-preset observations
+/// (3 x 39 x 39 floats each) plus their targets.
+constexpr std::uint64_t kImitationSlots = 8;
+
+/// One step of the expert trajectory: the camera image, the expert's
+/// action targets for it, and whether the step ended its episode.
+struct ImitationStep {
+  Tensor observation;
+  Tensor targets;
+  bool episode_end = false;
+};
+
+/// The trajectory pretrain_imitation learns from, flown on a helper
+/// thread into a ring of kImitationSlots steps that the learner takes
+/// in order. The trajectory never reads the network, and while it runs
+/// only the helper draws from `rng`, in the serial loop's order (the
+/// reset, then each step's exploration draws), so the learner sees the
+/// steps the serial loop saw and the caller gets back the generator
+/// and env it left. The destructor stops and joins the helper, so no
+/// path out of pretrain_imitation leaves it running.
+class ExpertTrajectory {
+ public:
+  ExpertTrajectory(DroneEnv& env, int episodes, double exploration, Rng& rng)
+      : helper_([this, &env, episodes, exploration, &rng] {
+          fly(env, episodes, exploration, rng);
+        }) {}
+
+  ~ExpertTrajectory() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    released_.notify_one();
+    helper_.join();
+  }
+
+  ExpertTrajectory(const ExpertTrajectory&) = delete;
+  ExpertTrajectory& operator=(const ExpertTrajectory&) = delete;
+
+  /// The next step, once the helper has written it. Once the steps the
+  /// helper wrote before it failed are taken, rethrows its exception.
+  const ImitationStep& next() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    written_cv_.wait(lock, [&] { return taken_ < written_ || failure_; });
+    if (taken_ == written_) std::rethrow_exception(failure_);
+    return slots_[taken_ % kImitationSlots];
+  }
+
+  /// Hands the step next() returned back to the helper. It is woken
+  /// when half the ring is free, not on every step.
+  void release() {
+    bool wake = false;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++taken_;
+      wake = written_ - taken_ == kImitationSlots / 2;
+    }
+    if (wake) released_.notify_one();
+  }
+
+ private:
+  void fly(DroneEnv& env, int episodes, double exploration,
+           Rng& rng) noexcept {
+    try {
+      const ExpertPolicy expert(env);
+      for (int episode = 0; episode < episodes; ++episode) {
+        (void)env.reset(rng);
+        while (!env.done()) {
+          ImitationStep* slot = claim();
+          if (slot == nullptr) return;
+          slot->observation = env.observe();
+          slot->targets = expert.action_targets();
+          // Mostly expert trajectory with occasional random deviation so
+          // the learner also sees recovery states. The env has not moved
+          // since `targets`, so they are what expert.act() would compute
+          // again.
+          const int action = rng.bernoulli(exploration)
+                                 ? static_cast<int>(rng.below(
+                                       DroneEnvConfig::action_count()))
+                                 : ExpertPolicy::best_action(slot->targets);
+          (void)env.step(action);
+          slot->episode_end = env.done();
+          publish();
+        }
+      }
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        failure_ = std::current_exception();
+      }
+      written_cv_.notify_one();
+    }
+  }
+
+  /// The next free slot, or nullptr once the learner has stopped.
+  ImitationStep* claim() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    released_.wait(
+        lock, [&] { return stop_ || written_ - taken_ < kImitationSlots; });
+    return stop_ ? nullptr : &slots_[written_ % kImitationSlots];
+  }
+
+  void publish() {
+    bool wake = false;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++written_;
+      wake = written_ - taken_ == 1;
+    }
+    if (wake) written_cv_.notify_one();
+  }
+
+  std::array<ImitationStep, kImitationSlots> slots_;
+  std::mutex mutex_;
+  std::condition_variable written_cv_;  // a step written, or a failure
+  std::condition_variable released_;    // a slot released, or stop
+  std::uint64_t written_ = 0;           // the counts and flags: mutex_
+  std::uint64_t taken_ = 0;
+  bool stop_ = false;
+  std::exception_ptr failure_;
+  std::thread helper_;  // last: it starts once the members above exist
+};
+
+}  // namespace
+
 double pretrain_imitation(Network& network, DroneEnv& env, int episodes,
                           double learning_rate, double exploration,
                           Rng& rng) {
   if (episodes <= 0)
     throw std::invalid_argument("pretrain_imitation: episodes must be > 0");
-  const ExpertPolicy expert(env);
+  ExpertTrajectory trajectory(env, episodes, exploration, rng);
   double last_episode_loss = 0.0;
-  for (int episode = 0; episode < episodes; ++episode) {
-    (void)env.reset(rng);
-    double loss_sum = 0.0;
-    int steps = 0;
-    while (!env.done()) {
-      const Tensor observation = env.observe();
-      const Tensor targets = expert.action_targets();
-      const Tensor& q = network.forward(observation);
-      Tensor grad(q.shape());
-      double loss = 0.0;
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        const float diff = q[i] - targets[i];
-        grad[i] = diff / static_cast<float>(q.size());
-        loss += 0.5 * diff * diff;
-      }
-      network.backward(grad);
-      network.apply_gradients(static_cast<float>(learning_rate));
-      loss_sum += loss / static_cast<double>(q.size());
-      ++steps;
-      // Mostly expert trajectory with occasional random deviation so the
-      // learner also sees recovery states. The env has not moved since
-      // `targets`, so they are what expert.act() would compute again.
-      const int action = rng.bernoulli(exploration)
-                             ? static_cast<int>(rng.below(
-                                   DroneEnvConfig::action_count()))
-                             : ExpertPolicy::best_action(targets);
-      (void)env.step(action);
+  double loss_sum = 0.0;
+  int steps = 0;
+  Tensor grad;
+  for (int episode = 0; episode < episodes;) {
+    const ImitationStep& step = trajectory.next();
+    const Tensor& q = network.forward(step.observation);
+    grad.resize(q.shape());
+    double loss = 0.0;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      const float diff = q[i] - step.targets[i];
+      grad[i] = diff / static_cast<float>(q.size());
+      loss += 0.5 * diff * diff;
     }
-    last_episode_loss = steps > 0 ? loss_sum / steps : 0.0;
+    const bool episode_end = step.episode_end;
+    // The network keeps its own copy of the observation for backward.
+    trajectory.release();
+    network.backward(grad);
+    network.apply_gradients(static_cast<float>(learning_rate));
+    loss_sum += loss / static_cast<double>(q.size());
+    ++steps;
+    if (episode_end) {
+      last_episode_loss = loss_sum / steps;
+      loss_sum = 0.0;
+      steps = 0;
+      ++episode;
+    }
   }
   return last_episode_loss;
 }

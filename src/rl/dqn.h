@@ -69,6 +69,14 @@ class DoubleDqnTrainer {
 /// Imitation bootstrap: regresses the network's Q-head onto the raycast
 /// expert's action targets while following a mostly-expert trajectory.
 /// Returns the mean per-step MSE loss over the final episode.
+///
+/// The trajectory (resets, camera, expert targets, exploration draws,
+/// env steps) runs on one helper thread the call owns, a few steps
+/// ahead of the learner. It never reads the network and is the only
+/// user of `env` and `rng` while the call runs, so the parameters, the
+/// loss and the state `env` and `rng` are left in match the serial
+/// loop's. An exception from either side is rethrown here after the
+/// helper is joined; the network, env and rng are then unspecified.
 double pretrain_imitation(Network& network, DroneEnv& env, int episodes,
                           double learning_rate, double exploration,
                           Rng& rng);

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <set>
+
+#include "experiments/drone_policy.h"
 #include "nn/c3f2.h"
 #include "rl/dqn.h"
 
@@ -33,6 +39,43 @@ DroneEnvConfig tiny_env_config() {
   config.max_steps = 40;
   config.max_distance = 30.0;
   return config;
+}
+
+/// pretrain_imitation as one serial loop, the trajectory and the
+/// learner interleaved step by step: the oracle for the call, which flies
+/// the trajectory on a helper thread.
+double serial_imitation(Network& network, DroneEnv& env, int episodes,
+                        double learning_rate, double exploration, Rng& rng) {
+  const ExpertPolicy expert(env);
+  double last_episode_loss = 0.0;
+  for (int episode = 0; episode < episodes; ++episode) {
+    (void)env.reset(rng);
+    double loss_sum = 0.0;
+    int steps = 0;
+    while (!env.done()) {
+      const Tensor observation = env.observe();
+      const Tensor targets = expert.action_targets();
+      const Tensor& q = network.forward(observation);
+      Tensor grad(q.shape());
+      double loss = 0.0;
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        const float diff = q[i] - targets[i];
+        grad[i] = diff / static_cast<float>(q.size());
+        loss += 0.5 * diff * diff;
+      }
+      network.backward(grad);
+      network.apply_gradients(static_cast<float>(learning_rate));
+      loss_sum += loss / static_cast<double>(q.size());
+      ++steps;
+      const int action = rng.bernoulli(exploration)
+                             ? static_cast<int>(rng.below(
+                                   DroneEnvConfig::action_count()))
+                             : ExpertPolicy::best_action(targets);
+      (void)env.step(action);
+    }
+    last_episode_loss = steps > 0 ? loss_sum / steps : 0.0;
+  }
+  return last_episode_loss;
 }
 
 Experience make_experience(int action, float reward, bool done, Rng& rng) {
@@ -199,6 +242,70 @@ TEST(Imitation, ProducesCompetentPolicy) {
     obs = env.observe();
   }
   EXPECT_GT(env.flight_distance(), 10.0);
+}
+
+TEST(Imitation, PipelineMatchesSerialReference) {
+  const DroneWorld world = DroneWorld::indoor_long();
+  struct Case {
+    C3F2Config net;
+    DroneEnvConfig env;
+  };
+  C3F2Config fast = C3F2Config::preset(C3F2Preset::kFast);
+  DroneEnvConfig fast_env = drone_env_config_for(fast);
+  fast_env.max_steps = 60;
+  for (const Case& c : {Case{tiny_c3f2(), tiny_env_config()},
+                        Case{fast, fast_env}}) {
+    for (const std::uint64_t seed : {31u, 32u, 33u}) {
+      for (const int episodes : {1, 2, 8}) {
+        SCOPED_TRACE(testing::Message()
+                     << "input " << c.net.input_hw << " seed " << seed
+                     << " episodes " << episodes);
+        Rng init(seed);
+        const Network initial = make_c3f2(c.net, init);
+        Network serial_net = initial;
+        Network piped_net = initial;
+        DroneEnv serial_env(world, c.env);
+        DroneEnv piped_env(world, c.env);
+        Rng serial_rng(seed + 100);
+        Rng piped_rng(seed + 100);
+        // A high exploration rate so most steps draw from the generator.
+        const double serial_loss = serial_imitation(
+            serial_net, serial_env, episodes, 0.02, 0.3, serial_rng);
+        const double piped_loss = pretrain_imitation(
+            piped_net, piped_env, episodes, 0.02, 0.3, piped_rng);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(serial_loss),
+                  std::bit_cast<std::uint64_t>(piped_loss));
+        const std::vector<float> serial_params =
+            serial_net.snapshot_parameters();
+        const std::vector<float> piped_params =
+            piped_net.snapshot_parameters();
+        ASSERT_EQ(serial_params.size(), piped_params.size());
+        EXPECT_EQ(std::memcmp(serial_params.data(), piped_params.data(),
+                              serial_params.size() * sizeof(float)),
+                  0);
+        EXPECT_EQ(serial_rng(), piped_rng());
+        EXPECT_EQ(serial_env.steps(), piped_env.steps());
+        EXPECT_EQ(serial_env.flight_distance(), piped_env.flight_distance());
+      }
+    }
+  }
+}
+
+TEST(Imitation, LearnerFailureJoinsAndRethrows) {
+  // A one-channel network against the three-channel camera: the
+  // learner's first forward throws while the helper fills the ring (and
+  // then waits on it), so the call must stop and join the helper before
+  // rethrowing. Repeated to meet the helper at different points.
+  C3F2Config config = tiny_c3f2();
+  config.input_channels = 1;
+  const DroneWorld world = DroneWorld::indoor_long();
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    Rng rng(16 + attempt);
+    Network net = make_c3f2(config, rng);
+    DroneEnv env(world, tiny_env_config());
+    EXPECT_THROW(pretrain_imitation(net, env, 8, 0.02, 0.1, rng),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -185,7 +185,7 @@ std::vector<float> float_specials() {
 /// other output must still match bit for bit.
 void run_dense_width_matrix(const KernelOps& simd) {
   const QFormat fmt(3, 4);  // coarse grid: saturating sums
-  for (const int in_f : {1, 5, 48, 128}) {
+  for (const int in_f : {1, 5, 27, 48, 128}) {
     for (const int out_f : {1, 3, 4, 7, 8, 9, 16, 25, 32, 33, 40, 128}) {
       const std::size_t wn = static_cast<std::size_t>(out_f) * in_f;
       const auto w = quantized_randoms(fmt, wn, 400 + wn);
@@ -334,68 +334,82 @@ void run_faulted_dense(const KernelOps& simd) {
 }
 
 /// conv2d_backward, scalar against `simd`, bit for bit on gw, gb and
-/// gx. Gradients mix +0, -0 and one NaN into nonzero values; gw and gb
-/// start nonzero, with -0 entries that a zero gradient must not touch
-/// (-0 + +0 is +0). The last input element and output channel 0's
-/// first weight are +inf but read only by zero gradients, so a dropped
-/// skip turns gw or gx into NaN (0 * inf).
+/// gx. Gradients mix +0, -0 and one NaN (channel out_c / 2 at
+/// (nan_oh, nan_ow), a window clear of gx[0] and of the last input
+/// element) into nonzero values; gw and gb start nonzero, with -0
+/// entries that a zero gradient must not touch (-0 + +0 is +0). The
+/// last input element and output channel 0's first weight are +inf but
+/// read only by zero gradients, so a dropped skip turns gw or gx into
+/// NaN (0 * inf). Channel 1's first weight is -inf in a live channel:
+/// its output (0, 1) carries it into gx, while the zero gradient at
+/// (0, 0) must not carry it into gx[0].
+void check_conv_backward_specials(const KernelOps& simd, const ConvGeometry& g,
+                                  int nan_oh, int nan_ow) {
+  const QFormat fmt = QFormat::q_1_4_11();
+  const ConvShape s = shape_of(g);
+  SCOPED_TRACE(testing::Message()
+               << "in_c " << g.in_c << " out_c " << g.out_c << " kernel "
+               << g.kernel << " stride " << g.stride << " out " << g.out_h
+               << "x" << g.out_w);
+  const std::size_t wn =
+      static_cast<std::size_t>(g.out_c) * g.in_c * g.kernel * g.kernel;
+  const std::size_t xn = static_cast<std::size_t>(g.in_c) * s.in_h * s.in_w;
+  const std::size_t yn = static_cast<std::size_t>(g.out_c) * s.out_h * s.out_w;
+  auto w = quantized_randoms(fmt, wn, 700 + wn);
+  w[0] = std::numeric_limits<float>::infinity();
+  auto x = quantized_randoms(fmt, xn, 800 + xn);
+  x.back() = std::numeric_limits<float>::infinity();
+  auto gy = quantized_randoms(fmt, yn, 900 + yn);
+  for (std::size_t i = 0; i < yn; i += 3) gy[i] = 0.0f;
+  for (std::size_t i = 1; i < yn; i += 5) gy[i] = -0.0f;
+  gy[(static_cast<std::size_t>(g.out_c / 2) * s.out_h + nan_oh) * s.out_w +
+     nan_ow] = std::numeric_limits<float>::quiet_NaN();
+  // All of channel 0, and every output whose window covers the last
+  // input element.
+  for (int oc = 0; oc < g.out_c; ++oc)
+    for (int oh = 0; oh < s.out_h; ++oh)
+      for (int ow = 0; ow < s.out_w; ++ow)
+        if (oc == 0 || (oh * g.stride + g.kernel >= s.in_h &&
+                        ow * g.stride + g.kernel >= s.in_w))
+          gy[(static_cast<std::size_t>(oc) * s.out_h + oh) * s.out_w + ow] =
+              (oc + oh + ow) % 2 == 0 ? 0.0f : -0.0f;
+  w[static_cast<std::size_t>(g.in_c) * g.kernel * g.kernel] =
+      -std::numeric_limits<float>::infinity();
+  gy[static_cast<std::size_t>(s.out_h) * s.out_w] = 0.0f;
+  gy[static_cast<std::size_t>(s.out_h) * s.out_w + 1] = 0.5f;
+  auto params = quantized_randoms(fmt, wn + g.out_c, 1000 + wn);
+  for (std::size_t i = 2; i < params.size(); i += 7) params[i] = -0.0f;
+  std::vector<float> scratch(kernels::conv2d_backward_scratch(s));
+  std::vector<float> grads_scalar = params, grads_simd = params;
+  std::vector<float> gx_scalar(xn, 1.0f), gx_simd(xn, 2.0f);
+  kernels::scalar_ops().conv2d_backward(
+      w.data(), x.data(), gy.data(), grads_scalar.data(),
+      grads_scalar.data() + wn, gx_scalar.data(), scratch.data(), s);
+  simd.conv2d_backward(w.data(), x.data(), gy.data(), grads_simd.data(),
+                       grads_simd.data() + wn, gx_simd.data(), scratch.data(),
+                       s);
+  expect_bit_identical(grads_scalar, grads_simd, "conv2d_backward gw/gb");
+  expect_bit_identical(gx_scalar, gx_simd, "conv2d_backward gx");
+  // The infs are live: what they feed would be NaN had a zero gradient
+  // been applied, and it is not. The NaN is live too.
+  EXPECT_FALSE(std::isnan(grads_scalar[wn - 1]));
+  EXPECT_FALSE(std::isnan(gx_scalar[0]));
+  EXPECT_TRUE(std::isnan(grads_scalar[wn + g.out_c / 2]));
+}
+
 void run_conv_backward_matrix(const KernelOps& simd) {
   const QFormat fmt = QFormat::q_1_4_11();
   for (const int in_c : {3, 8, 16})
     for (const int out_c : {8, 12, 16, 32})
       for (const int kernel : {1, 3, 5, 9})  // 9: rows wider than a vector
-        for (const int stride : {1, 2}) {
-          const ConvShape s = shape_of({in_c, out_c, kernel, stride, 3, 5});
-          SCOPED_TRACE(testing::Message()
-                       << "in_c " << in_c << " out_c " << out_c << " kernel "
-                       << kernel << " stride " << stride);
-          const std::size_t wn =
-              static_cast<std::size_t>(out_c) * in_c * kernel * kernel;
-          const std::size_t xn =
-              static_cast<std::size_t>(in_c) * s.in_h * s.in_w;
-          const std::size_t yn =
-              static_cast<std::size_t>(out_c) * s.out_h * s.out_w;
-          auto w = quantized_randoms(fmt, wn, 700 + wn);
-          w[0] = std::numeric_limits<float>::infinity();
-          auto x = quantized_randoms(fmt, xn, 800 + xn);
-          x.back() = std::numeric_limits<float>::infinity();
-          auto gy = quantized_randoms(fmt, yn, 900 + yn);
-          for (std::size_t i = 0; i < yn; i += 3) gy[i] = 0.0f;
-          for (std::size_t i = 1; i < yn; i += 5) gy[i] = -0.0f;
-          // Channel out_c / 2 at (oh, ow) = (1, 2): a window clear of
-          // gx[0] and of the last input element.
-          gy[(static_cast<std::size_t>(out_c / 2) * s.out_h + 1) * s.out_w +
-             2] = std::numeric_limits<float>::quiet_NaN();
-          // All of channel 0, and every output whose window covers the
-          // last input element.
-          for (int oc = 0; oc < out_c; ++oc)
-            for (int oh = 0; oh < s.out_h; ++oh)
-              for (int ow = 0; ow < s.out_w; ++ow)
-                if (oc == 0 || (oh * stride + kernel >= s.in_h &&
-                                ow * stride + kernel >= s.in_w))
-                  gy[(static_cast<std::size_t>(oc) * s.out_h + oh) *
-                         s.out_w +
-                     ow] = (oc + oh + ow) % 2 == 0 ? 0.0f : -0.0f;
-          auto params = quantized_randoms(fmt, wn + out_c, 1000 + wn);
-          for (std::size_t i = 2; i < params.size(); i += 7)
-            params[i] = -0.0f;
-          std::vector<float> scratch(kernels::conv2d_backward_scratch(s));
-          std::vector<float> grads_scalar = params, grads_simd = params;
-          std::vector<float> gx_scalar(xn, 1.0f), gx_simd(xn, 2.0f);
-          kernels::scalar_ops().conv2d_backward(
-              w.data(), x.data(), gy.data(), grads_scalar.data(),
-              grads_scalar.data() + wn, gx_scalar.data(), scratch.data(), s);
-          simd.conv2d_backward(w.data(), x.data(), gy.data(),
-                               grads_simd.data(), grads_simd.data() + wn,
-                               gx_simd.data(), scratch.data(), s);
-          expect_bit_identical(grads_scalar, grads_simd,
-                               "conv2d_backward gw/gb");
-          expect_bit_identical(gx_scalar, gx_simd, "conv2d_backward gx");
-          // The infs are live: what they feed would be NaN had a zero
-          // gradient been applied, and it is not.
-          EXPECT_FALSE(std::isnan(grads_scalar[wn - 1]));
-          EXPECT_FALSE(std::isnan(gx_scalar[0]));
-        }
+        for (const int stride : {1, 2})
+          check_conv_backward_specials(
+              simd, {in_c, out_c, kernel, stride, 3, 5}, 1, 2);
+  // The fast C3F2's conv2 and conv3, whose input gradients the imitation
+  // step computes (conv3's NaN window is clear of the last input
+  // element only in the top row).
+  check_conv_backward_specials(simd, {16, 32, 3, 2, 4, 4}, 1, 2);
+  check_conv_backward_specials(simd, {32, 32, 3, 1, 2, 2}, 0, 1);
   // The fast C3F2's three conv shapes with gradients as max-pool and
   // ReLU leave them, about 75% zero with +0 and -0 mixed, with and
   // without an input gradient. gw and gb start with -0 entries, which
